@@ -157,15 +157,20 @@ impl ExperimentResult {
     }
 
     /// The wall-clock sidecar artifact (`results/<id>.host.json`): host
-    /// seconds and worker count, tracked separately from the deterministic
-    /// simulated results so perf-regression tooling can watch harness speed
-    /// without breaking byte-reproducibility of `<id>.json`.
+    /// seconds, worker count, the host's CPU count and the process's peak
+    /// resident set so far (`null` where the host does not report it),
+    /// tracked separately from the deterministic simulated results so
+    /// perf-regression tooling can watch harness speed without breaking
+    /// byte-reproducibility of `<id>.json`.
     pub fn to_host_json(&self) -> String {
         format!(
-            "{{\n  \"id\": {},\n  \"host_seconds\": {},\n  \"jobs\": {}\n}}\n",
+            "{{\n  \"id\": {},\n  \"host_seconds\": {},\n  \"jobs\": {},\n  \"cpus\": {},\n  \
+             \"peak_rss_mb\": {}\n}}\n",
             json_string(&self.id),
             json_number(self.host_seconds),
-            self.host_workers
+            self.host_workers,
+            std::thread::available_parallelism().map_or(0, |n| n.get()),
+            peak_rss_mb().map_or_else(|| "null".to_string(), json_number)
         )
     }
 
@@ -209,6 +214,21 @@ impl HostTimer {
     pub fn elapsed_seconds(&self) -> f64 {
         self.0.elapsed().as_secs_f64()
     }
+}
+
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// megabytes, or `None` where the host does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib * 1024.0 / 1e6)
 }
 
 /// A JSON string literal (quoted, with the mandatory escapes).
@@ -343,6 +363,18 @@ mod tests {
     fn empty_result_is_valid_json() {
         let r = ExperimentResult::new("empty", "m");
         assert!(r.to_json().contains("\"cells\": []"));
+    }
+
+    #[test]
+    fn host_sidecar_records_cpus_and_peak_rss() {
+        let mut r = ExperimentResult::new("host", "m");
+        r.set_host(&HostTimer::start(), 3);
+        let doc = Json::parse(&r.to_host_json()).unwrap();
+        assert_eq!(doc.get("jobs").and_then(Json::as_f64), Some(3.0));
+        assert!(doc.get("cpus").and_then(Json::as_f64).is_some_and(|n| n >= 1.0));
+        let rss = doc.get("peak_rss_mb").expect("peak_rss_mb is always present");
+        let reported = std::path::Path::new("/proc/self/status").exists();
+        assert_eq!(rss.as_f64().is_some_and(|mb| mb > 0.0), reported, "{rss:?}");
     }
 
     #[test]

@@ -60,9 +60,9 @@ fn two_tb_device_recovers_within_touched_frame_ceiling() {
     // Ceiling: each of the 2048 writes touches at most one data frame, one
     // counter frame, one HMAC-lane frame, and a bottom_level-deep ancestor
     // path (10 levels at 2 TB, 64 nodes per frame — heavily shared across
-    // the hot span). 16 Ki frames = 64 MiB resident is already an order of
-    // magnitude of slack over the observed footprint, and 2^15× below the
-    // 2^29 data frames a dense pass would materialize.
+    // the hot span). 16 Ki frames (64 MiB even with every line written) is
+    // an order of magnitude of slack over the observed footprint, and 2^15×
+    // below the 2^29 data frames a dense pass would materialize.
     let resident = m.nvm_mut().resident_frames();
     assert!(resident > 0, "workload materialized nothing");
     assert!(

@@ -10,20 +10,29 @@
 //! the library itself is `#![forbid(unsafe_code)]`; implementing
 //! `GlobalAlloc` requires `unsafe`, and confining it to the test keeps that
 //! guarantee intact.
+//!
+//! Allocations are counted per thread: the test harness and tests running
+//! alongside allocate on their own threads, and must not land in another
+//! test's measuring window.
 
 use amnt_crypto::{mac64_batch, HmacSha256, DATA_MAC_MSG_LEN, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Forwards to the system allocator, counting every allocation.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System`; the counter is a relaxed atomic.
+// SAFETY: pure pass-through to `System`. The counter is a `const`-initialised
+// thread-local `Cell`, so bumping it never allocates, and `try_with` skips
+// the count instead of panicking once the thread's locals are torn down.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -34,11 +43,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     std::hint::black_box(f());
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //!
 //! A byte-addressable storage-class-memory (SCM/PCM) device model.
 //!
-//! The device is *functional* — it stores real bytes (sparsely, 4 KiB frames
-//! allocated on first touch) — and *timed* — it knows its read/write
+//! The device is *functional* — it stores real bytes (sparsely: a 4 KiB
+//! frame is touched on its first write, and stores only the 64 B lines
+//! written to it) — and *timed* — it knows its read/write
 //! latencies (Table 1 of the paper: 305 ns read, 391 ns write for DDR-based
 //! PCM) and counts traffic. Crucially it is *non-volatile*: [`Nvm::crash`]
 //! leaves the media intact and only bumps a generation counter; volatility
@@ -26,7 +27,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::ops::Bound;
 
 mod fault;
 mod start_gap;
@@ -38,10 +38,102 @@ pub use start_gap::StartGap;
 
 /// Size of a memory block (cache line) in bytes.
 pub const BLOCK_SIZE: usize = 64;
-/// Size of a backing frame in bytes — the on-demand materialization
-/// granularity. Sparse consumers (the O(touched) recovery paths) partition
-/// the address space at this granule via [`Nvm::touched_frames`].
+/// Size of a backing frame in bytes — the granule of *touch*. A frame is
+/// touched once any byte in it is written; sparse consumers (the
+/// O(touched) recovery paths) partition the address space at this granule
+/// via [`Nvm::touched_frames`]. Storage is finer: a frame holds only the
+/// [`BLOCK_SIZE`] lines written to it.
 pub const FRAME_SIZE: usize = 4096;
+
+const _: () = assert!(FRAME_SIZE / BLOCK_SIZE == u64::BITS as usize, "one mask bit per line");
+
+/// One touched frame, stored line by line.
+#[derive(Debug, Clone, Default)]
+struct Frame {
+    /// Bit `i` is set once line `i` of the frame has been written.
+    written: u64,
+    /// The written lines in line order, one per set bit of `written`.
+    lines: Vec<[u8; BLOCK_SIZE]>,
+}
+
+impl Frame {
+    /// Index in `lines` that line `line` (`< 64`) has, or would have once
+    /// written: the count of written lines below it.
+    fn slot(&self, line: usize) -> usize {
+        (self.written & !(u64::MAX << line)).count_ones() as usize
+    }
+
+    /// Line `line`'s bytes, if it has been written.
+    fn stored_line(&self, line: usize) -> Option<&[u8; BLOCK_SIZE]> {
+        if self.written >> line & 1 == 0 {
+            return None;
+        }
+        self.lines.get(self.slot(line))
+    }
+
+    /// Line `line`'s bytes for writing; a line never written before is
+    /// stored zero-filled first.
+    fn stored_line_mut(&mut self, line: usize) -> Option<&mut [u8; BLOCK_SIZE]> {
+        let slot = self.slot(line);
+        if self.written >> line & 1 == 0 {
+            // Double from one line rather than from `Vec`'s minimum of
+            // four: a sparse hot set touches many frames at a line each.
+            if self.lines.len() == self.lines.capacity() {
+                self.lines.reserve_exact(self.lines.len().max(1));
+            }
+            self.written |= 1 << line;
+            self.lines.insert(slot, [0; BLOCK_SIZE]);
+        }
+        self.lines.get_mut(slot)
+    }
+
+    /// Copies the frame's bytes from `offset` on into `out`; unwritten
+    /// lines read as zero.
+    fn copy_out(&self, offset: usize, out: &mut [u8]) {
+        let mut rest = out;
+        for (line, within, take) in pieces(offset as u64, rest.len(), BLOCK_SIZE) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            match self.stored_line(line as usize).and_then(|l| l.get(within..within + take)) {
+                Some(bytes) => head.copy_from_slice(bytes),
+                None => head.fill(0),
+            }
+            rest = tail;
+        }
+    }
+
+    /// Writes `data` into the frame from `offset` on, storing each line
+    /// it reaches.
+    fn copy_in(&mut self, offset: usize, data: &[u8]) {
+        let mut rest = data;
+        for (line, within, take) in pieces(offset as u64, rest.len(), BLOCK_SIZE) {
+            let (head, tail) = rest.split_at(take);
+            if let Some(bytes) =
+                self.stored_line_mut(line as usize).and_then(|l| l.get_mut(within..within + take))
+            {
+                bytes.copy_from_slice(head);
+            }
+            rest = tail;
+        }
+    }
+}
+
+/// Cuts the byte span `[start, start + len)` at every multiple of
+/// `granule`, yielding `(start / granule, start % granule, length)` for
+/// each piece in address order.
+fn pieces(start: u64, len: usize, granule: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let granule = granule as u64;
+    let end = start.saturating_add(len as u64);
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let within = at % granule;
+            let take = (end - at).min(granule - within);
+            let piece = (at / granule, within as usize, take as usize);
+            at += take;
+            piece
+        })
+    })
+}
 
 /// Device geometry and timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,9 +246,10 @@ pub struct NvmStats {
 #[derive(Debug, Clone, Default)]
 pub struct Nvm {
     config: NvmConfig,
-    /// Backing frames keyed by frame index (`addr / FRAME_SIZE`). Ordered so
-    /// touched-frame enumeration is deterministic regardless of touch order.
-    frames: BTreeMap<u64, Box<[u8; FRAME_SIZE]>>,
+    /// Touched frames keyed by frame index (`addr / FRAME_SIZE`), each
+    /// holding only its written lines. Ordered so touched-frame enumeration
+    /// is deterministic regardless of touch order.
+    frames: BTreeMap<u64, Frame>,
     stats: NvmStats,
     /// Bumped on every crash; lets tests assert they really crossed one.
     generation: u64,
@@ -392,17 +485,21 @@ impl Nvm {
         &self.evict_seqs
     }
 
-    /// Byte-exact image of the persisted media: every backed frame's base
-    /// offset and contents, sorted, with untouched (all-zero) frames
-    /// normalised away — two devices with equal images serve identical
-    /// bytes at every address. The idempotence sweeps compare post-recovery
-    /// media states with this.
+    /// Byte-exact image of the persisted media: every touched frame's base
+    /// byte address and 4 KiB contents (unwritten lines read as zero),
+    /// sorted, with all-zero frames normalised away — two devices with
+    /// equal images serve identical bytes at every address. The idempotence
+    /// sweeps compare post-recovery media states with this.
     pub fn media_image(&self) -> Vec<(u64, Vec<u8>)> {
         // BTreeMap iteration is already sorted by frame index.
         self.frames
             .iter()
-            .filter(|(_, frame)| frame.iter().any(|&b| b != 0))
-            .map(|(base, frame)| (*base, frame.to_vec()))
+            .filter(|(_, frame)| frame.lines.iter().flatten().any(|&b| b != 0))
+            .map(|(index, frame)| {
+                let mut image = vec![0u8; FRAME_SIZE];
+                frame.copy_out(0, &mut image);
+                (index * FRAME_SIZE as u64, image)
+            })
             .collect()
     }
 
@@ -418,13 +515,15 @@ impl Nvm {
     /// [`Nvm::touched_frames`] restricted to base addresses in
     /// `[start, end)`. `start` need not be frame-aligned: a frame whose base
     /// lies below `start` but which overlaps it is included, since bytes in
-    /// `[start, end)` may live there.
+    /// `[start, end)` may live there. An empty or reversed range
+    /// (`end <= start`) yields nothing.
     pub fn touched_frames_in(&self, start: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
-        let first = start / FRAME_SIZE as u64;
-        let last = end.div_ceil(FRAME_SIZE as u64);
-        self.frames
-            .range((Bound::Included(first), Bound::Excluded(last)))
-            .map(|(index, _)| index * FRAME_SIZE as u64)
+        let frames = if end <= start {
+            0..0
+        } else {
+            start / FRAME_SIZE as u64..end.div_ceil(FRAME_SIZE as u64)
+        };
+        self.frames.range(frames).map(|(index, _)| index * FRAME_SIZE as u64)
     }
 
     /// Whether the frame containing `addr` is backed (has ever been written).
@@ -501,37 +600,24 @@ impl Nvm {
 
     /// Raw media read: no stats, no fault interaction (internal/test use).
     fn peek(&self, addr: u64, buf: &mut [u8]) {
-        let mut cursor = addr;
-        let mut remaining = buf;
-        while !remaining.is_empty() {
-            let frame_base = cursor / FRAME_SIZE as u64;
-            let offset = (cursor % FRAME_SIZE as u64) as usize;
-            let take = remaining.len().min(FRAME_SIZE - offset);
-            let (head, tail) = remaining.split_at_mut(take);
-            match self.frames.get(&frame_base) {
-                Some(frame) => head.copy_from_slice(&frame[offset..offset + take]),
+        let mut rest = buf;
+        for (index, offset, take) in pieces(addr, rest.len(), FRAME_SIZE) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            match self.frames.get(&index) {
+                Some(frame) => frame.copy_out(offset, head),
                 None => head.fill(0),
             }
-            remaining = tail;
-            cursor += take as u64;
+            rest = tail;
         }
     }
 
     /// Raw media write: no stats, no fault interaction (internal/test use).
     fn poke(&mut self, addr: u64, data: &[u8]) {
-        let mut cursor = addr;
-        let mut remaining = data;
-        while !remaining.is_empty() {
-            let frame_base = cursor / FRAME_SIZE as u64;
-            let offset = (cursor % FRAME_SIZE as u64) as usize;
-            let take = remaining.len().min(FRAME_SIZE - offset);
-            let frame = self
-                .frames
-                .entry(frame_base)
-                .or_insert_with(|| Box::new([0u8; FRAME_SIZE]));
-            frame[offset..offset + take].copy_from_slice(&remaining[..take]);
-            remaining = &remaining[take..];
-            cursor += take as u64;
+        let mut rest = data;
+        for (index, offset, take) in pieces(addr, rest.len(), FRAME_SIZE) {
+            let (head, tail) = rest.split_at(take);
+            self.frames.entry(index).or_default().copy_in(offset, head);
+            rest = tail;
         }
     }
 
@@ -723,7 +809,9 @@ impl Nvm {
         self.poke(addr, &byte);
     }
 
-    /// Number of 4 KiB frames currently backed (touched).
+    /// Number of 4 KiB frames touched so far. Host memory follows the
+    /// lines written, not this count: a touched frame stores only its
+    /// written 64 B lines.
     pub fn resident_frames(&self) -> usize {
         self.frames.len()
     }
@@ -1115,6 +1203,10 @@ mod tests {
         assert_eq!(mid, vec![0x1000, 0x3000, 0x9000]);
         let none: Vec<u64> = nvm.touched_frames_in(0x4000, 0x9000).collect();
         assert_eq!(none, vec![] as Vec<u64>);
+        // Empty and reversed ranges yield nothing rather than panicking.
+        assert_eq!(nvm.touched_frames_in(0x3000, 0x1000).count(), 0);
+        assert_eq!(nvm.touched_frames_in(0x1040, 0x1040).count(), 0);
+        assert_eq!(nvm.touched_frames_in(u64::MAX, 0).count(), 0);
     }
 
     #[test]
@@ -1128,6 +1220,148 @@ mod tests {
         assert_eq!(a.media_image(), b.media_image());
         b.write_block(0x9000, &[1; 64]).unwrap();
         assert_ne!(a.media_image(), b.media_image());
+        // Entries are keyed by base byte address, like `touched_frames`.
+        let bases: Vec<u64> = b.media_image().into_iter().map(|(base, _)| base).collect();
+        assert_eq!(bases, vec![0, 0x9000]);
+    }
+
+    /// Flat reference for the line store: the bytes of a small window and
+    /// the distinct lines ever written in it.
+    struct Model {
+        bytes: Vec<u8>,
+        lines: std::collections::BTreeSet<u64>,
+    }
+
+    impl Model {
+        fn span(&self, addr: u64, len: usize) -> Vec<u8> {
+            self.bytes[addr as usize..addr as usize + len].to_vec()
+        }
+
+        fn put(&mut self, addr: u64, data: &[u8]) {
+            self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+            self.lines.extend(addr / 64..(addr + data.len() as u64).div_ceil(64));
+        }
+
+        /// Checks every observable of `nvm` against the model.
+        fn check(&self, nvm: &mut Nvm, step: &str) {
+            let mut stored = std::collections::BTreeSet::new();
+            for (index, frame) in &nvm.frames {
+                assert_eq!(frame.lines.len(), frame.written.count_ones() as usize, "{step}");
+                stored.extend(
+                    (0..64).filter(|l| frame.written >> l & 1 == 1).map(|l| index * 64 + l),
+                );
+            }
+            assert_eq!(stored, self.lines, "{step}: stored lines");
+            let mut frames: Vec<u64> =
+                self.lines.iter().map(|l| l / 64 * FRAME_SIZE as u64).collect();
+            frames.dedup();
+            assert_eq!(nvm.touched_frames().collect::<Vec<_>>(), frames, "{step}: touched");
+            assert_eq!(nvm.resident_frames(), frames.len(), "{step}: resident");
+            let image: Vec<(u64, Vec<u8>)> = frames
+                .iter()
+                .map(|&base| (base, self.span(base, FRAME_SIZE)))
+                .filter(|(_, bytes)| bytes.iter().any(|&b| b != 0))
+                .collect();
+            assert!(nvm.media_image() == image, "{step}: media image");
+            if !nvm.powered_off() {
+                let mut back = vec![0u8; self.bytes.len()];
+                nvm.read_bytes(0, &mut back).unwrap();
+                assert!(back == self.bytes, "{step}: read-back");
+            }
+        }
+    }
+
+    /// A span of 1..=200 random bytes in a `window`-byte device prefix;
+    /// half of them end within 200 bytes past a frame boundary, so they
+    /// usually cross it.
+    fn draw_span(rng: &mut amnt_prng::Rng, window: u64) -> (u64, Vec<u8>) {
+        let mut data = vec![0u8; rng.gen_range_usize(1..201)];
+        rng.fill_bytes(&mut data);
+        let len = data.len() as u64;
+        let addr = if rng.gen_bool(0.5) {
+            let boundary = rng.gen_range(1..window / FRAME_SIZE as u64) * FRAME_SIZE as u64;
+            boundary - rng.gen_range(1..len + 1)
+        } else {
+            rng.gen_range(0..window - len + 1)
+        };
+        (addr, data)
+    }
+
+    #[test]
+    fn line_store_matches_a_flat_reference_under_writes_rollbacks_tampers_and_crashes() {
+        const WINDOW: u64 = 16 * FRAME_SIZE as u64;
+        let mut rng = amnt_prng::Rng::seed_from_u64(0x4E_0004);
+        for round in 0..10 {
+            let mut nvm = Nvm::new(NvmConfig::gib(1));
+            let mut model = Model { bytes: vec![0; WINDOW as usize], lines: Default::default() };
+            for op in 0..300 {
+                let step = format!("round {round} op {op}");
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let (addr, data) = draw_span(&mut rng, WINDOW);
+                        nvm.write_bytes(addr, &data).unwrap();
+                        model.put(addr, &data);
+                    }
+                    5 | 6 => {
+                        let (addr, data) = draw_span(&mut rng, WINDOW);
+                        nvm.rollback_bytes(addr, &data);
+                        model.put(addr, &data);
+                    }
+                    7 => {
+                        let addr = rng.gen_range(0..WINDOW);
+                        let bit = rng.gen_range_u32(0..8) as u8;
+                        nvm.tamper_flip_bit(addr, bit);
+                        model.put(addr, &[model.span(addr, 1)[0] ^ 1 << bit]);
+                    }
+                    _ => {
+                        // An armed episode: some writes apply, the next may be
+                        // cut cleanly or torn, and the crash may drop the
+                        // newest journaled writes.
+                        let applied = rng.gen_range(0..5);
+                        let cut = match rng.gen_range(0..4) {
+                            0 => None,
+                            1 => Some(CrashWriteMode::Clean),
+                            2 => Some(CrashWriteMode::Torn(TornHalf::First)),
+                            _ => Some(CrashWriteMode::Torn(TornHalf::Last)),
+                        };
+                        let drop = rng.gen_range_usize(0..4);
+                        nvm.arm_fault_hook(Box::new(FaultPlan {
+                            crash_after: cut.map(|_| applied),
+                            mode: cut.unwrap_or(CrashWriteMode::Clean),
+                            drop_wpq_tail: drop,
+                        }));
+                        let mut journal = Vec::new();
+                        for w in 0..applied {
+                            let (addr, data) = draw_span(&mut rng, WINDOW);
+                            journal.push((addr, model.span(addr, data.len())));
+                            nvm.write_bytes(addr, &data).unwrap();
+                            model.put(addr, &data);
+                            model.check(&mut nvm, &format!("{step} write {w}"));
+                        }
+                        if let Some(mode) = cut {
+                            let (addr, data) = draw_span(&mut rng, WINDOW);
+                            let pre = model.span(addr, data.len());
+                            assert!(nvm.write_bytes(addr, &data).is_err(), "{step}: cut");
+                            if let CrashWriteMode::Torn(half) = mode {
+                                let lands = |a: u64| (a % 64 < 32) == (half == TornHalf::First);
+                                let torn: Vec<u8> = (addr..)
+                                    .zip(data.iter().zip(&pre))
+                                    .map(|(a, (&new, &old))| if lands(a) { new } else { old })
+                                    .collect();
+                                model.put(addr, &torn);
+                                journal.push((addr, pre));
+                            }
+                            model.check(&mut nvm, &format!("{step} cut"));
+                        }
+                        nvm.crash();
+                        for (addr, pre) in journal.iter().rev().take(drop) {
+                            model.put(*addr, pre);
+                        }
+                    }
+                }
+                model.check(&mut nvm, &step);
+            }
+        }
     }
 }
 
