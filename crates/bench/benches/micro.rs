@@ -174,33 +174,8 @@ fn bench_controller() {
 }
 
 fn bench_extensions() {
-    use amnt_bmt::SgxTree;
     use amnt_core::{HybridConfig, HybridMemory};
-    use amnt_nvm::{Nvm, NvmConfig, StartGap};
     println!("-- extensions");
-    let mut tree = SgxTree::new(4096, 0x10000, b"bench");
-    let mut nvm = Nvm::new(NvmConfig::gib(1));
-    let mut unit = 0u64;
-    time_bench("extensions/sgx_tree_bump", 20_000, || {
-        unit = (unit + 1) % 4096;
-        tree.bump(&mut nvm, black_box(unit)).unwrap()
-    });
-    let mut tree = SgxTree::new(4096, 0x10000, b"bench");
-    let mut nvm = Nvm::new(NvmConfig::gib(1));
-    for u in 0..64 {
-        tree.bump(&mut nvm, u).unwrap();
-    }
-    time_bench("extensions/sgx_tree_verify", 20_000, || {
-        tree.verify(&mut nvm, black_box(37)).unwrap()
-    });
-    let mut sg = StartGap::new(0x20000, 1024, 8);
-    let mut nvm = Nvm::new(NvmConfig::gib(1));
-    let mut line = 0u64;
-    time_bench("extensions/start_gap_write", 50_000, || {
-        line = (line + 7) % 1024;
-        sg.write_line(&mut nvm, black_box(line), &[3u8; 64])
-            .unwrap()
-    });
     let mut mem = HybridMemory::new(HybridConfig::new(1 << 20, 8 << 20)).unwrap();
     let mut t = 0;
     let mut i = 0u64;

@@ -29,90 +29,8 @@
 //! directive syntax, for refreshing the reference block after a deliberate
 //! model change.
 
-use amnt_bench::{gmean, results_dir};
+use amnt_bench::{gmean, results_dir, Cell, ExperimentResult};
 use std::path::Path;
-
-/// One `(row, col, value)` cell parsed back from a results artifact.
-struct Cell {
-    row: String,
-    col: String,
-    value: f64,
-}
-
-/// Minimal reader for the fixed `ExperimentResult::to_json` schema: an
-/// object with a `cells` array of flat `{row, col, value}` objects. Not a
-/// general JSON parser — the workspace writes these files itself.
-fn parse_cells(json: &str) -> Result<Vec<Cell>, String> {
-    let mut cells = Vec::new();
-    let body = json.split_once("\"cells\"").ok_or("no \"cells\" field")?.1;
-    let mut rest = body;
-    while let Some(start) = rest.find('{') {
-        let end = start + rest[start..].find('}').ok_or("unterminated cell object")?;
-        let obj = &rest[start..=end];
-        cells.push(Cell {
-            row: field_string(obj, "row")?,
-            col: field_string(obj, "col")?,
-            value: field_number(obj, "value")?,
-        });
-        rest = &rest[end + 1..];
-    }
-    Ok(cells)
-}
-
-/// Extracts `"key": "..."` from a flat object, un-escaping the string.
-fn field_string(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":");
-    let after = obj
-        .split_once(&pat)
-        .ok_or_else(|| format!("missing {key}"))?
-        .1;
-    let after = after.trim_start();
-    let inner = after
-        .strip_prefix('"')
-        .ok_or_else(|| format!("{key} is not a string"))?;
-    let mut out = String::new();
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape in {key}"))?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                Some(other) => out.push(other),
-                None => return Err(format!("dangling escape in {key}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("unterminated string for {key}"))
-}
-
-/// Extracts `"key": <number|null>` from a flat object (`null` → NaN).
-fn field_number(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let after = obj
-        .split_once(&pat)
-        .ok_or_else(|| format!("missing {key}"))?
-        .1;
-    let token: String = after
-        .trim_start()
-        .chars()
-        .take_while(|c| !c.is_whitespace() && *c != ',' && *c != '}')
-        .collect();
-    if token == "null" {
-        return Ok(f64::NAN);
-    }
-    token
-        .parse()
-        .map_err(|_| format!("bad number for {key}: {token}"))
-}
 
 /// A loaded artifact, or the reason it can't be checked.
 enum Artifact {
@@ -125,8 +43,8 @@ fn load_artifact(dir: &Path, id: &str) -> Artifact {
     let path = dir.join(format!("{id}.json"));
     match std::fs::read_to_string(&path) {
         Err(_) => Artifact::Missing,
-        Ok(json) => match parse_cells(&json) {
-            Ok(cells) => Artifact::Loaded(cells),
+        Ok(json) => match ExperimentResult::from_json(&json) {
+            Ok(result) => Artifact::Loaded(result.cells),
             Err(e) => Artifact::Broken(e),
         },
     }

@@ -16,6 +16,7 @@
 //! *legitimately* differ (e.g. across a calibrated model change).
 
 use crate::json::Json;
+use amnt_trace::json_str;
 use std::fmt::Write as _;
 
 /// One localised divergence between two sidecar documents.
@@ -190,10 +191,9 @@ pub fn diff_documents(a: &Json, b: &Json, tol: f64) -> Vec<DiffEntry> {
 
 /// Renders a diff as the `trace_diff --json` machine-readable report.
 pub fn report_json(a_path: &str, b_path: &str, tol: f64, entries: &[DiffEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"a\": \"{}\",", esc(a_path));
-    let _ = writeln!(out, "  \"b\": \"{}\",", esc(b_path));
+    let _ = writeln!(out, "  \"a\": {},", json_str(a_path));
+    let _ = writeln!(out, "  \"b\": {},", json_str(b_path));
     let _ = writeln!(out, "  \"tolerance\": {tol},");
     let _ = writeln!(out, "  \"differences\": {},", entries.len());
     out.push_str("  \"entries\": [");
@@ -203,10 +203,10 @@ pub fn report_json(a_path: &str, b_path: &str, tol: f64, entries: &[DiffEntry]) 
         }
         let _ = write!(
             out,
-            "\n    {{ \"path\": \"{}\", \"a\": \"{}\", \"b\": \"{}\" }}",
-            esc(&e.path),
-            esc(&e.a),
-            esc(&e.b)
+            "\n    {{ \"path\": {}, \"a\": {}, \"b\": {} }}",
+            json_str(&e.path),
+            json_str(&e.a),
+            json_str(&e.b)
         );
     }
     if !entries.is_empty() {
@@ -294,5 +294,26 @@ mod tests {
         let empty = report_json("a", "a", 0.0, &[]);
         assert!(Json::parse(&empty).is_ok());
         assert!(empty.contains("\"entries\": []"));
+    }
+
+    #[test]
+    fn json_report_escapes_control_characters() {
+        let entries = vec![DiffEntry {
+            path: "cell\tname\n\"q\"".to_string(),
+            a: "1".to_string(),
+            b: "2".to_string(),
+        }];
+        let s = report_json("dir\twith tab/a.json", "b.json", 0.0, &entries);
+        assert!(!s.contains('\t'), "raw tab in report: {s}");
+        let parsed = Json::parse(&s).unwrap();
+        assert_eq!(
+            parsed.get("a").and_then(Json::as_str),
+            Some("dir\twith tab/a.json")
+        );
+        let entry = &parsed.get("entries").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            entry.get("path").and_then(Json::as_str),
+            Some("cell\tname\n\"q\"")
+        );
     }
 }

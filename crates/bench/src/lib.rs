@@ -34,6 +34,7 @@ pub use trace_out::{save_trace_artifacts, trace_config, with_env_trace};
 
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, ProtocolKind};
 use amnt_sim::{RunLength, SimReport};
+use amnt_trace::json_str;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -135,8 +136,8 @@ impl ExperimentResult {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.cells.len() * 64);
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_string(&self.id)));
-        out.push_str(&format!("  \"metric\": {},\n", json_string(&self.metric)));
+        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
+        out.push_str(&format!("  \"metric\": {},\n", json_str(&self.metric)));
         out.push_str("  \"cells\": [");
         for (i, c) in self.cells.iter().enumerate() {
             if i > 0 {
@@ -144,8 +145,8 @@ impl ExperimentResult {
             }
             out.push_str(&format!(
                 "\n    {{ \"row\": {}, \"col\": {}, \"value\": {} }}",
-                json_string(&c.row),
-                json_string(&c.col),
+                json_str(&c.row),
+                json_str(&c.col),
                 json_number(c.value)
             ));
         }
@@ -154,6 +155,41 @@ impl ExperimentResult {
         }
         out.push_str("]\n}\n");
         out
+    }
+
+    /// Reads back an artifact written by [`Self::to_json`]: its inverse,
+    /// except that non-finite values (written as `null`) read back as NaN.
+    /// The host fields are not part of the artifact and come back unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first malformed or missing field.
+    pub fn from_json(src: &str) -> Result<Self, String> {
+        let doc = Json::parse(src)?;
+        let string = |obj: &Json, key: &str| {
+            obj.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("missing string \"{key}\""))
+        };
+        let mut result = ExperimentResult::new(&string(&doc, "id")?, &string(&doc, "metric")?);
+        let cells = doc
+            .get("cells")
+            .and_then(Json::as_arr)
+            .ok_or("missing \"cells\" array")?;
+        for cell in cells {
+            let value = match cell.get("value") {
+                Some(Json::Num(v)) => *v,
+                Some(Json::Null) => f64::NAN,
+                _ => return Err("cell \"value\" is neither a number nor null".to_string()),
+            };
+            result.cells.push(Cell {
+                row: string(cell, "row")?,
+                col: string(cell, "col")?,
+                value,
+            });
+        }
+        Ok(result)
     }
 
     /// The wall-clock sidecar artifact (`results/<id>.host.json`): host
@@ -166,7 +202,7 @@ impl ExperimentResult {
         format!(
             "{{\n  \"id\": {},\n  \"host_seconds\": {},\n  \"jobs\": {},\n  \"cpus\": {},\n  \
              \"peak_rss_mb\": {}\n}}\n",
-            json_string(&self.id),
+            json_str(&self.id),
             json_number(self.host_seconds),
             self.host_workers,
             std::thread::available_parallelism().map_or(0, |n| n.get()),
@@ -229,25 +265,6 @@ fn peak_rss_mb() -> Option<f64> {
         .parse()
         .ok()?;
     Some(kib * 1024.0 / 1e6)
-}
-
-/// A JSON string literal (quoted, with the mandatory escapes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A JSON number literal; non-finite values become `null`.
@@ -357,6 +374,26 @@ mod tests {
         assert!(json.contains(r#""metric": "tab\tline\nback\\slash""#));
         assert_eq!(json.matches("\"value\": null").count(), 2);
         assert!(json.contains("\"value\": 3.0"), "integral floats keep a dot");
+    }
+
+    #[test]
+    fn from_json_inverts_to_json() {
+        let mut r = ExperimentResult::new("brace {id}", "quote \" back \\ tab \t");
+        r.push("row {with} braces", "naïve µs → 快", 1.25);
+        r.push("}{", "\"\\", f64::NAN);
+        r.push("int", "c", 3.0);
+        let back = ExperimentResult::from_json(&r.to_json()).unwrap();
+        assert_eq!(
+            (back.id.as_str(), back.metric.as_str()),
+            (r.id.as_str(), r.metric.as_str())
+        );
+        assert_eq!(back.cells.len(), r.cells.len());
+        for (b, a) in back.cells.iter().zip(&r.cells) {
+            assert_eq!((&b.row, &b.col), (&a.row, &a.col));
+            assert!(b.value == a.value || (b.value.is_nan() && a.value.is_nan()));
+        }
+        assert_eq!(back.to_json(), r.to_json());
+        assert!(ExperimentResult::from_json("{\"id\": \"x\"}").is_err());
     }
 
     #[test]

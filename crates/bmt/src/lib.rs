@@ -15,10 +15,8 @@
 
 mod counter;
 mod geometry;
-mod sgx;
 mod tree;
 
 pub use counter::{CounterBlock, IncrementOutcome, COUNTER_BLOCK_SIZE, MINORS_PER_BLOCK, MINOR_MAX};
 pub use geometry::{BmtGeometry, GeometryError, NodeId, BLOCK_SIZE, PAGE_SIZE, TREE_ARITY};
-pub use sgx::{SgxError, SgxNode, SgxTree};
 pub use tree::{set_slot, slot_of, Bmt, BmtHasher, NodeBytes};

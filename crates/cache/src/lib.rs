@@ -32,20 +32,6 @@ pub use stats::CacheStats;
 
 use std::fmt;
 
-/// Victim-selection policy for a [`SetAssocCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used line (the default; what the paper's
-    /// metadata cache assumes).
-    #[default]
-    Lru,
-    /// Evict the oldest-inserted line (accesses do not refresh age).
-    Fifo,
-    /// Evict a pseudo-random line (deterministic xorshift, seeded by the
-    /// cache's access count — reproducible across runs).
-    Random,
-}
-
 /// Configuration for a [`SetAssocCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
@@ -55,25 +41,16 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes; must be a power of two.
     pub line_size: usize,
-    /// Victim-selection policy.
-    pub policy: ReplacementPolicy,
 }
 
 impl CacheConfig {
-    /// Creates an LRU configuration; validated by [`SetAssocCache::new`].
+    /// Creates a configuration; validated by [`SetAssocCache::new`].
     pub fn new(size_bytes: usize, ways: usize, line_size: usize) -> Self {
         CacheConfig {
             size_bytes,
             ways,
             line_size,
-            policy: ReplacementPolicy::Lru,
         }
-    }
-
-    /// Switches the replacement policy.
-    pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Number of lines this configuration holds.
@@ -265,12 +242,9 @@ impl SetAssocCache {
         let tag = addr >> self.set_shift;
         let set = self.set_range(addr);
         let clock = self.clock;
-        let refresh = self.config.policy != ReplacementPolicy::Fifo;
         for line in &mut self.lines[set.start..set.end] {
             if line.valid && line.tag == tag {
-                if refresh {
-                    line.stamp = clock;
-                }
+                line.stamp = clock;
                 if is_write {
                     line.dirty = true;
                 }
@@ -306,56 +280,15 @@ impl SetAssocCache {
                 return None;
             }
         }
-        // Pick a free way, else the policy's victim.
-        let mut victim_idx = range.start;
-        let mut victim_stamp = u64::MAX;
-        let mut found_free = false;
-        for idx in range.clone() {
-            let line = &self.lines[idx];
-            if !line.valid {
-                victim_idx = idx;
-                found_free = true;
-                break;
-            }
-            if line.stamp < victim_stamp {
-                victim_stamp = line.stamp;
-                victim_idx = idx;
-            }
-        }
-        if !found_free && self.config.policy == ReplacementPolicy::Random {
-            // Deterministic xorshift over the access clock.
-            let mut x = self.clock ^ 0x9e37_79b9_7f4a_7c15;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            victim_idx = range.start + (x as usize % self.config.ways);
-        }
-        let victim = self.lines[victim_idx];
-        let evicted = if victim.valid {
-            self.stats.evictions += 1;
-            if victim.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            if self.trace.enabled() {
-                self.trace.bump("evictions");
-                if victim.dirty {
-                    self.trace.bump("dirty_evictions");
-                }
-            }
-            Some(Eviction {
-                addr: victim.tag << self.set_shift,
-                dirty: victim.dirty,
-            })
-        } else {
-            None
-        };
-        self.lines[victim_idx] = Line {
-            tag,
-            dirty,
-            valid: true,
-            stamp: clock,
-        };
-        evicted
+        self.install(
+            range,
+            Line {
+                tag,
+                dirty,
+                valid: true,
+                stamp: clock,
+            },
+        )
     }
 
     /// Inserts the line containing `addr` for a *prefetch*: the new line
@@ -377,47 +310,48 @@ impl SetAssocCache {
         if self.trace.enabled() {
             self.trace.bump("prefetch_fills");
         }
-        // Prefer the first invalid way, else the set's LRU (minimum stamp,
-        // first on ties) — the same victim [`Self::fill`] would pick.
-        let set_shift = self.set_shift;
-        let Some(slot) = self.lines.get_mut(range).and_then(|set| {
-            set.iter_mut().reduce(|best, line| {
-                if !best.valid {
-                    best
-                } else if !line.valid || line.stamp < best.stamp {
-                    line
-                } else {
-                    best
-                }
-            })
-        }) else {
+        self.install(
+            range,
+            Line {
+                tag,
+                dirty: false,
+                valid: true,
+                stamp: 0,
+            },
+        )
+    }
+
+    /// Installs `line` in the set spanning `range`, over the first invalid
+    /// way, else the set's LRU way (minimum stamp, first way on ties), and
+    /// counts the eviction. Returns the displaced line if it was valid.
+    fn install(&mut self, range: std::ops::Range<usize>, line: Line) -> Option<Eviction> {
+        let slot = self.lines.get_mut(range)?.iter_mut().reduce(|best, way| {
+            if !best.valid {
+                best
+            } else if !way.valid || way.stamp < best.stamp {
+                way
+            } else {
+                best
+            }
+        })?;
+        let victim = std::mem::replace(slot, line);
+        if !victim.valid {
             return None;
-        };
-        let victim = *slot;
-        *slot = Line {
-            tag,
-            dirty: false,
-            valid: true,
-            stamp: 0,
-        };
-        if victim.valid {
-            self.stats.evictions += 1;
-            if victim.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            if self.trace.enabled() {
-                self.trace.bump("evictions");
-                if victim.dirty {
-                    self.trace.bump("dirty_evictions");
-                }
-            }
-            Some(Eviction {
-                addr: victim.tag << set_shift,
-                dirty: victim.dirty,
-            })
-        } else {
-            None
         }
+        self.stats.evictions += 1;
+        if victim.dirty {
+            self.stats.dirty_evictions += 1;
+        }
+        if self.trace.enabled() {
+            self.trace.bump("evictions");
+            if victim.dirty {
+                self.trace.bump("dirty_evictions");
+            }
+        }
+        Some(Eviction {
+            addr: victim.tag << self.set_shift,
+            dirty: victim.dirty,
+        })
     }
 
     /// Whether the line containing `addr` is present. Does not disturb LRU
@@ -725,47 +659,20 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_reuse_when_choosing_victims() {
-        let cfg = CacheConfig::new(512, 2, 64).with_policy(ReplacementPolicy::Fifo);
-        let mut c = SetAssocCache::new(cfg).unwrap();
+    fn prefetched_ties_break_to_the_lower_way() {
+        // 4 sets x 4 ways x 64B; set stride is 4 sets * 64B = 256B, so every
+        // address here maps to set 0. The first four fill ways 0..=3 in order.
+        let mut c = SetAssocCache::new(CacheConfig::new(1024, 4, 64)).unwrap();
         c.fill(0x000, false);
-        c.fill(0x100, false);
-        // Touch the older line repeatedly: FIFO must still evict it.
-        for _ in 0..5 {
-            c.access(0x000, false);
-        }
-        let ev = c.fill(0x200, false).expect("eviction");
-        assert_eq!(ev.addr, 0x000, "FIFO evicts the oldest insertion");
-    }
-
-    #[test]
-    fn lru_respects_reuse_where_fifo_does_not() {
-        let mut c = SetAssocCache::new(CacheConfig::new(512, 2, 64)).unwrap();
-        c.fill(0x000, false);
-        c.fill(0x100, false);
-        c.access(0x000, false);
-        let ev = c.fill(0x200, false).expect("eviction");
-        assert_eq!(ev.addr, 0x100, "LRU keeps the reused line");
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_and_valid() {
-        let cfg = CacheConfig::new(512, 2, 64).with_policy(ReplacementPolicy::Random);
-        let run = || {
-            let mut c = SetAssocCache::new(cfg).unwrap();
-            let mut victims = Vec::new();
-            for i in 0..32u64 {
-                if let Some(ev) = c.fill(i * 0x100, false) {
-                    victims.push(ev.addr);
-                }
-            }
-            (victims, c.len())
-        };
-        let (v1, len1) = run();
-        let (v2, _) = run();
-        assert_eq!(v1, v2, "xorshift victims are reproducible");
-        assert!(!v1.is_empty());
-        assert!(len1 <= 8, "capacity respected");
+        c.fill_prefetched(0x100);
+        c.fill(0x200, false);
+        c.fill_prefetched(0x300);
+        // Both prefetched lines share stamp 0: the lower way goes first,
+        // then the other, and only then the LRU demand line.
+        assert_eq!(c.fill(0x400, false).map(|ev| ev.addr), Some(0x100));
+        assert_eq!(c.fill(0x500, false).map(|ev| ev.addr), Some(0x300));
+        assert_eq!(c.fill(0x600, false).map(|ev| ev.addr), Some(0x000));
+        assert!(c.contains(0x200));
     }
 
     #[test]

@@ -146,7 +146,6 @@ impl SecureMemory {
         let nvm_capacity = (aux_base + aux_bytes).next_multiple_of(PAGE_SIZE);
         let nvm = Nvm::new(NvmConfig {
             capacity_bytes: nvm_capacity,
-            ..NvmConfig::paper_default()
         });
         let timeline = MemoryTimeline::new(config.timing, config.write_queue);
         let bottom = geometry.bottom_level();

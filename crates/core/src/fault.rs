@@ -74,6 +74,7 @@ use crate::untimed::UntimedMemory;
 use crate::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, SecureMemory, SecureMemoryConfig, BLOCK_SIZE,
 };
+use amnt_bmt::BmtGeometry;
 use amnt_nvm::{CrashWriteMode, FaultHook, FaultPlan, NvmError, PhasedPlan, TornHalf};
 use amnt_prng::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -343,6 +344,35 @@ impl Workload {
         match self.ops.get(completed) {
             Some(Op::Write { addr, .. }) => Some(*addr),
             _ => None,
+        }
+    }
+
+    /// The media byte and bit a tamper scenario flips at strike `k`, once
+    /// the first `completed` ops ran on a device laid out by `g`. The block
+    /// is a committed address (preferably) other than the interrupted op's
+    /// own, so a read error there is never excused by the mid-update
+    /// exemption. The target cycles by `k % 3` over the three line classes
+    /// recovery touches differently: the data line (never rewritten by
+    /// recovery, so the read MAC must catch it), its counter line (the
+    /// dirty-shutdown audit and root re-derivation must catch it), and its
+    /// bottom-level tree node (rebuilt by lazy protocols — healed — or
+    /// caught by the parent-MAC chain on read-back).
+    fn tamper_target(&self, completed: usize, k: u64, g: &BmtGeometry) -> (u64, u8) {
+        let interrupted = self.interrupted_target(completed);
+        let block = self
+            .history
+            .iter()
+            .find(|(&a, h)| {
+                Some(a) != interrupted && h.first().is_some_and(|&(i, _)| i < completed)
+            })
+            .or_else(|| self.history.iter().find(|(&a, _)| Some(a) != interrupted))
+            .map(|(&a, _)| a)
+            .unwrap_or(0);
+        let counter = g.counter_index(block);
+        match k % 3 {
+            0 => (block + 3, 2),
+            2 if g.bottom_level() >= 2 => (g.node_addr(g.counter_parent(counter)) + 7, 0),
+            _ => (g.counter_addr(counter) + 5, 1),
         }
     }
 
@@ -853,14 +883,8 @@ fn run_sweep_impl(
     // raw media before the second recovery completes. The flipped line must
     // either be *healed* — recovery rewrites it from authenticated state —
     // or *detected* by a recovery error or a read-back MAC failure. Silence
-    // is an integrity-protection failure regardless of crash timing.
-    //
-    // The target cycles by ordinal over the three line classes recovery
-    // touches differently: a committed data block (never rewritten by
-    // recovery, so the read MAC must catch it), that block's counter block
-    // (the dirty-shutdown audit and root re-derivation must catch it), and
-    // its bottom-level tree node (rebuilt by lazy protocols — healed — or
-    // caught by the parent-MAC chain on read-back).
+    // is an integrity-protection failure regardless of crash timing. The
+    // target rotates over line classes (see `Workload::tamper_target`).
     if cfg.tamper {
         for k in 0..total {
             let rec_writes = recovery_writes_by_k[k as usize];
@@ -892,26 +916,7 @@ fn run_sweep_impl(
                 }
                 mem.crash();
             }
-            // Deterministic target: a committed (preferably) workload
-            // address that is not the interrupted op's own block, so a read
-            // error there is never excused by the mid-update exemption.
-            let interrupted = w.interrupted_target(completed);
-            let target_data = w
-                .history
-                .iter()
-                .find(|(&a, h)| {
-                    Some(a) != interrupted && h.first().is_some_and(|&(i, _)| i < completed)
-                })
-                .or_else(|| w.history.iter().find(|(&a, _)| Some(a) != interrupted))
-                .map(|(&a, _)| a)
-                .unwrap_or(0);
-            let g = mem.geometry();
-            let counter = g.counter_index(target_data);
-            let (tamper_addr, bit) = match k % 3 {
-                0 => (target_data + 3, 2),
-                2 if g.bottom_level() >= 2 => (g.node_addr(g.counter_parent(counter)) + 7, 0),
-                _ => (g.counter_addr(counter) + 5, 1),
-            };
+            let (tamper_addr, bit) = w.tamper_target(completed, k, mem.geometry());
             mem.nvm_mut().tamper_flip_bit(tamper_addr, bit);
             s.tamper_points += 1;
             if let Some(t) = tr.as_deref_mut() {
@@ -1429,25 +1434,8 @@ pub fn run_shard_sweep(
             let w = per_shard.get(victim).ok_or(IntegrityError::Invariant {
                 what: "victim workload missing",
             })?;
-            // Deterministic victim-local target: a committed tenant block
-            // that is not the interrupted op's own, rotating over the data
-            // line, its counter line, and its bottom-level tree node.
-            let interrupted = w.interrupted_target(done);
-            let target = w
-                .history
-                .iter()
-                .find(|(&a, h)| Some(a) != interrupted && h.first().is_some_and(|&(i, _)| i < done))
-                .or_else(|| w.history.iter().find(|(&a, _)| Some(a) != interrupted))
-                .map(|(&a, _)| a)
-                .unwrap_or(0);
             let engine = shard_engine(&mut mem, victim)?;
-            let g = engine.geometry();
-            let counter = g.counter_index(target);
-            let (tamper_addr, bit) = match k % 3 {
-                0 => (target + 3, 2),
-                2 if g.bottom_level() >= 2 => (g.node_addr(g.counter_parent(counter)) + 7, 0),
-                _ => (g.counter_addr(counter) + 5, 1),
-            };
+            let (tamper_addr, bit) = w.tamper_target(done, k, engine.geometry());
             engine.nvm_mut().tamper_flip_bit(tamper_addr, bit);
             s.tamper_points += 1;
             match mem.recover_shard(victim) {

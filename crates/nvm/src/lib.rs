@@ -4,11 +4,12 @@
 //!
 //! The device is *functional* — it stores real bytes (sparsely: a 4 KiB
 //! frame is touched on its first write, and stores only the 64 B lines
-//! written to it) — and *timed* — it knows its read/write
-//! latencies (Table 1 of the paper: 305 ns read, 391 ns write for DDR-based
-//! PCM) and counts traffic. Crucially it is *non-volatile*: [`Nvm::crash`]
-//! leaves the media intact and only bumps a generation counter; volatility
-//! lives in the caches and controller registers built on top.
+//! written to it) — and counts traffic. It is untimed: media latency
+//! (Table 1's 305 ns read, 391 ns write) is charged by the controller's
+//! `MemTiming` and `MemoryTimeline` in `amnt-core`. Crucially it is
+//! *non-volatile*: [`Nvm::crash`] leaves the media intact and only bumps a
+//! generation counter; volatility lives in the caches and controller
+//! registers built on top.
 //!
 //! ## Example
 //!
@@ -29,12 +30,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 mod fault;
-mod start_gap;
 pub use fault::{
     CrashFaults, CrashWriteMode, FaultAction, FaultHook, FaultPlan, PhasedPlan, TornHalf,
     WriteClass,
 };
-pub use start_gap::StartGap;
 
 /// Size of a memory block (cache line) in bytes.
 pub const BLOCK_SIZE: usize = 64;
@@ -135,43 +134,24 @@ fn pieces(start: u64, len: usize, granule: usize) -> impl Iterator<Item = (u64, 
     })
 }
 
-/// Device geometry and timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Device geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmConfig {
     /// Device capacity in bytes.
     pub capacity_bytes: u64,
-    /// Media read latency in nanoseconds (Table 1: 305 ns).
-    pub read_ns: f64,
-    /// Media write latency in nanoseconds (Table 1: 391 ns).
-    pub write_ns: f64,
-    /// Core clock used to convert latencies to cycles.
-    pub clock_ghz: f64,
 }
 
 impl NvmConfig {
-    /// A device of `gib` GiB with the paper's PCM timing at a 2 GHz core clock.
+    /// A device of `gib` GiB.
     pub fn gib(gib: u64) -> Self {
         NvmConfig {
             capacity_bytes: gib * 1024 * 1024 * 1024,
-            read_ns: 305.0,
-            write_ns: 391.0,
-            clock_ghz: 2.0,
         }
     }
 
     /// The paper's default 8 GiB PCM device (Table 1).
     pub fn paper_default() -> Self {
         Self::gib(8)
-    }
-
-    /// Media read latency in core cycles.
-    pub fn read_cycles(&self) -> u64 {
-        (self.read_ns * self.clock_ghz).round() as u64
-    }
-
-    /// Media write latency in core cycles.
-    pub fn write_cycles(&self) -> u64 {
-        (self.write_ns * self.clock_ghz).round() as u64
     }
 }
 
@@ -945,13 +925,6 @@ mod tests {
         let block = nvm.read_block(0).unwrap();
         assert_eq!(block[3], 1 << 5);
         assert!(block.iter().enumerate().all(|(i, b)| i == 3 || *b == 0));
-    }
-
-    #[test]
-    fn timing_conversion() {
-        let cfg = NvmConfig::paper_default();
-        assert_eq!(cfg.read_cycles(), 610);
-        assert_eq!(cfg.write_cycles(), 782);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 use crate::TraceReport;
 use std::fmt::Write as _;
 
-/// A JSON string literal (quoted, with the mandatory escapes).
-fn json_str(s: &str) -> String {
+/// A JSON string literal: quoted, with `"` and `\` escaped and every
+/// control character escaped as RFC 8259 requires. The workspace's one
+/// string escaper for hand-rolled JSON.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

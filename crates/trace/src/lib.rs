@@ -42,7 +42,7 @@
 mod export;
 mod hist;
 
-pub use export::{chrome_document, metrics_document};
+pub use export::{chrome_document, json_str, metrics_document};
 pub use hist::LogHistogram;
 
 /// Maximum inline key/value argument pairs per event (no heap allocation on

@@ -37,11 +37,19 @@ if [ "$lint_elapsed" -gt "$lint_budget" ]; then
     fail=1
 fi
 
-echo "== cargo build --release --workspace =="
-cargo build --release --workspace || fail=1
+echo "== cargo build --release --workspace --all-targets =="
+# --all-targets also compiles the bench harnesses (crates/bench/benches/),
+# which no other step builds.
+cargo build --release --workspace --all-targets || fail=1
 
 echo "== cargo test --workspace =="
 cargo test -q --workspace || fail=1
+
+echo "== perfbench tests (repository benchmark, its own cargo workspace) =="
+# perfbench builds the path crates' public configs (NvmConfig, CacheConfig,
+# SecureMemoryConfig, MachineConfig) outside this workspace; its tests keep
+# that surface compiling and its counts reconciled.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml || fail=1
 
 echo "== fault sweep (crash-point, eviction-class + idempotence smoke) =="
 # Bounded smoke by default; the sweep is exhaustive in crash points at any
