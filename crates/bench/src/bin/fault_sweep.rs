@@ -17,11 +17,12 @@
 //! tamper-class silents must be exactly zero at any workload size).
 //!
 //! `AMNT_FAULT_OPS` scales the workload (default 100 ops — the acceptance
-//! sweep). The per-protocol sweeps are independent and run in parallel;
+//! sweep); a value that is not a non-negative integer exits with status 2.
+//! The per-protocol sweeps are independent and run in parallel;
 //! each sweep is a pure function of (protocol, seed, ops), so the artifact
 //! is byte-identical across `AMNT_JOBS` settings.
 
-use amnt_bench::{results_dir, ExperimentResult, Grid, HostTimer};
+use amnt_bench::{count_knob, results_dir, ExperimentResult, Grid, HostTimer};
 use amnt_core::fault::{run_sweep_traced, sweep_protocols};
 use amnt_core::{FaultSweepConfig, SweepSummary};
 use amnt_trace::{metrics_document, TraceReport};
@@ -29,10 +30,7 @@ use std::io::Write as _;
 
 fn main() {
     let timer = HostTimer::start();
-    let ops = std::env::var("AMNT_FAULT_OPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(100);
+    let ops = count_knob("AMNT_FAULT_OPS", 100);
     let cfg = FaultSweepConfig {
         ops,
         ..FaultSweepConfig::default()

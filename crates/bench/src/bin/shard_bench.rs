@@ -14,17 +14,19 @@
 //!   (`bytes_equal` / `stats_equal` = 1).
 //! * **Work is shard-invariant** — total data reads/writes are identical
 //!   at every N (routing never adds or drops tenant work).
-//! * **Shard-crossed sweeps are clean at every N** — zero silent
-//!   corruptions, zero cross-shard disturbances or heals, zero per-shard
-//!   recovery bound violations, zero merge failures
-//!   ([`run_shard_sweep`]'s machine-checked invariants).
+//! * **Shard-crossed sweeps are clean at every N** — [`run_sweep`] over a
+//!   seeded [`tenant_mix`] runs every fault class (clean, torn, WPQ tail,
+//!   nested recovery, verify queue, tamper) with every shard as the victim:
+//!   zero silent corruptions, zero cross-shard disturbances or heals, zero
+//!   per-shard recovery bound violations, zero merge failures.
 //!
-//! `AMNT_SHARD_OPS` scales the mix (default 800).
+//! `AMNT_SHARD_OPS` scales the mix (default 800); a value that is not a
+//! non-negative integer exits with status 2.
 
-use amnt_bench::{exec, results_dir, ExperimentResult, HostTimer};
-use amnt_core::fault::run_shard_sweep;
+use amnt_bench::{count_knob, exec, results_dir, ExperimentResult, HostTimer};
+use amnt_core::fault::{run_sweep, tenant_mix};
 use amnt_core::{
-    AmntConfig, ProtocolKind, SecureMemory, SecureMemoryConfig, ShardSweepConfig, ShardedMemory,
+    AmntConfig, FaultSweepConfig, ProtocolKind, SecureMemory, SecureMemoryConfig, ShardedMemory,
     BLOCK_SIZE,
 };
 use amnt_trace::{metrics_document, TraceConfig, TraceReport};
@@ -139,10 +141,7 @@ fn run_bare(trace: &[TenantOp]) -> SecureMemory {
 
 fn main() {
     let timer = HostTimer::start();
-    let ops = std::env::var("AMNT_SHARD_OPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(800);
+    let ops = count_knob("AMNT_SHARD_OPS", 800);
     let workers = exec::worker_count();
     let trace = mix(ops);
 
@@ -162,15 +161,20 @@ fn main() {
         let row = format!("n{shards}");
         let mut run = run_sharded(&trace, shards, workers);
 
-        // Shard-crossed fault/tamper sweep at this shard count (its own
-        // small seeded workload; every counter below is a zero invariant).
-        let sweep_cfg = ShardSweepConfig {
-            shards,
-            capacity: CAPACITY / 4,
+        // Every fault class at this shard count, on its own small seeded
+        // tenant mix with merges mid-run; every counter below but the
+        // point and outcome counts is a zero invariant.
+        let mut sweep_cfg = FaultSweepConfig {
+            seed: 0x5AAD_F001,
             ops: 24,
-            ..ShardSweepConfig::default()
+            capacity: CAPACITY / 4,
+            shards,
+            merge_every: 8,
+            metadata_cache_bytes: 2048,
+            ..FaultSweepConfig::default()
         };
-        let s = run_shard_sweep(kind(), &sweep_cfg).expect("shard sweep");
+        sweep_cfg.workload = tenant_mix(&sweep_cfg);
+        let s = run_sweep(kind(), &sweep_cfg).expect("shard sweep");
 
         println!(
             "{:<5}{:>7}{:>9}{:>9}{:>13}{:>7}{:>9}{:>9}{:>9}{:>8}{:>8}",

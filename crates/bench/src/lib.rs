@@ -51,6 +51,33 @@ pub fn run_length() -> RunLength {
     }
 }
 
+/// Parses the value of the sweep-size knob `var`: unset (`None`) keeps
+/// `default`; a set value must be a non-negative integer.
+///
+/// # Errors
+///
+/// A message naming the variable and its value when the value does not
+/// parse.
+pub fn parse_count(var: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{var}={v:?} is not a non-negative integer")),
+    }
+}
+
+/// Reads the sweep-size knob `var` through [`parse_count`]. A set value
+/// that does not parse ends the process with status 2 and the message,
+/// rather than silently running the default.
+pub fn count_knob(var: &str, default: usize) -> usize {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse_count(var, value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// The protocol set the paper's runtime figures compare (order matches the
 /// figure legends). `amnt++` is the AMNT protocol plus the modified OS and
 /// is handled by the runners, not a distinct [`ProtocolKind`].
@@ -345,6 +372,22 @@ pub fn normalized(report: &SimReport, baseline: &SimReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_knobs_default_when_unset_and_reject_malformed_values() {
+        assert_eq!(parse_count("AMNT_FAULT_OPS", None, 100), Ok(100));
+        assert_eq!(parse_count("AMNT_FAULT_OPS", Some("24"), 100), Ok(24));
+        assert_eq!(parse_count("AMNT_SHARD_OPS", Some("0"), 800), Ok(0));
+        assert_eq!(
+            parse_count("AMNT_FAULT_OPS", Some("1O0"), 100),
+            Err("AMNT_FAULT_OPS=\"1O0\" is not a non-negative integer".to_string())
+        );
+        for bad in ["abc", "", " 24", "-1", "2.5", "24 "] {
+            let err = parse_count("AMNT_SHARD_OPS", Some(bad), 800).expect_err(bad);
+            assert!(err.starts_with("AMNT_SHARD_OPS="), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn gmean_of_constants() {

@@ -1,9 +1,14 @@
 //! Exhaustive crash-point exploration over the device fault hook.
 //!
-//! [`run_sweep`] takes one protocol and a seeded workload and crashes it at
-//! *every* device-write ordinal the workload produces — mid-operation,
-//! mid-metadata-update, everywhere — then recovers and classifies the
-//! outcome. Three fault modes are explored:
+//! [`run_sweep`] takes one protocol and a seeded workload, runs it on a
+//! [`ShardedMemory`] of [`FaultSweepConfig::shards`] domains, and lets each
+//! shard in turn be the *victim*: it crashes the victim at *every*
+//! device-write ordinal of its own WPQ lane — mid-operation,
+//! mid-metadata-update, mid-epoch-merge, everywhere — while the other shards
+//! (the *bystanders*) commit to completion, then recovers the victim and
+//! classifies the outcome. One shard is the unsharded machine: at N=1 the
+//! facade is bit-identical to a bare [`SecureMemory`]. Three fault modes are
+//! explored:
 //!
 //! * **Clean** ([`FaultPlan::crash_after`]): the in-flight write is wholly
 //!   lost. Recovery must either succeed with every completed operation's
@@ -22,7 +27,7 @@
 //!   (prefix-loss equivalence) or a detected error is acceptable; bytes the
 //!   workload never wrote are not.
 //!
-//! Two further dimensions ride on the clean sweep:
+//! Further dimensions ride on the clean sweep:
 //!
 //! * **Nested recovery faults** ([`FaultSweepConfig::recovery_faults`]):
 //!   for every clean mutation-path crash point, the recovery procedure
@@ -50,6 +55,9 @@
 //!   attributed separately. The sweep shrinks the metadata cache
 //!   ([`FaultSweepConfig::metadata_cache_bytes`]) so eviction pressure is
 //!   real at every workload size.
+//! * **Verify-queue crashes**: power fails at every op boundary with
+//!   deferred leaf-MAC checks still pending
+//!   ([`SweepSummary::verify_queue_points`]).
 //!
 //! Every outcome that exposes wrong bytes without an error — the property
 //! the paper's protocols must never violate — lands in
@@ -58,13 +66,25 @@
 //! [`RecoveryModel`] stale fractions ([`SweepSummary::bounds_violations`]).
 //!
 //! Classification is differential, not merely self-consistent: after every
-//! recovery the sweep replays the committed operation prefix into a
-//! lockstep [`UntimedMemory`] oracle and demands each address the workload
+//! recovery the sweep replays the victim's committed operation prefix into
+//! a lockstep [`UntimedMemory`] oracle and demands each address the victim
 //! ever wrote read back *byte-for-byte equal* to that ground truth.
+//!
+//! Every scenario of every class also checks the bystanders, once after the
+//! victim's crash and once after its recovery: their data media must equal
+//! the fault-free run's and every address must read back exactly their own
+//! oracle ([`SweepSummary::cross_shard_disturbances`]); after a tamper they
+//! must also still pass their own audits
+//! ([`SweepSummary::cross_shard_heals`]). Epoch merges seal every
+//! [`FaultSweepConfig::merge_every`] ops until the victim goes down, after
+//! the fault-free run, and after every clean crash that recovered
+//! ([`SweepSummary::merge_failures`]).
 //!
 //! The sweep is a pure function of ([`ProtocolKind`], [`FaultSweepConfig`]):
 //! same inputs, byte-identical [`SweepSummary`], regardless of how many
 //! sweeps run concurrently elsewhere.
+//!
+//! [`RecoveryModel`]: crate::RecoveryModel
 
 use crate::error::IntegrityError;
 use crate::protocol::ProtocolKind;
@@ -81,8 +101,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::error::RecoveryError;
 
-/// Sweep parameters. The defaults give a debug-friendly sweep; the
-/// `fault_sweep` bench bin scales `ops` up to the acceptance workload.
+/// Sweep parameters. The defaults give a debug-friendly sweep on one shard;
+/// the `fault_sweep` bench bin scales `ops` up to the acceptance workload,
+/// and `shard_bench` sweeps a [`tenant_mix`] at several shard counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSweepConfig {
     /// Workload seed (`amnt_prng`, bit-stable forever).
@@ -91,6 +112,13 @@ pub struct FaultSweepConfig {
     pub ops: usize,
     /// Protected data capacity in bytes.
     pub capacity: u64,
+    /// Shard domains the capacity is split into ([`ShardedMemory`]); each
+    /// one takes a turn as the victim. `1` is the unsharded machine.
+    pub shards: usize,
+    /// Seal an epoch ([`ShardedMemory::epoch_merge`]) every this many
+    /// workload ops until the victim goes down (`0` = no mid-run merges),
+    /// so crashes also land mid-epoch and inside a merge's queue flush.
+    pub merge_every: usize,
     /// WPQ tail depths to drop at each operation boundary.
     pub tail_depths: Vec<usize>,
     /// Explore torn-line variants (both halves) at every ordinal.
@@ -100,9 +128,10 @@ pub struct FaultSweepConfig {
     /// device writes (clean, and torn when [`FaultSweepConfig::torn`] is
     /// set), recover again, and check idempotence.
     pub recovery_faults: bool,
-    /// Metadata cache size for the swept controllers. Deliberately small
-    /// (16 lines) so dirty eviction writebacks — their own crash-point
-    /// class — occur even at smoke-test workload sizes.
+    /// Metadata cache size for the swept machine, split evenly across its
+    /// shards. Deliberately small (16 lines) so dirty eviction writebacks —
+    /// their own crash-point class — occur even at smoke-test workload
+    /// sizes.
     pub metadata_cache_bytes: usize,
     /// Tamper-interleaving pass: at every clean crash point, flip one media
     /// bit between the nested recovery crash and the second recovery (or
@@ -114,10 +143,10 @@ pub struct FaultSweepConfig {
     /// Externally supplied workload. When non-empty it replaces the
     /// built-in seeded generator (and `ops` is ignored): each [`SweepOp`]
     /// becomes one operation, write values assigned deterministically by op
-    /// index. This is how external generators (e.g. the Zipfian
-    /// multi-tenant mix in `amnt-workloads`) inherit the full crash-point
-    /// coverage. Addresses are block-aligned by the sweep and must lie
-    /// within `capacity`.
+    /// index. This is how external generators (e.g. [`tenant_mix`], or the
+    /// Zipfian multi-tenant mix in `amnt-workloads`) inherit the full
+    /// crash-point coverage. Addresses are global: the sweep routes each to
+    /// its shard and block-aligns it; one past `capacity` is an error.
     pub workload: Vec<SweepOp>,
 }
 
@@ -138,6 +167,8 @@ impl Default for FaultSweepConfig {
             seed: 0xA3A7_F001,
             ops: 24,
             capacity: 1024 * 1024,
+            shards: 1,
+            merge_every: 0,
             tail_depths: vec![1, 2, 4],
             torn: true,
             recovery_faults: true,
@@ -148,8 +179,9 @@ impl Default for FaultSweepConfig {
     }
 }
 
-/// Aggregate outcome of one protocol's sweep. All counters are exact and
-/// deterministic for a given ([`ProtocolKind`], [`FaultSweepConfig`]).
+/// Aggregate outcome of one protocol's sweep, summed over victims. All
+/// counters are exact and deterministic for a given ([`ProtocolKind`],
+/// [`FaultSweepConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepSummary {
     /// Device-write ordinals the workload produced (= clean crash points).
@@ -175,7 +207,8 @@ pub struct SweepSummary {
     /// stay zero (this is the guarantee the op-granularity tests rely on).
     pub boundary_deficit: u64,
     /// Recoveries whose [`RecoveryReport`] counters exceeded the analytical
-    /// [`RecoveryModel`]-derived bounds — must stay zero.
+    /// [`RecoveryModel`](crate::RecoveryModel)-derived bounds of the
+    /// victim's own shard — must stay zero.
     pub bounds_violations: u64,
     /// Crash points that were metadata-cache eviction writebacks (a subset
     /// of `crash_points`, enumerated as their own class).
@@ -237,9 +270,30 @@ pub struct SweepSummary {
     /// Tamper scenarios that exposed wrong bytes with no error — subset of
     /// `silent`, must stay zero.
     pub tamper_silent: u64,
+    /// Bystander checks that found a non-victim shard's data media changed
+    /// from the fault-free run, or its read-back off its own oracle, after
+    /// the victim crashed or recovered — must stay zero (no state crosses
+    /// a shard boundary).
+    pub cross_shard_disturbances: u64,
+    /// Tamper scenarios after which a bystander's data media, read-back or
+    /// audit changed: damage inside the victim was observed by, or repaired
+    /// through, another shard. Must stay zero.
+    pub cross_shard_heals: u64,
+    /// Epoch merges that failed or did not verify, after the fault-free run
+    /// or after a clean crash that recovered — must stay zero.
+    pub merge_failures: u64,
 }
 
-/// One workload operation.
+impl SweepSummary {
+    /// Counts one silent outcome, in the eviction class too when its
+    /// mutation-path crash point was an eviction writeback.
+    fn count_silent(&mut self, evict: bool) {
+        self.silent += 1;
+        self.evict_silent += u64::from(evict);
+    }
+}
+
+/// One workload operation, in shard-local coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// `write_block(addr, value)`.
@@ -248,12 +302,23 @@ enum Op {
     Read { addr: u64 },
 }
 
-/// The seeded workload plus the ground-truth write history it implies.
-#[derive(Debug, Clone)]
+/// One shard's slice of the workload plus the ground-truth write history
+/// it implies.
+#[derive(Debug, Clone, Default)]
 struct Workload {
     ops: Vec<Op>,
-    /// Per-address write history as (op index, value), in op order.
+    /// Per-address write history as (shard-local op index, value), in op
+    /// order.
     history: BTreeMap<u64, Vec<(usize, [u8; BLOCK_SIZE])>>,
+}
+
+/// The sweep workload routed onto the machine's shards.
+#[derive(Debug, Clone)]
+struct Routed {
+    /// One workload per shard, in shard order.
+    shards: Vec<Workload>,
+    /// Issue order: `(shard, shard-local op index)` per workload op.
+    order: Vec<(usize, usize)>,
 }
 
 /// A unique, recognisable payload for op `i`.
@@ -269,48 +334,99 @@ fn value_for(i: usize) -> [u8; BLOCK_SIZE] {
     v
 }
 
-/// Generates the seeded workload: mostly writes concentrated in a 32-block
-/// hot region (so AMNT elects a subtree and Osiris counters actually lag),
-/// with occasional cold writes and reads mixed in. An externally supplied
-/// [`FaultSweepConfig::workload`] replaces the generator wholesale, with
-/// write values assigned by op index exactly as the generator assigns them.
-fn generate(cfg: &FaultSweepConfig) -> Workload {
+/// The sweep's op stream: [`FaultSweepConfig::workload`] when supplied,
+/// otherwise the seeded built-in generator — mostly writes concentrated in
+/// a 32-block hot region (so AMNT elects a subtree and Osiris counters
+/// actually lag), with occasional cold writes and reads mixed in.
+fn generate(cfg: &FaultSweepConfig) -> Vec<SweepOp> {
     if !cfg.workload.is_empty() {
-        let mut ops = Vec::with_capacity(cfg.workload.len());
-        let mut history: BTreeMap<u64, Vec<(usize, [u8; BLOCK_SIZE])>> = BTreeMap::new();
-        for (i, op) in cfg.workload.iter().enumerate() {
-            let addr = (op.addr / BLOCK_SIZE as u64) * BLOCK_SIZE as u64;
-            if op.write {
-                let value = value_for(i);
-                history.entry(addr).or_default().push((i, value));
-                ops.push(Op::Write { addr, value });
-            } else {
-                ops.push(Op::Read { addr });
-            }
-        }
-        return Workload { ops, history };
+        return cfg.workload.clone();
     }
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let blocks = cfg.capacity / BLOCK_SIZE as u64;
     let hot = 32u64.min(blocks);
-    let mut ops = Vec::with_capacity(cfg.ops);
-    let mut history: BTreeMap<u64, Vec<(usize, [u8; BLOCK_SIZE])>> = BTreeMap::new();
-    for i in 0..cfg.ops {
-        let addr = if rng.gen_bool(0.75) {
-            rng.gen_range(0..hot) * BLOCK_SIZE as u64
-        } else {
-            rng.gen_range(0..blocks) * BLOCK_SIZE as u64
-        };
-        // Leading writes guarantee the hot region heats up before any read.
-        if i >= 4 && rng.gen_bool(0.2) {
-            ops.push(Op::Read { addr });
-        } else {
-            let value = value_for(i);
-            history.entry(addr).or_default().push((i, value));
-            ops.push(Op::Write { addr, value });
+    (0..cfg.ops)
+        .map(|i| {
+            let block = if rng.gen_bool(0.75) {
+                rng.gen_range(0..hot)
+            } else {
+                rng.gen_range(0..blocks)
+            };
+            // Leading writes guarantee the hot region heats up before any read.
+            let write = !(i >= 4 && rng.gen_bool(0.2));
+            SweepOp {
+                addr: block * BLOCK_SIZE as u64,
+                write,
+            }
+        })
+        .collect()
+}
+
+/// A seeded multi-tenant mix of `cfg.ops` ops over `cfg.shards` tenants,
+/// one per shard span. The tenants open round-robin with two writes each
+/// (so every shard commits state before a crash can land in its lane);
+/// after that each op draws its tenant at random and hits the tenant's
+/// 16-block hot set (at a tenant-distinct offset) 75% of the time, and is
+/// a read 20% of the time. Feed it to [`run_sweep`] as
+/// [`FaultSweepConfig::workload`].
+pub fn tenant_mix(cfg: &FaultSweepConfig) -> Vec<SweepOp> {
+    let shards = cfg.shards.max(1);
+    let span = cfg.capacity / shards as u64;
+    let blocks = (span / BLOCK_SIZE as u64).max(1);
+    let hot = 16u64.min(blocks);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    (0..cfg.ops)
+        .map(|i| {
+            let opening = i < shards * 2;
+            let shard = if opening {
+                (i % shards) as u64
+            } else {
+                rng.gen_range(0..shards as u64)
+            };
+            let hot_base = (shard * 7) % blocks;
+            let block = if rng.gen_bool(0.75) {
+                (hot_base + rng.gen_range(0..hot)) % blocks
+            } else {
+                rng.gen_range(0..blocks)
+            };
+            SweepOp {
+                addr: shard * span + block * BLOCK_SIZE as u64,
+                write: opening || !rng.gen_bool(0.2),
+            }
+        })
+        .collect()
+}
+
+impl Routed {
+    /// Routes `ops` onto `mem`'s shards by span. Write values are keyed by
+    /// the *global* op index — unique across shards, so identical bytes
+    /// never alias across a boundary — and histories by the shard-local
+    /// index.
+    ///
+    /// # Errors
+    ///
+    /// [`IntegrityError::OutOfRange`] for an address past the capacity.
+    fn new(ops: &[SweepOp], mem: &ShardedMemory) -> Result<Self, IntegrityError> {
+        let mut shards = vec![Workload::default(); mem.shards()];
+        let mut order = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let (shard, local) = mem.shard_of(op.addr)?;
+            let addr = local / BLOCK_SIZE as u64 * BLOCK_SIZE as u64;
+            let w = shards
+                .get_mut(shard)
+                .ok_or(IntegrityError::OutOfRange { addr: op.addr })?;
+            let index = w.ops.len();
+            if op.write {
+                let value = value_for(i);
+                w.history.entry(addr).or_default().push((index, value));
+                w.ops.push(Op::Write { addr, value });
+            } else {
+                w.ops.push(Op::Read { addr });
+            }
+            order.push((shard, index));
         }
+        Ok(Routed { shards, order })
     }
-    Workload { ops, history }
 }
 
 impl Workload {
@@ -389,10 +505,41 @@ impl Workload {
     }
 }
 
-fn fresh(kind: ProtocolKind, cfg: &FaultSweepConfig) -> Result<SecureMemory, IntegrityError> {
+fn machine(kind: ProtocolKind, cfg: &FaultSweepConfig) -> Result<ShardedMemory, IntegrityError> {
     let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
         .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
-    SecureMemory::new(mem_cfg, kind)
+    ShardedMemory::new(mem_cfg, kind, cfg.shards)
+}
+
+fn engine(mem: &mut ShardedMemory, idx: usize) -> Result<&mut SecureMemory, IntegrityError> {
+    mem.shard_mut(idx).ok_or(IntegrityError::Invariant {
+        what: "sweep addressed a missing shard",
+    })
+}
+
+/// A byte-exact device image: `(frame base address, frame bytes)` in
+/// address order, as [`amnt_nvm::Nvm::media_image`] returns it.
+type MediaImage = Vec<(u64, Vec<u8>)>;
+
+/// Shard `idx`'s data-region media. Metadata lines above the data span move
+/// with cache-eviction timing, which legitimately differs between a run
+/// whose merges deferred and the fault-free one, so bystanders are held
+/// byte-identical on the protected data itself.
+fn data_image(mem: &ShardedMemory, idx: usize) -> MediaImage {
+    let mut image = mem
+        .shard(idx)
+        .map(|e| e.nvm().media_image())
+        .unwrap_or_default();
+    image.retain(|&(addr, _)| addr < mem.span());
+    image
+}
+
+/// Seals an epoch over every shard; it must succeed and verify.
+fn merge(mem: &mut ShardedMemory, s: &mut SweepSummary) {
+    match mem.epoch_merge() {
+        Ok(r) if mem.verify_merge(&r) => {}
+        _ => s.merge_failures += 1,
+    }
 }
 
 fn apply(mem: &mut SecureMemory, t: u64, op: &Op) -> Result<u64, IntegrityError> {
@@ -481,10 +628,11 @@ fn classify_readback(
 }
 
 /// Analytical ceiling on `nodes_recomputed` for `kind`, derived from the
-/// [`RecoveryModel`] stale fractions (Table 4): Strict rebuilds nothing,
-/// Leaf/Osiris rebuild at most the whole tree (the sparse walk rebuilds only
-/// the touched ancestor closure), Anubis is bounded by the metadata cache,
-/// BMF by its frontier capacity, AMNT by its subtree.
+/// [`RecoveryModel`](crate::RecoveryModel) stale fractions (Table 4):
+/// Strict rebuilds nothing, Leaf/Osiris rebuild at most the whole tree (the
+/// sparse walk rebuilds only the touched ancestor closure), Anubis is
+/// bounded by the metadata cache, BMF by its frontier capacity, AMNT by its
+/// subtree. `mem` is the recovered shard, so the bounds are per shard.
 fn report_in_bounds(kind: ProtocolKind, mem: &SecureMemory, report: &RecoveryReport) -> bool {
     let g = mem.geometry();
     let total = g.total_nodes();
@@ -518,58 +666,15 @@ fn report_in_bounds(kind: ProtocolKind, mem: &SecureMemory, report: &RecoveryRep
     }
 }
 
-/// Replays `ops[..limit]` against a fresh armed controller until the plan
-/// cuts power (or the prefix completes). Returns the controller, the number
-/// of *completed* ops, and whether a fault actually fired.
-fn replay(
-    kind: ProtocolKind,
-    cfg: &FaultSweepConfig,
-    w: &Workload,
-    hook: Box<dyn FaultHook>,
-    limit: usize,
-) -> Result<(SecureMemory, usize, bool), IntegrityError> {
-    let mut mem = fresh(kind, cfg)?;
-    mem.nvm_mut().arm_fault_hook(hook);
-    let mut t = 0;
-    for (i, op) in w.ops.iter().take(limit).enumerate() {
-        match apply(&mut mem, t, op) {
-            Ok(done) => t = done,
-            Err(ref e) if power_failed(e) => return Ok((mem, i, true)),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((mem, limit, false))
-}
-
-/// Crash, recover and classify one fault scenario.
-fn crash_and_classify(
-    kind: ProtocolKind,
-    mem: &mut SecureMemory,
-    w: &Workload,
-    completed: usize,
-    strict: bool,
-    prefix_loss: bool,
-    bounds_violations: &mut u64,
-) -> Outcome {
-    mem.crash();
-    match mem.recover() {
-        Err(_) => Outcome::Detected,
-        Ok(report) => {
-            if !report_in_bounds(kind, mem, &report) {
-                *bounds_violations += 1;
-            }
-            classify_readback(mem, w, completed, strict, prefix_loss)
-        }
-    }
-}
-
-/// Runs the full three-mode sweep for one protocol.
+/// Runs every fault class for one protocol, with every shard in turn as
+/// the victim.
 ///
 /// # Errors
 ///
-/// [`IntegrityError`] only for workload-construction failures (impossible
-/// geometry) or an integrity failure *before* any fault fired — both
-/// indicate a broken controller, not a fault-model outcome.
+/// [`IntegrityError`] for a config the machine rejects (capacity, shard
+/// count, metadata cache), a workload address past the capacity, or an
+/// integrity failure *before* any fault fired — never a fault-model
+/// outcome.
 pub fn run_sweep(
     kind: ProtocolKind,
     cfg: &FaultSweepConfig,
@@ -580,11 +685,11 @@ pub fn run_sweep(
 /// [`run_sweep`] with an observability harvest: alongside the summary it
 /// returns a [`amnt_trace::TraceReport`] aggregating, per scenario class,
 /// the strike-ordinal distributions, the baseline recovery's per-phase
-/// durations (harvested by enabling cycle-domain tracing on the replayed
-/// controller just before its recovery runs), and the touched-closure
-/// sizes the recovery scans reported. Tracing is purely observational: the
-/// summary is byte-identical to [`run_sweep`]'s, and the report is itself a
-/// pure function of (`kind`, `cfg`) — byte-stable across job counts.
+/// durations (harvested by enabling cycle-domain tracing on the crashed
+/// victim just before its recovery runs), and the touched-closure sizes the
+/// recovery scans reported. Tracing is purely observational: the summary is
+/// byte-identical to [`run_sweep`]'s, and the report is itself a pure
+/// function of (`kind`, `cfg`) — byte-stable across job counts.
 pub fn run_sweep_traced(
     kind: ProtocolKind,
     cfg: &FaultSweepConfig,
@@ -618,862 +723,567 @@ fn run_sweep_impl(
     cfg: &FaultSweepConfig,
     mut tr: Option<&mut amnt_trace::Tracer>,
 ) -> Result<SweepSummary, IntegrityError> {
-    let w = generate(cfg);
-
-    // Phase 1: count device-write ordinals, record each op's boundary, and
-    // collect the eviction-writeback ordinal class.
-    let mut mem = fresh(kind, cfg)?;
-    mem.nvm_mut()
-        .arm_fault_hook(Box::new(FaultPlan::count_only()));
-    let mut t = 0;
-    let mut boundaries = Vec::with_capacity(w.ops.len());
-    for op in &w.ops {
-        t = apply(&mut mem, t, op)?;
-        boundaries.push(mem.nvm_mut().device_write_ordinals());
+    // The machine is built before the workload is generated, so a config
+    // it rejects is a typed error rather than a generator panic.
+    let probe = machine(kind, cfg)?;
+    let w = Routed::new(&generate(cfg), &probe)?;
+    let mut s = SweepSummary::default();
+    for (idx, ops) in w.shards.iter().enumerate() {
+        let mut victim = Victim {
+            kind,
+            cfg,
+            w: &w,
+            idx,
+            ops,
+            base: Vec::new(),
+        };
+        victim.sweep(&mut s, tr.as_deref_mut())?;
     }
-    let total = boundaries.last().copied().unwrap_or(0);
-    let evict_ordinals: BTreeSet<u64> = mem
-        .nvm_mut()
-        .eviction_write_ordinals()
-        .iter()
-        .copied()
-        .collect();
+    Ok(s)
+}
 
-    let mut s = SweepSummary {
-        crash_points: total,
-        evict_points: evict_ordinals.len() as u64,
-        ..SweepSummary::default()
-    };
+/// One replayed machine, stopped where the victim's fault fired or its op
+/// limit ran out.
+struct Replay {
+    mem: ShardedMemory,
+    /// Victim ops that completed.
+    completed: usize,
+    /// Whether the victim's fault fired during the replay.
+    faulted: bool,
+}
 
-    // Phase 2: clean and torn crashes at every ordinal. Each clean crash
-    // doubles as the baseline for the nested recovery-fault sweep, and its
-    // recovery-phase write count is kept for the tamper pass (phase 5).
-    let mut recovery_writes_by_k = vec![0u64; total as usize];
-    for k in 0..total {
-        let boundary = boundaries.binary_search(&k).is_ok();
-        let evict = evict_ordinals.contains(&k);
-        // Clean crash, with a count-only second phase: the recovery
-        // procedure's own device writes become the nested sweep's crash
-        // points, counted in their fresh post-crash ordinal domain.
-        let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), FaultPlan::count_only());
-        let (mut mem, completed, faulted) = replay(kind, cfg, &w, Box::new(plan), w.ops.len())?;
-        let mut recovery_writes = 0u64;
-        let mut baseline_media: Option<Vec<(u64, Vec<u8>)>> = None;
-        if faulted {
-            if let Some(t) = tr.as_deref_mut() {
-                t.add("sweep.scenarios.clean", 1);
-                t.record("sweep.strike.clean", k);
-                // Observe the baseline recovery's phase tree: tracing is a
-                // pure observer, so the summary is unchanged by this.
-                mem.enable_tracing(amnt_trace::TraceConfig::default());
-            }
-            mem.crash();
-            let first = mem.recover();
-            if let Some(t) = tr.as_deref_mut() {
-                harvest_recovery_trace(t, &mem);
-                // Scope the observation window to this one crash/recover
-                // pair: the repeat pass and the read-back classification
-                // below must run exactly as the untraced sweep runs them.
-                mem.disable_tracing();
-            }
-            let outcome = match first {
-                Err(_) => Outcome::Detected,
-                Ok(report) => {
-                    // The recovery-phase ordinal count is captured before
-                    // read-back: read-path cache evictions would otherwise
-                    // keep consuming recovery-domain ordinals.
-                    recovery_writes = mem.nvm_mut().device_write_ordinals();
-                    recovery_writes_by_k[k as usize] = recovery_writes;
-                    if !report_in_bounds(kind, &mem, &report) {
-                        s.bounds_violations += 1;
-                    }
-                    let media = mem.nvm_mut().media_image();
-                    // Idempotence baseline: re-crash the recovered state
-                    // cleanly and recover again — the repeat must succeed,
-                    // leave the media byte-identical, and never do more
-                    // work than the first pass.
-                    mem.crash();
-                    match mem.recover() {
-                        Ok(repeat) => {
-                            if repeat.work() > report.work() {
-                                s.work_regressions += 1;
-                            }
-                            if mem.nvm_mut().media_image() != media {
-                                s.idempotence_violations += 1;
-                            }
-                        }
-                        Err(_) => s.idempotence_violations += 1,
-                    }
-                    baseline_media = Some(media);
-                    classify_readback(&mut mem, &w, completed, true, false)
-                }
-            };
-            match outcome {
-                Outcome::Recovered { .. } => {
-                    s.recovered += 1;
-                    if evict {
-                        s.evict_recovered += 1;
-                    }
-                }
-                Outcome::Detected => {
-                    s.detected += 1;
-                    if evict {
-                        s.evict_detected += 1;
-                    }
-                }
-                Outcome::Silent => {
-                    s.silent += 1;
-                    if evict {
-                        s.evict_silent += 1;
-                    }
+/// Everything one victim's scenarios share.
+struct Victim<'a> {
+    kind: ProtocolKind,
+    cfg: &'a FaultSweepConfig,
+    w: &'a Routed,
+    /// The crashed shard.
+    idx: usize,
+    /// Its workload, in shard-local coordinates.
+    ops: &'a Workload,
+    /// Every bystander's fault-free data image, in shard order (filled by
+    /// the sweep's first phase).
+    base: Vec<(usize, MediaImage)>,
+}
+
+impl Victim<'_> {
+    /// Replays the workload on a fresh machine with `hook` armed on the
+    /// victim's lane. The victim runs its first `limit` ops, or stops when
+    /// its fault fires; every other shard commits to completion, and epoch
+    /// merges seal every [`FaultSweepConfig::merge_every`] ops until the
+    /// victim goes down. A merge flushes the victim's verify queue, so the
+    /// fault can fire inside it: a legitimate mid-epoch crash point.
+    /// `boundaries`, when given, receives the victim's cumulative
+    /// device-write ordinal count after each of its ops.
+    fn replay(
+        &self,
+        hook: Box<dyn FaultHook>,
+        limit: usize,
+        mut boundaries: Option<&mut Vec<u64>>,
+    ) -> Result<Replay, IntegrityError> {
+        let mut mem = machine(self.kind, self.cfg)?;
+        engine(&mut mem, self.idx)?.nvm_mut().arm_fault_hook(hook);
+        let mut clocks = vec![0u64; mem.shards()];
+        let (mut completed, mut faulted) = (0, false);
+        let every = self.cfg.merge_every;
+        for (i, &(shard, local)) in self.w.order.iter().enumerate() {
+            if every > 0 && i > 0 && i % every == 0 && !faulted {
+                match mem.epoch_merge() {
+                    Ok(_) => {}
+                    Err(ref e) if power_failed(e) => faulted = true,
+                    Err(e) => return Err(e),
                 }
             }
-            if boundary && outcome != (Outcome::Recovered { reads_detected: 0 }) {
-                s.boundary_deficit += 1;
-            }
-        }
-
-        // Nested sweep: re-crash the recovery procedure at every one of its
-        // device writes, then recover again.
-        if cfg.recovery_faults && faulted && recovery_writes > 0 {
-            nested_recovery_sweep(
-                kind,
-                cfg,
-                &w,
-                k,
-                recovery_writes,
-                baseline_media.as_deref(),
-                evict,
-                &mut s,
-                tr.as_deref_mut(),
-            )?;
-        }
-
-        if !cfg.torn {
-            continue;
-        }
-        for half in [TornHalf::First, TornHalf::Last] {
-            let plan = FaultPlan::torn_after(k, half);
-            let (mut mem, completed, faulted) = replay(kind, cfg, &w, Box::new(plan), w.ops.len())?;
-            if !faulted {
+            let victim = shard == self.idx;
+            if victim && (faulted || completed >= limit) {
                 continue;
             }
-            if let Some(t) = tr.as_deref_mut() {
-                t.add("sweep.scenarios.torn", 1);
-                t.record("sweep.strike.torn", k);
-            }
-            match crash_and_classify(
-                kind,
-                &mut mem,
-                &w,
-                completed,
-                false,
-                false,
-                &mut s.bounds_violations,
-            ) {
-                Outcome::Recovered { reads_detected } => {
-                    s.torn_recovered += 1;
-                    s.detected_at_read += reads_detected;
+            let op = self.w.shards.get(shard).and_then(|w| w.ops.get(local));
+            let (Some(op), Some(clock)) = (op, clocks.get_mut(shard)) else {
+                continue;
+            };
+            let engine = engine(&mut mem, shard)?;
+            match apply(engine, *clock, op) {
+                Ok(done) => {
+                    *clock = done;
+                    if victim {
+                        completed += 1;
+                        if let Some(b) = boundaries.as_deref_mut() {
+                            b.push(engine.nvm().device_write_ordinals());
+                        }
+                    }
                 }
-                Outcome::Detected => s.torn_detected += 1,
-                Outcome::Silent => {
-                    s.silent += 1;
-                    if evict {
-                        s.evict_silent += 1;
+                Err(ref e) if victim && power_failed(e) => faulted = true,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(Replay {
+            mem,
+            completed,
+            faulted,
+        })
+    }
+
+    /// Counts the bystanders that diverged from the fault-free run: data
+    /// media first (the read-backs after it may evict metadata and write
+    /// the device), then a verified read-back of every address against
+    /// each bystander's own oracle.
+    fn bystanders(&self, mem: &mut ShardedMemory) -> Result<u64, IntegrityError> {
+        let mut diverged = 0;
+        for (idx, base) in &self.base {
+            if data_image(mem, *idx) != *base {
+                diverged += 1;
+            }
+        }
+        for (idx, _) in &self.base {
+            let Some(w) = self.w.shards.get(*idx) else {
+                continue;
+            };
+            let outcome = classify_readback(engine(mem, *idx)?, w, w.ops.len(), true, false);
+            if outcome != (Outcome::Recovered { reads_detected: 0 }) {
+                diverged += 1;
+            }
+        }
+        Ok(diverged)
+    }
+
+    /// Power-fails the victim; the bystanders must not notice.
+    fn crash(&self, mem: &mut ShardedMemory, s: &mut SweepSummary) -> Result<(), IntegrityError> {
+        mem.crash_shard(self.idx)?;
+        s.cross_shard_disturbances += self.bystanders(mem)?;
+        Ok(())
+    }
+
+    /// Checks a successful victim recovery against its shard's analytical
+    /// bound and classifies the victim's read-back.
+    fn classify(
+        &self,
+        run: &mut Replay,
+        report: &RecoveryReport,
+        strict: bool,
+        prefix_loss: bool,
+        s: &mut SweepSummary,
+    ) -> Result<Outcome, IntegrityError> {
+        let victim = engine(&mut run.mem, self.idx)?;
+        if !report_in_bounds(self.kind, victim, report) {
+            s.bounds_violations += 1;
+        }
+        let outcome = classify_readback(victim, self.ops, run.completed, strict, prefix_loss);
+        Ok(outcome)
+    }
+
+    /// Crash, recover and classify one fault scenario, checking the
+    /// bystanders on both sides of the recovery.
+    fn crash_and_classify(
+        &self,
+        run: &mut Replay,
+        strict: bool,
+        prefix_loss: bool,
+        s: &mut SweepSummary,
+    ) -> Result<Outcome, IntegrityError> {
+        self.crash(&mut run.mem, s)?;
+        let outcome = match run.mem.recover_shard(self.idx) {
+            Err(_) => Outcome::Detected,
+            Ok(report) => self.classify(run, &report, strict, prefix_loss, s)?,
+        };
+        s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
+        Ok(outcome)
+    }
+
+    /// Runs every fault class with this shard as the victim.
+    fn sweep(
+        &mut self,
+        s: &mut SweepSummary,
+        mut tr: Option<&mut amnt_trace::Tracer>,
+    ) -> Result<(), IntegrityError> {
+        let (cfg, victim) = (self.cfg, self.idx);
+
+        // Phase 1: one fault-free, count-only replay records the victim's
+        // op boundaries and eviction-writeback ordinals and the bystanders'
+        // data images; its final merge must seal.
+        let mut boundaries = Vec::with_capacity(self.ops.ops.len());
+        let count_only = Box::new(FaultPlan::count_only());
+        let mut run = self.replay(count_only, usize::MAX, Some(&mut boundaries))?;
+        let counted = engine(&mut run.mem, victim)?;
+        let total = counted.nvm().device_write_ordinals();
+        let evict_ordinals: BTreeSet<u64> = counted
+            .nvm()
+            .eviction_write_ordinals()
+            .iter()
+            .copied()
+            .collect();
+        let queue_cap = counted.config().verify_queue.max(1);
+        self.base = (0..run.mem.shards())
+            .filter(|&other| other != victim)
+            .map(|other| (other, data_image(&run.mem, other)))
+            .collect();
+        merge(&mut run.mem, s);
+        s.crash_points += total;
+        s.evict_points += evict_ordinals.len() as u64;
+
+        // Phase 2: clean and torn crashes at every ordinal. Each clean crash
+        // doubles as the baseline for the nested recovery-fault sweep, and
+        // its recovery-phase write count is kept for the tamper pass
+        // (phase 5).
+        let mut recovery_writes_by_k = vec![0u64; total as usize];
+        for k in 0..total {
+            let boundary = boundaries.binary_search(&k).is_ok();
+            let evict = evict_ordinals.contains(&k);
+            // Clean crash, with a count-only second phase: the recovery
+            // procedure's own device writes become the nested sweep's crash
+            // points, counted in their fresh post-crash ordinal domain.
+            let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), FaultPlan::count_only());
+            let mut run = self.replay(Box::new(plan), usize::MAX, None)?;
+            let mut recovery_writes = 0u64;
+            let mut baseline_media: Option<MediaImage> = None;
+            if run.faulted {
+                if let Some(t) = tr.as_deref_mut() {
+                    t.add("sweep.scenarios.clean", 1);
+                    t.record("sweep.strike.clean", k);
+                    // Observe the baseline recovery's phase tree: tracing is
+                    // a pure observer, so the summary is unchanged by this.
+                    let crashed = engine(&mut run.mem, victim)?;
+                    crashed.enable_tracing(amnt_trace::TraceConfig::default());
+                }
+                self.crash(&mut run.mem, s)?;
+                let first = run.mem.recover_shard(victim);
+                let crashed = engine(&mut run.mem, victim)?;
+                if let Some(t) = tr.as_deref_mut() {
+                    harvest_recovery_trace(t, crashed);
+                    // Scope the observation window to this one crash/recover
+                    // pair: the repeat pass and the read-back classification
+                    // below must run exactly as the untraced sweep runs them.
+                    crashed.disable_tracing();
+                }
+                let outcome = match first {
+                    Err(_) => Outcome::Detected,
+                    Ok(report) => {
+                        // The recovery-phase ordinal count is captured before
+                        // read-back: read-path cache evictions would otherwise
+                        // keep consuming recovery-domain ordinals.
+                        recovery_writes = crashed.nvm().device_write_ordinals();
+                        recovery_writes_by_k[k as usize] = recovery_writes;
+                        let media = crashed.nvm().media_image();
+                        // Idempotence baseline: re-crash the recovered state
+                        // cleanly and recover again — the repeat must
+                        // succeed, leave the media byte-identical, and never
+                        // do more work than the first pass.
+                        crashed.crash();
+                        match crashed.recover() {
+                            Ok(repeat) => {
+                                if repeat.work() > report.work() {
+                                    s.work_regressions += 1;
+                                }
+                                if crashed.nvm().media_image() != media {
+                                    s.idempotence_violations += 1;
+                                }
+                            }
+                            Err(_) => s.idempotence_violations += 1,
+                        }
+                        baseline_media = Some(media);
+                        self.classify(&mut run, &report, true, false, s)?
+                    }
+                };
+                match outcome {
+                    Outcome::Recovered { .. } => {
+                        s.recovered += 1;
+                        s.evict_recovered += u64::from(evict);
+                        // Every shard is healthy again: the deferred epoch
+                        // must now seal and verify.
+                        merge(&mut run.mem, s);
+                    }
+                    Outcome::Detected => {
+                        s.detected += 1;
+                        s.evict_detected += u64::from(evict);
+                    }
+                    Outcome::Silent => s.count_silent(evict),
+                }
+                if boundary && outcome != (Outcome::Recovered { reads_detected: 0 }) {
+                    s.boundary_deficit += 1;
+                }
+                s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
+            }
+
+            // Nested sweep: re-crash the recovery procedure at every one of
+            // its device writes, then recover again.
+            if cfg.recovery_faults && recovery_writes > 0 {
+                self.nested_recovery_sweep(
+                    k,
+                    recovery_writes,
+                    baseline_media.as_ref(),
+                    evict,
+                    s,
+                    tr.as_deref_mut(),
+                )?;
+            }
+
+            let halves: &[TornHalf] = if cfg.torn {
+                &[TornHalf::First, TornHalf::Last]
+            } else {
+                &[]
+            };
+            for &half in halves {
+                let plan = FaultPlan::torn_after(k, half);
+                let mut run = self.replay(Box::new(plan), usize::MAX, None)?;
+                if !run.faulted {
+                    continue;
+                }
+                if let Some(t) = tr.as_deref_mut() {
+                    t.add("sweep.scenarios.torn", 1);
+                    t.record("sweep.strike.torn", k);
+                }
+                match self.crash_and_classify(&mut run, false, false, s)? {
+                    Outcome::Recovered { reads_detected } => {
+                        s.torn_recovered += 1;
+                        s.detected_at_read += reads_detected;
+                    }
+                    Outcome::Detected => s.torn_detected += 1,
+                    Outcome::Silent => s.count_silent(evict),
+                }
+            }
+        }
+
+        // Phase 3: dropped WPQ tails at every op boundary.
+        for limit in 1..=self.ops.ops.len() {
+            for &depth in &cfg.tail_depths {
+                let mut run = self.replay(Box::new(FaultPlan::drop_tail(depth)), limit, None)?;
+                if let Some(t) = tr.as_deref_mut() {
+                    t.add("sweep.scenarios.tail", 1);
+                    t.record("sweep.tail.depth", depth as u64);
+                }
+                match self.crash_and_classify(&mut run, false, true, s)? {
+                    Outcome::Recovered { reads_detected } => {
+                        s.tail_recovered += 1;
+                        s.detected_at_read += reads_detected;
+                    }
+                    Outcome::Detected => s.tail_detected += 1,
+                    Outcome::Silent => s.count_silent(false),
+                }
+            }
+        }
+
+        // Phase 4: power loss with a non-empty lazy verify queue, at every op
+        // boundary and every reachable queue depth. Deferred leaf-MAC checks
+        // are read-side speculation; discarding them at the crash must leave
+        // exactly the committed prefix (these are boundary crashes, so full
+        // recovery is required and any deficit counts). Reading the target
+        // `verify_queue` (cap) times also covers the batch-full drain path —
+        // the queue is empty again at that depth, which is itself a scenario.
+        for limit in 1..=self.ops.ops.len() {
+            // An address already committed within the prefix, to stack
+            // deferred checks against.
+            let target = self
+                .ops
+                .history
+                .iter()
+                .find(|(_, h)| h.first().is_some_and(|&(i, _)| i < limit))
+                .map(|(&a, _)| a);
+            let Some(target) = target else { continue };
+            for depth in 1..=queue_cap as u64 {
+                let mut run = self.replay(Box::new(FaultPlan::count_only()), limit, None)?;
+                debug_assert!(!run.faulted, "count-only replay never faults");
+                let queued = engine(&mut run.mem, victim)?;
+                // Trailing workload reads may have left deferred checks of
+                // their own; depth accounting starts from that base.
+                let base = queued.verify_queue_len() as u64;
+                let mut t = 0;
+                for _ in 0..depth {
+                    let (_, done) = queued.read_block(t, target)?;
+                    t = done;
+                }
+                debug_assert_eq!(
+                    queued.verify_queue_len() as u64,
+                    (base + depth) % queue_cap as u64,
+                    "queue depth after {depth} reads from base {base} at cap {queue_cap}"
+                );
+                s.verify_queue_points += 1;
+                if let Some(t) = tr.as_deref_mut() {
+                    t.add("sweep.scenarios.verify_queue", 1);
+                    t.record("sweep.vq.depth", depth);
+                }
+                match self.crash_and_classify(&mut run, true, false, s)? {
+                    Outcome::Recovered { .. } => s.verify_queue_recovered += 1,
+                    Outcome::Detected => {
+                        s.verify_queue_detected += 1;
+                        s.boundary_deficit += 1;
+                    }
+                    Outcome::Silent => {
+                        s.count_silent(false);
+                        s.verify_queue_silent += 1;
+                        s.boundary_deficit += 1;
                     }
                 }
             }
         }
-    }
 
-    // Phase 3: dropped WPQ tails at every op boundary.
-    for limit in 1..=w.ops.len() {
-        for &depth in &cfg.tail_depths {
-            let (mut mem, completed, _) =
-                replay(kind, cfg, &w, Box::new(FaultPlan::drop_tail(depth)), limit)?;
-            if let Some(t) = tr.as_deref_mut() {
-                t.add("sweep.scenarios.tail", 1);
-                t.record("sweep.tail.depth", depth as u64);
-            }
-            match crash_and_classify(
-                kind,
-                &mut mem,
-                &w,
-                completed,
-                false,
-                true,
-                &mut s.bounds_violations,
-            ) {
-                Outcome::Recovered { reads_detected } => {
-                    s.tail_recovered += 1;
-                    s.detected_at_read += reads_detected;
-                }
-                Outcome::Detected => s.tail_detected += 1,
-                Outcome::Silent => s.silent += 1,
-            }
-        }
-    }
-
-    // Phase 4: power loss with a non-empty lazy verify queue, at every op
-    // boundary and every reachable queue depth. Deferred leaf-MAC checks
-    // are read-side speculation; discarding them at the crash must leave
-    // exactly the committed prefix (these are boundary crashes, so full
-    // recovery is required and any deficit counts). Reading the target
-    // `verify_queue` (cap) times also covers the batch-full drain path —
-    // the queue is empty again at that depth, which is itself a scenario.
-    let queue_cap = fresh(kind, cfg)?.config().verify_queue.max(1);
-    for limit in 1..=w.ops.len() {
-        // An address already committed within the prefix, to stack
-        // deferred checks against.
-        let target = w
-            .history
-            .iter()
-            .find(|(_, h)| h.first().is_some_and(|&(i, _)| i < limit))
-            .map(|(&a, _)| a);
-        let Some(target) = target else { continue };
-        for depth in 1..=queue_cap as u64 {
-            let (mut mem, completed, faulted) =
-                replay(kind, cfg, &w, Box::new(FaultPlan::count_only()), limit)?;
-            debug_assert!(!faulted, "count-only replay never faults");
-            // Trailing workload reads may have left deferred checks of
-            // their own; depth accounting starts from that base.
-            let base = mem.verify_queue_len() as u64;
-            let mut t = 0;
-            for _ in 0..depth {
-                let (_, done) = mem.read_block(t, target)?;
-                t = done;
-            }
-            debug_assert_eq!(
-                mem.verify_queue_len() as u64,
-                (base + depth) % queue_cap as u64,
-                "queue depth after {depth} reads from base {base} at cap {queue_cap}"
-            );
-            s.verify_queue_points += 1;
-            if let Some(t) = tr.as_deref_mut() {
-                t.add("sweep.scenarios.verify_queue", 1);
-                t.record("sweep.vq.depth", depth);
-            }
-            match crash_and_classify(
-                kind,
-                &mut mem,
-                &w,
-                completed,
-                true,
-                false,
-                &mut s.bounds_violations,
-            ) {
-                Outcome::Recovered { .. } => s.verify_queue_recovered += 1,
-                Outcome::Detected => {
-                    s.verify_queue_detected += 1;
-                    s.boundary_deficit += 1;
-                }
-                Outcome::Silent => {
-                    s.silent += 1;
-                    s.verify_queue_silent += 1;
-                    s.boundary_deficit += 1;
-                }
-            }
-        }
-    }
-
-    // Phase 5: tamper interleaving. For every clean crash point, interleave
-    // an active attack with the crash/recovery sequence: crash at `k`, let
-    // recovery run until a nested crash at one of its own device writes
-    // (when the baseline recovery writes at all), then flip one bit on the
-    // raw media before the second recovery completes. The flipped line must
-    // either be *healed* — recovery rewrites it from authenticated state —
-    // or *detected* by a recovery error or a read-back MAC failure. Silence
-    // is an integrity-protection failure regardless of crash timing. The
-    // target rotates over line classes (see `Workload::tamper_target`).
-    if cfg.tamper {
-        for k in 0..total {
+        // Phase 5: tamper interleaving. For every clean crash point,
+        // interleave an active attack with the crash/recovery sequence:
+        // crash at `k`, let recovery run until a nested crash at one of its
+        // own device writes (when the baseline recovery writes at all), then
+        // flip one bit on the raw media before the second recovery
+        // completes. The flipped line must either be *healed* — recovery
+        // rewrites it from authenticated state — or *detected* by a recovery
+        // error or a read-back MAC failure, by the victim alone: silence is
+        // an integrity-protection failure regardless of crash timing, and a
+        // bystander that changes saw or healed the damage across the
+        // boundary. The target rotates over line classes (see
+        // `Workload::tamper_target`).
+        let tamper_points = if cfg.tamper { total } else { 0 };
+        for k in 0..tamper_points {
             let rec_writes = recovery_writes_by_k[k as usize];
             let plan: Box<dyn FaultHook> = if rec_writes > 0 {
-                Box::new(PhasedPlan::two_phase(
-                    FaultPlan::crash_after(k),
-                    FaultPlan::crash_after(k % rec_writes),
-                ))
+                let nested = FaultPlan::crash_after(k % rec_writes);
+                Box::new(PhasedPlan::two_phase(FaultPlan::crash_after(k), nested))
             } else {
                 Box::new(FaultPlan::crash_after(k))
             };
-            let (mut mem, completed, faulted) = replay(kind, cfg, &w, plan, w.ops.len())?;
-            if !faulted {
+            let mut run = self.replay(plan, usize::MAX, None)?;
+            if !run.faulted {
                 continue;
             }
-            mem.crash();
+            self.crash(&mut run.mem, s)?;
+            let crashed = engine(&mut run.mem, victim)?;
             if rec_writes > 0 {
-                match mem.recover() {
-                    // The nested crash fired mid-recovery: crash again with
-                    // the power-failure flag still set, so the second
-                    // recovery sees a dirty shutdown.
-                    Err(ref e) if recovery_power_failed(e) => {}
-                    // The baseline either detected before reaching ordinal
-                    // `k % rec_writes` or completed without it firing; fall
-                    // back to tampering a cleanly re-crashed state.
-                    _ => {
-                        mem.nvm_mut().disarm_fault_hook();
-                    }
+                // The nested crash fires mid-recovery: crash again with the
+                // power-failure flag still set, so the second recovery sees
+                // a dirty shutdown. If the baseline instead detected before
+                // reaching ordinal `k % rec_writes`, or completed without it
+                // firing, tamper a cleanly re-crashed state.
+                if !matches!(crashed.recover(), Err(ref e) if recovery_power_failed(e)) {
+                    crashed.nvm_mut().disarm_fault_hook();
                 }
-                mem.crash();
+                crashed.crash();
             }
-            let (tamper_addr, bit) = w.tamper_target(completed, k, mem.geometry());
-            mem.nvm_mut().tamper_flip_bit(tamper_addr, bit);
+            let (tamper_addr, bit) = self.ops.tamper_target(run.completed, k, crashed.geometry());
+            crashed.nvm_mut().tamper_flip_bit(tamper_addr, bit);
             s.tamper_points += 1;
             if let Some(t) = tr.as_deref_mut() {
                 t.add("sweep.scenarios.tamper", 1);
                 t.record("sweep.strike.tamper", k);
             }
-            match mem.recover() {
-                Err(_) => s.tamper_detected += 1,
-                Ok(report) => {
-                    if !report_in_bounds(kind, &mem, &report) {
-                        s.bounds_violations += 1;
-                    }
-                    match classify_readback(&mut mem, &w, completed, false, false) {
-                        Outcome::Recovered { reads_detected: 0 } => s.tamper_healed += 1,
-                        Outcome::Recovered { .. } | Outcome::Detected => s.tamper_detected += 1,
-                        Outcome::Silent => {
-                            s.tamper_silent += 1;
-                            s.silent += 1;
-                            if evict_ordinals.contains(&k) {
-                                s.evict_silent += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    Ok(s)
-}
-
-/// The nested recovery-fault sweep for one mutation-path crash point `k`:
-/// for every recovery-phase ordinal `r` in `0..recovery_writes` and every
-/// fault mode, replay to `k`, crash, let recovery run until the nested
-/// fault cuts power at its `r`-th device write, power-cycle again, and
-/// recover to completion.
-///
-/// Idempotence contract, checked against the single-recovery baseline:
-///
-/// * A **cleanly** interrupted recovery, re-run, must converge to the same
-///   outcome class as the uninterrupted recovery, and — when that baseline
-///   succeeded — to byte-identical media (`baseline_media`). Divergence is
-///   an idempotence violation.
-/// * A **torn** recovery write may leave detectable damage (the re-run may
-///   fail, or individual reads may fail MAC checks — recovery rewrites its
-///   whole write set, but a torn counter can poison re-derivation), yet
-///   never a silent one.
-#[allow(clippy::too_many_arguments)]
-fn nested_recovery_sweep(
-    kind: ProtocolKind,
-    cfg: &FaultSweepConfig,
-    w: &Workload,
-    k: u64,
-    recovery_writes: u64,
-    baseline_media: Option<&[(u64, Vec<u8>)]>,
-    evict: bool,
-    s: &mut SweepSummary,
-    mut tr: Option<&mut amnt_trace::Tracer>,
-) -> Result<(), IntegrityError> {
-    let modes: &[CrashWriteMode] = if cfg.torn {
-        &[
-            CrashWriteMode::Clean,
-            CrashWriteMode::Torn(TornHalf::First),
-            CrashWriteMode::Torn(TornHalf::Last),
-        ]
-    } else {
-        &[CrashWriteMode::Clean]
-    };
-    for r in 0..recovery_writes {
-        for &mode in modes {
-            let rplan = match mode {
-                CrashWriteMode::Clean => FaultPlan::crash_after(r),
-                CrashWriteMode::Torn(half) => FaultPlan::torn_after(r, half),
-            };
-            let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), rplan);
-            let (mut mem, completed, faulted) = replay(kind, cfg, &w, Box::new(plan), w.ops.len())?;
-            if !faulted {
-                continue;
-            }
-            s.recovery_points += 1;
-            if let Some(t) = tr.as_deref_mut() {
-                t.add("sweep.scenarios.nested", 1);
-                t.record("sweep.strike.nested", r);
-            }
-            mem.crash();
-            let first = mem.recover();
-            match first {
-                Err(ref e) if recovery_power_failed(e) => {}
-                _ => {
-                    // The nested fault never fired as a power failure: the
-                    // un-faulted recovery prefix errored first (`r` lies at
-                    // or past the baseline's own failure point). Detected.
-                    s.recovery_detected += 1;
-                    continue;
-                }
-            }
-            // Power-cycle out of the interrupted recovery and run it again,
-            // this time to completion (the phased plan is exhausted).
-            mem.crash();
-            match mem.recover() {
-                Err(_) => {
-                    s.recovery_detected += 1;
-                    if baseline_media.is_some() && mode == CrashWriteMode::Clean {
-                        // The uninterrupted recovery succeeded, so a clean
-                        // interruption must be restartable.
-                        s.idempotence_violations += 1;
-                    }
-                }
-                Ok(report) => {
-                    s.recovery_recovered += 1;
-                    if !report_in_bounds(kind, &mem, &report) {
-                        s.bounds_violations += 1;
-                    }
-                    let media = mem.nvm_mut().media_image();
-                    let strict = mode == CrashWriteMode::Clean;
-                    match classify_readback(&mut mem, &w, completed, strict, false) {
-                        Outcome::Recovered { reads_detected } => {
-                            s.detected_at_read += reads_detected;
-                        }
-                        Outcome::Silent => {
-                            s.silent += 1;
-                            if evict {
-                                s.evict_silent += 1;
-                            }
-                        }
-                        Outcome::Detected => {}
-                    }
-                    if mode == CrashWriteMode::Clean {
-                        match baseline_media {
-                            Some(b) if b == media.as_slice() => {}
-                            // Media divergence, or the baseline detected
-                            // where the interrupted re-run succeeded: the
-                            // outcome depends on where recovery was cut.
-                            _ => s.idempotence_violations += 1,
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Shard-crossed sweep
-// ---------------------------------------------------------------------
-
-/// Parameters for [`run_shard_sweep`]: a seeded multi-tenant workload over
-/// a [`ShardedMemory`], crashed in *one* shard at every device-write
-/// ordinal of that shard's WPQ lane while the other shards keep committing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSweepConfig {
-    /// Workload seed (`amnt_prng`, bit-stable forever).
-    pub seed: u64,
-    /// Total operations across all tenants (interleaved deterministically).
-    pub ops: usize,
-    /// Shard domains (= tenants; one tenant per subtree region).
-    pub shards: usize,
-    /// Total protected data capacity in bytes (divided evenly by `shards`).
-    pub capacity: u64,
-    /// Metadata cache size *before* partitioning; each shard gets a
-    /// `1/shards` partition, kept small so eviction pressure is real.
-    pub metadata_cache_bytes: usize,
-    /// Seal an epoch ([`ShardedMemory::epoch_merge`]) every this many
-    /// interleaved ops (`0` = only the final merge). Crashes therefore land
-    /// *mid-epoch* while healthy shards commit past the boundary.
-    pub merge_every: usize,
-    /// Tamper pass: at every victim crash point, flip one media bit inside
-    /// the victim shard before its recovery and require the damage to be
-    /// healed or detected by the *victim's* own machinery — and provably
-    /// never observed, nor healed, via any other shard.
-    pub tamper: bool,
-}
-
-impl Default for ShardSweepConfig {
-    fn default() -> Self {
-        ShardSweepConfig {
-            seed: 0x5AAD_F001,
-            ops: 32,
-            shards: 2,
-            capacity: 1024 * 1024,
-            metadata_cache_bytes: 2048,
-            merge_every: 8,
-            tamper: true,
-        }
-    }
-}
-
-/// Aggregate outcome of one protocol's shard-crossed sweep. Deterministic
-/// for a given ([`ProtocolKind`], [`ShardSweepConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardSweepSummary {
-    /// Shard domains swept (every shard takes a turn as the victim).
-    pub shards: u64,
-    /// Victim-lane device-write ordinals explored, summed over victims.
-    pub crash_points: u64,
-    /// Victim recoveries that succeeded with an oracle-exact read-back.
-    pub recovered: u64,
-    /// Victim recoveries that returned a detected error.
-    pub detected: u64,
-    /// Victim outcomes exposing wrong bytes with no error — must stay zero.
-    pub silent: u64,
-    /// Victim recoveries whose [`RecoveryReport`] exceeded the per-shard
-    /// analytical bounds — must stay zero (recovery is O(touched) *per
-    /// shard*, not per machine).
-    pub bounds_violations: u64,
-    /// Scenarios where a non-victim shard's media or read-back diverged
-    /// from its independent per-tenant oracle/baseline after the victim's
-    /// crash or recovery — must stay zero (no state crosses the boundary).
-    pub cross_shard_disturbances: u64,
-    /// Tamper scenarios where damage inside the victim was observed by, or
-    /// repaired using, another shard (media change, failed audit, or
-    /// oracle-divergent read-back in a non-victim shard) — must stay zero:
-    /// a shard boundary is never silently healed across.
-    pub cross_shard_heals: u64,
-    /// Post-recovery epoch merges that failed, verified stale, or broke
-    /// freshness monotonicity — must stay zero.
-    pub merge_failures: u64,
-    /// Tamper scenarios explored (one per victim crash point when
-    /// [`ShardSweepConfig::tamper`] is set).
-    pub tamper_points: u64,
-    /// Tamper scenarios detected by the victim's recovery or read-back MACs.
-    pub tamper_detected: u64,
-    /// Tamper scenarios healed by the victim's own authenticated rebuild.
-    pub tamper_healed: u64,
-    /// Tamper scenarios exposing wrong bytes with no error — must stay zero.
-    pub tamper_silent: u64,
-}
-
-/// The seeded multi-tenant workload: one local-coordinate [`Workload`] per
-/// shard plus the deterministic interleave schedule `(shard, local index)`.
-fn generate_sharded(cfg: &ShardSweepConfig) -> (Vec<Workload>, Vec<(usize, usize)>) {
-    let shards = cfg.shards.max(1);
-    let span = cfg.capacity / shards as u64;
-    let blocks = span / BLOCK_SIZE as u64;
-    let hot = 16u64.min(blocks.max(1));
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut per_shard: Vec<Workload> = (0..shards)
-        .map(|_| Workload {
-            ops: Vec::new(),
-            history: BTreeMap::new(),
-        })
-        .collect();
-    let mut schedule = Vec::with_capacity(cfg.ops);
-    for i in 0..cfg.ops {
-        // Leading round-robin writes guarantee every tenant commits state
-        // before any crash point can land in its lane.
-        let shard = if i < shards * 2 {
-            i % shards
-        } else {
-            rng.gen_range(0..shards as u64) as usize
-        };
-        // Per-tenant hot set at a tenant-distinct offset inside its region.
-        let hot_base = (shard as u64 * 7) % blocks.max(1);
-        let block = if rng.gen_bool(0.75) {
-            (hot_base + rng.gen_range(0..hot)) % blocks.max(1)
-        } else {
-            rng.gen_range(0..blocks.max(1))
-        };
-        let addr = block * BLOCK_SIZE as u64;
-        let Some(w) = per_shard.get_mut(shard) else {
-            continue;
-        };
-        let local_index = w.ops.len();
-        if i >= shards * 2 && rng.gen_bool(0.2) {
-            w.ops.push(Op::Read { addr });
-        } else {
-            // Values keyed by the *global* op index: unique across tenants,
-            // so identical bytes can never alias across a shard boundary.
-            let value = value_for(i);
-            w.history.entry(addr).or_default().push((local_index, value));
-            w.ops.push(Op::Write { addr, value });
-        }
-        schedule.push((shard, local_index));
-    }
-    (per_shard, schedule)
-}
-
-fn shard_fresh(
-    kind: ProtocolKind,
-    cfg: &ShardSweepConfig,
-) -> Result<ShardedMemory, IntegrityError> {
-    let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
-        .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
-    ShardedMemory::new(mem_cfg, kind, cfg.shards)
-}
-
-fn shard_engine(
-    mem: &mut ShardedMemory,
-    idx: usize,
-) -> Result<&mut SecureMemory, IntegrityError> {
-    mem.shard_mut(idx).ok_or(IntegrityError::Invariant {
-        what: "shard sweep addressed a missing shard",
-    })
-}
-
-/// Replays the interleaved schedule against a fresh sharded controller,
-/// optionally with a fault hook armed on the victim shard's lane. Healthy
-/// shards keep executing (and epoch merges keep sealing, until the victim
-/// crashes mid-epoch and merges defer). Returns the controller, per-shard
-/// completed-op counts, and whether the victim's fault fired.
-fn shard_replay(
-    kind: ProtocolKind,
-    cfg: &ShardSweepConfig,
-    per_shard: &[Workload],
-    schedule: &[(usize, usize)],
-    victim: Option<(usize, Box<dyn FaultHook>)>,
-) -> Result<(ShardedMemory, Vec<usize>, bool), IntegrityError> {
-    let mut mem = shard_fresh(kind, cfg)?;
-    let victim_shard = victim.as_ref().map(|(v, _)| *v);
-    if let Some((v, hook)) = victim {
-        shard_engine(&mut mem, v)?.nvm_mut().arm_fault_hook(hook);
-    }
-    let span = mem.span();
-    let mut clocks = vec![0u64; cfg.shards];
-    let mut completed = vec![0usize; cfg.shards];
-    let mut faulted = false;
-    for (i, &(shard, local)) in schedule.iter().enumerate() {
-        if cfg.merge_every > 0 && i > 0 && i % cfg.merge_every == 0 && !faulted {
-            // Epoch boundary: healthy runs seal; once the victim is down,
-            // merges defer (freshness must not advance over a stale
-            // sub-root) while the other shards keep committing mid-epoch.
-            // The seal itself flushes the victim's verify queue, so the
-            // armed fault can fire *inside* the merge — a legitimate
-            // mid-epoch crash point, not a harness error.
-            match mem.epoch_merge() {
-                Ok(_) => {}
-                Err(ref e) if power_failed(e) && victim_shard.is_some() => {
-                    faulted = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if faulted && Some(shard) == victim_shard {
-            continue;
-        }
-        let Some(op) = per_shard.get(shard).and_then(|w| w.ops.get(local)).copied() else {
-            continue;
-        };
-        let base = shard as u64 * span;
-        let now = clocks.get(shard).copied().unwrap_or(0);
-        let done = match op {
-            Op::Write { addr, value } => mem.write_block(now, base + addr, &value),
-            Op::Read { addr } => mem.read_block(now, base + addr).map(|(_, done)| done),
-        };
-        match done {
-            Ok(done) => {
-                if let Some(c) = clocks.get_mut(shard) {
-                    *c = done;
-                }
-                if let Some(c) = completed.get_mut(shard) {
-                    *c += 1;
-                }
-            }
-            Err(ref e) if power_failed(e) && Some(shard) == victim_shard => {
-                faulted = true;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((mem, completed, faulted))
-}
-
-/// The data-region lines of a per-shard media image. Metadata lines above
-/// the data span move on cache-eviction timing (which legitimately differs
-/// between a run whose epoch merges deferred and the fault-free baseline),
-/// so the byte-identity requirement is on the protected data itself.
-fn data_region(image: &[(u64, Vec<u8>)], span: u64) -> Vec<(u64, &[u8])> {
-    image
-        .iter()
-        .filter(|&&(addr, _)| addr < span)
-        .map(|(addr, bytes)| (*addr, bytes.as_slice()))
-        .collect()
-}
-
-/// Checks every non-victim shard against its independent baseline media
-/// image and per-tenant oracle: any divergence is a cross-boundary leak.
-fn cross_shard_divergences(
-    mem: &mut ShardedMemory,
-    per_shard: &[Workload],
-    base_media: &[Vec<(u64, Vec<u8>)>],
-    victim: usize,
-) -> Result<u64, IntegrityError> {
-    let mut divergences = 0u64;
-    let span = mem.span();
-    // Media first: read-backs below may evict metadata and write the
-    // device, so the byte comparison must see the untouched state.
-    let media = mem.media_images();
-    for (idx, image) in media.iter().enumerate() {
-        if idx != victim
-            && base_media
-                .get(idx)
-                .is_some_and(|b| data_region(b, span) != data_region(image, span))
-        {
-            divergences += 1;
-        }
-    }
-    for (idx, w) in per_shard.iter().enumerate() {
-        if idx == victim {
-            continue;
-        }
-        let engine = shard_engine(mem, idx)?;
-        match classify_readback(engine, w, w.ops.len(), true, false) {
-            Outcome::Recovered { reads_detected: 0 } => {}
-            _ => divergences += 1,
-        }
-    }
-    Ok(divergences)
-}
-
-/// Runs the shard-crossed fault/tamper sweep for one protocol: every shard
-/// takes a turn as the victim, crashed at every device-write ordinal of its
-/// own WPQ lane *mid-epoch* while the other shards commit to completion;
-/// only the victim is recovered (O(touched) per shard, checked against the
-/// per-shard analytical bounds), every shard's read-back is checked against
-/// its independent per-tenant oracle, and the post-recovery epoch merge
-/// must seal fresh and verify. The tamper pass additionally flips one media
-/// bit inside the crashed victim and requires the damage to be healed or
-/// detected by the victim alone — never observed or healed via another
-/// shard.
-///
-/// # Errors
-///
-/// [`IntegrityError`] only for workload-construction failures or an
-/// integrity failure before any fault fired — a broken controller, not a
-/// fault-model outcome.
-pub fn run_shard_sweep(
-    kind: ProtocolKind,
-    cfg: &ShardSweepConfig,
-) -> Result<ShardSweepSummary, IntegrityError> {
-    let (per_shard, schedule) = generate_sharded(cfg);
-    let mut s = ShardSweepSummary {
-        shards: cfg.shards as u64,
-        ..ShardSweepSummary::default()
-    };
-
-    // Baseline: the fault-free run every cross-shard comparison measures
-    // against. The final merge must seal and verify.
-    let (mut base, _, _) = shard_replay(kind, cfg, &per_shard, &schedule, None)?;
-    let sealed = base.epoch_merge()?;
-    if !base.verify_merge(&sealed) {
-        s.merge_failures += 1;
-    }
-    let base_media = base.media_images();
-    let base_epoch = base.epoch();
-
-    for victim in 0..cfg.shards {
-        // Count the victim lane's device-write ordinal domain.
-        let plan: Box<dyn FaultHook> = Box::new(FaultPlan::count_only());
-        let (mut counted, _, _) =
-            shard_replay(kind, cfg, &per_shard, &schedule, Some((victim, plan)))?;
-        let points = shard_engine(&mut counted, victim)?
-            .nvm_mut()
-            .device_write_ordinals();
-        s.crash_points += points;
-
-        for k in 0..points {
-            let plan: Box<dyn FaultHook> = Box::new(FaultPlan::crash_after(k));
-            let (mut mem, completed, faulted) =
-                shard_replay(kind, cfg, &per_shard, &schedule, Some((victim, plan)))?;
-            if !faulted {
-                continue;
-            }
-            mem.crash_shard(victim)?;
-            // Non-victim shards finished every op; their media must be
-            // byte-identical to the fault-free baseline even before the
-            // victim recovers (recovery may not touch them either).
-            s.cross_shard_disturbances +=
-                cross_shard_divergences(&mut mem, &per_shard, &base_media, victim)?;
-            let done = completed.get(victim).copied().unwrap_or(0);
-            let outcome = match mem.recover_shard(victim) {
+            let outcome = match run.mem.recover_shard(victim) {
                 Err(_) => Outcome::Detected,
-                Ok(report) => {
-                    let engine = shard_engine(&mut mem, victim)?;
-                    if !report_in_bounds(kind, engine, &report) {
-                        s.bounds_violations += 1;
-                    }
-                    let w = per_shard.get(victim).ok_or(IntegrityError::Invariant {
-                        what: "victim workload missing",
-                    })?;
-                    classify_readback(engine, w, done, true, false)
-                }
+                Ok(report) => self.classify(&mut run, &report, false, false, s)?,
             };
             match outcome {
-                Outcome::Recovered { .. } => {
-                    s.recovered += 1;
-                    // All shards healthy again: the deferred epoch must now
-                    // seal, strictly fresher than the baseline's history,
-                    // and verify against current sub-roots.
-                    match mem.epoch_merge() {
-                        Ok(r) if mem.verify_merge(&r) && r.epoch > 0 => {}
-                        _ => s.merge_failures += 1,
-                    }
-                }
-                Outcome::Detected => s.detected += 1,
-                Outcome::Silent => s.silent += 1,
-            }
-            // Recovery of the victim must not have disturbed anyone else.
-            s.cross_shard_disturbances +=
-                cross_shard_divergences(&mut mem, &per_shard, &base_media, victim)?;
-        }
-
-        if !cfg.tamper {
-            continue;
-        }
-        for k in 0..points {
-            let plan: Box<dyn FaultHook> = Box::new(FaultPlan::crash_after(k));
-            let (mut mem, completed, faulted) =
-                shard_replay(kind, cfg, &per_shard, &schedule, Some((victim, plan)))?;
-            if !faulted {
-                continue;
-            }
-            mem.crash_shard(victim)?;
-            let done = completed.get(victim).copied().unwrap_or(0);
-            let w = per_shard.get(victim).ok_or(IntegrityError::Invariant {
-                what: "victim workload missing",
-            })?;
-            let engine = shard_engine(&mut mem, victim)?;
-            let (tamper_addr, bit) = w.tamper_target(done, k, engine.geometry());
-            engine.nvm_mut().tamper_flip_bit(tamper_addr, bit);
-            s.tamper_points += 1;
-            match mem.recover_shard(victim) {
-                Err(_) => s.tamper_detected += 1,
-                Ok(_) => {
-                    let engine = shard_engine(&mut mem, victim)?;
-                    match classify_readback(engine, w, done, false, false) {
-                        Outcome::Recovered { reads_detected: 0 } => s.tamper_healed += 1,
-                        Outcome::Recovered { .. } | Outcome::Detected => s.tamper_detected += 1,
-                        Outcome::Silent => {
-                            s.tamper_silent += 1;
-                            s.silent += 1;
-                        }
-                    }
+                Outcome::Recovered { reads_detected: 0 } => s.tamper_healed += 1,
+                Outcome::Recovered { .. } | Outcome::Detected => s.tamper_detected += 1,
+                Outcome::Silent => {
+                    s.tamper_silent += 1;
+                    s.count_silent(evict_ordinals.contains(&k));
                 }
             }
-            // The attack lived entirely inside the victim: every other
-            // shard's media must match the baseline bytes, its audit must
-            // still pass, and its read-back must still equal its own
-            // oracle. Any deviation means the boundary leaked.
-            s.cross_shard_heals +=
-                cross_shard_divergences(&mut mem, &per_shard, &base_media, victim)?;
-            for other in 0..cfg.shards {
-                if other == victim {
-                    continue;
-                }
-                if !matches!(mem.audit_shard(other), Ok(true)) {
+            s.cross_shard_heals += self.bystanders(&mut run.mem)?;
+            for (other, _) in &self.base {
+                if !matches!(run.mem.audit_shard(*other), Ok(true)) {
                     s.cross_shard_heals += 1;
                 }
             }
         }
+        Ok(())
     }
 
-    // The baseline epoch history must have stayed monotone throughout.
-    if base_epoch == 0 {
-        s.merge_failures += 1;
+    /// The nested recovery-fault sweep for one mutation-path crash point
+    /// `k`: for every recovery-phase ordinal `r` in `0..recovery_writes` and
+    /// every fault mode, replay to `k`, crash, let recovery run until the
+    /// nested fault cuts power at its `r`-th device write, power-cycle
+    /// again, and recover to completion.
+    ///
+    /// Idempotence contract, checked against the single-recovery baseline:
+    ///
+    /// * A **cleanly** interrupted recovery, re-run, must converge to the
+    ///   same outcome class as the uninterrupted recovery, and — when that
+    ///   baseline succeeded — to byte-identical media (`baseline_media`).
+    ///   Divergence is an idempotence violation.
+    /// * A **torn** recovery write may leave detectable damage (the re-run
+    ///   may fail, or individual reads may fail MAC checks — recovery
+    ///   rewrites its whole write set, but a torn counter can poison
+    ///   re-derivation), yet never a silent one.
+    fn nested_recovery_sweep(
+        &self,
+        k: u64,
+        recovery_writes: u64,
+        baseline_media: Option<&MediaImage>,
+        evict: bool,
+        s: &mut SweepSummary,
+        mut tr: Option<&mut amnt_trace::Tracer>,
+    ) -> Result<(), IntegrityError> {
+        let modes: &[CrashWriteMode] = if self.cfg.torn {
+            &[
+                CrashWriteMode::Clean,
+                CrashWriteMode::Torn(TornHalf::First),
+                CrashWriteMode::Torn(TornHalf::Last),
+            ]
+        } else {
+            &[CrashWriteMode::Clean]
+        };
+        for r in 0..recovery_writes {
+            for &mode in modes {
+                let rplan = match mode {
+                    CrashWriteMode::Clean => FaultPlan::crash_after(r),
+                    CrashWriteMode::Torn(half) => FaultPlan::torn_after(r, half),
+                };
+                let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), rplan);
+                let mut run = self.replay(Box::new(plan), usize::MAX, None)?;
+                if !run.faulted {
+                    continue;
+                }
+                s.recovery_points += 1;
+                if let Some(t) = tr.as_deref_mut() {
+                    t.add("sweep.scenarios.nested", 1);
+                    t.record("sweep.strike.nested", r);
+                }
+                self.crash(&mut run.mem, s)?;
+                match run.mem.recover_shard(self.idx) {
+                    Err(ref e) if recovery_power_failed(e) => {
+                        self.rerun_recovery(&mut run, mode, baseline_media, evict, s)?;
+                    }
+                    // The nested fault never fired as a power failure: the
+                    // un-faulted recovery prefix errored first (`r` lies at
+                    // or past the baseline's own failure point). Detected.
+                    _ => s.recovery_detected += 1,
+                }
+                s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
+            }
+        }
+        Ok(())
     }
-    Ok(s)
+
+    /// Power-cycles the victim out of an interrupted recovery and runs it
+    /// again, this time to completion (the phased plan is exhausted).
+    fn rerun_recovery(
+        &self,
+        run: &mut Replay,
+        mode: CrashWriteMode,
+        baseline_media: Option<&MediaImage>,
+        evict: bool,
+        s: &mut SweepSummary,
+    ) -> Result<(), IntegrityError> {
+        let clean = mode == CrashWriteMode::Clean;
+        run.mem.crash_shard(self.idx)?;
+        let Ok(report) = run.mem.recover_shard(self.idx) else {
+            s.recovery_detected += 1;
+            // The uninterrupted recovery succeeded, so a clean interruption
+            // must be restartable.
+            if baseline_media.is_some() && clean {
+                s.idempotence_violations += 1;
+            }
+            return Ok(());
+        };
+        s.recovery_recovered += 1;
+        let media = engine(&mut run.mem, self.idx)?.nvm().media_image();
+        match self.classify(run, &report, clean, false, s)? {
+            Outcome::Recovered { reads_detected } => s.detected_at_read += reads_detected,
+            Outcome::Silent => s.count_silent(evict),
+            Outcome::Detected => {}
+        }
+        // Media divergence, or the baseline detected where the interrupted
+        // re-run succeeded: the outcome depends on where recovery was cut.
+        if clean && baseline_media != Some(&media) {
+            s.idempotence_violations += 1;
+        }
+        Ok(())
+    }
 }
 
 /// The six recoverable protocols in the evaluation, with the same knobs the
@@ -1513,20 +1323,27 @@ pub fn sweep_protocols() -> Vec<(&'static str, ProtocolKind)> {
 mod tests {
     use super::*;
 
+    /// The default workload routed onto a one-shard leaf machine.
+    fn routed(cfg: &FaultSweepConfig) -> Routed {
+        let mem = machine(ProtocolKind::Leaf, cfg).expect("machine");
+        Routed::new(&generate(cfg), &mem).expect("routable workload")
+    }
+
     #[test]
     fn workloads_are_seed_deterministic() {
         let cfg = FaultSweepConfig::default();
         let a = generate(&cfg);
         let b = generate(&cfg);
-        assert_eq!(a.ops, b.ops);
+        assert_eq!(a, b);
         let other = generate(&FaultSweepConfig { seed: 99, ..cfg });
-        assert_ne!(a.ops, other.ops);
+        assert_ne!(a, other);
     }
 
     #[test]
     fn history_tracks_last_write_wins() {
         let cfg = FaultSweepConfig::default();
-        let w = generate(&cfg);
+        let routed = routed(&cfg);
+        let w = &routed.shards[0];
         for (addr, hist) in &w.history {
             assert!(
                 hist.windows(2).all(|p| p[0].0 < p[1].0),
@@ -1579,20 +1396,35 @@ mod tests {
             ops: 8,
             ..FaultSweepConfig::default()
         };
-        let w = generate(&cfg);
-        let mut totals = Vec::new();
+        let w = routed(&cfg);
+        let victim = Victim {
+            kind: ProtocolKind::Leaf,
+            cfg: &cfg,
+            w: &w,
+            idx: 0,
+            ops: &w.shards[0],
+            base: Vec::new(),
+        };
+        let mut runs = Vec::new();
         for _ in 0..2 {
-            let mut mem = fresh(ProtocolKind::Leaf, &cfg).expect("controller");
-            mem.nvm_mut()
-                .arm_fault_hook(Box::new(FaultPlan::count_only()));
-            let mut t = 0;
-            for op in &w.ops {
-                t = apply(&mut mem, t, op).expect("op");
-            }
-            totals.push(mem.nvm_mut().device_write_ordinals());
+            let mut boundaries = Vec::new();
+            let plan = Box::new(FaultPlan::count_only());
+            let mut run = victim
+                .replay(plan, usize::MAX, Some(&mut boundaries))
+                .expect("count-only replay");
+            assert_eq!((run.completed, run.faulted), (cfg.ops, false));
+            let total = engine(&mut run.mem, 0)
+                .expect("victim")
+                .nvm()
+                .device_write_ordinals();
+            runs.push((boundaries, total));
         }
-        assert_eq!(totals[0], totals[1]);
-        assert!(totals[0] > 0);
+        assert_eq!(runs[0], runs[1]);
+        let (boundaries, total) = &runs[0];
+        assert_eq!(boundaries.len(), cfg.ops, "one boundary per op");
+        assert!(boundaries.windows(2).all(|p| p[0] <= p[1]));
+        assert_eq!(boundaries.last(), Some(total));
+        assert!(*total > 0);
     }
 
     #[test]
@@ -1608,32 +1440,46 @@ mod tests {
             ops: 9999, // ignored under an external workload
             ..FaultSweepConfig::default()
         };
-        let w = generate(&cfg);
-        assert_eq!(w.ops.len(), 4);
-        assert_eq!(w.ops[0], Op::Write { addr: 0, value: value_for(0) });
-        assert_eq!(w.ops[2], Op::Read { addr: 0 });
-        assert_eq!(w.ops[3], Op::Write { addr: 128, value: value_for(3) });
-        assert_eq!(w.history.get(&128).map(Vec::len), Some(2));
+        let w = routed(&cfg);
+        let ops = &w.shards[0].ops;
+        assert_eq!(ops.len(), 4);
+        assert_eq!(ops[0], Op::Write { addr: 0, value: value_for(0) });
+        assert_eq!(ops[2], Op::Read { addr: 0 });
+        assert_eq!(ops[3], Op::Write { addr: 128, value: value_for(3) });
+        assert_eq!(w.shards[0].history.get(&128).map(Vec::len), Some(2));
         // Deterministic: the override ignores the seed entirely.
-        let again = generate(&FaultSweepConfig { seed: 77, ..cfg });
-        assert_eq!(w.ops, again.ops);
+        let again = routed(&FaultSweepConfig { seed: 77, ..cfg });
+        assert_eq!(*ops, again.shards[0].ops);
     }
 
     #[test]
-    fn sharded_workloads_are_deterministic_and_cover_every_tenant() {
-        let cfg = ShardSweepConfig::default();
-        let (a, sched_a) = generate_sharded(&cfg);
-        let (b, sched_b) = generate_sharded(&cfg);
-        assert_eq!(sched_a, sched_b);
-        assert_eq!(a.len(), cfg.shards);
-        for (shard, w) in a.iter().enumerate() {
-            assert_eq!(w.ops, b[shard].ops, "shard {shard} workload unstable");
+    fn tenant_mix_routes_deterministically_and_covers_every_tenant() {
+        let cfg = FaultSweepConfig {
+            seed: 0x5AAD_F001,
+            ops: 32,
+            shards: 2,
+            ..FaultSweepConfig::default()
+        };
+        let mix = tenant_mix(&cfg);
+        assert_eq!(
+            mix,
+            tenant_mix(&cfg),
+            "mix not a pure function of the config"
+        );
+        assert_eq!(mix.len(), cfg.ops);
+        let w = routed(&FaultSweepConfig {
+            workload: mix,
+            ..cfg.clone()
+        });
+        assert_eq!(w.shards.len(), cfg.shards);
+        let span = cfg.capacity / cfg.shards as u64;
+        for (shard, tenant) in w.shards.iter().enumerate() {
+            let mut opening = tenant.ops.iter().take(2);
             assert!(
-                w.ops.iter().take(2).all(|op| matches!(op, Op::Write { .. })),
+                opening.all(|op| matches!(op, Op::Write { .. })),
                 "tenant {shard} must open with committed writes"
             );
-            let span = cfg.capacity / cfg.shards as u64;
-            for op in &w.ops {
+            for op in &tenant.ops {
                 let addr = match *op {
                     Op::Write { addr, .. } | Op::Read { addr } => addr,
                 };
@@ -1641,54 +1487,12 @@ mod tests {
                 assert_eq!(addr % BLOCK_SIZE as u64, 0);
             }
         }
-        // Schedule indexes stay in range and reference real ops.
-        for &(shard, local) in &sched_a {
-            assert!(a[shard].ops.get(local).is_some());
+        // The issue order references every routed op exactly once.
+        assert_eq!(w.order.len(), cfg.ops);
+        for &(shard, local) in &w.order {
+            assert!(w.shards[shard].ops.get(local).is_some());
         }
-    }
-
-    #[test]
-    fn shard_sweep_leaf_has_zero_cross_shard_leaks() {
-        let cfg = ShardSweepConfig {
-            ops: 12,
-            ..ShardSweepConfig::default()
-        };
-        let s = run_shard_sweep(ProtocolKind::Leaf, &cfg).expect("sweep");
-        assert!(s.crash_points > 0, "sweep explored no ordinals");
-        assert!(s.recovered > 0, "leaf never recovered a victim");
-        assert_eq!(s.silent, 0);
-        assert_eq!(s.cross_shard_disturbances, 0);
-        assert_eq!(s.cross_shard_heals, 0);
-        assert_eq!(s.bounds_violations, 0);
-        assert_eq!(s.merge_failures, 0);
-        assert_eq!(s.tamper_silent, 0);
-        assert_eq!(s.tamper_points, s.tamper_detected + s.tamper_healed);
-        // Pure function of (kind, cfg).
-        let again = run_shard_sweep(ProtocolKind::Leaf, &cfg).expect("sweep");
-        assert_eq!(s, again);
-    }
-
-    #[test]
-    fn shard_sweep_amnt_has_zero_cross_shard_leaks() {
-        let cfg = ShardSweepConfig {
-            ops: 12,
-            tamper: false, // the leaf test owns the tamper dimension
-            ..ShardSweepConfig::default()
-        };
-        let s = run_shard_sweep(
-            ProtocolKind::Amnt(AmntConfig {
-                subtree_level: 2,
-                ..AmntConfig::default()
-            }),
-            &cfg,
-        )
-        .expect("sweep");
-        assert!(s.crash_points > 0);
-        assert_eq!(s.silent, 0);
-        assert_eq!(s.cross_shard_disturbances, 0);
-        assert_eq!(s.cross_shard_heals, 0);
-        assert_eq!(s.bounds_violations, 0);
-        assert_eq!(s.merge_failures, 0);
-        assert_eq!(s.tamper_points, 0, "tamper pass disabled");
+        let routed_ops: usize = w.shards.iter().map(|t| t.ops.len()).sum();
+        assert_eq!(routed_ops, cfg.ops);
     }
 }

@@ -53,7 +53,7 @@ mod untimed;
 pub use config::{MemTiming, SecureMemoryConfig, WriteQueueConfig};
 pub use controller::{SecureMemory, BLOCK_SIZE};
 pub use error::{IntegrityError, RecoveryError};
-pub use fault::{FaultSweepConfig, ShardSweepConfig, ShardSweepSummary, SweepOp, SweepSummary};
+pub use fault::{FaultSweepConfig, SweepOp, SweepSummary};
 pub use hybrid::{HybridConfig, HybridMemory, Partition};
 pub use shard::{MergeReport, ShardedMemory};
 pub use overhead::{hardware_overhead, HardwareOverhead};

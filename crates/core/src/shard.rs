@@ -545,6 +545,31 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_metadata_caches_are_typed_errors() {
+        // Zero ways or zero-byte lines: the same typed error a bare engine
+        // returns, at every shard count, never a divide-by-zero panic.
+        for (size, ways, line) in [(0, 0, 64), (1024, 0, 64), (1024, 8, 0)] {
+            let cfg = SecureMemoryConfig {
+                metadata_cache: amnt_cache::CacheConfig::new(size, ways, line),
+                ..SecureMemoryConfig::with_capacity(2 * MIB)
+            };
+            assert!(matches!(
+                SecureMemory::new(cfg.clone(), ProtocolKind::Leaf),
+                Err(IntegrityError::OutOfRange { addr: 0 })
+            ));
+            for shards in [1, 2] {
+                assert!(
+                    matches!(
+                        ShardedMemory::new(cfg.clone(), ProtocolKind::Leaf, shards),
+                        Err(IntegrityError::OutOfRange { addr: 0 })
+                    ),
+                    "cache ({size}, {ways}, {line}) at {shards} shards"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn shards_get_own_lanes_and_cache_partitions() {
         let m = sharded(4);
         for i in 0..4 {

@@ -8,16 +8,23 @@
 //! crash-during-recover → recover-again) finds zero idempotence violations.
 //!
 //! `AMNT_FAULT_OPS` scales the workload (default 24 ops: debug-friendly;
-//! the `fault_sweep` bench bin runs the 100-op acceptance sweep).
+//! the `fault_sweep` bench bin runs the 100-op acceptance sweep); a value
+//! that is not a non-negative integer fails the tests.
 
 use amnt_core::fault::{run_sweep, sweep_protocols};
-use amnt_core::{FaultSweepConfig, ProtocolKind};
+use amnt_core::{FaultSweepConfig, IntegrityError, ProtocolKind, SweepOp};
 
+/// The default sweep at `AMNT_FAULT_OPS` ops. Unset runs 24; a value that
+/// does not parse fails with the message the `fault_sweep` bin exits on.
 fn sweep_config() -> FaultSweepConfig {
-    let ops = std::env::var("AMNT_FAULT_OPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(24);
+    let ops = match std::env::var_os("AMNT_FAULT_OPS") {
+        None => 24,
+        Some(v) => {
+            let v = v.to_string_lossy();
+            v.parse()
+                .unwrap_or_else(|_| panic!("AMNT_FAULT_OPS={v:?} is not a non-negative integer"))
+        }
+    };
     FaultSweepConfig { ops, ..FaultSweepConfig::default() }
 }
 
@@ -148,4 +155,28 @@ fn strict_boundary_crashes_do_zero_recovery_work() {
     let s = run_sweep(amnt_core::ProtocolKind::Strict, &cfg).expect("strict sweep");
     assert_eq!(s.silent, 0);
     assert_eq!(s.bounds_violations, 0, "strict recovery did forbidden work: {s:?}");
+}
+
+#[test]
+fn malformed_configs_are_typed_errors() {
+    // Each of these is rejected by the machine or the router before any
+    // op runs: a typed error, never a panic in the generator or the cache.
+    let base = FaultSweepConfig { ops: 4, ..FaultSweepConfig::default() };
+    let past_capacity = vec![SweepOp { addr: base.capacity, write: true }];
+    let cases = [
+        ("capacity 0", FaultSweepConfig { capacity: 0, ..base.clone() }),
+        ("capacity 32", FaultSweepConfig { capacity: 32, ..base.clone() }),
+        ("0 shards", FaultSweepConfig { shards: 0, ..base.clone() }),
+        ("3 shards", FaultSweepConfig { shards: 3, ..base.clone() }),
+        ("address past capacity", FaultSweepConfig { workload: past_capacity, ..base.clone() }),
+        ("0 B cache", FaultSweepConfig { metadata_cache_bytes: 0, ..base.clone() }),
+        ("32 B cache", FaultSweepConfig { metadata_cache_bytes: 32, ..base.clone() }),
+    ];
+    for (what, cfg) in cases {
+        let err = run_sweep(ProtocolKind::Leaf, &cfg).expect_err(what);
+        assert!(
+            matches!(err, IntegrityError::Invariant { .. } | IntegrityError::OutOfRange { .. }),
+            "{what}: {err:?}"
+        );
+    }
 }

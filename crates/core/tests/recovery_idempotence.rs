@@ -8,7 +8,8 @@
 //! runs, and within a run a repeated recovery must leave the media
 //! untouched while doing monotonically non-increasing work.
 //!
-//! `AMNT_FAULT_OPS` scales the workload (default 16 ops).
+//! `AMNT_FAULT_OPS` scales the workload (default 16 ops); a value that is
+//! not a non-negative integer fails the tests.
 
 use amnt_core::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, RecoveryReport,
@@ -16,12 +17,16 @@ use amnt_core::{
 };
 use amnt_nvm::{FaultPlan, PhasedPlan};
 
-/// Workload size knob shared with the sweep tests.
+/// Workload size knob shared with the sweep tests. Unset runs the default;
+/// a value that does not parse fails with the message the `fault_sweep`
+/// bin exits on.
 fn ops_knob() -> usize {
-    std::env::var("AMNT_FAULT_OPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(16)
+    let Some(v) = std::env::var_os("AMNT_FAULT_OPS") else {
+        return 16;
+    };
+    let v = v.to_string_lossy();
+    v.parse()
+        .unwrap_or_else(|_| panic!("AMNT_FAULT_OPS={v:?} is not a non-negative integer"))
 }
 
 /// Mutation-path crash ordinal: small enough to fire for every protocol

@@ -3,14 +3,15 @@
 //! A shard is a trust and recovery *domain*: tamper with shard A's media
 //! and it is A's audit/recovery machinery that must catch it; shard B must
 //! keep auditing clean, keep reading back its own data, and must never be
-//! the channel through which A's damage is observed — or healed. The
-//! shard-crossed fault sweep ([`amnt_core::fault::run_shard_sweep`]) proves
-//! the same property under power failure for every recoverable protocol;
-//! this suite isolates the tamper dimension with surgical single-bit flips.
+//! the channel through which A's damage is observed — or healed. The fault
+//! sweep ([`amnt_core::fault::run_sweep`]) at two shards proves the same
+//! property under every fault class for every recoverable protocol; the
+//! other tests isolate the tamper dimension with surgical single-bit flips.
 
-use amnt_core::fault::{run_shard_sweep, sweep_protocols, ShardSweepConfig};
+use amnt_core::fault::{run_sweep, sweep_protocols, tenant_mix};
 use amnt_core::{
-    AmntConfig, ProtocolKind, SecureMemoryConfig, ShardedMemory, ShardedUntimed, BLOCK_SIZE,
+    AmntConfig, FaultSweepConfig, ProtocolKind, SecureMemoryConfig, ShardedMemory,
+    ShardedUntimed, BLOCK_SIZE,
 };
 
 const MIB: u64 = 1024 * 1024;
@@ -166,29 +167,75 @@ fn counter_tamper_stays_inside_its_shard() {
 }
 
 #[test]
-fn shard_crossed_sweep_is_clean_for_every_protocol() {
-    // The full machine-checked sweep, small config, all six protocols:
-    // zero silent corruptions, zero cross-shard disturbances, zero
-    // cross-shard heals, recovery in per-shard bounds, merges verifiable.
-    let cfg = ShardSweepConfig {
-        ops: 10,
-        ..ShardSweepConfig::default()
+fn every_fault_class_is_clean_across_shards() {
+    // Every fault class, every shard as the victim, merges mid-run, all
+    // six protocols: the zero invariants hold across shard boundaries.
+    let mut cfg = FaultSweepConfig {
+        ops: 24,
+        shards: 2,
+        merge_every: 8,
+        metadata_cache_bytes: 1024,
+        ..FaultSweepConfig::default()
     };
+    cfg.workload = tenant_mix(&cfg);
+    let (mut evict_points, mut leaf) = (0, None);
     for (name, kind) in sweep_protocols() {
-        let s = run_shard_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(s.crash_points > 0, "{name}: no ordinals explored");
-        assert_eq!(s.silent, 0, "{name}: silent corruption");
-        assert_eq!(s.cross_shard_disturbances, 0, "{name}: cross-shard disturbance");
-        assert_eq!(s.cross_shard_heals, 0, "{name}: cross-shard heal");
-        assert_eq!(s.bounds_violations, 0, "{name}: recovery out of per-shard bounds");
-        assert_eq!(s.merge_failures, 0, "{name}: epoch merge failure");
-        assert_eq!(s.tamper_silent, 0, "{name}: silent tamper");
+        let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if kind == ProtocolKind::Leaf {
+            leaf = Some(s);
+        }
+        assert!(s.crash_points > 0, "{name}: no ordinals explored: {s:?}");
+        assert!(s.recovered > 0, "{name}: never recovered a victim: {s:?}");
+        assert!(s.torn_recovered + s.torn_detected > 0, "{name}: no torn points: {s:?}");
+        assert!(s.tail_recovered + s.tail_detected > 0, "{name}: no tail points: {s:?}");
+        assert!(s.verify_queue_points > 0, "{name}: no verify-queue points: {s:?}");
+        assert!(s.tamper_points > 0, "{name}: no tamper points: {s:?}");
+        if matches!(name, "leaf" | "osiris" | "anubis" | "bmf") {
+            assert!(s.recovery_points > 0, "{name}: recovery never faulted: {s:?}");
+        }
+        evict_points += s.evict_points;
+        for (what, count) in [
+            ("silent", s.silent),
+            ("boundary deficit", s.boundary_deficit),
+            ("idempotence violations", s.idempotence_violations),
+            ("work regressions", s.work_regressions),
+            ("bounds violations", s.bounds_violations),
+            ("cross-shard disturbances", s.cross_shard_disturbances),
+            ("cross-shard heals", s.cross_shard_heals),
+            ("merge failures", s.merge_failures),
+        ] {
+            assert_eq!(count, 0, "{name}: {what}: {s:?}");
+        }
         assert_eq!(
             s.tamper_points,
             s.tamper_detected + s.tamper_healed,
-            "{name}: tamper outcomes must partition"
+            "{name}: tamper outcomes must partition: {s:?}"
         );
     }
+    assert!(evict_points > 0, "no protocol hit an eviction crash point");
+    // Pure function of (kind, cfg).
+    let again = run_sweep(ProtocolKind::Leaf, &cfg).expect("leaf sweep");
+    assert_eq!(leaf, Some(again), "sharded sweep not deterministic");
+
+    // A class switched off explores nothing; the clean crashes still hold.
+    let clean_only = FaultSweepConfig {
+        tail_depths: Vec::new(),
+        torn: false,
+        recovery_faults: false,
+        tamper: false,
+        ..cfg
+    };
+    let amnt = ProtocolKind::Amnt(AmntConfig::at_level(2));
+    let s = run_sweep(amnt, &clean_only).expect("amnt clean-only sweep");
+    assert!(s.crash_points > 0 && s.recovered > 0, "{s:?}");
+    let off = [
+        s.torn_recovered + s.torn_detected,
+        s.tail_recovered + s.tail_detected,
+        s.recovery_points,
+        s.tamper_points,
+    ];
+    assert_eq!(off, [0; 4], "disabled classes ran: {s:?}");
+    assert_eq!(s.silent + s.cross_shard_disturbances + s.merge_failures, 0, "{s:?}");
 }
 
 #[test]

@@ -126,9 +126,9 @@ echo "== sharded smoke (shard_bench determinism across worker counts) =="
 # The sharded controller runs one shard per executor job, so AMNT_JOBS is
 # a pure speed knob: the main artifact and the per-shard trace sidecar
 # must be byte-identical between 1 and 2 workers. The bin itself asserts
-# N=1 bit-equivalence to the unsharded SecureMemory and runs the
-# shard-crossed fault/tamper sweep at every N (perfgate pins the zero
-# rows). AMNT_SHARD_OPS scales the tenant mix (default 800).
+# N=1 bit-equivalence to the unsharded SecureMemory and runs the fault
+# sweep, every fault class, at every N (perfgate pins the zero rows).
+# AMNT_SHARD_OPS scales the tenant mix (default 800).
 sharddir="$(mktemp -d)"
 AMNT_JOBS=1 cargo run --release -p amnt-bench --bin shard_bench || fail=1
 cp results/shard_bench.json results/shard_bench.trace.json "$sharddir"/ || fail=1
