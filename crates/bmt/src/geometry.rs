@@ -15,6 +15,7 @@
 //! children are the counter blocks.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Bytes per memory block (cache line).
 pub const BLOCK_SIZE: u64 = 64;
@@ -63,6 +64,10 @@ impl std::error::Error for GeometryError {}
 /// Geometry of the protected region: region bases, level sizes, and all
 /// address arithmetic used by the controller and recovery engine.
 ///
+/// The per-level tables are shared, so cloning a geometry never allocates:
+/// the controller clones it on every access to walk the tree while it
+/// mutates itself.
+///
 /// # Examples
 ///
 /// ```
@@ -79,12 +84,12 @@ pub struct BmtGeometry {
     data_capacity: u64,
     counter_blocks: u64,
     /// Node count per level, `level_sizes[0]` = level 1 (root) = 1.
-    level_sizes: Vec<u64>,
+    level_sizes: Arc<[u64]>,
     hmac_base: u64,
     counter_base: u64,
     /// NVM base address per stored level (levels 2..=bottom); indexed by
     /// `level - 2`. Empty when the tree is a single root node.
-    level_bases: Vec<u64>,
+    level_bases: Arc<[u64]>,
     total_size: u64,
 }
 
@@ -125,10 +130,10 @@ impl BmtGeometry {
         Ok(BmtGeometry {
             data_capacity,
             counter_blocks,
-            level_sizes,
+            level_sizes: level_sizes.into(),
             hmac_base,
             counter_base,
-            level_bases,
+            level_bases: level_bases.into(),
             total_size: cursor,
         })
     }
@@ -279,20 +284,14 @@ impl BmtGeometry {
 
     /// The ancestral path of counter block `index`, bottom level first, up to
     /// and including level 2 (the root's children). Empty when the root is
-    /// the only node level.
-    pub fn path_to_root(&self, counter_index: u64) -> Vec<NodeId> {
-        let mut path = Vec::with_capacity(self.bottom_level() as usize);
-        let mut node = self.counter_parent(counter_index);
-        while node.level >= 2 {
-            path.push(node);
-            // Level >= 2 always has a parent; the loop ends defensively
+    /// the only node level. Walks the levels lazily, so it never allocates.
+    pub fn path_to_root(&self, counter_index: u64) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(self.counter_parent(counter_index)), |node| {
+            // Level >= 2 always has a parent; the walk ends defensively
             // instead of panicking because path walks run during recovery.
-            match self.parent(node) {
-                Some(p) => node = p,
-                None => break,
-            }
-        }
-        path
+            self.parent(*node)
+        })
+        .take_while(|node| node.level >= 2)
     }
 
     /// How many counter blocks one node at `level` covers.
@@ -368,7 +367,7 @@ mod tests {
         let g = BmtGeometry::new(PAGE_SIZE * 8).unwrap();
         assert_eq!(g.counter_blocks(), 8);
         assert_eq!(g.bottom_level(), 1);
-        assert!(g.path_to_root(3).is_empty());
+        assert_eq!(g.path_to_root(3).count(), 0);
     }
 
     #[test]
@@ -393,7 +392,7 @@ mod tests {
     #[test]
     fn path_to_root_walks_every_level() {
         let g = BmtGeometry::new(mib(2)).unwrap(); // bottom level 3
-        let path = g.path_to_root(511);
+        let path: Vec<NodeId> = g.path_to_root(511).collect();
         assert_eq!(path.len(), 2); // levels 3, 2
         assert_eq!(path[0], NodeId { level: 3, index: 63 });
         assert_eq!(path[1], NodeId { level: 2, index: 7 });
@@ -460,7 +459,7 @@ mod tests {
             let pages = rng.gen_range(1..5000);
             let g = BmtGeometry::new(pages * PAGE_SIZE).unwrap();
             let counter = rng.gen_range(0..5000) % g.counter_blocks();
-            let path = g.path_to_root(counter);
+            let path: Vec<NodeId> = g.path_to_root(counter).collect();
             // Path is strictly ascending toward the root and parent-linked.
             for w in path.windows(2) {
                 assert_eq!(g.parent(w[0]).unwrap(), w[1]);

@@ -171,7 +171,17 @@ impl SecureMemory {
                 }
                 ProtocolState::Bmf(state)
             }
-            ProtocolKind::Amnt(c) => ProtocolState::Amnt(AmntState::new(c, bottom)),
+            ProtocolKind::Amnt(c) => {
+                // Level 1 is the on-chip root register, and levels past the
+                // bottom do not exist: no subtree root can sit at either.
+                if !(2..=bottom).contains(&c.subtree_level) {
+                    return Err(IntegrityError::SubtreeLevel {
+                        level: c.subtree_level,
+                        bottom,
+                    });
+                }
+                ProtocolState::Amnt(AmntState::new(c))
+            }
         };
         Ok(SecureMemory {
             bmt: Bmt::new(geometry, &config.integrity_key),
@@ -1206,7 +1216,7 @@ impl SecureMemory {
         // in parallel (a hardware write transaction).
         let strict_like = match &self.protocol {
             ProtocolState::Strict => true,
-            ProtocolState::Amnt(s) => !s.covers(g.subtree_index(addr, s.level)),
+            ProtocolState::Amnt(s) => !s.covers(g.subtree_index(addr, s.config.subtree_level)),
             _ => false,
         };
         // The remaining leaf content updates belong to the re-encryption
@@ -1375,11 +1385,11 @@ impl SecureMemory {
 
         // AMNT: classify the write and handle hot-region tracking.
         let amnt_target: Option<NodeId> = if let ProtocolState::Amnt(s) = &mut self.protocol {
-            let region = g.subtree_index(data_addr, s.level);
+            let region = g.subtree_index(data_addr, s.config.subtree_level);
             if s.covers(region) {
                 self.stats.subtree_hits += 1;
                 Some(NodeId {
-                    level: s.level,
+                    level: s.config.subtree_level,
                     index: region,
                 })
             } else {
@@ -1522,10 +1532,7 @@ impl SecureMemory {
                 ProtocolState::Amnt(s) => s,
                 _ => return Ok(t),
             };
-            if g.bottom_level() < 2 {
-                return Ok(t); // degenerate tree: no subtree to manage
-            }
-            let region = g.subtree_index(data_addr, s.level);
+            let region = g.subtree_index(data_addr, s.config.subtree_level);
             s.history.record(region);
             s.writes_in_interval += 1;
             let elect = s.writes_in_interval >= s.config.interval_writes;
@@ -1546,7 +1553,11 @@ impl SecureMemory {
     fn amnt_elect(&mut self, mut t: u64) -> Result<u64, IntegrityError> {
         let g = self.bmt.geometry().clone();
         let (level, winner, incumbent) = match &self.protocol {
-            ProtocolState::Amnt(s) => (s.level, s.history.hottest(), s.register.map(|(id, _)| id)),
+            ProtocolState::Amnt(s) => (
+                s.config.subtree_level,
+                s.history.hottest(),
+                s.register.map(|(id, _)| id),
+            ),
             _ => return Ok(t),
         };
         let winner = match winner {

@@ -32,6 +32,14 @@ pub enum IntegrityError {
     },
     /// The underlying device failed.
     Device(NvmError),
+    /// The AMNT subtree root level is not a stored level of this tree:
+    /// level 1 is the on-chip root, and levels past the bottom do not exist.
+    SubtreeLevel {
+        /// The configured subtree level.
+        level: u32,
+        /// The tree's bottom node level, the deepest a subtree root may sit.
+        bottom: u32,
+    },
     /// An internal structural invariant was violated (e.g. a stored tree
     /// node with no parent). Indicates controller state corruption rather
     /// than data tampering; surfaced as an error instead of a panic so the
@@ -61,6 +69,10 @@ impl fmt::Display for IntegrityError {
                 write!(f, "address {addr:#x} is outside the protected region")
             }
             IntegrityError::Device(e) => write!(f, "device error: {e}"),
+            IntegrityError::SubtreeLevel { level, bottom } => write!(
+                f,
+                "AMNT subtree level {level} is outside this tree's stored levels 2..={bottom}"
+            ),
             IntegrityError::Invariant { what } => {
                 write!(f, "internal invariant violated: {what}")
             }

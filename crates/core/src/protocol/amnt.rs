@@ -7,8 +7,9 @@ use amnt_bmt::{NodeBytes, NodeId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AmntConfig {
     /// BMT level of the subtree root, paper numbering (root = 1). Table 1
-    /// uses level 3 (64 possible subtree regions on an 8-level tree). The
-    /// controller clamps this to the tree's bottom level.
+    /// uses level 3 (64 possible subtree regions on an 8-level tree). It
+    /// must be a stored level, `2..=` the tree's bottom level; the
+    /// controller rejects any other with [`crate::IntegrityError::SubtreeLevel`].
     pub subtree_level: u32,
     /// Writes per hot-region tracking interval (Table 1: 64).
     pub interval_writes: u32,
@@ -44,8 +45,6 @@ impl AmntConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct AmntState {
     pub config: AmntConfig,
-    /// The effective subtree level after clamping to the tree depth.
-    pub level: u32,
     /// Non-volatile subtree-root register: which node, and its current image.
     /// `None` until the first interval elects a hot region.
     ///
@@ -61,11 +60,9 @@ pub(crate) struct AmntState {
 }
 
 impl AmntState {
-    pub fn new(config: AmntConfig, bottom_level: u32) -> Self {
-        let level = config.subtree_level.clamp(1, bottom_level);
+    pub fn new(config: AmntConfig) -> Self {
         AmntState {
             config,
-            level,
             register: None,
             history: HistoryBuffer::new(config.history_entries),
             writes_in_interval: 0,
@@ -98,16 +95,8 @@ mod tests {
     }
 
     #[test]
-    fn level_clamps_to_tree_depth() {
-        let s = AmntState::new(AmntConfig::at_level(9), 4);
-        assert_eq!(s.level, 4);
-        let s = AmntState::new(AmntConfig::at_level(0), 4);
-        assert_eq!(s.level, 1);
-    }
-
-    #[test]
     fn crash_preserves_register_but_not_history() {
-        let mut s = AmntState::new(AmntConfig::default(), 7);
+        let mut s = AmntState::new(AmntConfig::default());
         s.register = Some((NodeId { level: 3, index: 5 }, [1u8; 64]));
         s.history.record(5);
         s.writes_in_interval = 10;
@@ -119,7 +108,7 @@ mod tests {
 
     #[test]
     fn covers_checks_region_index() {
-        let mut s = AmntState::new(AmntConfig::default(), 7);
+        let mut s = AmntState::new(AmntConfig::default());
         assert!(!s.covers(5));
         s.register = Some((NodeId { level: 3, index: 5 }, [0u8; 64]));
         assert!(s.covers(5));

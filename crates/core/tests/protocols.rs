@@ -4,7 +4,7 @@
 
 use amnt_core::{
     AmntConfig, AnubisConfig, BmfConfig, IntegrityError, OsirisConfig, ProtocolKind, RecoveryError,
-    SecureMemory, SecureMemoryConfig,
+    SecureMemory, SecureMemoryConfig, ShardedMemory,
 };
 
 const MIB: u64 = 1024 * 1024;
@@ -400,6 +400,69 @@ fn amnt_tracks_the_hot_region() {
         "hot-region writes should land in the fast subtree: {stats:?}"
     );
     assert!(stats.subtree_transitions >= 1);
+}
+
+/// The subtree root must be a stored tree level: level 1 is the on-chip
+/// root, and levels past the bottom do not exist. Both ends are rejected
+/// at construction, by the plain and the sharded controller; both ends of
+/// the legal range run a crash cycle.
+#[test]
+fn amnt_subtree_level_must_be_a_stored_level() {
+    let cfg = SecureMemoryConfig::with_capacity(16 * MIB);
+    let bottom = mem(ProtocolKind::Strict, 16 * MIB)
+        .geometry()
+        .bottom_level();
+    // Eight shards of 2 MiB: each tree is one level shallower.
+    let shard_bottom = mem(ProtocolKind::Strict, 2 * MIB).geometry().bottom_level();
+    assert_eq!((bottom, shard_bottom), (4, 3));
+    for level in [0, 1, bottom + 1] {
+        let kind = ProtocolKind::Amnt(AmntConfig::at_level(level));
+        let want = IntegrityError::SubtreeLevel { level, bottom };
+        assert_eq!(
+            SecureMemory::new(cfg.clone(), kind).err(),
+            Some(want.clone())
+        );
+        assert_eq!(
+            ShardedMemory::new(cfg.clone(), kind, 8).err(),
+            Some(IntegrityError::SubtreeLevel {
+                level,
+                bottom: shard_bottom
+            })
+        );
+        assert!(
+            want.to_string().contains(&format!("level {level}")),
+            "{want}"
+        );
+    }
+    // The shards' bottom level is legal for the whole device but not for
+    // one shard's tree.
+    let kind = ProtocolKind::Amnt(AmntConfig::at_level(bottom));
+    assert_eq!(
+        ShardedMemory::new(cfg.clone(), kind, 8).err(),
+        Some(IntegrityError::SubtreeLevel {
+            level: bottom,
+            bottom: shard_bottom
+        })
+    );
+    for level in [2, bottom] {
+        let mut m = mem(ProtocolKind::Amnt(AmntConfig::at_level(level)), 16 * MIB);
+        let mut t = 0;
+        // Enough writes for several elections.
+        for i in 0..300u64 {
+            t = m.write_block(t, (i % 48) * 4096, &block(i as u8)).unwrap();
+        }
+        assert!(
+            m.subtree_root().is_some(),
+            "level {level}: an interval elects a subtree"
+        );
+        m.crash();
+        assert!(m.recover().unwrap().verified, "level {level}");
+        for i in 252..300u64 {
+            let (data, done) = m.read_block(t, (i % 48) * 4096).unwrap();
+            assert_eq!(data, block(i as u8), "level {level}");
+            t = done;
+        }
+    }
 }
 
 #[test]

@@ -3,10 +3,10 @@
 //! One scalar SHA-256 compression is a 64-round serial dependency chain:
 //! each round's working state feeds the next, so a single message schedule
 //! can never fill a superscalar core's ALU ports. Interleaving [`LANES`]
-//! *independent* message schedules breaks that ceiling — every operation
-//! becomes an element-wise operation over a `[u32; LANES]` vector of lane
-//! words (array-of-lanes state), which the compiler lowers to SIMD and
-//! which retires several lanes' rounds per cycle even in scalar form.
+//! *independent* message schedules breaks that ceiling: the crate's one
+//! round function, `compress_lanes`, runs here at `N = LANES` over an
+//! array-of-lanes state, and the compiler turns each round operation into
+//! one SIMD operation over all eight lanes.
 //!
 //! The engine is resumed from the per-key HMAC ipad/opad *midstates*
 //! ([`crate::HmacSha256`] precomputes them), so a batched 64-byte MAC costs
@@ -20,12 +20,12 @@
 //! verification lanes").
 
 use crate::hmac::HmacSha256;
-use crate::sha256::{Sha256, K};
+use crate::sha256::{compress_lanes, Sha256};
 
 /// Number of interleaved SHA-256 lanes in one batch compression.
 ///
-/// Eight lanes of `u32` fill two 128-bit SSE registers (or one AVX2
-/// register) per round variable, and eight is also the Bonsai tree arity —
+/// Eight lanes of `u32` fill one AVX2 register (or two 128-bit SSE
+/// registers) per round variable, and eight is also the Bonsai tree arity —
 /// one drained batch covers one node's worth of children.
 pub const LANES: usize = 8;
 
@@ -89,90 +89,13 @@ impl LaneState {
     /// `active` lanes commit the result (inactive lanes ran on garbage and
     /// discard it — the uniform control flow is what keeps the round loop
     /// vectorizable).
-    ///
-    /// Structured for the autovectorizer: the full 64-entry schedule is
-    /// extended up front as straight-line element-wise loops, and the 64
-    /// rounds are macro-unrolled with static register renaming — the usual
-    /// `h = g; g = f; …` rotation would copy eight 32-byte lane vectors per
-    /// round and spill the whole working set to the stack.
     fn compress(&mut self, blocks: &[[u8; 64]; LANES], active: &[bool; LANES]) {
-        let mut w = [[0u32; LANES]; 64];
-        for (t, wt) in w.iter_mut().take(16).enumerate() {
-            for l in 0..LANES {
-                let o = t * 4;
-                wt[l] = u32::from_be_bytes([
-                    blocks[l][o],
-                    blocks[l][o + 1],
-                    blocks[l][o + 2],
-                    blocks[l][o + 3],
-                ]);
-            }
-        }
-        for t in 16..64 {
-            for l in 0..LANES {
-                let w15 = w[t - 15][l];
-                let w2 = w[t - 2][l];
-                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-                w[t][l] = w[t - 16][l]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[t - 7][l])
-                    .wrapping_add(s1);
-            }
-        }
-        let mut a = self.state[0];
-        let mut b = self.state[1];
-        let mut c = self.state[2];
-        let mut d = self.state[3];
-        let mut e = self.state[4];
-        let mut f = self.state[5];
-        let mut g = self.state[6];
-        let mut h = self.state[7];
-        // One SHA-256 round across all lanes. Writes the new `a` into `$h`
-        // and the new `e` into `$d`; callers rename instead of rotating.
-        macro_rules! round {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident,
-             $h:ident, $i:expr) => {{
-                let wi = &w[$i];
-                let ki = K[$i];
-                let mut t1 = [0u32; LANES];
-                let mut t2 = [0u32; LANES];
-                for l in 0..LANES {
-                    let s1 =
-                        $e[l].rotate_right(6) ^ $e[l].rotate_right(11) ^ $e[l].rotate_right(25);
-                    let ch = ($e[l] & $f[l]) ^ (!$e[l] & $g[l]);
-                    t1[l] = $h[l]
-                        .wrapping_add(s1)
-                        .wrapping_add(ch)
-                        .wrapping_add(ki)
-                        .wrapping_add(wi[l]);
-                    let s0 =
-                        $a[l].rotate_right(2) ^ $a[l].rotate_right(13) ^ $a[l].rotate_right(22);
-                    let maj = ($a[l] & $b[l]) ^ ($a[l] & $c[l]) ^ ($b[l] & $c[l]);
-                    t2[l] = s0.wrapping_add(maj);
-                }
-                for l in 0..LANES {
-                    $d[l] = $d[l].wrapping_add(t1[l]);
-                    $h[l] = t1[l].wrapping_add(t2[l]);
-                }
-            }};
-        }
-        for chunk in 0..8 {
-            let i = chunk * 8;
-            round!(a, b, c, d, e, f, g, h, i);
-            round!(h, a, b, c, d, e, f, g, i + 1);
-            round!(g, h, a, b, c, d, e, f, i + 2);
-            round!(f, g, h, a, b, c, d, e, i + 3);
-            round!(e, f, g, h, a, b, c, d, i + 4);
-            round!(d, e, f, g, h, a, b, c, i + 5);
-            round!(c, d, e, f, g, h, a, b, i + 6);
-            round!(b, c, d, e, f, g, h, a, i + 7);
-        }
-        let regs = [a, b, c, d, e, f, g, h];
-        for (word, reg) in self.state.iter_mut().zip(regs.iter()) {
+        let mut next = self.state;
+        compress_lanes(&mut next, blocks);
+        for (word, new) in self.state.iter_mut().zip(&next) {
             for l in 0..LANES {
                 if active[l] {
-                    word[l] = word[l].wrapping_add(reg[l]);
+                    word[l] = new[l];
                 }
             }
         }
@@ -266,22 +189,7 @@ pub fn mac64_batch<const N: usize>(items: &[(&HmacSha256, &[u8]); N]) -> [u64; N
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tiny deterministic generator (SplitMix64) — the crypto crate stays
-    /// dependency-free, including on the in-tree prng.
-    struct Mix(u64);
-    impl Mix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        fn bytes(&mut self, len: usize) -> Vec<u8> {
-            (0..len).map(|_| self.next() as u8).collect()
-        }
-    }
+    use crate::test_rng::Mix;
 
     fn batch_eq_scalar(keys: &[Vec<u8>], msgs: &[Vec<u8>]) {
         let hmacs: Vec<HmacSha256> = keys.iter().map(|k| HmacSha256::new(k)).collect();

@@ -41,3 +41,28 @@ pub use ctr::{CtrEngine, BLOCK_SIZE};
 pub use hmac::HmacSha256;
 pub use lanes::{mac64_batch, DATA_MAC_MSG_LEN, LANES};
 pub use sha256::{sha256, Sha256};
+
+/// Tiny deterministic generator (SplitMix64) for the unit tests — the
+/// crypto crate stays dependency-free, including on the in-tree prng.
+#[cfg(test)]
+mod test_rng {
+    pub(crate) struct Mix(pub(crate) u64);
+
+    impl Mix {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| self.next() as u8).collect()
+        }
+
+        pub(crate) fn array<const N: usize>(&mut self) -> [u8; N] {
+            core::array::from_fn(|_| self.next() as u8)
+        }
+    }
+}

@@ -3,9 +3,8 @@
 //! A streaming [`Sha256`] hasher plus the convenience function [`sha256`].
 
 /// Round constants (first 32 bits of the fractional parts of the cube roots
-/// of the first 64 primes). Shared with the multi-lane engine in
-/// [`crate::lanes`].
-pub(crate) const K: [u32; 64] = [
+/// of the first 64 primes).
+const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -135,47 +134,99 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let mut lanes = self.state.map(|word| [word]);
+        compress_lanes(&mut lanes, core::array::from_ref(block));
+        self.state = lanes.map(|[word]| word);
+    }
+}
+
+/// The SHA-256 compression function over `N` independent lanes:
+/// `state[w][l]` is working word `w` of lane `l`, and lane `l` absorbs
+/// `blocks[l]`. This is the crate's only round loop: [`Sha256`] runs it at
+/// `N = 1` and the multi-lane MAC engine ([`crate::lanes`]) at `N = 8`.
+///
+/// The lane loop is the outermost loop, around a straight-line body: the
+/// 64 rounds are unrolled by a macro with static register renaming, and
+/// the message schedule is a 16-word ring extended in place as the rounds
+/// reach it. With no inner loop left, LLVM's loop vectorizer turns the
+/// lane loop into one pass of `N`-wide vector operations — at `N = 8` on
+/// x86-64-v3, every rotate becomes `vpsrld`/`vpslld`/`vpor` on one YMM
+/// register — while at `N = 1` the loop disappears and each rotate stays
+/// a scalar rotate. The message words are transposed first so that each
+/// one is a contiguous load across lanes.
+pub(crate) fn compress_lanes<const N: usize>(state: &mut [[u32; N]; 8], blocks: &[[u8; 64]; N]) {
+    let mut words = [[0u32; N]; 16];
+    for (l, block) in blocks.iter().enumerate() {
+        for (word, bytes) in words.iter_mut().zip(block.chunks_exact(4)) {
+            if let Some(lane) = word.get_mut(l) {
+                *lane = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            }
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+    }
+    for l in 0..N {
+        let mut w = [0u32; 16];
+        for (wt, word) in w.iter_mut().zip(&words) {
+            *wt = word[l];
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        let mut regs = [0u32; 8];
+        for (reg, word) in regs.iter_mut().zip(state.iter()) {
+            *reg = word[l];
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = regs;
+        // Round `$i`. Writes the new `a` into `$h` and the new `e` into
+        // `$d`; callers rename instead of rotating.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident,
+             $h:ident, $i:expr) => {{
+                if $i >= 16 {
+                    // W[i] = σ1(W[i-2]) + W[i-7] + σ0(W[i-15]) + W[i-16],
+                    // written over W[i-16]'s slot.
+                    let w15 = w[($i + 1) % 16];
+                    let w2 = w[($i + 14) % 16];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[$i % 16] = w[$i % 16]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[($i + 9) % 16])
+                        .wrapping_add(s1);
+                }
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = ($e & $f) ^ (!$e & $g);
+                let t1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[$i])
+                    .wrapping_add(w[$i % 16]);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(s0).wrapping_add(maj);
+            }};
+        }
+        // Eight rounds, after which every register is back in its role.
+        macro_rules! eight_rounds {
+            ($i:expr) => {
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            };
+        }
+        eight_rounds!(0);
+        eight_rounds!(8);
+        eight_rounds!(16);
+        eight_rounds!(24);
+        eight_rounds!(32);
+        eight_rounds!(40);
+        eight_rounds!(48);
+        eight_rounds!(56);
+        for (word, reg) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            word[l] = word[l].wrapping_add(reg);
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind};
 use amnt_sim::{with_amnt_plus, Machine, MachineConfig, SimReport};
-use amnt_workloads::{parsec, spec2017, read_trace, write_trace, Event, TraceGen, WorkloadModel};
+use amnt_workloads::{
+    parsec, spec2017, read_trace, write_trace, Event, EventStream, TraceGen, WorkloadModel,
+};
 use std::process::exit;
 
 struct Args {
@@ -36,6 +38,19 @@ fn usage() -> ! {
          \x20               [--stats-out FILE] [--list]"
     );
     exit(2)
+}
+
+/// Builds the machine, or reports a configuration it rejects (such as an
+/// AMNT subtree level the tree cannot hold) and exits with status 2.
+fn build_machine<S: Into<EventStream>>(
+    cfg: MachineConfig,
+    protocol: ProtocolKind,
+    workloads: Vec<(u32, S)>,
+) -> Machine {
+    Machine::new(cfg, protocol, workloads).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 fn parse_args() -> Args {
@@ -175,7 +190,7 @@ fn main() {
             eprintln!("replay currently drives a single-core machine");
             cfg = MachineConfig::parsec_single();
         }
-        let mut machine = Machine::new(cfg, protocol, vec![(1, events)]).expect("machine");
+        let mut machine = build_machine(cfg, protocol, vec![(1, events)]);
         machine.run(args.warmup).expect("run")
     } else {
         // "a+b" runs a multiprogram pair (one benchmark per core).
@@ -198,7 +213,7 @@ fn main() {
                 (pid, TraceGen::new(model, args.seed + i * 101, total))
             })
             .collect();
-        let mut machine = Machine::new(cfg, protocol, workloads).expect("machine");
+        let mut machine = build_machine(cfg, protocol, workloads);
         machine.run(args.warmup).expect("run")
     };
     print_report(&report);

@@ -4,7 +4,7 @@
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, ProtocolKind};
 use amnt_sim::{
     profile_pair, profile_single, run_multithread, run_pair, run_single, with_amnt_plus,
-    MachineConfig, RunLength, SimReport,
+    MachineConfig, RunLength, SimError, SimReport,
 };
 use amnt_workloads::{multiprogram_pairs, WorkloadModel};
 
@@ -237,6 +237,18 @@ fn subtree_level_sweep_monotonicity() {
         rates[0],
         rates[2]
     );
+}
+
+#[test]
+fn machine_rejects_subtree_levels_the_tree_cannot_hold() {
+    // The 256 MiB machine's tree has stored levels 2..=6.
+    for level in [1u32, 7] {
+        let kind = ProtocolKind::Amnt(AmntConfig::at_level(level));
+        let err = run_single(&model("fluidanimate"), small_single(), kind, RunLength::quick())
+            .expect_err("subtree level outside the tree");
+        let want = format!("subtree level {level} ");
+        assert!(matches!(&err, SimError::BadConfig(m) if m.contains(&want)), "{err}");
+    }
 }
 
 #[test]
