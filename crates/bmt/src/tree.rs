@@ -293,16 +293,6 @@ impl Bmt {
         Ok(image)
     }
 
-    /// The MAC a parent should hold for `node` given its stored content.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn stored_node_mac(&self, nvm: &mut Nvm, node: NodeId) -> Result<u64, NvmError> {
-        let bytes = nvm.read_block(self.geometry.node_addr(node))?;
-        Ok(self.hasher.node_mac(&bytes, node))
-    }
-
     // ------------------------------------------------------------------
     // Sparse (on-demand materialization) operations
     // ------------------------------------------------------------------

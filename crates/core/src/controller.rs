@@ -22,8 +22,7 @@
 
 use crate::config::SecureMemoryConfig;
 use crate::error::IntegrityError;
-use crate::protocol::ProtocolState;
-use crate::protocol::{AmntState, AnubisState, BmfState, OsirisState, ProtocolKind};
+use crate::protocol::{PathPersist, ProtocolKind, ProtocolState, WritePlan};
 use crate::stats::{ControllerStats, StatsSnapshot};
 use crate::timing::MemoryTimeline;
 use crate::untimed::NvmUntimed;
@@ -57,20 +56,21 @@ pub const BLOCK_SIZE: usize = 64;
 pub struct SecureMemory {
     config: SecureMemoryConfig,
     kind: ProtocolKind,
-    nvm: Nvm,
-    bmt: Bmt,
+    pub(crate) nvm: Nvm,
+    pub(crate) bmt: Bmt,
     engine: CtrEngine,
     metadata_cache: SetAssocCache,
     timeline: MemoryTimeline,
     /// On-chip non-volatile root register: the level-1 node image.
-    root_register: NodeBytes,
+    pub(crate) root_register: NodeBytes,
     /// Last-persisted images of currently-dirty metadata lines.
     persisted_images: BTreeMap<u64, NodeBytes>,
-    protocol: ProtocolState,
+    pub(crate) protocol: ProtocolState,
     /// Base of the auxiliary region (Anubis shadow table) in NVM.
-    aux_base: u64,
+    pub(crate) aux_base: u64,
     stats: ControllerStats,
-    crashed: bool,
+    /// Set by [`SecureMemory::crash`], cleared by a successful recovery.
+    pub(crate) crashed: bool,
     /// Cycle-domain tracer (disabled by default; see
     /// [`SecureMemory::enable_tracing`]). Trace state never feeds back into
     /// `stats`, the caches, or the timeline, so traced and untraced runs
@@ -133,7 +133,10 @@ impl SecureMemory {
     ///
     /// # Errors
     ///
-    /// Returns [`IntegrityError::Device`] for impossible geometry.
+    /// [`IntegrityError::OutOfRange`] for an impossible device or metadata
+    /// cache geometry; [`IntegrityError::SubtreeLevel`] or
+    /// [`IntegrityError::EmptyHistory`] for an AMNT configuration this tree
+    /// cannot run.
     pub fn new(config: SecureMemoryConfig, kind: ProtocolKind) -> Result<Self, IntegrityError> {
         let geometry =
             BmtGeometry::new(config.data_capacity).map_err(|_| IntegrityError::OutOfRange {
@@ -148,41 +151,7 @@ impl SecureMemory {
             capacity_bytes: nvm_capacity,
         });
         let timeline = MemoryTimeline::new(config.timing, config.write_queue);
-        let bottom = geometry.bottom_level();
-        let protocol = match kind {
-            ProtocolKind::Volatile => ProtocolState::Volatile,
-            ProtocolKind::Strict => ProtocolState::Strict,
-            ProtocolKind::Leaf => ProtocolState::Leaf,
-            ProtocolKind::Plp => ProtocolState::Plp,
-            ProtocolKind::Battery(c) => ProtocolState::Battery(c),
-            ProtocolKind::Osiris(c) => ProtocolState::Osiris(OsirisState::new(c)),
-            ProtocolKind::Anubis(c) => {
-                ProtocolState::Anubis(AnubisState::new(c, metadata_cache.config().lines()))
-            }
-            ProtocolKind::Bmf(c) => {
-                let mut state = BmfState::new(c);
-                let seed = BmfState::seed_level(c.capacity, bottom, |l| geometry.level_size(l));
-                for index in 0..geometry.level_size(seed) {
-                    // A fresh tree is all-zero, so zero images are current.
-                    state.roots.insert(
-                        NodeId { level: seed, index },
-                        crate::protocol::bmf_entry([0u8; 64]),
-                    );
-                }
-                ProtocolState::Bmf(state)
-            }
-            ProtocolKind::Amnt(c) => {
-                // Level 1 is the on-chip root register, and levels past the
-                // bottom do not exist: no subtree root can sit at either.
-                if !(2..=bottom).contains(&c.subtree_level) {
-                    return Err(IntegrityError::SubtreeLevel {
-                        level: c.subtree_level,
-                        bottom,
-                    });
-                }
-                ProtocolState::Amnt(AmntState::new(c))
-            }
-        };
+        let protocol = ProtocolState::new(kind, &geometry, metadata_cache.config().lines())?;
         Ok(SecureMemory {
             bmt: Bmt::new(geometry, &config.integrity_key),
             engine: CtrEngine::new(&config.encryption_key),
@@ -475,12 +444,6 @@ impl SecureMemory {
         self.recovery_phase_base.len()
     }
 
-    /// Device-stats snapshot (reads, writes) for per-phase hash-op
-    /// derivation in recovery code outside this module.
-    pub(crate) fn trace_nvm_reads(&self) -> u64 {
-        self.nvm.stats().reads
-    }
-
     /// Records `value` into recovery histogram `name` (no-op when tracing
     /// is off) — touched-closure sizes and other per-run gauges.
     pub(crate) fn trace_recovery_stat(&mut self, name: &'static str, value: u64) {
@@ -492,10 +455,7 @@ impl SecureMemory {
     /// The current AMNT subtree root, if the protocol is AMNT and a hot
     /// region has been elected.
     pub fn subtree_root(&self) -> Option<NodeId> {
-        match &self.protocol {
-            ProtocolState::Amnt(s) => s.register.map(|(id, _)| id),
-            _ => None,
-        }
+        self.protocol.subtree_register().map(|(id, _)| id)
     }
 
     /// Read-only access to the device (traffic stats, WPQ lane, residency).
@@ -660,33 +620,18 @@ impl SecureMemory {
             ChildRef::Node(n) => IntegrityError::NodeMac { node: *n },
         };
         loop {
-            // Trusted terminals.
-            if cur.level == 1 {
-                let stored = slot_of(&self.root_register, slot);
-                if Self::slot_matches(stored, child_mac, &child_bytes) {
+            // Trusted terminals: the root register, or an on-chip image the
+            // protocol holds (AMNT subtree register, BMF frontier node).
+            let trusted = if cur.level == 1 {
+                Some(&self.root_register)
+            } else {
+                self.protocol.trusted_image(cur)
+            };
+            if let Some(image) = trusted {
+                if Self::slot_matches(slot_of(image, slot), child_mac, &child_bytes) {
                     return Ok(t);
                 }
                 return Err(fail(&child));
-            }
-            if let ProtocolState::Amnt(s) = &self.protocol {
-                if let Some((id, image)) = s.register {
-                    if id == cur {
-                        let stored = slot_of(&image, slot);
-                        if Self::slot_matches(stored, child_mac, &child_bytes) {
-                            return Ok(t);
-                        }
-                        return Err(fail(&child));
-                    }
-                }
-            }
-            if let ProtocolState::Bmf(s) = &self.protocol {
-                if let Some(entry) = s.roots.get(&cur) {
-                    let stored = slot_of(&entry.image, slot);
-                    if Self::slot_matches(stored, child_mac, &child_bytes) {
-                        return Ok(t);
-                    }
-                    return Err(fail(&child));
-                }
             }
             let addr = g.node_addr(cur);
             let cached = self.config.trusted_ancestor_caching && self.metadata_cache.contains(addr);
@@ -726,91 +671,68 @@ impl SecureMemory {
         }
     }
 
-    /// Closes a metadata-fetch span opened around a miss fill: ends at the
-    /// fill's completion time, or at the last recorded cycle when the fill
-    /// failed verification (the span still closes so the stack stays
-    /// balanced on tamper-detection paths).
-    fn trace_pop_result(&mut self, r: Result<u64, IntegrityError>) -> Result<u64, IntegrityError> {
-        match &r {
-            Ok(t) => self.tracer.pop_span(*t),
+    /// Closes the innermost trace span: at the completion time `done`
+    /// reads off a successful result, or at the last recorded cycle with an
+    /// `error` mark when the operation failed (the span still closes, so
+    /// the stack stays balanced on tamper-detection paths).
+    fn trace_pop<T>(&mut self, result: &Result<T, IntegrityError>, done: impl FnOnce(&T) -> u64) {
+        match result {
+            Ok(v) => self.tracer.pop_span(done(v)),
             Err(_) => {
                 let end = self.tracer.last_ts();
                 self.tracer.pop_span_with(end, &[("error", 1)]);
             }
         }
-        r
     }
 
-    /// The demand-miss path of [`Self::fetch_counter`]: device fetch, walk
-    /// up, cache fill.
-    fn fill_counter_miss(&mut self, mut t: u64, index: u64, addr: u64) -> Result<u64, IntegrityError> {
+    /// A metadata miss: device fetch, the verification walk up from `walk`
+    /// (HMAC lines are MACs themselves and need none), cache fill.
+    fn fill_miss(
+        &mut self,
+        mut t: u64,
+        addr: u64,
+        walk: Option<ChildRef>,
+    ) -> Result<u64, IntegrityError> {
         t = self.timeline.read(t, addr);
         self.stats.metadata_fetches += 1;
-        t = self.verify_up(t, ChildRef::Counter(index))?;
+        if let Some(child) = walk {
+            t = self.verify_up(t, child)?;
+        }
         self.meta_fill(t, addr, false)
     }
 
-    /// Fetches (and if necessary verifies + caches) counter block `index`.
-    fn fetch_counter(
+    /// Makes metadata line `addr` resident: a hit costs the cache latency,
+    /// a miss runs [`Self::fill_miss`] inside a `span` trace span. Returns
+    /// the time the line is usable.
+    fn fetch_meta(
         &mut self,
-        mut t: u64,
-        index: u64,
-    ) -> Result<(CounterBlock, u64), IntegrityError> {
-        let addr = self.bmt.geometry().counter_addr(index);
+        t: u64,
+        addr: u64,
+        span: &'static str,
+        walk: Option<ChildRef>,
+    ) -> Result<u64, IntegrityError> {
         if self.metadata_cache.access(addr, false).hit {
-            t += self.config.timing.metadata_cache;
-        } else {
-            self.tracer
-                .push_span(t, "meta.fetch.counter", "meta", &[("addr", addr)]);
-            let r = self.fill_counter_miss(t, index, addr);
-            t = self.trace_pop_result(r)?;
+            return Ok(t + self.config.timing.metadata_cache);
         }
+        self.tracer.push_span(t, span, "meta", &[("addr", addr)]);
+        let r = self.fill_miss(t, addr, walk);
+        self.trace_pop(&r, |t| *t);
+        r
+    }
+
+    /// Fetches (verifying and caching on a miss) counter block `index`.
+    fn fetch_counter(&mut self, t: u64, index: u64) -> Result<(CounterBlock, u64), IntegrityError> {
+        let addr = self.bmt.geometry().counter_addr(index);
+        let t = self.fetch_meta(t, addr, "meta.fetch.counter", Some(ChildRef::Counter(index)))?;
         let bytes = self.nvm.read_block_untimed(addr)?;
         Ok((CounterBlock::decode(&bytes), t))
     }
 
-    /// The demand-miss path of [`Self::ensure_node`].
-    fn fill_node_miss(&mut self, mut t: u64, node: NodeId, addr: u64) -> Result<u64, IntegrityError> {
-        t = self.timeline.read(t, addr);
-        self.stats.metadata_fetches += 1;
-        t = self.verify_up(t, ChildRef::Node(node))?;
-        self.meta_fill(t, addr, false)
-    }
-
-    /// Ensures tree node `node` is cached (fetch + verify on miss).
-    fn ensure_node(&mut self, mut t: u64, node: NodeId) -> Result<u64, IntegrityError> {
-        let addr = self.bmt.geometry().node_addr(node);
-        if self.metadata_cache.access(addr, false).hit {
-            t += self.config.timing.metadata_cache;
-        } else {
-            self.tracer
-                .push_span(t, "meta.fetch.node", "meta", &[("addr", addr)]);
-            let r = self.fill_node_miss(t, node, addr);
-            t = self.trace_pop_result(r)?;
-        }
-        Ok(t)
-    }
-
-    /// The demand-miss path of [`Self::fetch_hmac`].
-    fn fill_hmac_miss(&mut self, mut t: u64, line: u64) -> Result<u64, IntegrityError> {
-        t = self.timeline.read(t, line);
-        self.stats.metadata_fetches += 1;
-        self.meta_fill(t, line, false)
-    }
-
-    /// Fetches the HMAC block covering `data_addr`; returns the stored MAC.
-    /// HMAC blocks are MACs themselves and need no tree walk.
-    fn fetch_hmac(&mut self, mut t: u64, data_addr: u64) -> Result<(u64, u64), IntegrityError> {
+    /// Fetches the HMAC line covering `data_addr`; returns the stored MAC.
+    fn fetch_hmac(&mut self, t: u64, data_addr: u64) -> Result<(u64, u64), IntegrityError> {
         let hmac_addr = self.bmt.geometry().hmac_addr(data_addr);
         let line = hmac_addr & !(BLOCK_SIZE as u64 - 1);
-        if self.metadata_cache.access(line, false).hit {
-            t += self.config.timing.metadata_cache;
-        } else {
-            self.tracer
-                .push_span(t, "meta.fetch.hmac", "meta", &[("addr", line)]);
-            let r = self.fill_hmac_miss(t, line);
-            t = self.trace_pop_result(r)?;
-        }
+        let t = self.fetch_meta(t, line, "meta.fetch.hmac", None)?;
         let mut buf = [0u8; 8];
         self.nvm.read_bytes_untimed(hmac_addr, &mut buf)?;
         Ok((u64::from_be_bytes(buf), t))
@@ -936,13 +858,7 @@ impl SecureMemory {
         let result = self
             .fetch_counter(now, index)
             .and_then(|(_, t)| self.fetch_hmac(t, next));
-        match &result {
-            Ok((_, t)) => self.tracer.pop_span(*t),
-            Err(_) => {
-                let end = self.tracer.last_ts();
-                self.tracer.pop_span_with(end, &[("error", 1)]);
-            }
-        }
+        self.trace_pop(&result, |(_, t)| *t);
         self.prefetching = false;
         // A prefetch that *fails verification* is a real tamper signal —
         // the media lied about a line we were about to trust — so it
@@ -979,13 +895,7 @@ impl SecureMemory {
         // prefetches recorded below all nest under this read's span.
         self.tracer.push_span(now, "read", "op", &[("addr", addr)]);
         let result = self.read_block_impl(now, addr);
-        match &result {
-            Ok((_, t)) => self.tracer.pop_span(*t),
-            Err(_) => {
-                let end = self.tracer.last_ts();
-                self.tracer.pop_span_with(end, &[("error", 1)]);
-            }
-        }
+        self.trace_pop(&result, |(_, t)| *t);
         result
     }
 
@@ -1138,13 +1048,7 @@ impl SecureMemory {
         // under this write's span.
         self.tracer.push_span(now, "write", "op", &[("addr", addr)]);
         let result = self.write_block_impl(now, addr, data);
-        match &result {
-            Ok(t) => self.tracer.pop_span(*t),
-            Err(_) => {
-                let end = self.tracer.last_ts();
-                self.tracer.pop_span_with(end, &[("error", 1)]);
-            }
-        }
+        self.trace_pop(&result, |t| *t);
         result
     }
 
@@ -1158,21 +1062,14 @@ impl SecureMemory {
         // reads must complete before this write mutates persisted state.
         self.flush_verify_queue()?;
         self.stats.data_writes += 1;
-        let trace_hits_before = self.stats.subtree_hits;
-        let trace_misses_before = self.stats.subtree_misses;
         let g = self.bmt.geometry().clone();
         let index = g.counter_index(addr);
         let slot = g.counter_slot(addr);
 
         let (mut counter, mut t) = self.fetch_counter(now, index)?;
-        let outcome = counter.increment(slot);
-        let mut force_counter_persist = false;
-        let mut reencrypting = false;
-        if outcome == IncrementOutcome::MajorOverflow {
-            let old = {
-                let bytes = self.nvm.read_block_untimed(g.counter_addr(index))?;
-                CounterBlock::decode(&bytes)
-            };
+        let overflow = counter.increment(slot) == IncrementOutcome::MajorOverflow;
+        if overflow {
+            let old = CounterBlock::decode(&self.nvm.read_block_untimed(g.counter_addr(index))?);
             // Page re-encryption is a hardware write transaction: the new
             // ciphertexts, their MACs, and the bumped major counter land
             // all-or-nothing. A power cut between them would leave the page
@@ -1180,7 +1077,6 @@ impl SecureMemory {
             // an *undetectable* corruption, so the device must never expose
             // that window.
             self.nvm.begin_atomic();
-            reencrypting = true;
             match self.reencrypt_page(t, index, &old, &counter) {
                 Ok(done) => t = done,
                 Err(e) => {
@@ -1188,65 +1084,28 @@ impl SecureMemory {
                     return Err(e);
                 }
             }
-            force_counter_persist = !matches!(self.protocol, ProtocolState::Volatile);
         }
 
-        // Encrypt, MAC, and update the leaf metadata contents.
-        let ct = self
-            .engine
-            .encrypt_block(addr, counter.major(), counter.minor(slot), data);
-        let mac = self
-            .bmt
-            .hasher()
-            .data_mac(&ct, addr, counter.major(), counter.minor(slot));
-        self.stats.hashes += 2; // data MAC + pad generation amortised
-        if let Err(e) = self.nvm.write_block_untimed(addr, &ct) {
-            if reencrypting {
-                self.nvm.end_atomic();
-            }
-            return Err(e.into());
-        }
-
-        let hmac_addr = g.hmac_addr(addr);
-        let hmac_line = hmac_addr & !(BLOCK_SIZE as u64 - 1);
-        let counter_addr = g.counter_addr(index);
-        // Strict-style writes persist the whole chain in order (data, HMAC,
-        // counter, then every ancestral node): each persist may only start
-        // once the previous is durable. Leaf-style groups persist atomically
-        // in parallel (a hardware write transaction).
-        let strict_like = match &self.protocol {
-            ProtocolState::Strict => true,
-            ProtocolState::Amnt(s) => !s.covers(g.subtree_index(addr, s.config.subtree_level)),
-            _ => false,
-        };
-        // The remaining leaf content updates belong to the re-encryption
-        // transaction when one is open (a new major counter must land with
-        // the re-encrypted page); the bracket closes exactly once whether
-        // they succeed or not.
-        let leaf = self.write_block_leaf_meta(
-            t,
-            index,
-            hmac_line,
-            hmac_addr,
-            counter_addr,
-            &counter,
-            mac,
-            force_counter_persist,
-        );
-        if reencrypting {
+        // The leaf updates belong to the re-encryption transaction when one
+        // is open (a new major counter must land with the re-encrypted
+        // page); the bracket closes exactly once whether they succeed or
+        // not.
+        let leaf = self.write_block_leaf(t, addr, data, &counter, overflow);
+        if overflow {
             self.nvm.end_atomic();
         }
-        let (persist_data, persist_hmac, persist_counter, blocking, leaf_t) = leaf?;
+        let (plan, leaf_t) = leaf?;
         t = leaf_t;
 
-        // Issue the leaf persist group: ordered chain for strict-style
-        // writes, parallel banks with one durability wait otherwise.
+        // Issue the leaf persist group (data, HMAC, counter): an ordered
+        // chain, where each persist may only start once the previous is
+        // durable, or parallel banks with one durability wait.
         let mut group_done = t;
         let mut chain = 0u64;
-        if persist_data {
+        if plan.persist_data {
             let (done, stall) = self.timeline.write(t, addr, chain);
             t += stall;
-            if strict_like {
+            if plan.ordered_leaf {
                 chain = done;
             }
             group_done = group_done.max(done);
@@ -1256,216 +1115,156 @@ impl SecureMemory {
             t += stall;
             self.stats.posted_writes += 1;
         }
-        if persist_hmac {
-            let (done, stall) = self.timeline.write(t, hmac_line, chain);
-            t += stall;
-            if strict_like {
-                chain = done;
+        for (line, persist) in [
+            (g.hmac_addr(addr) & !(BLOCK_SIZE as u64 - 1), plan.persist_hmac),
+            (g.counter_addr(index), plan.persist_counter),
+        ] {
+            if persist {
+                let (done, stall) = self.timeline.write(t, line, chain);
+                t += stall;
+                if plan.ordered_leaf {
+                    chain = done;
+                }
+                group_done = group_done.max(done);
+                self.stats.persist_writes += 1;
+                self.mark_persisted(line);
+            } else {
+                self.metadata_cache.access(line, true);
             }
-            group_done = group_done.max(done);
-            self.stats.persist_writes += 1;
-            self.mark_persisted(hmac_line);
-        } else {
-            self.metadata_cache.access(hmac_line, true);
         }
-        if persist_counter {
-            let (done, stall) = self.timeline.write(t, counter_addr, chain);
-            t += stall;
-            // (The ordered chain continues into the node updates below:
-            // with `blocking`, t advances to group_done before them.)
-            group_done = group_done.max(done);
-            self.stats.persist_writes += 1;
-            self.mark_persisted(counter_addr);
-        } else {
-            self.metadata_cache.access(counter_addr, true);
-        }
-        if blocking {
+        if plan.blocking {
             t = t.max(group_done);
         }
 
-        // Update the ancestral tree path per protocol.
+        // Update the ancestral tree path.
         let counter_bytes = counter.encode();
         let leaf_mac = self.bmt.hasher().counter_mac(&counter_bytes, index);
         self.stats.hashes += 1;
-        t = self.update_path(t, addr, index, leaf_mac)?;
+        t = self.update_path(t, addr, index, leaf_mac, &plan)?;
 
         self.stats.wait_cycles += t.saturating_sub(now);
         if self.tracer.enabled() {
             let dur = t.saturating_sub(now);
             self.tracer.record("write.wait", dur);
             // AMNT only: split the wait by subtree classification.
-            if self.stats.subtree_hits > trace_hits_before {
-                self.tracer.record("write.subtree_hit.wait", dur);
-            } else if self.stats.subtree_misses > trace_misses_before {
-                self.tracer.record("write.subtree_miss.wait", dur);
+            match plan.subtree_hit {
+                Some(true) => self.tracer.record("write.subtree_hit.wait", dur),
+                Some(false) => self.tracer.record("write.subtree_miss.wait", dur),
+                None => {}
             }
             self.trace_tick(t);
         }
         Ok(t)
     }
 
-    /// The leaf-metadata content updates of a write: HMAC-line residency,
-    /// the protocol's persist decision, and the HMAC + counter content
-    /// writes. Split out of [`Self::write_block`] so the page re-encryption
-    /// transaction (when open) has a single close point around it.
-    #[allow(clippy::too_many_arguments)]
-    fn write_block_leaf_meta(
+    /// The leaf updates of a write: encrypt, MAC and write the data, make
+    /// the HMAC line resident, decide the protocol's [`WritePlan`], and
+    /// write the HMAC and counter contents. Split out of
+    /// [`Self::write_block`] so the page re-encryption transaction (when
+    /// open) has a single close point around all of it.
+    fn write_block_leaf(
         &mut self,
         mut t: u64,
-        index: u64,
-        hmac_line: u64,
-        hmac_addr: u64,
-        counter_addr: u64,
+        addr: u64,
+        data: &[u8; BLOCK_SIZE],
         counter: &CounterBlock,
-        mac: u64,
-        force_counter_persist: bool,
-    ) -> Result<(bool, bool, bool, bool, u64), IntegrityError> {
-        // The HMAC line must be resident to update it.
-        if !self.metadata_cache.contains(hmac_line) {
-            t = self.timeline.read(t, hmac_line);
-            self.stats.metadata_fetches += 1;
-            t = self.meta_fill(t, hmac_line, false)?;
-        } else {
+        overflow: bool,
+    ) -> Result<(WritePlan, u64), IntegrityError> {
+        let g = self.bmt.geometry();
+        let (major, minor) = (counter.major(), counter.minor(g.counter_slot(addr)));
+        let hmac_addr = g.hmac_addr(addr);
+        let hmac_line = hmac_addr & !(BLOCK_SIZE as u64 - 1);
+        let counter_addr = g.counter_addr(g.counter_index(addr));
+        let ct = self.engine.encrypt_block(addr, major, minor, data);
+        let mac = self.bmt.hasher().data_mac(&ct, addr, major, minor);
+        self.stats.hashes += 2; // data MAC + pad generation amortised
+        self.nvm.write_block_untimed(addr, &ct)?;
+        // The HMAC line must be resident to update it. A miss fills it
+        // without a demand access, so the cache counts no miss.
+        if self.metadata_cache.contains(hmac_line) {
             self.metadata_cache.access(hmac_line, false);
             t += self.config.timing.metadata_cache;
+        } else {
+            t = self.fill_miss(t, hmac_line, None)?;
         }
-        // Decide leaf persistence per protocol.
-        let (persist_data, persist_hmac, persist_counter, blocking) = match &mut self.protocol {
-            ProtocolState::Volatile | ProtocolState::Battery(_) => (false, false, false, false),
-            ProtocolState::Strict
-            | ProtocolState::Leaf
-            | ProtocolState::Plp
-            | ProtocolState::Bmf(_) => (true, true, true, true),
-            ProtocolState::Osiris(s) => {
-                let p = s.record_update(index) || force_counter_persist;
-                if p {
-                    s.mark_persisted(index);
-                }
-                (true, true, p, true)
-            }
-            ProtocolState::Anubis(s) => {
-                let p = s.osiris.record_update(index) || force_counter_persist;
-                if p {
-                    s.osiris.mark_persisted(index);
-                }
-                (true, true, p, true)
-            }
-            ProtocolState::Amnt(_) => (true, true, true, true),
-        };
-        let persist_counter = persist_counter || force_counter_persist;
+        let plan = self.protocol.plan_write(self.bmt.geometry(), addr, overflow);
 
         // Apply content updates (NVM is the logical current state).
-        if !persist_hmac {
+        if !plan.persist_hmac {
             self.snapshot_before_lazy_update(hmac_line)?;
         }
         self.nvm
             .write_bytes_untimed(hmac_addr, &mac.to_be_bytes())?;
-        if !persist_counter {
+        if !plan.persist_counter {
             self.snapshot_before_lazy_update(counter_addr)?;
         }
         self.nvm
             .write_block_untimed(counter_addr, &counter.encode())?;
-        Ok((persist_data, persist_hmac, persist_counter, blocking, t))
+        Ok((plan, t))
     }
 
-    /// Eagerly updates the ancestral path of counter `index` with
-    /// `leaf_mac`, persisting nodes as the protocol dictates, and finishes
-    /// at the appropriate trusted register.
+    /// Carries `leaf_mac` up the ancestral path of counter `index`,
+    /// persisting nodes as `plan` says, until the plan's on-chip terminal or
+    /// the root register absorbs it.
     fn update_path(
         &mut self,
         mut t: u64,
         data_addr: u64,
         index: u64,
         leaf_mac: u64,
+        plan: &WritePlan,
     ) -> Result<u64, IntegrityError> {
+        match plan.subtree_hit {
+            Some(true) => self.stats.subtree_hits += 1,
+            Some(false) => self.stats.subtree_misses += 1,
+            None => {}
+        }
         let g = self.bmt.geometry().clone();
-        let path = g.path_to_root(index);
+        let mut path = plan.path;
         let mut child_mac = leaf_mac;
         let mut child_slot = (index % TREE_ARITY) as usize;
-
-        // AMNT: classify the write and handle hot-region tracking.
-        let amnt_target: Option<NodeId> = if let ProtocolState::Amnt(s) = &mut self.protocol {
-            let region = g.subtree_index(data_addr, s.config.subtree_level);
-            if s.covers(region) {
-                self.stats.subtree_hits += 1;
-                Some(NodeId {
-                    level: s.config.subtree_level,
-                    index: region,
-                })
-            } else {
-                self.stats.subtree_misses += 1;
-                None
-            }
-        } else {
-            None
-        };
-
-        // BMF: find the covering persistent root and bump its frequency.
-        let bmf_cover: Option<NodeId> = if let ProtocolState::Bmf(s) = &self.protocol {
-            s.covering_root(g.bottom_level(), |l| g.ancestor_at_level(index, l))
-        } else {
-            None
-        };
-
-        let strict_nodes = matches!(
-            (&self.protocol, amnt_target),
-            (ProtocolState::Strict, _) | (ProtocolState::Plp, _) | (ProtocolState::Amnt(_), None)
-        );
-        // PLP issues its per-level persists in parallel: no ordering chain.
-        let ordered_chain = !matches!(self.protocol, ProtocolState::Plp);
-
-        let mut chain = t; // ordered-persist cursor
-        let mut used_chain = false;
-        for node in path {
-            // Terminals that absorb the update on-chip.
-            if Some(node) == amnt_target {
-                if let ProtocolState::Amnt(s) = &mut self.protocol {
-                    if let Some((id, image)) = &mut s.register {
-                        debug_assert_eq!(*id, node);
-                        set_slot(image, child_slot, child_mac);
-                        t += 1; // on-chip register update
-                    }
-                }
-                t = self.finish_amnt_write(t, data_addr)?;
-                return Ok(t);
-            }
-            if Some(node) == bmf_cover {
-                if let ProtocolState::Bmf(s) = &mut self.protocol {
-                    if let Some(entry) = s.roots.get_mut(&node) {
-                        set_slot(&mut entry.image, child_slot, child_mac);
-                        child_mac = self.bmt.hasher().node_mac(&entry.image, node);
-                        t += 1;
-                    }
-                    s.touch(node);
-                }
+        let mut chain = t; // write-through persist cursor
+        let mut wait_chain = false;
+        for node in g.path_to_root(index) {
+            if Some(node) == plan.terminal {
+                t += 1; // on-chip register update
+                let absorbed = self
+                    .protocol
+                    .absorb(node, child_slot, child_mac, self.bmt.hasher());
+                let Some(mac) = absorbed else {
+                    // The AMNT register is the trusted root of its subtree:
+                    // nothing above it changes.
+                    return self.finish_write(t, data_addr);
+                };
+                // A BMF frontier node's new MAC continues lazily above it,
+                // and the write does not wait on the persists below it.
                 self.stats.hashes += 1;
+                child_mac = mac;
                 child_slot = g.child_slot(node);
-                // Above the cover the updates continue lazily.
-                t = self.update_lazy_above(t, g.parent(node), child_mac, child_slot)?;
-                t = self.finish_bmf_write(t)?;
-                return Ok(t);
+                path = PathPersist::Lazy;
+                wait_chain = false;
+                continue;
             }
 
-            t = self.ensure_node(t, node)?;
             let addr = g.node_addr(node);
-            let persist_here = strict_nodes || matches!(&self.protocol, ProtocolState::Bmf(_)); // below cover: write-through
+            t = self.fetch_meta(t, addr, "meta.fetch.node", Some(ChildRef::Node(node)))?;
             let mut image = self.nvm.read_block_untimed(addr)?;
-            if !persist_here {
+            if path == PathPersist::Lazy {
                 self.snapshot_before_lazy_update(addr)?;
             }
             set_slot(&mut image, child_slot, child_mac);
             self.nvm.write_block_untimed(addr, &image)?;
-            if persist_here {
-                let not_before = if ordered_chain { chain } else { 0 };
-                let (done, stall) = self.timeline.write(t, addr, not_before);
+            if path == PathPersist::Lazy {
+                self.metadata_cache.access(addr, true);
+            } else {
+                let ordered = path == PathPersist::Ordered;
+                let (done, stall) = self.timeline.write(t, addr, if ordered { chain } else { 0 });
                 t += stall;
-                chain = if ordered_chain { done } else { chain.max(done) };
-                used_chain = true;
+                chain = if ordered { done } else { chain.max(done) };
+                wait_chain = true;
                 self.stats.persist_writes += 1;
                 self.mark_persisted(addr);
                 self.metadata_cache.access(addr, false);
-            } else {
-                self.metadata_cache.access(addr, true);
             }
             child_mac = self.bmt.hasher().node_mac(&image, node);
             self.stats.hashes += 1;
@@ -1475,103 +1274,59 @@ impl SecureMemory {
         // Reached the on-chip root register.
         set_slot(&mut self.root_register, child_slot, child_mac);
         t += 1;
-        if used_chain {
-            // Strict semantics: wait for the ordered write-through chain.
+        if wait_chain {
+            // Strict semantics: wait for the write-through persists.
             t = t.max(chain);
         }
-        match &self.protocol {
-            ProtocolState::Amnt(_) => self.finish_amnt_write(t, data_addr),
-            ProtocolState::Bmf(_) => self.finish_bmf_write(t),
-            _ => Ok(t),
-        }
+        self.finish_write(t, data_addr)
     }
 
-    /// Continues lazy slot updates from `start` up to the root register
-    /// (BMF's above-frontier region).
-    fn update_lazy_above(
-        &mut self,
-        mut t: u64,
-        start: Option<NodeId>,
-        mut child_mac: u64,
-        mut child_slot: usize,
-    ) -> Result<u64, IntegrityError> {
-        let g = self.bmt.geometry().clone();
-        let mut cur = start;
-        while let Some(node) = cur {
-            if node.level == 1 {
-                break;
+    /// Post-write protocol bookkeeping: AMNT records the write's region in
+    /// its history buffer and elects a subtree at the end of each interval;
+    /// BMF maintains its frontier once per interval.
+    fn finish_write(&mut self, t: u64, data_addr: u64) -> Result<u64, IntegrityError> {
+        match &mut self.protocol {
+            ProtocolState::Amnt(s) => {
+                let g = self.bmt.geometry();
+                s.history
+                    .record(g.subtree_index(data_addr, s.config.subtree_level));
+                s.writes_in_interval += 1;
+                if s.writes_in_interval >= s.config.interval_writes {
+                    s.writes_in_interval = 0;
+                    return self.amnt_elect(t);
+                }
             }
-            t = self.ensure_node(t, node)?;
-            let addr = g.node_addr(node);
-            self.snapshot_before_lazy_update(addr)?;
-            let mut image = self.nvm.read_block_untimed(addr)?;
-            set_slot(&mut image, child_slot, child_mac);
-            self.nvm.write_block_untimed(addr, &image)?;
-            self.metadata_cache.access(addr, true);
-            child_mac = self.bmt.hasher().node_mac(&image, node);
-            self.stats.hashes += 1;
-            t += self.config.timing.hash;
-            child_slot = g.child_slot(node);
-            cur = g.parent(node);
+            ProtocolState::Bmf(s) => {
+                s.writes_since_maintenance += 1;
+                if s.writes_since_maintenance >= s.config.maintenance_interval {
+                    s.writes_since_maintenance = 0;
+                    return self.bmf_maintain(t);
+                }
+            }
+            _ => {}
         }
-        set_slot(&mut self.root_register, child_slot, child_mac);
-        t += 1;
         Ok(t)
     }
 
     // ------------------------------------------------------------------
-    // AMNT hot-region tracking and subtree transitions
+    // AMNT subtree transitions
     // ------------------------------------------------------------------
-
-    /// Post-write AMNT bookkeeping: record the region in the history buffer
-    /// and run the end-of-interval subtree election.
-    fn finish_amnt_write(&mut self, mut t: u64, data_addr: u64) -> Result<u64, IntegrityError> {
-        let g = self.bmt.geometry().clone();
-        let (region, elect) = {
-            let s = match &mut self.protocol {
-                ProtocolState::Amnt(s) => s,
-                _ => return Ok(t),
-            };
-            let region = g.subtree_index(data_addr, s.config.subtree_level);
-            s.history.record(region);
-            s.writes_in_interval += 1;
-            let elect = s.writes_in_interval >= s.config.interval_writes;
-            if elect {
-                s.writes_in_interval = 0;
-            }
-            (region, elect)
-        };
-        let _ = region;
-        if elect {
-            t = self.amnt_elect(t)?;
-        }
-        Ok(t)
-    }
 
     /// End-of-interval election: adopt the history-buffer head as the new
     /// subtree root, transitioning if it differs from the incumbent.
     fn amnt_elect(&mut self, mut t: u64) -> Result<u64, IntegrityError> {
         let g = self.bmt.geometry().clone();
-        let (level, winner, incumbent) = match &self.protocol {
-            ProtocolState::Amnt(s) => (
-                s.config.subtree_level,
-                s.history.hottest(),
-                s.register.map(|(id, _)| id),
-            ),
-            _ => return Ok(t),
+        let ProtocolState::Amnt(s) = &mut self.protocol else {
+            return Ok(t);
         };
-        let winner = match winner {
-            Some(w) => w,
-            None => return Ok(t),
+        let Some(winner) = s.history.hottest() else {
+            return Ok(t);
         };
-        let winner_id = NodeId {
-            level,
-            index: winner,
-        };
-        if incumbent == Some(winner_id) {
-            if let ProtocolState::Amnt(s) = &mut self.protocol {
-                s.history.start_interval(Some(winner));
-            }
+        let level = s.config.subtree_level;
+        let winner_id = NodeId { level, index: winner };
+        let incumbent = s.register;
+        if incumbent.map(|(id, _)| id) == Some(winner_id) {
+            s.history.start_interval(Some(winner));
             return Ok(t);
         }
         // A transition republishes subtree state into the persistent global
@@ -1591,7 +1346,7 @@ impl SecureMemory {
                 "amnt.transition",
                 "amnt",
                 &[
-                    ("old", incumbent.map(|id| id.index).unwrap_or(u64::MAX)),
+                    ("old", incumbent.map(|(id, _)| id.index).unwrap_or(u64::MAX)),
                     ("new", winner),
                     ("level", level as u64),
                 ],
@@ -1602,24 +1357,18 @@ impl SecureMemory {
         // 1. Retire the incumbent: persist its register image, flush dirty
         //    subtree-internal nodes, and fold the new MAC into the global
         //    path (all off the critical path: posted writes).
-        if let Some((old_id, old_image)) = incumbent.and(match &self.protocol {
-            ProtocolState::Amnt(s) => s.register,
-            _ => None,
-        }) {
+        if let Some((old_id, old_image)) = incumbent {
             let old_addr = g.node_addr(old_id);
             self.nvm.write_block_untimed(old_addr, &old_image)?;
             self.timeline.write(t, old_addr, 0);
             self.stats.persist_writes += 1;
             self.mark_persisted(old_addr);
             // Flush dirty descendants of the old subtree root.
-            let drained = {
-                let g2 = g.clone();
-                self.metadata_cache.drain_dirty_where(|addr| {
-                    g2.node_of_addr(addr)
-                        .map(|n| g2.in_subtree(n, old_id))
-                        .unwrap_or(false)
-                })
-            };
+            let drained = self.metadata_cache.drain_dirty_where(|addr| {
+                g.node_of_addr(addr)
+                    .map(|n| g.in_subtree(n, old_id))
+                    .unwrap_or(false)
+            });
             for addr in drained {
                 self.timeline.write(t, addr, 0);
                 self.stats.persist_writes += 1;
@@ -1635,8 +1384,8 @@ impl SecureMemory {
                 if node.level == 1 {
                     break;
                 }
-                t = self.ensure_node(t, node)?;
                 let addr = g.node_addr(node);
+                t = self.fetch_meta(t, addr, "meta.fetch.node", Some(ChildRef::Node(node)))?;
                 let mut image = self.nvm.read_block_untimed(addr)?;
                 set_slot(&mut image, child_slot, child_mac);
                 self.nvm.write_block_untimed(addr, &image)?;
@@ -1653,13 +1402,11 @@ impl SecureMemory {
         }
 
         // 2. Adopt the winner: its NVM copy is current (strict region);
-        //    verify it against the global path, then load the register.
+        //    verify it against the global path, then load the register. A
+        //    miss fills without a demand access, so the cache counts none.
         let new_addr = g.node_addr(winner_id);
         if !self.metadata_cache.contains(new_addr) {
-            t = self.timeline.read(t, new_addr);
-            self.stats.metadata_fetches += 1;
-            t = self.verify_up(t, ChildRef::Node(winner_id))?;
-            t = self.meta_fill(t, new_addr, false)?;
+            t = self.fill_miss(t, new_addr, Some(ChildRef::Node(winner_id)))?;
         }
         let image = self.nvm.read_block_untimed(new_addr)?;
         if let ProtocolState::Amnt(s) = &mut self.protocol {
@@ -1673,48 +1420,24 @@ impl SecureMemory {
     // BMF maintenance
     // ------------------------------------------------------------------
 
-    /// Post-write BMF bookkeeping: run prune/merge maintenance each interval.
-    fn finish_bmf_write(&mut self, mut t: u64) -> Result<u64, IntegrityError> {
+    /// One BMF maintenance pass: merge the coldest complete sibling group
+    /// when capacity is tight, or prune the hottest frontier node into its
+    /// children, then age every frequency. A prune needs spare capacity and
+    /// a merge needs its absence, so at most one of them runs.
+    fn bmf_maintain(&mut self, mut t: u64) -> Result<u64, IntegrityError> {
         let g = self.bmt.geometry().clone();
-        let due = match &mut self.protocol {
-            ProtocolState::Bmf(s) => {
-                s.writes_since_maintenance += 1;
-                if s.writes_since_maintenance >= s.config.maintenance_interval {
-                    s.writes_since_maintenance = 0;
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if !due {
+        let ProtocolState::Bmf(s) = &self.protocol else {
             return Ok(t);
-        }
-        // Merge the coldest complete sibling group if capacity is tight.
-        let (merge, prune) = match &self.protocol {
-            ProtocolState::Bmf(s) => {
-                let expected = |p: NodeId| g.children(p).len();
-                let merge = if s.roots.len() + (TREE_ARITY as usize - 1) > s.config.capacity {
-                    s.pick_merge(expected)
-                } else {
-                    None
-                };
-                (merge, s.pick_prune(g.bottom_level(), TREE_ARITY as usize))
-            }
-            _ => (None, None),
         };
+        let merge = if s.roots.len() + (TREE_ARITY as usize - 1) > s.config.capacity {
+            s.pick_merge(|p| g.children(p).len())
+        } else {
+            None
+        };
+        let prune = s.pick_prune(g.bottom_level(), TREE_ARITY as usize);
         if let Some(parent) = merge {
             t = self.bmf_merge(t, parent)?;
         }
-        let prune = match (&self.protocol, prune) {
-            (ProtocolState::Bmf(s), Some(p))
-                if s.roots.len() + (TREE_ARITY as usize - 1) <= s.config.capacity =>
-            {
-                Some(p)
-            }
-            _ => None,
-        };
         if let Some(node) = prune {
             t = self.bmf_prune(t, node)?;
         }
@@ -1732,9 +1455,8 @@ impl SecureMemory {
             ProtocolState::Bmf(s) => s.roots.remove(&node),
             _ => None,
         };
-        let entry = match entry {
-            Some(e) => e,
-            None => return Ok(t),
+        let Some(entry) = entry else {
+            return Ok(t);
         };
         // The departing node's on-chip image becomes the NVM copy.
         let addr = g.node_addr(node);
@@ -1743,17 +1465,12 @@ impl SecureMemory {
         self.stats.persist_writes += 1;
         self.mark_persisted(addr);
         // Children are below the old frontier: write-through, hence current.
-        let children: Vec<NodeId> = if node.level == g.bottom_level() {
-            Vec::new()
-        } else {
-            g.children(node)
-        };
-        for child in &children {
-            let caddr = g.node_addr(*child);
+        for child in g.children(node) {
+            let caddr = g.node_addr(child);
             t = self.timeline.read(t, caddr);
             let image = self.nvm.read_block_untimed(caddr)?;
             if let ProtocolState::Bmf(s) = &mut self.protocol {
-                s.roots.insert(*child, crate::protocol::bmf_entry(image));
+                s.roots.insert(child, crate::protocol::bmf_entry(image));
             }
         }
         self.stats.bmf_prunes += 1;
@@ -1763,24 +1480,21 @@ impl SecureMemory {
     /// Merges a cold complete sibling group into its parent.
     fn bmf_merge(&mut self, mut t: u64, parent: NodeId) -> Result<u64, IntegrityError> {
         let g = self.bmt.geometry().clone();
-        let children: Vec<NodeId> = if parent.level == g.bottom_level() {
+        let ProtocolState::Bmf(s) = &self.protocol else {
             return Ok(t);
-        } else {
-            g.children(parent)
+        };
+        if parent.level == g.bottom_level() {
+            return Ok(t);
+        }
+        let images: Option<Vec<(NodeId, NodeBytes)>> = g
+            .children(parent)
+            .into_iter()
+            .map(|child| s.roots.get(&child).map(|e| (child, e.image)))
+            .collect();
+        let Some(images) = images else {
+            return Ok(t); // incomplete group: bail out
         };
         let mut parent_image = [0u8; 64];
-        let mut images = Vec::with_capacity(children.len());
-        for child in &children {
-            let img = match &self.protocol {
-                ProtocolState::Bmf(s) => s.roots.get(child).map(|e| e.image),
-                _ => None,
-            };
-            let img = match img {
-                Some(i) => i,
-                None => return Ok(t), // incomplete group: bail out
-            };
-            images.push((*child, img));
-        }
         for (child, img) in &images {
             set_slot(
                 &mut parent_image,
@@ -1889,18 +1603,6 @@ impl SecureMemory {
         self.verify_queue.clear();
         self.verify_poison = None;
         self.prefetch_last = None;
-        // Battery-backed caches: the residual battery flushes up to its
-        // budget of dirty lines before power is lost. A flushed line's
-        // current (NVM) image is durable, so its rollback image is dropped.
-        if let ProtocolState::Battery(cfg) = &self.protocol {
-            let budget = cfg.flush_budget_lines;
-            let flushed: Vec<u64> = self.persisted_images.keys().copied().take(budget).collect();
-            self.stats.battery_flushes += flushed.len() as u64;
-            for addr in flushed {
-                self.persisted_images.remove(&addr);
-                self.metadata_cache.clean(addr);
-            }
-        }
         // Power actually fails now. Device-level faults — a lost or torn
         // in-flight write, a dropped WPQ tail — land first, so the rollback
         // restores below model the *post-fault* media. They bypass the fault
@@ -1938,13 +1640,7 @@ impl SecureMemory {
         }
         self.metadata_cache.clear();
         self.timeline.reset();
-        match &mut self.protocol {
-            ProtocolState::Amnt(s) => s.crash(),
-            ProtocolState::Osiris(s) => s.crash(),
-            ProtocolState::Anubis(s) => s.crash(),
-            ProtocolState::Bmf(s) => s.crash(),
-            _ => {}
-        }
+        self.protocol.crash();
         self.crashed = true;
     }
 
@@ -1952,22 +1648,6 @@ impl SecureMemory {
     /// `recover` since.
     pub fn is_crashed(&self) -> bool {
         self.crashed
-    }
-
-    pub(crate) fn clear_crashed(&mut self) {
-        self.crashed = false;
-    }
-
-    pub(crate) fn parts_for_recovery(
-        &mut self,
-    ) -> (&mut Nvm, &Bmt, &mut NodeBytes, &mut ProtocolState, u64) {
-        (
-            &mut self.nvm,
-            &self.bmt,
-            &mut self.root_register,
-            &mut self.protocol,
-            self.aux_base,
-        )
     }
 
     /// Recomputes the touched ancestor closure of the tree from the counters

@@ -40,6 +40,10 @@ pub enum IntegrityError {
         /// The tree's bottom node level, the deepest a subtree root may sit.
         bottom: u32,
     },
+    /// The AMNT history buffer was configured with zero entries
+    /// (`AmntConfig::history_entries`): the hot-region election needs at
+    /// least one.
+    EmptyHistory,
     /// An internal structural invariant was violated (e.g. a stored tree
     /// node with no parent). Indicates controller state corruption rather
     /// than data tampering; surfaced as an error instead of a panic so the
@@ -72,6 +76,10 @@ impl fmt::Display for IntegrityError {
             IntegrityError::SubtreeLevel { level, bottom } => write!(
                 f,
                 "AMNT subtree level {level} is outside this tree's stored levels 2..={bottom}"
+            ),
+            IntegrityError::EmptyHistory => write!(
+                f,
+                "AMNT history_entries is 0; the hot-region history buffer needs at least one entry"
             ),
             IntegrityError::Invariant { what } => {
                 write!(f, "internal invariant violated: {what}")

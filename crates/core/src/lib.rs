@@ -8,8 +8,8 @@
 //! * [`SecureMemory`] — the memory encryption engine: counter-mode
 //!   encryption, data HMACs, Bonsai Merkle Tree verification, metadata
 //!   caching, and per-protocol crash-consistency persistence.
-//! * [`ProtocolKind`] — volatile / strict / leaf / Osiris / Anubis / BMF /
-//!   AMNT.
+//! * [`ProtocolKind`] — volatile / strict / leaf / PLP / Osiris / Anubis /
+//!   BMF / AMNT.
 //! * [`RecoveryModel`] & [`SecureMemory::recover`] — Table 4's analytical
 //!   projection and the functional per-protocol recovery procedures.
 //! * [`hardware_overhead`] — Table 3's on-chip area accounting.
@@ -58,8 +58,7 @@ pub use hybrid::{HybridConfig, HybridMemory, Partition};
 pub use shard::{MergeReport, ShardedMemory};
 pub use overhead::{hardware_overhead, HardwareOverhead};
 pub use protocol::{
-    AmntConfig, AnubisConfig, BatteryConfig, BmfConfig, HistoryBuffer, OsirisConfig,
-    ProtocolKind,
+    AmntConfig, AnubisConfig, BmfConfig, HistoryBuffer, OsirisConfig, ProtocolKind,
 };
 pub use recovery::{table4_scenarios, RecoveryModel, RecoveryReport, RecoveryScenario};
 pub use stats::{ControllerStats, StatsSnapshot};

@@ -50,7 +50,6 @@ pub fn hardware_overhead(kind: &ProtocolKind, metadata_cache_bytes: u64) -> Hard
         | ProtocolKind::Strict
         | ProtocolKind::Leaf
         | ProtocolKind::Plp
-        | ProtocolKind::Battery(_)
         | ProtocolKind::Osiris(_) => HardwareOverhead::default(),
         ProtocolKind::Bmf(c) => HardwareOverhead {
             nv_on_chip: c.capacity as u64 * 64,
@@ -78,7 +77,7 @@ pub fn hardware_overhead(kind: &ProtocolKind, metadata_cache_bytes: u64) -> Hard
             }
         }
         ProtocolKind::Amnt(c) => {
-            let bits = (usize::BITS - (c.history_entries - 1).leading_zeros()).max(1) as u64;
+            let bits = (usize::BITS - c.history_entries.saturating_sub(1).leading_zeros()).max(1) as u64;
             HardwareOverhead {
                 nv_on_chip: 64,
                 volatile_on_chip: c.history_entries as u64 * 2 * bits / 8,

@@ -13,7 +13,8 @@ pub struct AmntConfig {
     pub subtree_level: u32,
     /// Writes per hot-region tracking interval (Table 1: 64).
     pub interval_writes: u32,
-    /// History buffer entries (Table 1: 64, i.e. 96 bytes on-chip).
+    /// History buffer entries (Table 1: 64, i.e. 96 bytes on-chip). The
+    /// controller rejects 0 with [`crate::IntegrityError::EmptyHistory`].
     pub history_entries: usize,
 }
 

@@ -42,6 +42,18 @@ impl OsirisState {
         }
     }
 
+    /// Advances the clock of counter block `index` for one write; returns
+    /// whether the block persists with it: its stop-loss interval is
+    /// reached, or `overflow` (a re-encrypted page's new major counter)
+    /// forces it out. Either way its clock restarts.
+    pub fn write_persists(&mut self, index: u64, overflow: bool) -> bool {
+        let persist = self.record_update(index) || overflow;
+        if persist {
+            self.mark_persisted(index);
+        }
+        persist
+    }
+
     /// Marks `index` as freshly persisted (e.g. after an overflow or an
     /// eviction writeback).
     pub fn mark_persisted(&mut self, index: u64) {

@@ -3,9 +3,10 @@
 
 use crate::controller::SecureMemory;
 use crate::error::RecoveryError;
-use crate::protocol::ProtocolState;
+use crate::protocol::{ProtocolKind, ProtocolState};
 use crate::untimed::NvmUntimed;
-use amnt_bmt::{set_slot, NodeId, PAGE_SIZE};
+use amnt_bmt::{set_slot, BmtGeometry, NodeBytes, NodeId, PAGE_SIZE};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 /// What a recovery pass did, and whether the rebuilt state matched the
@@ -84,117 +85,56 @@ impl SecureMemory {
     }
 
     fn recover_crashed(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        let kind = self.protocol();
-        let (nvm, _, _, _, _) = self.parts_for_recovery();
         // A dirty shutdown means the device itself lost or tore writes
         // (power cut mid-write, or a dropped write-pending-queue tail) —
         // strictly worse than the clean "volatile state lost" crash the
         // per-protocol procedures are designed for.
-        let dirty_shutdown = nvm.dirty_shutdown();
-        let before = *nvm.stats();
+        let dirty_shutdown = self.nvm.dirty_shutdown();
+        let before = *self.nvm.stats();
         let mut counters_recovered = 0;
         let mut nodes_recomputed = 0;
 
-        let verified = match kind {
-            crate::ProtocolKind::Volatile => {
-                let r0 = self.trace_nvm_reads();
-                self.trace_phase_open("recovery.audit");
-                let (nvm, bmt, root, _, _) = self.parts_for_recovery();
-                let root = *root;
-                let ok = bmt.verify_touched(nvm, &root)?;
-                if !ok {
+        match self.protocol() {
+            ProtocolKind::Volatile => {
+                if !self.audit_phase()? {
                     return Err(RecoveryError::Unrecoverable {
                         reason: "volatile metadata lost at power failure; persisted counters \
                                  are inconsistent with the on-chip root"
                             .to_string(),
                     });
                 }
-                // One MAC per block the verification walk fetched.
-                let hashes = self.trace_nvm_reads() - r0;
-                self.trace_phase_close(hashes);
-                true
             }
             // Everything was written through (PLP's unordered persists are
             // atomic at our crash granularity; real PLP restores ordering at
             // recovery with a bounded scan). Zero-work scan phase so the
             // trace still shows an explicit (empty) tree.
-            crate::ProtocolKind::Strict | crate::ProtocolKind::Plp => {
+            ProtocolKind::Strict | ProtocolKind::Plp => {
                 self.trace_phase_open("recovery.scan");
                 self.trace_phase_close(0);
-                true
             }
-            crate::ProtocolKind::Battery(_) => {
-                // Recoverable iff the battery covered the whole dirty set.
-                let r0 = self.trace_nvm_reads();
-                self.trace_phase_open("recovery.audit");
-                let (nvm, bmt, root, _, _) = self.parts_for_recovery();
-                let root = *root;
-                let ok = bmt.verify_touched(nvm, &root)?;
-                if !ok {
-                    return Err(RecoveryError::Unrecoverable {
-                        reason: "battery budget did not cover the dirty metadata set; \
-                                 see ControllerStats::max_stale_lines for the required size"
-                            .to_string(),
-                    });
-                }
-                let hashes = self.trace_nvm_reads() - r0;
-                self.trace_phase_close(hashes);
-                true
-            }
-            crate::ProtocolKind::Leaf => {
+            ProtocolKind::Leaf => {
                 self.trace_scan_touched();
-                let root = {
-                    let (_, _, root, _, _) = self.parts_for_recovery();
-                    *root
-                };
-                self.trace_phase_open("recovery.rebuild_subtree");
-                let (computed, recomputed) = {
-                    let (nvm, bmt, _, _, _) = self.parts_for_recovery();
-                    bmt.build_touched(nvm)?
-                };
-                nodes_recomputed = recomputed;
-                if computed != root {
-                    return Err(RecoveryError::RootMismatch);
-                }
-                // Each recomputed node MACs its 8 children.
-                self.trace_phase_close(recomputed.saturating_mul(8));
-                true
+                nodes_recomputed = self.rebuild_touched_phase()?;
             }
-            crate::ProtocolKind::Osiris(cfg) => {
-                counters_recovered = self.recover_all_counters(cfg.stop_loss)?;
-                let root = {
-                    let (_, _, root, _, _) = self.parts_for_recovery();
-                    *root
-                };
-                self.trace_phase_open("recovery.rebuild_subtree");
-                let (computed, recomputed) = {
-                    let (nvm, bmt, _, _, _) = self.parts_for_recovery();
-                    bmt.build_touched(nvm)?
-                };
-                nodes_recomputed = recomputed;
-                if computed != root {
-                    return Err(RecoveryError::RootMismatch);
-                }
-                self.trace_phase_close(recomputed.saturating_mul(8));
-                true
+            ProtocolKind::Osiris(cfg) => {
+                let candidates = self.touched_counter_candidates();
+                counters_recovered = self.rebuild_counters_phase(candidates, cfg.stop_loss)?;
+                nodes_recomputed = self.rebuild_touched_phase()?;
             }
-            crate::ProtocolKind::Anubis(cfg) => {
-                let (recovered, recomputed) = self.recover_anubis(cfg.stop_loss)?;
-                counters_recovered = recovered;
-                nodes_recomputed = recomputed;
-                true
+            ProtocolKind::Anubis(cfg) => {
+                let (stale_counters, stale_nodes) = self.shadow_table_scan()?;
+                counters_recovered = self.rebuild_counters_phase(stale_counters, cfg.stop_loss)?;
+                nodes_recomputed = self.recompute_phase(&[], stale_nodes)?;
             }
-            crate::ProtocolKind::Bmf(_) => {
+            ProtocolKind::Bmf(_) => {
                 self.trace_scan_touched();
                 nodes_recomputed = self.recover_bmf()?;
-                true
             }
-            crate::ProtocolKind::Amnt(_) => {
+            ProtocolKind::Amnt(_) => {
                 self.trace_scan_touched();
                 nodes_recomputed = self.recover_amnt()?;
-                true
             }
-        };
+        }
 
         // Safety net for device-level faults: the per-protocol procedure
         // above may have healed everything it knows about, but nothing in it
@@ -206,31 +146,37 @@ impl SecureMemory {
         // sparse walk covers everything the dense one would (see
         // `Bmt::verify_touched`). Clean op-boundary crashes skip this,
         // keeping Strict/PLP recovery at zero work.
-        if dirty_shutdown {
-            let r0 = self.trace_nvm_reads();
-            self.trace_phase_open("recovery.audit");
-            let (nvm, bmt, root, _, _) = self.parts_for_recovery();
-            let root = *root;
-            if !bmt.verify_touched(nvm, &root)? {
-                return Err(RecoveryError::RootMismatch);
-            }
-            let hashes = self.trace_nvm_reads() - r0;
-            self.trace_phase_close(hashes);
+        if dirty_shutdown && !self.audit_phase()? {
+            return Err(RecoveryError::RootMismatch);
         }
 
-        let (nvm, _, _, _, _) = self.parts_for_recovery();
-        let after = *nvm.stats();
-        self.clear_crashed();
+        let after = *self.nvm.stats();
+        self.crashed = false;
         let report = RecoveryReport {
             nvm_reads: after.reads - before.reads,
             bytes_read: after.bytes_read - before.bytes_read,
             nvm_writes: after.writes - before.writes,
             counters_recovered,
             nodes_recomputed,
-            verified,
+            verified: true,
         };
         self.trace_recovery(&report);
         Ok(report)
+    }
+
+    /// The `recovery.audit` phase: re-derives the touched ancestor closure
+    /// and checks it against the root register. Returns whether they agree;
+    /// on a mismatch the phase is left for the caller's error path to
+    /// unwind.
+    fn audit_phase(&mut self) -> Result<bool, RecoveryError> {
+        let r0 = self.nvm.stats().reads;
+        self.trace_phase_open("recovery.audit");
+        let ok = self.bmt.verify_touched(&mut self.nvm, &self.root_register)?;
+        if ok {
+            // One MAC per block the verification walk fetched.
+            self.trace_phase_close(self.nvm.stats().reads - r0);
+        }
+        Ok(ok)
     }
 
     /// Trace-only touched-frame scan phase: counts the touched data frames
@@ -242,48 +188,94 @@ impl SecureMemory {
             return;
         }
         let cap = self.geometry().data_capacity();
-        let touched = {
-            let (nvm, _, _, _, _) = self.parts_for_recovery();
-            nvm.touched_frames_in(0, cap).into_iter().count() as u64
-        };
+        let touched = self.nvm.touched_frames_in(0, cap).into_iter().count() as u64;
         self.trace_phase_open("recovery.scan");
         self.trace_phase_close(0);
         self.trace_recovery_stat("recovery.touched_frames", touched);
     }
 
-    /// Osiris-style bounded re-derivation of every *touched* counter block:
-    /// each minor is advanced until the persisted data HMAC matches, up to
-    /// the stop-loss bound. The candidate set is the union of counters whose
-    /// counter frame, data page, or HMAC lane frame has been touched — a
-    /// lagging counter can be behind persisted data even when the counter
-    /// block itself never reached the media, so the data/HMAC regions vote
-    /// too. Untouched pages (all three regions virgin) are exactly the
-    /// factory state and need no trial.
-    fn recover_all_counters(&mut self, stop_loss: u32) -> Result<u64, RecoveryError> {
+    /// Leaf and Osiris: rebuilds the touched tree from the counters and
+    /// checks the result against the root register. Returns the nodes
+    /// recomputed.
+    fn rebuild_touched_phase(&mut self) -> Result<u64, RecoveryError> {
+        self.trace_phase_open("recovery.rebuild_subtree");
+        let (computed, recomputed) = self.bmt.build_touched(&mut self.nvm)?;
+        if computed != self.root_register {
+            return Err(RecoveryError::RootMismatch);
+        }
+        // Each recomputed node MACs its 8 children.
+        self.trace_phase_close(recomputed.saturating_mul(8));
+        Ok(recomputed)
+    }
+
+    /// Osiris's scan phase: every *touched* counter block. The candidate
+    /// set is the union of counters whose counter frame, data page, or HMAC
+    /// lane frame has been touched — a lagging counter can be behind
+    /// persisted data even when the counter block itself never reached the
+    /// media, so the data/HMAC regions vote too. Untouched pages (all three
+    /// regions virgin) are exactly the factory state and need no trial.
+    fn touched_counter_candidates(&mut self) -> Vec<u64> {
         let g = self.geometry().clone();
         self.trace_phase_open("recovery.scan");
-        let candidates = {
-            let (nvm, bmt, _, _, _) = self.parts_for_recovery();
-            let mut set: BTreeSet<u64> = bmt.touched_counters(nvm).into_iter().collect();
-            // One data frame is one page is one counter.
-            for frame in nvm.touched_frames_in(0, g.data_capacity()) {
-                set.insert(g.counter_index(frame));
+        let mut set: BTreeSet<u64> = self.bmt.touched_counters(&self.nvm).into_iter().collect();
+        // One data frame is one page is one counter.
+        for frame in self.nvm.touched_frames_in(0, g.data_capacity()) {
+            set.insert(g.counter_index(frame));
+        }
+        // One HMAC frame covers FRAME_SIZE / 8 blocks = 8 pages.
+        let hmac_base = g.hmac_addr(0);
+        let hmac_end = hmac_base + g.data_capacity() / 64 * 8;
+        for frame in self.nvm.touched_frames_in(hmac_base, hmac_end) {
+            // Lane byte `o` (from hmac_base) belongs to data block o/8,
+            // i.e. counter (o/8)*64 / PAGE_SIZE = o/512.
+            let lo = frame.max(hmac_base) - hmac_base;
+            let hi = (lo + amnt_nvm::FRAME_SIZE as u64).min(hmac_end - hmac_base);
+            for counter in (lo / 512)..=((hi - 1) / 512).min(g.counter_blocks() - 1) {
+                set.insert(counter);
             }
-            // One HMAC frame covers FRAME_SIZE / 8 blocks = 8 pages.
-            let hmac_base = g.hmac_addr(0);
-            let hmac_end = hmac_base + g.data_capacity() / 64 * 8;
-            for frame in nvm.touched_frames_in(hmac_base, hmac_end) {
-                // Lane byte `o` (from hmac_base) belongs to data block o/8,
-                // i.e. counter (o/8)*64 / PAGE_SIZE = o/512.
-                let lo = frame.max(hmac_base) - hmac_base;
-                let hi = (lo + amnt_nvm::FRAME_SIZE as u64).min(hmac_end - hmac_base);
-                for counter in (lo / 512)..=((hi - 1) / 512).min(g.counter_blocks() - 1) {
-                    set.insert(counter);
-                }
-            }
-            set
-        };
+        }
         self.trace_phase_close(0);
+        set.into_iter().collect()
+    }
+
+    /// Anubis's scan phase: reads the shadow table for the counters and
+    /// nodes that were resident (hence possibly stale) at the crash.
+    /// Returns the stale counters and the nodes to recompute (each listed
+    /// line's ancestry up to level 2).
+    fn shadow_table_scan(&mut self) -> Result<(Vec<u64>, StaleNodes), RecoveryError> {
+        let lines = self.config().metadata_cache.lines();
+        let g = self.geometry().clone();
+        let mut stale_counters = Vec::new();
+        let mut stale_nodes = StaleNodes::new();
+        self.trace_phase_open("recovery.scan");
+        for slot in 0..lines as u64 {
+            let tagged = self.nvm.read_u64(self.aux_base + slot * 8)?;
+            if tagged == 0 {
+                continue;
+            }
+            let addr = tagged - 1;
+            if let Some(idx) = g.counter_index_of_addr(addr) {
+                stale_counters.push(idx);
+                for node in g.path_to_root(idx) {
+                    stale_nodes.insert((Reverse(node.level), node.index));
+                }
+            } else if let Some(node) = g.node_of_addr(addr) {
+                insert_ancestry(&g, Some(node), &mut stale_nodes);
+            }
+        }
+        self.trace_phase_close(0);
+        Ok((stale_counters, stale_nodes))
+    }
+
+    /// Osiris-style bounded re-derivation of `candidates`, as the
+    /// `recovery.rebuild_counters` phase: each minor is advanced until the
+    /// persisted data HMAC matches, up to the stop-loss bound. Returns how
+    /// many counter blocks changed.
+    fn rebuild_counters_phase(
+        &mut self,
+        candidates: Vec<u64>,
+        stop_loss: u32,
+    ) -> Result<u64, RecoveryError> {
         self.trace_recovery_stat("recovery.touched_counters", candidates.len() as u64);
         self.trace_phase_open("recovery.rebuild_counters");
         let mut recovered = 0;
@@ -302,14 +294,13 @@ impl SecureMemory {
     /// Recovers one counter block; returns whether it changed and how many
     /// MAC trials (hash ops) the stop-loss search performed.
     fn recover_counter(&mut self, index: u64, stop_loss: u32) -> Result<(bool, u64), RecoveryError> {
-        let (nvm, bmt, _, _, _) = self.parts_for_recovery();
-        let g = bmt.geometry().clone();
-        let hasher = bmt.hasher().clone();
-        let mut counter = bmt.read_counter(nvm, index).map_err(RecoveryError::Device)?;
+        let g = self.bmt.geometry();
+        let hasher = self.bmt.hasher();
+        let mut counter = self.bmt.read_counter(&mut self.nvm, index)?;
         let page_base = index * PAGE_SIZE;
         // Untouched page fast path: zero counter and zero HMACs.
         let mut hmacs = vec![0u8; (PAGE_SIZE / 64 * 8) as usize];
-        nvm.read_bytes_untimed(g.hmac_addr(page_base), &mut hmacs)?;
+        self.nvm.read_bytes_untimed(g.hmac_addr(page_base), &mut hmacs)?;
         if counter.is_zero() && hmacs.iter().all(|&b| b == 0) {
             return Ok((false, 0));
         }
@@ -321,7 +312,7 @@ impl SecureMemory {
                 break;
             }
             let stored_mac = be_u64(&hmacs[slot * 8..slot * 8 + 8]);
-            let ct = nvm.read_block_untimed(addr)?;
+            let ct = self.nvm.read_block_untimed(addr)?;
             let base_minor = counter.minor(slot);
             if stored_mac == 0 && base_minor == 0 && ct.iter().all(|&b| b == 0) {
                 continue; // untouched block
@@ -349,127 +340,61 @@ impl SecureMemory {
             }
         }
         if changed {
-            let (nvm, bmt, _, _, _) = self.parts_for_recovery();
-            bmt.write_counter(nvm, index, &counter).map_err(RecoveryError::Device)?;
+            self.bmt.write_counter(&mut self.nvm, index, &counter)?;
         }
         Ok((changed, trials))
     }
 
-    /// Anubis: read the shadow table, re-derive the listed counters, and
-    /// recompute the listed nodes plus all their ancestors.
-    fn recover_anubis(&mut self, stop_loss: u32) -> Result<(u64, u64), RecoveryError> {
-        let lines = self.config().metadata_cache.lines();
+    /// Anubis and BMF, as the `recovery.rebuild_subtree` phase: writes the
+    /// trusted on-chip `images` back, recomputes `stale` deepest-first so
+    /// children are fresh before parents, and checks the recomputed root
+    /// against the root register. Returns the nodes recomputed.
+    fn recompute_phase(
+        &mut self,
+        images: &[(NodeId, NodeBytes)],
+        stale: StaleNodes,
+    ) -> Result<u64, RecoveryError> {
         let g = self.geometry().clone();
-        let mut stale_counters = Vec::new();
-        let mut to_recompute: BTreeSet<(std::cmp::Reverse<u32>, u64)> = BTreeSet::new();
-        self.trace_phase_open("recovery.scan");
-        {
-            let (nvm, _, _, _, aux_base) = self.parts_for_recovery();
-            for slot in 0..lines as u64 {
-                let tagged = nvm.read_u64(aux_base + slot * 8).map_err(RecoveryError::Device)?;
-                if tagged == 0 {
-                    continue;
-                }
-                let addr = tagged - 1;
-                if let Some(idx) = g.counter_index_of_addr(addr) {
-                    stale_counters.push(idx);
-                    for node in g.path_to_root(idx) {
-                        to_recompute.insert((std::cmp::Reverse(node.level), node.index));
-                    }
-                } else if let Some(node) = g.node_of_addr(addr) {
-                    let mut cur = Some(node);
-                    while let Some(n) = cur {
-                        if n.level < 2 {
-                            break;
-                        }
-                        to_recompute.insert((std::cmp::Reverse(n.level), n.index));
-                        cur = g.parent(n);
-                    }
-                }
-            }
-        }
-        self.trace_phase_close(0);
-        self.trace_recovery_stat("recovery.touched_counters", stale_counters.len() as u64);
-        let mut recovered = 0;
-        let mut trials = 0u64;
-        self.trace_phase_open("recovery.rebuild_counters");
-        for idx in stale_counters {
-            let (changed, t) = self.recover_counter(idx, stop_loss)?;
-            trials += t;
-            if changed {
-                recovered += 1;
-            }
-        }
-        self.trace_phase_close(trials);
-        // Recompute deepest-first so children are fresh before parents.
-        let recomputed = to_recompute.len() as u64;
         self.trace_phase_open("recovery.rebuild_subtree");
-        {
-            let (nvm, bmt, root, _, _) = self.parts_for_recovery();
-            for (std::cmp::Reverse(level), index) in to_recompute {
-                let node = NodeId { level, index };
-                let image = bmt.compute_node(nvm, node).map_err(RecoveryError::Device)?;
-                nvm.write_block(g.node_addr(node), &image).map_err(RecoveryError::Device)?;
-            }
-            let computed_root = bmt
-                .compute_node(nvm, NodeId { level: 1, index: 0 })
-                .map_err(RecoveryError::Device)?;
-            if computed_root != *root {
-                return Err(RecoveryError::RootMismatch);
-            }
+        for (node, image) in images {
+            self.nvm.write_block(g.node_addr(*node), image)?;
+        }
+        let recomputed = stale.len() as u64;
+        for (Reverse(level), index) in stale {
+            let node = NodeId { level, index };
+            let image = self.bmt.compute_node(&mut self.nvm, node)?;
+            self.nvm.write_block(g.node_addr(node), &image)?;
+        }
+        let computed_root = self
+            .bmt
+            .compute_node(&mut self.nvm, NodeId { level: 1, index: 0 })?;
+        if computed_root != self.root_register {
+            return Err(RecoveryError::RootMismatch);
         }
         // Each recomputed node (and the root check) hashes its 8 children.
         self.trace_phase_close(recomputed.saturating_add(1).saturating_mul(8));
-        Ok((recovered, recomputed))
+        Ok(recomputed)
     }
 
     /// BMF: fold the non-volatile root set back into memory and recompute
     /// everything above the frontier.
     fn recover_bmf(&mut self) -> Result<u64, RecoveryError> {
         let g = self.geometry().clone();
-        let frontier: Vec<(NodeId, amnt_bmt::NodeBytes)> = {
-            let (_, _, _, protocol, _) = self.parts_for_recovery();
-            match protocol {
-                ProtocolState::Bmf(s) => {
-                    s.roots.iter().map(|(id, e)| (*id, e.image)).collect()
-                }
-                _ => return Ok(0),
-            }
+        let ProtocolState::Bmf(s) = &self.protocol else {
+            return Ok(0);
         };
-        self.trace_phase_open("recovery.rebuild_subtree");
-        let recomputed;
-        {
-            let (nvm, bmt, root_register, _, _) = self.parts_for_recovery();
-            let mut ancestors: BTreeSet<(std::cmp::Reverse<u32>, u64)> = BTreeSet::new();
-            for (node, image) in &frontier {
-                if node.level < 2 {
-                    continue; // a level-1 frontier entry is the root register itself
-                }
-                nvm.write_block(g.node_addr(*node), image).map_err(RecoveryError::Device)?;
-                let mut cur = g.parent(*node);
-                while let Some(n) = cur {
-                    if n.level < 2 {
-                        break;
-                    }
-                    ancestors.insert((std::cmp::Reverse(n.level), n.index));
-                    cur = g.parent(n);
-                }
-            }
-            recomputed = ancestors.len() as u64;
-            for (std::cmp::Reverse(level), index) in ancestors {
-                let node = NodeId { level, index };
-                let image = bmt.compute_node(nvm, node).map_err(RecoveryError::Device)?;
-                nvm.write_block(g.node_addr(node), &image).map_err(RecoveryError::Device)?;
-            }
-            let computed_root = bmt
-                .compute_node(nvm, NodeId { level: 1, index: 0 })
-                .map_err(RecoveryError::Device)?;
-            if computed_root != *root_register {
-                return Err(RecoveryError::RootMismatch);
-            }
+        // A level-1 frontier entry is the root register itself.
+        let frontier: Vec<(NodeId, NodeBytes)> = s
+            .roots
+            .iter()
+            .filter(|(id, _)| id.level >= 2)
+            .map(|(id, e)| (*id, e.image))
+            .collect();
+        let mut above = StaleNodes::new();
+        for (node, _) in &frontier {
+            insert_ancestry(&g, g.parent(*node), &mut above);
         }
-        self.trace_phase_close(recomputed.saturating_add(1).saturating_mul(8));
-        Ok(recomputed)
+        self.recompute_phase(&frontier, above)
     }
 
     /// AMNT: rebuild the fast subtree from its counters, check it against
@@ -477,52 +402,53 @@ impl SecureMemory {
     /// tree so the stored state is consistent with the root register again.
     fn recover_amnt(&mut self) -> Result<u64, RecoveryError> {
         let g = self.geometry().clone();
-        let (id, reg_image) = {
-            let (_, _, _, protocol, _) = self.parts_for_recovery();
-            match protocol {
-                ProtocolState::Amnt(s) => match s.register {
-                    Some(pair) => pair,
-                    None => return Ok(0), // never left strict persistence
-                },
-                _ => return Ok(0),
-            }
+        let Some((id, reg_image)) = self.protocol.subtree_register() else {
+            return Ok(0); // never left strict persistence
         };
         self.trace_phase_open("recovery.rebuild_subtree");
-        let rebuilt;
-        let folded;
-        {
-            let (nvm, bmt, root_register, _, _) = self.parts_for_recovery();
-            let (computed, r) =
-                bmt.rebuild_subtree_touched(nvm, id).map_err(RecoveryError::Device)?;
-            rebuilt = r;
-            if computed != reg_image {
-                return Err(RecoveryError::RootMismatch);
-            }
-            // Fold the (verified) subtree root back into its strict ancestors.
-            let hasher = bmt.hasher().clone();
-            let mut child_mac = hasher.node_mac(&reg_image, id);
-            let mut child_slot = g.child_slot(id);
-            let mut cur = g.parent(id);
-            let mut f = 0u64;
-            while let Some(node) = cur {
-                if node.level < 2 {
-                    break;
-                }
-                let addr = g.node_addr(node);
-                let mut image = nvm.read_block(addr).map_err(RecoveryError::Device)?;
-                set_slot(&mut image, child_slot, child_mac);
-                nvm.write_block(addr, &image).map_err(RecoveryError::Device)?;
-                child_mac = hasher.node_mac(&image, node);
-                child_slot = g.child_slot(node);
-                cur = g.parent(node);
-                f += 1;
-            }
-            set_slot(root_register, child_slot, child_mac);
-            folded = f;
+        let (computed, rebuilt) = self.bmt.rebuild_subtree_touched(&mut self.nvm, id)?;
+        if computed != reg_image {
+            return Err(RecoveryError::RootMismatch);
         }
+        // Fold the (verified) subtree root back into its strict ancestors.
+        let hasher = self.bmt.hasher();
+        let mut child_mac = hasher.node_mac(&reg_image, id);
+        let mut child_slot = g.child_slot(id);
+        let mut cur = g.parent(id);
+        let mut folded = 0u64;
+        while let Some(node) = cur {
+            if node.level < 2 {
+                break;
+            }
+            let addr = g.node_addr(node);
+            let mut image = self.nvm.read_block(addr)?;
+            set_slot(&mut image, child_slot, child_mac);
+            self.nvm.write_block(addr, &image)?;
+            child_mac = hasher.node_mac(&image, node);
+            child_slot = g.child_slot(node);
+            cur = g.parent(node);
+            folded += 1;
+        }
+        set_slot(&mut self.root_register, child_slot, child_mac);
         // Each rebuilt node hashes its 8 children; each fold re-MACs one node.
         self.trace_phase_close(rebuilt.saturating_mul(8).saturating_add(folded).saturating_add(1));
         Ok(rebuilt + folded)
+    }
+}
+
+/// Tree nodes to recompute, deepest level first.
+type StaleNodes = BTreeSet<(Reverse<u32>, u64)>;
+
+/// Inserts `from` and its ancestors down to level 2 (level 1 is the root
+/// register) into `set`.
+fn insert_ancestry(g: &BmtGeometry, from: Option<NodeId>, set: &mut StaleNodes) {
+    let mut cur = from;
+    while let Some(n) = cur {
+        if n.level < 2 {
+            break;
+        }
+        set.insert((Reverse(n.level), n.index));
+        cur = g.parent(n);
     }
 }
 

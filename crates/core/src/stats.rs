@@ -35,11 +35,9 @@ pub struct ControllerStats {
     pub bmf_prunes: u64,
     /// BMF persistent-root-set merge operations.
     pub bmf_merges: u64,
-    /// High-water mark of simultaneously-stale (dirty) metadata lines — the
-    /// battery budget a BBB-style design would need (paper §7.2).
+    /// High-water mark of simultaneously-stale (dirty) metadata lines: the
+    /// largest dirty set a crash would have to roll back.
     pub max_stale_lines: u64,
-    /// Dirty lines flushed on residual battery at power failure.
-    pub battery_flushes: u64,
     /// Subtree-path prefetches issued on detected sequential access (zero
     /// unless [`SecureMemoryConfig::subtree_prefetch`] is on).
     ///

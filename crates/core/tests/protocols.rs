@@ -3,8 +3,8 @@
 //! matrix, and protocol-specific behaviours.
 
 use amnt_core::{
-    AmntConfig, AnubisConfig, BmfConfig, IntegrityError, OsirisConfig, ProtocolKind, RecoveryError,
-    SecureMemory, SecureMemoryConfig, ShardedMemory,
+    hardware_overhead, AmntConfig, AnubisConfig, BmfConfig, IntegrityError, OsirisConfig,
+    ProtocolKind, RecoveryError, SecureMemory, SecureMemoryConfig, ShardedMemory,
 };
 
 const MIB: u64 = 1024 * 1024;
@@ -403,11 +403,12 @@ fn amnt_tracks_the_hot_region() {
 }
 
 /// The subtree root must be a stored tree level: level 1 is the on-chip
-/// root, and levels past the bottom do not exist. Both ends are rejected
-/// at construction, by the plain and the sharded controller; both ends of
-/// the legal range run a crash cycle.
+/// root, and levels past the bottom do not exist. The history buffer needs
+/// at least one entry to elect a subtree. Every such config is rejected at
+/// construction, by the plain and the sharded controller; both ends of the
+/// legal level range run a crash cycle.
 #[test]
-fn amnt_subtree_level_must_be_a_stored_level() {
+fn amnt_config_is_checked_at_construction() {
     let cfg = SecureMemoryConfig::with_capacity(16 * MIB);
     let bottom = mem(ProtocolKind::Strict, 16 * MIB)
         .geometry()
@@ -434,6 +435,20 @@ fn amnt_subtree_level_must_be_a_stored_level() {
             "{want}"
         );
     }
+    let kind = ProtocolKind::Amnt(AmntConfig {
+        history_entries: 0,
+        ..AmntConfig::default()
+    });
+    for err in [
+        SecureMemory::new(cfg.clone(), kind).err(),
+        ShardedMemory::new(cfg.clone(), kind, 8).err(),
+    ] {
+        assert_eq!(err, Some(IntegrityError::EmptyHistory));
+    }
+    assert!(IntegrityError::EmptyHistory
+        .to_string()
+        .contains("history_entries"));
+    assert_eq!(hardware_overhead(&kind, 64 * 1024).volatile_on_chip, 0);
     // The shards' bottom level is legal for the whole device but not for
     // one shard's tree.
     let kind = ProtocolKind::Amnt(AmntConfig::at_level(bottom));
@@ -612,77 +627,6 @@ fn plp_persists_like_strict_but_waits_less() {
     m.crash();
     let report = m.recover().unwrap();
     assert_eq!(report.nvm_reads, 0);
-}
-
-#[test]
-fn battery_runs_volatile_fast_and_recovers_when_sized() {
-    use amnt_core::BatteryConfig;
-    // A battery that covers the whole metadata cache: volatile-speed runtime
-    // AND crash recovery.
-    let kind = ProtocolKind::Battery(BatteryConfig {
-        flush_budget_lines: 1024,
-    });
-    let mut m = mem(kind, 16 * MIB);
-    let t = crash_workload(&mut m);
-    assert_eq!(
-        m.stats().persist_writes,
-        0,
-        "battery mode persists nothing at runtime"
-    );
-    let needed = m.stats().max_stale_lines;
-    assert!(needed > 0);
-    m.crash();
-    let report = m.recover().expect("sized battery recovers");
-    assert!(report.verified);
-    assert!(m.snapshot().controller.battery_flushes >= 1);
-    // Last write to address 0 in crash_workload is iteration 400.
-    let (data, _) = m.read_block(t, 0).unwrap();
-    assert_eq!(data[0], 400u64 as u8);
-}
-
-#[test]
-fn undersized_battery_fails_like_volatile() {
-    use amnt_core::BatteryConfig;
-    let kind = ProtocolKind::Battery(BatteryConfig {
-        flush_budget_lines: 2,
-    });
-    let mut m = mem(kind, 16 * MIB);
-    crash_workload(&mut m);
-    assert!(
-        m.stats().max_stale_lines > 2,
-        "workload must out-dirty the tiny battery"
-    );
-    m.crash();
-    assert!(matches!(
-        m.recover(),
-        Err(RecoveryError::Unrecoverable { .. })
-    ));
-}
-
-#[test]
-fn max_stale_lines_reports_the_required_battery() {
-    use amnt_core::BatteryConfig;
-    // Measure the requirement with a big battery, then verify a battery of
-    // exactly that size suffices.
-    let probe = {
-        let mut m = mem(
-            ProtocolKind::Battery(BatteryConfig {
-                flush_budget_lines: usize::MAX,
-            }),
-            16 * MIB,
-        );
-        crash_workload(&mut m);
-        m.stats().max_stale_lines as usize
-    };
-    let mut m = mem(
-        ProtocolKind::Battery(BatteryConfig {
-            flush_budget_lines: probe,
-        }),
-        16 * MIB,
-    );
-    crash_workload(&mut m);
-    m.crash();
-    assert!(m.recover().expect("exactly-sized battery").verified);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!   influencing each other in any way breaks equality.
 
 use amnt_core::{
-    AmntConfig, AnubisConfig, BatteryConfig, BmfConfig, OsirisConfig, ProtocolKind, SecureMemory,
+    AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, SecureMemory,
     SecureMemoryConfig, ShardedMemory, ShardedUntimed, BLOCK_SIZE,
 };
 use amnt_prng::Rng;
@@ -26,10 +26,14 @@ fn all_protocols() -> Vec<ProtocolKind> {
         ProtocolKind::Volatile,
         ProtocolKind::Strict,
         ProtocolKind::Plp,
-        ProtocolKind::Battery(BatteryConfig::default()),
         ProtocolKind::Leaf,
         ProtocolKind::Osiris(OsirisConfig { stop_loss: 3 }),
         ProtocolKind::Anubis(AnubisConfig { stop_loss: 3 }),
+        ProtocolKind::Bmf(BmfConfig {
+            capacity: 16,
+            maintenance_interval: 32,
+            prune_threshold: 8,
+        }),
         ProtocolKind::Amnt(AmntConfig::at_level(2)),
     ]
 }

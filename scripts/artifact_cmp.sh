@@ -14,9 +14,13 @@
 #
 # Bins: fault_sweep (AMNT_FAULT_OPS, default 24; 100 is the acceptance
 # sweep), shard_bench, table4_recovery, trace_report (AMNT_ACCESSES=30000
-# AMNT_WARMUP=2000), fig4_parsec_single and wear_analysis. Other AMNT_*
-# knobs pass through to both trees unchanged. TMPDIR picks where the
-# temporary tree is built.
+# AMNT_WARMUP=2000), wear_analysis, and the protocol-driven artifacts
+# that perfgate gates: fig4_parsec_single, fig5_parsec_multi,
+# fig8_spec_multithread, table2_os_cost and table3_hw_overhead (their
+# reference rows are checked against whatever these bins last wrote, so
+# this is where a change to them shows). Other AMNT_* knobs pass through
+# to both trees unchanged. TMPDIR picks where the temporary tree is
+# built.
 set -uo pipefail
 
 if [ $# -ne 1 ]; then
@@ -35,7 +39,8 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/base" "$tmp/out-base" "$tmp/out-head"
 git archive "$base_rev" | tar -x -C "$tmp/base" || exit 1
 
-bins=(fault_sweep shard_bench table4_recovery trace_report fig4_parsec_single wear_analysis)
+bins=(fault_sweep shard_bench table4_recovery trace_report wear_analysis
+    fig4_parsec_single fig5_parsec_multi fig8_spec_multithread table2_os_cost table3_hw_overhead)
 bin_args=()
 for b in "${bins[@]}"; do
     bin_args+=(--bin "$b")
