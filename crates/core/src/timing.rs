@@ -10,7 +10,8 @@
 //! workloads.
 
 use crate::config::{MemTiming, WriteQueueConfig};
-use std::collections::{BTreeMap, VecDeque};
+use amnt_nvm::{FrameMap, FRAME_SIZE};
+use std::collections::VecDeque;
 
 /// Per-frame media write-endurance accounting.
 ///
@@ -79,8 +80,11 @@ pub struct MemoryTimeline {
     /// outside [`TimelineStats`] (which is snapshot into artifacts and must
     /// not grow fields) — this is trace-layer data only.
     wpq_high_water: usize,
-    /// Media writes per 4 KiB frame (endurance accounting).
-    wear: BTreeMap<u64, u64>,
+    /// The endurance ledger: media writes per written frame, keyed by
+    /// frame index (`addr / FRAME_SIZE`). It holds 8 B per written frame,
+    /// 64 frames to a B-tree entry, and enumerates in address order, which
+    /// the range summaries walk.
+    wear: FrameMap<u64>,
 }
 
 impl MemoryTimeline {
@@ -95,7 +99,7 @@ impl MemoryTimeline {
             depth: queue.depth.max(1),
             stats: TimelineStats::default(),
             wpq_high_water: 0,
-            wear: BTreeMap::new(),
+            wear: FrameMap::default(),
         }
     }
 
@@ -155,7 +159,7 @@ impl MemoryTimeline {
         }
         self.stats.queue_stall_cycles += stall;
         self.stats.writes += 1;
-        *self.wear.entry(addr / 4096).or_insert(0) += 1;
+        *self.wear.get_or_insert_default(addr / FRAME_SIZE as u64) += 1;
         let issue = (now + stall).max(not_before);
         let bank = self.bank_of(addr);
         debug_assert!(bank < self.bank_free.len());
@@ -193,24 +197,18 @@ impl MemoryTimeline {
 
     /// Media-write count of the frame containing `addr`.
     pub fn wear_of(&self, addr: u64) -> u64 {
-        self.wear.get(&(addr / 4096)).copied().unwrap_or(0)
+        self.wear.get(addr / FRAME_SIZE as u64).copied().unwrap_or(0)
     }
 
     /// Endurance summary over every written frame.
     pub fn wear_summary(&self) -> WearSummary {
-        summarize(self.wear.values().copied())
+        summarize(self.wear.iter().map(|(_, &n)| n))
     }
 
     /// Endurance summary restricted to addresses in `[from, to)`.
     pub fn wear_summary_range(&self, from: u64, to: u64) -> WearSummary {
-        let lo = from / 4096;
-        let hi = to.div_ceil(4096);
-        summarize(
-            self.wear
-                .iter()
-                .filter(|(&f, _)| f >= lo && f < hi)
-                .map(|(_, &n)| n),
-        )
+        let frames = from / FRAME_SIZE as u64..to.div_ceil(FRAME_SIZE as u64);
+        summarize(self.wear.range(frames).map(|(_, &n)| n))
     }
 
     /// Drops all in-flight writes and bank reservations (crash).
@@ -344,5 +342,51 @@ mod wear_tests {
         assert_eq!(t.wear_summary_range(0, 4096).total_writes, 1);
         assert_eq!(t.wear_summary_range(1 << 20, (1 << 20) + 4096).total_writes, 2);
         assert_eq!(t.wear_summary_range(8192, 16384).frames_touched, 0);
+    }
+
+    #[test]
+    fn wear_ledger_matches_a_btree_map_reference() {
+        use std::collections::BTreeMap;
+        // Frames on 64-frame group boundaries, the top frame of a 2 TiB
+        // device and the top frame of the 64-bit address space.
+        let edges = [0u64, 63, 64, 65, 127, 128, (1 << 29) - 1, u64::MAX / 4096];
+        let mut rng = amnt_prng::Rng::seed_from_u64(0x3EA2);
+        let mut t = MemoryTimeline::new(MemTiming::default(), WriteQueueConfig::default());
+        let mut reference = BTreeMap::new();
+        for _ in 0..2000 {
+            let edge = edges[rng.gen_range_usize(0..edges.len())];
+            let frame = match rng.gen_range(0..3) {
+                0 => edge,
+                1 => (edge + rng.gen_range(0..3)).saturating_sub(rng.gen_range(0..3)),
+                _ => rng.gen_range(0..1024),
+            }
+            .min(u64::MAX / 4096);
+            t.write(0, frame * 4096 + rng.gen_range(0..4096), 0);
+            *reference.entry(frame).or_insert(0u64) += 1;
+        }
+        let want = |from: u64, to: u64| {
+            let frames = from / 4096..to.div_ceil(4096);
+            summarize(reference.iter().filter(|(f, _)| frames.contains(f)).map(|(_, &n)| n))
+        };
+        let mut ranges = vec![(0, u64::MAX), (64 * 4096, 64 * 4096), (0x41_040, 0x41_040)];
+        for &edge in &edges {
+            let at = edge * 4096;
+            let up = |bytes: u64| at.saturating_add(bytes);
+            ranges.extend([
+                (at, at),                                     // empty
+                (up(4096), at),                               // reversed
+                (up(100), up(5000)),                          // unaligned, in one group
+                (at / (64 * 4096) * 64 * 4096, up(4096)),     // group start to edge
+                (at.saturating_sub(3 * 4096), up(70 * 4096)), // across groups
+            ]);
+        }
+        for (from, to) in ranges {
+            assert_eq!(t.wear_summary_range(from, to), want(from, to), "[{from:#x}, {to:#x})");
+        }
+        assert_eq!(t.wear_summary(), summarize(reference.values().copied()));
+        for (&frame, &n) in &reference {
+            assert_eq!(t.wear_of(frame * 4096 + 4095), n, "frame {frame}");
+        }
+        assert_eq!(t.wear_of(66 * 4096), reference.get(&66).copied().unwrap_or(0));
     }
 }

@@ -2,14 +2,22 @@
 //!
 //! A byte-addressable storage-class-memory (SCM/PCM) device model.
 //!
-//! The device is *functional* — it stores real bytes (sparsely: a 4 KiB
-//! frame is touched on its first write, and stores only the 64 B lines
-//! written to it) — and counts traffic. It is untimed: media latency
-//! (Table 1's 305 ns read, 391 ns write) is charged by the controller's
-//! `MemTiming` and `MemoryTimeline` in `amnt-core`. Crucially it is
-//! *non-volatile*: [`Nvm::crash`] leaves the media intact and only bumps a
-//! generation counter; volatility lives in the caches and controller
-//! registers built on top.
+//! The device is *functional* — it stores real bytes, sparsely — and counts
+//! traffic. It is untimed: media latency (Table 1's 305 ns read, 391 ns
+//! write) is charged by the controller's `MemTiming` and `MemoryTimeline`
+//! in `amnt-core`. Crucially it is *non-volatile*: [`Nvm::crash`] leaves the
+//! media intact and only bumps a generation counter; volatility lives in the
+//! caches and controller registers built on top.
+//!
+//! ## Storage
+//!
+//! A 4 KiB frame is touched on its first write and stores only the 64 B
+//! lines written to it, with no spare capacity. Touched frames live in a
+//! [`FrameMap`]: one B-tree entry per 64 consecutive frames, holding a
+//! presence mask and the present frames in order. Host memory therefore
+//! follows the payload: 64 B per written line, 24 B per touched frame (its
+//! line mask and line pointer), and a 32 B B-tree entry plus its share of
+//! the tree's nodes per group of 64 frames.
 //!
 //! ## Example
 //!
@@ -26,14 +34,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 mod fault;
+mod frame_map;
 pub use fault::{
     CrashFaults, CrashWriteMode, FaultAction, FaultHook, FaultPlan, PhasedPlan, TornHalf,
     WriteClass,
 };
+pub use frame_map::FrameMap;
+use frame_map::Slots;
 
 /// Size of a memory block (cache line) in bytes.
 pub const BLOCK_SIZE: usize = 64;
@@ -41,58 +52,23 @@ pub const BLOCK_SIZE: usize = 64;
 /// touched once any byte in it is written; sparse consumers (the
 /// O(touched) recovery paths) partition the address space at this granule
 /// via [`Nvm::touched_frames`]. Storage is finer: a frame holds only the
-/// [`BLOCK_SIZE`] lines written to it.
+/// [`BLOCK_SIZE`] lines written to it, and frames are grouped 64 to an entry
+/// of a [`FrameMap`] keyed by frame index (`addr / FRAME_SIZE`).
 pub const FRAME_SIZE: usize = 4096;
 
 const _: () = assert!(FRAME_SIZE / BLOCK_SIZE == u64::BITS as usize, "one mask bit per line");
 
-/// One touched frame, stored line by line.
-#[derive(Debug, Clone, Default)]
-struct Frame {
-    /// Bit `i` is set once line `i` of the frame has been written.
-    written: u64,
-    /// The written lines in line order, one per set bit of `written`.
-    lines: Vec<[u8; BLOCK_SIZE]>,
-}
+/// One touched frame: its written lines at line indices `0..64`.
+type Frame = Slots<[u8; BLOCK_SIZE]>;
 
 impl Frame {
-    /// Index in `lines` that line `line` (`< 64`) has, or would have once
-    /// written: the count of written lines below it.
-    fn slot(&self, line: usize) -> usize {
-        (self.written & !(u64::MAX << line)).count_ones() as usize
-    }
-
-    /// Line `line`'s bytes, if it has been written.
-    fn stored_line(&self, line: usize) -> Option<&[u8; BLOCK_SIZE]> {
-        if self.written >> line & 1 == 0 {
-            return None;
-        }
-        self.lines.get(self.slot(line))
-    }
-
-    /// Line `line`'s bytes for writing; a line never written before is
-    /// stored zero-filled first.
-    fn stored_line_mut(&mut self, line: usize) -> Option<&mut [u8; BLOCK_SIZE]> {
-        let slot = self.slot(line);
-        if self.written >> line & 1 == 0 {
-            // Double from one line rather than from `Vec`'s minimum of
-            // four: a sparse hot set touches many frames at a line each.
-            if self.lines.len() == self.lines.capacity() {
-                self.lines.reserve_exact(self.lines.len().max(1));
-            }
-            self.written |= 1 << line;
-            self.lines.insert(slot, [0; BLOCK_SIZE]);
-        }
-        self.lines.get_mut(slot)
-    }
-
     /// Copies the frame's bytes from `offset` on into `out`; unwritten
     /// lines read as zero.
     fn copy_out(&self, offset: usize, out: &mut [u8]) {
         let mut rest = out;
         for (line, within, take) in pieces(offset as u64, rest.len(), BLOCK_SIZE) {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-            match self.stored_line(line as usize).and_then(|l| l.get(within..within + take)) {
+            match self.get(line as u32).and_then(|l| l.get(within..within + take)) {
                 Some(bytes) => head.copy_from_slice(bytes),
                 None => head.fill(0),
             }
@@ -101,14 +77,13 @@ impl Frame {
     }
 
     /// Writes `data` into the frame from `offset` on, storing each line
-    /// it reaches.
+    /// it reaches; a line never written before is stored zero-filled first.
     fn copy_in(&mut self, offset: usize, data: &[u8]) {
         let mut rest = data;
         for (line, within, take) in pieces(offset as u64, rest.len(), BLOCK_SIZE) {
             let (head, tail) = rest.split_at(take);
-            if let Some(bytes) =
-                self.stored_line_mut(line as usize).and_then(|l| l.get_mut(within..within + take))
-            {
+            let stored = self.get_or_insert_with(line as u32, || [0; BLOCK_SIZE]);
+            if let Some(bytes) = stored.get_mut(within..within + take) {
                 bytes.copy_from_slice(head);
             }
             rest = tail;
@@ -229,7 +204,7 @@ pub struct Nvm {
     /// Touched frames keyed by frame index (`addr / FRAME_SIZE`), each
     /// holding only its written lines. Ordered so touched-frame enumeration
     /// is deterministic regardless of touch order.
-    frames: BTreeMap<u64, Frame>,
+    frames: FrameMap<Frame>,
     stats: NvmStats,
     /// Bumped on every crash; lets tests assert they really crossed one.
     generation: u64,
@@ -282,7 +257,7 @@ impl Nvm {
     pub fn new(config: NvmConfig) -> Self {
         Nvm {
             config,
-            frames: BTreeMap::new(),
+            frames: FrameMap::default(),
             stats: NvmStats::default(),
             generation: 0,
             fault: None,
@@ -471,10 +446,10 @@ impl Nvm {
     /// equal images serve identical bytes at every address. The idempotence
     /// sweeps compare post-recovery media states with this.
     pub fn media_image(&self) -> Vec<(u64, Vec<u8>)> {
-        // BTreeMap iteration is already sorted by frame index.
+        // FrameMap iteration is already sorted by frame index.
         self.frames
             .iter()
-            .filter(|(_, frame)| frame.lines.iter().flatten().any(|&b| b != 0))
+            .filter(|(_, frame)| frame.iter().any(|(_, line)| line.iter().any(|&b| b != 0)))
             .map(|(index, frame)| {
                 let mut image = vec![0u8; FRAME_SIZE];
                 frame.copy_out(0, &mut image);
@@ -489,7 +464,7 @@ impl Nvm {
     /// zero and never appear here. This is the contract the O(touched)
     /// recovery paths scan instead of the address space.
     pub fn touched_frames(&self) -> impl Iterator<Item = u64> + '_ {
-        self.frames.keys().map(|index| index * FRAME_SIZE as u64)
+        self.frames.iter().map(|(index, _)| index * FRAME_SIZE as u64)
     }
 
     /// [`Nvm::touched_frames`] restricted to base addresses in
@@ -508,7 +483,7 @@ impl Nvm {
 
     /// Whether the frame containing `addr` is backed (has ever been written).
     pub fn frame_touched(&self, addr: u64) -> bool {
-        self.frames.contains_key(&(addr / FRAME_SIZE as u64))
+        self.frames.contains(addr / FRAME_SIZE as u64)
     }
 
     /// Opens an atomic write group: until the matching [`Nvm::end_atomic`],
@@ -583,7 +558,7 @@ impl Nvm {
         let mut rest = buf;
         for (index, offset, take) in pieces(addr, rest.len(), FRAME_SIZE) {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-            match self.frames.get(&index) {
+            match self.frames.get(index) {
                 Some(frame) => frame.copy_out(offset, head),
                 None => head.fill(0),
             }
@@ -596,7 +571,7 @@ impl Nvm {
         let mut rest = data;
         for (index, offset, take) in pieces(addr, rest.len(), FRAME_SIZE) {
             let (head, tail) = rest.split_at(take);
-            self.frames.entry(index).or_default().copy_in(offset, head);
+            self.frames.get_or_insert_default(index).copy_in(offset, head);
             rest = tail;
         }
     }
@@ -791,7 +766,9 @@ impl Nvm {
 
     /// Number of 4 KiB frames touched so far. Host memory follows the
     /// lines written, not this count: a touched frame stores only its
-    /// written 64 B lines.
+    /// written 64 B lines, plus 24 B of mask and pointer, and shares one
+    /// B-tree entry with the other touched frames of its group of 64 (see
+    /// the crate docs).
     pub fn resident_frames(&self) -> usize {
         self.frames.len()
     }
@@ -1218,11 +1195,9 @@ mod tests {
         /// Checks every observable of `nvm` against the model.
         fn check(&self, nvm: &mut Nvm, step: &str) {
             let mut stored = std::collections::BTreeSet::new();
-            for (index, frame) in &nvm.frames {
-                assert_eq!(frame.lines.len(), frame.written.count_ones() as usize, "{step}");
-                stored.extend(
-                    (0..64).filter(|l| frame.written >> l & 1 == 1).map(|l| index * 64 + l),
-                );
+            for (index, frame) in nvm.frames.iter() {
+                assert!(frame.fits(), "{step}: frame {index} fit");
+                stored.extend(frame.iter().map(|(line, _)| index * 64 + u64::from(line)));
             }
             assert_eq!(stored, self.lines, "{step}: stored lines");
             let mut frames: Vec<u64> =

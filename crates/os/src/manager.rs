@@ -112,12 +112,13 @@ impl MemoryManager {
         self.page_tables.get(&pid).map_or(0, |t| t.len())
     }
 
-    /// The physical frame numbers resident for `pid` (diagnostics).
+    /// The physical frame numbers resident for `pid`, ascending
+    /// (diagnostics).
     pub fn resident_frames(&self, pid: Pid) -> Vec<u64> {
-        self.page_tables
-            .get(&pid)
-            .map(|t| t.values().copied().collect())
-            .unwrap_or_default()
+        let mut frames: Vec<u64> =
+            self.page_tables.get(&pid).map(|t| t.values().copied().collect()).unwrap_or_default();
+        frames.sort_unstable();
+        frames
     }
 
     /// Unmaps one virtual page, reclaiming its frame.
@@ -127,10 +128,15 @@ impl MemoryManager {
         }
     }
 
-    /// Tears down a process, reclaiming every frame.
+    /// Tears down a process, reclaiming every frame in ascending virtual
+    /// page order. The buddy free lists are LIFO, so the release order
+    /// decides every later allocation; it must not follow the page table's
+    /// per-map hasher seed.
     pub fn release_process(&mut self, pid: Pid) {
         if let Some(table) = self.page_tables.remove(&pid) {
-            for (_, pfn) in table {
+            let mut pages: Vec<(u64, u64)> = table.into_iter().collect();
+            pages.sort_unstable();
+            for (_, pfn) in pages {
                 self.reclaim(pfn);
             }
         }
@@ -249,6 +255,27 @@ mod tests {
         assert!(mm.translate(8, 0).is_err());
         mm.release_process(7);
         assert!(mm.translate(8, 0).is_ok());
+    }
+
+    #[test]
+    fn release_does_not_depend_on_the_hasher_seed() {
+        // Identical histories; each manager's page tables hash with their
+        // own seed.
+        let run = || {
+            let mut mm = MemoryManager::new(4096, AllocPolicy::Standard);
+            for page in 0..1000u64 {
+                mm.translate(7, page * PAGE_SIZE).unwrap();
+                mm.translate(8, page * PAGE_SIZE).unwrap();
+            }
+            let resident = mm.resident_frames(7);
+            mm.release_process(7);
+            let next: Vec<u64> =
+                (0..1000u64).map(|page| mm.translate(9, page * PAGE_SIZE).unwrap()).collect();
+            (resident, next)
+        };
+        let (resident, next) = run();
+        assert!(resident.windows(2).all(|w| w[0] < w[1]), "resident frames ascend");
+        assert_eq!((resident, next), run());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use amnt_sim::{with_amnt_plus, Machine, MachineConfig, SimReport};
 use amnt_workloads::{
     parsec, spec2017, read_trace, write_trace, Event, EventStream, TraceGen, WorkloadModel,
 };
+use std::io::Write;
 use std::process::exit;
 
 struct Args {
@@ -40,17 +41,21 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// Builds the machine, or reports a configuration it rejects (such as an
-/// AMNT subtree level the tree cannot hold) and exits with status 2.
-fn build_machine<S: Into<EventStream>>(
+/// Builds the machine and runs it past `warmup` accesses. A configuration
+/// the machine rejects (such as an AMNT subtree level the tree cannot hold)
+/// or a failed run is printed, and the process exits with status 2.
+fn run_machine<S: Into<EventStream>>(
     cfg: MachineConfig,
     protocol: ProtocolKind,
     workloads: Vec<(u32, S)>,
-) -> Machine {
-    Machine::new(cfg, protocol, workloads).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    })
+    warmup: u64,
+) -> SimReport {
+    Machine::new(cfg, protocol, workloads)
+        .and_then(|mut machine| machine.run(warmup))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2)
+        })
 }
 
 fn parse_args() -> Args {
@@ -169,8 +174,15 @@ fn main() {
         });
         let events: Vec<Event> =
             TraceGen::new(&model, args.seed, args.warmup + args.accesses).collect();
-        let file = std::fs::File::create(path).expect("create trace file");
-        write_trace(std::io::BufWriter::new(file), &events).expect("write trace");
+        let written = std::fs::File::create(path).and_then(|file| {
+            let mut out = std::io::BufWriter::new(file);
+            write_trace(&mut out, &events)?;
+            out.flush()
+        });
+        if let Err(e) = written {
+            eprintln!("cannot write trace {path}: {e}");
+            exit(2)
+        }
         println!("recorded {} events to {path}", events.len());
         return;
     }
@@ -190,8 +202,7 @@ fn main() {
             eprintln!("replay currently drives a single-core machine");
             cfg = MachineConfig::parsec_single();
         }
-        let mut machine = build_machine(cfg, protocol, vec![(1, events)]);
-        machine.run(args.warmup).expect("run")
+        run_machine(cfg, protocol, vec![(1, events)], args.warmup)
     } else {
         // "a+b" runs a multiprogram pair (one benchmark per core).
         let names: Vec<&str> = args.bench.split('+').collect();
@@ -213,12 +224,14 @@ fn main() {
                 (pid, TraceGen::new(model, args.seed + i * 101, total))
             })
             .collect();
-        let mut machine = build_machine(cfg, protocol, workloads);
-        machine.run(args.warmup).expect("run")
+        run_machine(cfg, protocol, workloads, args.warmup)
     };
     print_report(&report);
     if let Some(path) = &args.stats_out {
-        std::fs::write(path, report.to_stats_txt()).expect("write stats file");
+        if let Err(e) = std::fs::write(path, report.to_stats_txt()) {
+            eprintln!("cannot write stats {path}: {e}");
+            exit(2)
+        }
         println!("wrote gem5-style stats to {path}");
     }
 }

@@ -170,6 +170,20 @@ if ! cmp -s "$t4dir/table4.json" results/table4.json; then
 fi
 rm -rf "$t4dir"
 
+echo "== wear smoke (per-region wear ledger determinism) =="
+# wear_analysis is the one artifact the controller's wear ledger feeds:
+# per-region frame-write summaries for every protocol. Its cells run in
+# parallel, so the artifact must be byte-identical across AMNT_JOBS.
+weardir="$(mktemp -d)"
+AMNT_JOBS=1 cargo run --release -p amnt-bench --bin wear_analysis || fail=1
+cp results/wear.json "$weardir"/ || fail=1
+AMNT_JOBS=2 cargo run --release -q -p amnt-bench --bin wear_analysis >/dev/null || fail=1
+if ! cmp -s "$weardir/wear.json" results/wear.json; then
+    echo "   wear smoke: artifact differs between AMNT_JOBS=1 and 2"
+    fail=1
+fi
+rm -rf "$weardir"
+
 echo "== crypto bench (multi-lane MAC engine) =="
 # Host-clock ns/op for the scalar vs 8-lane batched 85-byte MAC; perfgate
 # holds the batched path to >= 1.6x scalar throughput per MAC (and <= 0.6x
