@@ -30,7 +30,7 @@ use std::io::Write as _;
 
 fn main() {
     let timer = HostTimer::start();
-    let ops = count_knob("AMNT_FAULT_OPS", 100);
+    let ops = count_knob("AMNT_FAULT_OPS", 100, 0);
     let cfg = FaultSweepConfig {
         ops,
         ..FaultSweepConfig::default()

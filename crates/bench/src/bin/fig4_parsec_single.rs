@@ -7,65 +7,20 @@
 //! independent seeded simulation, so the whole figure fans out across host
 //! cores (`AMNT_JOBS`) with byte-identical output at any worker count.
 
-use amnt_bench::{
-    figure_protocols, print_table, run_length, save_trace_artifacts, with_env_trace,
-    ExperimentResult, Grid, HostTimer,
-};
-use amnt_core::{AmntConfig, ProtocolKind};
-use amnt_sim::{run_single, with_amnt_plus, MachineConfig, SimReport};
+use amnt_bench::ProtocolFigure;
+use amnt_sim::{run_single, MachineConfig};
 use amnt_workloads::parsec;
 
 fn main() {
-    let timer = HostTimer::start();
-    let len = run_length();
-    let mut grid: Grid<SimReport> = Grid::new();
-    for model in parsec() {
-        let cfg = with_env_trace(MachineConfig::parsec_single());
-        {
-            let cfg = cfg.clone();
-            grid.add(model.name, "volatile", move || {
-                run_single(&model, cfg, ProtocolKind::Volatile, len).expect("baseline run")
-            });
-        }
-        for (name, protocol) in figure_protocols() {
-            let cfg = cfg.clone();
-            grid.add(model.name, name, move || {
-                run_single(&model, cfg, protocol, len).expect(name)
-            });
-        }
-        // AMNT++ = AMNT + modified OS.
-        let pp_cfg = with_amnt_plus(cfg, AmntConfig::default());
-        grid.add(model.name, "amnt++", move || {
-            run_single(&model, pp_cfg, ProtocolKind::Amnt(AmntConfig::default()), len)
-                .expect("amnt++")
-        });
+    ProtocolFigure {
+        id: "fig4",
+        title: "Figure 4: single-program PARSEC (normalized cycles)",
+        machine: MachineConfig::parsec_single(),
+        amnt_plus: true,
+        gmean: true,
     }
-    let results = grid.run();
-
-    let mut result = ExperimentResult::new("fig4", "cycles normalized to volatile");
-    let mut cols: Vec<&str> = figure_protocols().iter().map(|(n, _)| *n).collect();
-    cols.push("amnt++");
-    let rows = results.render_normalized("volatile", &cols, &mut result, true);
-    for (row, vals) in &rows {
-        eprint!("fig4: {row:<16}");
-        for (col, v) in cols.iter().zip(vals) {
-            eprint!(" {col}={v:.3}");
-        }
-        eprintln!();
-    }
-    print_table("Figure 4: single-program PARSEC (normalized cycles)", &cols, &rows);
+    .run(parsec().into_iter().map(|m| (m.name.to_string(), m)), run_single);
 
     println!("\nPaper anchors (§6.1): leaf ≈ 1.08, strict ≈ 2.39, amnt ≈ 1.16, amnt++ ≈ 1.10 (means);");
     println!("canneal under Anubis ≈ 2.4x, under AMNT < 1.001x.");
-    result.set_host(&timer, results.workers);
-    let path = result.save().expect("save results");
-    for p in save_trace_artifacts("fig4", &results).expect("save trace sidecars") {
-        println!("saved {}", p.display());
-    }
-    println!(
-        "saved {} ({:.1}s host wall-clock at {} jobs)",
-        path.display(),
-        result.host_seconds,
-        results.workers
-    );
 }

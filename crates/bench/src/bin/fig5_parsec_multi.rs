@@ -5,64 +5,30 @@
 //! adds the modified OS allocator (aged machine, biased free lists). All
 //! (pair × protocol) cells execute in parallel through the grid executor.
 
-use amnt_bench::{
-    compare, figure_protocols, print_table, run_length, save_trace_artifacts, with_env_trace,
-    ExperimentResult, Grid, HostTimer,
-};
-use amnt_core::{AmntConfig, ProtocolKind};
-use amnt_sim::{run_pair, with_amnt_plus, MachineConfig, SimReport};
+use amnt_bench::{compare, ProtocolFigure};
+use amnt_sim::{run_pair, MachineConfig};
 use amnt_workloads::{multiprogram_pairs, WorkloadModel};
 
 fn main() {
-    let timer = HostTimer::start();
-    let len = run_length();
-    let mut grid: Grid<SimReport> = Grid::new();
-    for (a, b) in multiprogram_pairs() {
-        let label = format!("{a}+{b}");
-        let ma = WorkloadModel::by_name(a).expect("catalogued");
-        let mb = WorkloadModel::by_name(b).expect("catalogued");
-        let cfg = with_env_trace(MachineConfig::parsec_multi());
-        {
-            let cfg = cfg.clone();
-            grid.add(label.clone(), "volatile", move || {
-                run_pair(&ma, &mb, cfg, ProtocolKind::Volatile, len).expect("baseline")
-            });
-        }
-        for (name, protocol) in figure_protocols() {
-            let cfg = cfg.clone();
-            grid.add(label.clone(), name, move || {
-                run_pair(&ma, &mb, cfg, protocol, len).expect(name)
-            });
-        }
-        let pp_cfg = with_amnt_plus(cfg, AmntConfig::default());
-        grid.add(label.clone(), "amnt++", move || {
-            run_pair(&ma, &mb, pp_cfg, ProtocolKind::Amnt(AmntConfig::default()), len)
-                .expect("amnt++")
-        });
+    let pairs = multiprogram_pairs().into_iter().map(|(a, b)| {
+        let model = |name| WorkloadModel::by_name(name).expect("catalogued");
+        (format!("{a}+{b}"), (model(a), model(b)))
+    });
+    let table = ProtocolFigure {
+        id: "fig5",
+        title: "Figure 5: multiprogram PARSEC (normalized cycles)",
+        machine: MachineConfig::parsec_multi(),
+        amnt_plus: true,
+        gmean: false,
     }
-    let results = grid.run();
+    .run(pairs, |(a, b), cfg, protocol, len| run_pair(a, b, cfg, protocol, len));
 
-    let mut result = ExperimentResult::new("fig5", "cycles normalized to volatile");
-    let mut cols: Vec<&str> = figure_protocols().iter().map(|(n, _)| *n).collect();
-    cols.push("amnt++");
-    let rows = results.render_normalized("volatile", &cols, &mut result, false);
-    for (row, vals) in &rows {
-        eprint!("fig5: {row:<28}");
-        for (col, v) in cols.iter().zip(vals) {
-            eprint!(" {col}={v:.3}");
-        }
-        eprintln!();
-    }
-    print_table("Figure 5: multiprogram PARSEC (normalized cycles)", &cols, &rows);
-
+    let vs_leaf = |col| {
+        let pair = "bodytrack+fluidanimate";
+        table.cell(pair, col) / table.cell(pair, "leaf")
+    };
     println!("\nPaper anchors (§6.2):");
-    compare("bodytrack+fluidanimate amnt vs leaf", 1.08, rows[0].1[4] / rows[0].1[0]);
-    compare("bodytrack+fluidanimate amnt++ vs leaf", 1.001, rows[0].1[5] / rows[0].1[0]);
+    compare("bodytrack+fluidanimate amnt vs leaf", 1.08, vs_leaf("amnt"));
+    compare("bodytrack+fluidanimate amnt++ vs leaf", 1.001, vs_leaf("amnt++"));
     println!("  swaptions+streamcluster and x264+freqmine: not memory-intensive, negligible overheads.");
-    result.set_host(&timer, results.workers);
-    let path = result.save().expect("save results");
-    println!("saved {}", path.display());
-    for p in save_trace_artifacts("fig5", &results).expect("save trace sidecars") {
-        println!("saved {}", p.display());
-    }
 }

@@ -9,72 +9,25 @@
 //! read-intensive cactuBSSN/mcf are insensitive for AMNT but not for
 //! Anubis/BMF.
 
-use amnt_bench::{
-    compare, figure_protocols, gmean, print_table, run_length, save_trace_artifacts,
-    with_env_trace, ExperimentResult, Grid, HostTimer,
-};
-use amnt_core::ProtocolKind;
-use amnt_sim::{run_multithread, MachineConfig, SimReport};
+use amnt_bench::{compare, ProtocolFigure};
+use amnt_sim::{run_multithread, MachineConfig};
 use amnt_workloads::spec2017;
 
 fn main() {
-    let timer = HostTimer::start();
-    let len = run_length();
-    let mut grid: Grid<SimReport> = Grid::new();
-    for model in spec2017() {
-        let cfg = with_env_trace(MachineConfig::spec_multithread());
-        {
-            let cfg = cfg.clone();
-            grid.add(model.name, "volatile", move || {
-                run_multithread(&model, cfg, ProtocolKind::Volatile, len).expect("baseline run")
-            });
-        }
-        for (name, protocol) in figure_protocols() {
-            let cfg = cfg.clone();
-            grid.add(model.name, name, move || {
-                run_multithread(&model, cfg, protocol, len).expect(name)
-            });
-        }
+    let table = ProtocolFigure {
+        id: "fig8",
+        title: "Figure 8: SPEC CPU 2017 multithreaded (normalized cycles)",
+        machine: MachineConfig::spec_multithread(),
+        amnt_plus: false,
+        gmean: true,
     }
-    let results = grid.run();
+    .run(spec2017().into_iter().map(|m| (m.name.to_string(), m)), run_multithread);
 
-    let mut result = ExperimentResult::new("fig8", "cycles normalized to volatile");
-    let cols: Vec<&str> = figure_protocols().iter().map(|(n, _)| *n).collect();
-    let rows = results.render_normalized("volatile", &cols, &mut result, true);
-    for (row, vals) in &rows {
-        eprint!("fig8: {row:<14}");
-        for (col, v) in cols.iter().zip(vals) {
-            eprint!(" {col}={v:.3}");
-        }
-        eprintln!();
-    }
-    print_table("Figure 8: SPEC CPU 2017 multithreaded (normalized cycles)", &cols, &rows);
-
-    // Paper-vs-measured highlights.
-    let find = |bench: &str, col: &str| -> f64 {
-        let ci = cols.iter().position(|c| *c == col).expect("known column");
-        rows.iter().find(|(n, _)| n == bench).map(|(_, v)| v[ci]).unwrap_or(f64::NAN)
-    };
-    // Per-column gmeans over benchmark rows (the appended gmean row).
-    let gmean_of = |col: &str| -> f64 {
-        let ci = cols.iter().position(|c| *c == col).expect("known column");
-        let vals: Vec<f64> = rows
-            .iter()
-            .filter(|(n, _)| n != "gmean")
-            .map(|(_, v)| v[ci])
-            .collect();
-        gmean(&vals)
-    };
     println!("\nPaper anchors (§6.5):");
-    compare("xz under amnt", 1.32, find("xz", "amnt"));
-    compare("xz under anubis", 1.41, find("xz", "anubis"));
-    compare("xz under bmf", 7.0, find("xz", "bmf"));
-    compare("amnt avg improvement vs anubis", 0.87, gmean_of("amnt") / gmean_of("anubis"));
-    compare("amnt overhead vs leaf (<= 1.02)", 1.02, gmean_of("amnt") / gmean_of("leaf"));
-    result.set_host(&timer, results.workers);
-    let path = result.save().expect("save results");
-    println!("saved {}", path.display());
-    for p in save_trace_artifacts("fig8", &results).expect("save trace sidecars") {
-        println!("saved {}", p.display());
-    }
+    compare("xz under amnt", 1.32, table.cell("xz", "amnt"));
+    compare("xz under anubis", 1.41, table.cell("xz", "anubis"));
+    compare("xz under bmf", 7.0, table.cell("xz", "bmf"));
+    let gmean = |col| table.cell("gmean", col);
+    compare("amnt avg improvement vs anubis", 0.87, gmean("amnt") / gmean("anubis"));
+    compare("amnt overhead vs leaf (<= 1.02)", 1.02, gmean("amnt") / gmean("leaf"));
 }

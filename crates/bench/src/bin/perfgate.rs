@@ -18,36 +18,31 @@
 //! epoch time-series instead of the flat artifact — see
 //! [`amnt_bench::series`] for the forms (`recovers_within`, `monotone`,
 //! `bounded_drop`, `final_at_least`, `final_at_most`) and field grammar.
-//! Like flat directives, a missing sidecar skips the check.
 //!
-//! Artifacts that are missing are *skipped* (the gate never forces a full
-//! benchmark run), so `scripts/check.sh` can run this unconditionally:
-//! whatever artifacts exist are held to the recorded shape — the protocol
+//! A reference row whose artifact or sidecar is missing *fails*, like one
+//! whose value is off, since a skipped row would pass without checking
+//! anything; `scripts/check.sh` regenerates every artifact the rows name
+//! (the artifact registry, `amnt_bench::registry`) before it runs the
+//! gate. Every row holds its artifact to the recorded shape — the protocol
 //! ranking and gmean magnitudes §6 reports. Exit status 1 on any failure.
 //!
 //! `perfgate --print <artifact>` prints an artifact's per-column gmeans in
 //! directive syntax, for refreshing the reference block after a deliberate
 //! model change.
 
-use amnt_bench::{gmean, results_dir, Cell, ExperimentResult};
+use amnt_bench::{gmean, results_dir, Cell, ExperimentResult, Json};
 use std::path::Path;
 
-/// A loaded artifact, or the reason it can't be checked.
-enum Artifact {
-    Loaded(Vec<Cell>),
-    Missing,
-    Broken(String),
+/// Reads and parses `results/<file>`, or says why no row can check it: a
+/// missing file fails like a malformed one.
+fn load<T>(dir: &Path, file: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+    let src = std::fs::read_to_string(dir.join(file)).map_err(|_| format!("no results/{file}"))?;
+    parse(&src).map_err(|e| format!("results/{file} unreadable: {e}"))
 }
 
-fn load_artifact(dir: &Path, id: &str) -> Artifact {
-    let path = dir.join(format!("{id}.json"));
-    match std::fs::read_to_string(&path) {
-        Err(_) => Artifact::Missing,
-        Ok(json) => match ExperimentResult::from_json(&json) {
-            Ok(result) => Artifact::Loaded(result.cells),
-            Err(e) => Artifact::Broken(e),
-        },
-    }
+/// An artifact's cells.
+fn load_cells(dir: &Path, id: &str) -> Result<Vec<Cell>, String> {
+    load(dir, &format!("{id}.json"), |src| ExperimentResult::from_json(src).map(|r| r.cells))
 }
 
 /// Geometric mean of an artifact's values in column `col`.
@@ -96,30 +91,22 @@ fn main() {
 
     if args.first().map(String::as_str) == Some("--print") {
         let id = args.get(1).map(String::as_str).unwrap_or("fig4");
-        match load_artifact(&dir, id) {
-            Artifact::Missing => {
-                eprintln!("no artifact {id}.json under {}", dir.display());
-                std::process::exit(1);
-            }
-            Artifact::Broken(e) => {
-                eprintln!("{id}.json unreadable: {e}");
-                std::process::exit(1);
-            }
-            Artifact::Loaded(cells) => {
-                let mut cols: Vec<&str> = Vec::new();
-                for c in &cells {
-                    if !cols.contains(&c.col.as_str()) {
-                        cols.push(&c.col);
-                    }
-                }
-                for col in cols {
-                    if let Some(g) = col_gmean(&cells, col) {
-                        println!("gmean {id} {col} {g:.4} 0.15");
-                    }
-                }
-                return;
+        let cells = load_cells(&dir, id).unwrap_or_else(|e| {
+            eprintln!("perfgate: {e}");
+            std::process::exit(1)
+        });
+        let mut cols: Vec<&str> = Vec::new();
+        for c in &cells {
+            if !cols.contains(&c.col.as_str()) {
+                cols.push(&c.col);
             }
         }
+        for col in cols {
+            if let Some(g) = col_gmean(&cells, col) {
+                println!("gmean {id} {col} {g:.4} 0.15");
+            }
+        }
+        return;
     }
 
     let md_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
@@ -137,11 +124,10 @@ fn main() {
     }
 
     let mut checked = 0usize;
-    let mut skipped = 0usize;
     let mut failures = 0usize;
-    let mut cache: std::collections::BTreeMap<String, Artifact> = Default::default();
-    let mut sidecars: std::collections::BTreeMap<String, Option<Result<amnt_bench::Json, String>>> =
+    let mut cache: std::collections::BTreeMap<String, Result<Vec<Cell>, String>> =
         Default::default();
+    let mut sidecars: std::collections::BTreeMap<String, Result<Json, String>> = Default::default();
 
     for (lineno, line) in refs {
         let fields: Vec<&str> = line.split_whitespace().collect();
@@ -162,20 +148,11 @@ fn main() {
         // Series directives read the trace sidecar, not the flat artifact.
         if fields.first() == Some(&"series") {
             let sidecar = sidecars.entry(artifact_id.clone()).or_insert_with(|| {
-                let path = dir.join(format!("{artifact_id}.trace.json"));
-                std::fs::read_to_string(&path)
-                    .ok()
-                    .map(|s| amnt_bench::Json::parse(&s))
+                load(&dir, &format!("{artifact_id}.trace.json"), Json::parse)
             });
             match sidecar {
-                None => {
-                    println!("SKIP  {line}   (no results/{artifact_id}.trace.json)");
-                    skipped += 1;
-                }
-                Some(Err(e)) => {
-                    fail(format!("results/{artifact_id}.trace.json unreadable: {e}"))
-                }
-                Some(Ok(doc)) => match amnt_bench::series::eval_directive(doc, &fields[2..]) {
+                Err(e) => fail(e.clone()),
+                Ok(doc) => match amnt_bench::series::eval_directive(doc, &fields[2..]) {
                     Ok(desc) => {
                         println!("ok    series {artifact_id} {desc}");
                         checked += 1;
@@ -186,20 +163,15 @@ fn main() {
             continue;
         }
 
-        let artifact = cache
+        let cells = match cache
             .entry(artifact_id.clone())
-            .or_insert_with(|| load_artifact(&dir, &artifact_id));
-        let cells = match artifact {
-            Artifact::Missing => {
-                println!("SKIP  {line}   (no results/{artifact_id}.json)");
-                skipped += 1;
+            .or_insert_with(|| load_cells(&dir, &artifact_id))
+        {
+            Ok(cells) => cells,
+            Err(e) => {
+                fail(e.clone());
                 continue;
             }
-            Artifact::Broken(e) => {
-                fail(format!("results/{artifact_id}.json unreadable: {e}"));
-                continue;
-            }
-            Artifact::Loaded(cells) => cells,
         };
 
         match fields.as_slice() {
@@ -306,7 +278,7 @@ fn main() {
         }
     }
 
-    println!("\nperfgate: {checked} checks passed, {skipped} skipped, {failures} failed");
+    println!("\nperfgate: {checked} checks passed, {failures} failed");
     if failures > 0 {
         std::process::exit(1);
     }

@@ -141,7 +141,7 @@ fn run_bare(trace: &[TenantOp]) -> SecureMemory {
 
 fn main() {
     let timer = HostTimer::start();
-    let ops = count_knob("AMNT_SHARD_OPS", 800);
+    let ops = count_knob("AMNT_SHARD_OPS", 800, 0);
     let workers = exec::worker_count();
     let trace = mix(ops);
 

@@ -7,11 +7,15 @@
 //! A [`Grid`] replaces those loops: cells are declared up front, executed
 //! by [`crate::exec::run_jobs`] across host cores, and collected in
 //! declaration order, so tables, JSON artifacts, and progress output are
-//! identical at any `AMNT_JOBS` value.
+//! identical at any `AMNT_JOBS` value. [`ProtocolFigure`] is the one grid
+//! Figures 4, 5 and 8 share: each of those bins supplies only its rows,
+//! its runner and its paper anchors.
 
 use crate::exec;
-use crate::{gmean, ExperimentResult};
-use amnt_sim::SimReport;
+use crate::trace_out::{save_trace_artifacts, with_env_trace};
+use crate::{figure_protocols, gmean, print_table, run_length, ExperimentResult, HostTimer};
+use amnt_core::{AmntConfig, ProtocolKind};
+use amnt_sim::{with_amnt_plus, MachineConfig, RunLength, SimReport};
 
 /// One executed cell: its labels and the job's result.
 #[derive(Debug, Clone)]
@@ -51,16 +55,6 @@ impl<R: Send> Grid<R> {
         job: impl FnOnce() -> R + Send + 'static,
     ) {
         self.jobs.push((row.into(), col.into(), Box::new(job)));
-    }
-
-    /// Number of declared cells.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no cells are declared.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Runs every cell on `workers` threads (see [`exec::run_jobs_with`]).
@@ -157,6 +151,116 @@ impl GridResults<SimReport> {
     }
 }
 
+/// A normalized-cycles figure over the paper's protocol set: the grid
+/// Figures 4, 5 and 8 share.
+#[derive(Debug, Clone)]
+pub struct ProtocolFigure {
+    /// Artifact id: the figure writes `results/<id>.json`, its host
+    /// sidecar and, when traced, its trace sidecars.
+    pub id: &'static str,
+    /// Title of the printed table.
+    pub title: &'static str,
+    /// The machine every cell runs on, traced as the environment asks.
+    pub machine: MachineConfig,
+    /// Whether each row adds `amnt++`: AMNT on the modified OS allocator.
+    pub amnt_plus: bool,
+    /// Whether the table ends in a per-column geometric-mean row.
+    pub gmean: bool,
+}
+
+/// The table a [`ProtocolFigure`] printed.
+#[derive(Debug, Clone)]
+pub struct FigureTable {
+    /// Column labels (protocols), in legend order.
+    pub cols: Vec<&'static str>,
+    /// Row label and one normalized value per column; the geometric-mean
+    /// row, if any, is last and labelled `gmean`.
+    pub rows: Vec<(String, Vec<f64>)>,
+}
+
+impl FigureTable {
+    /// The value at (`row`, `col`), panicking with the labels when absent.
+    pub fn cell(&self, row: &str, col: &str) -> f64 {
+        let ci = self.cols.iter().position(|c| *c == col);
+        let vals = self.rows.iter().find(|(r, _)| r == row).map(|(_, v)| v);
+        vals.zip(ci)
+            .and_then(|(vals, ci)| vals.get(ci).copied())
+            .unwrap_or_else(|| panic!("figure has no cell ({row}, {col})"))
+    }
+}
+
+impl ProtocolFigure {
+    /// Runs the figure over `rows`, each a label and the workload `run`
+    /// simulates at [`run_length`]. Per row, the cells are the volatile
+    /// baseline, every [`figure_protocols`] entry and, with
+    /// [`Self::amnt_plus`], `amnt++`, declared in that order: the order of
+    /// the artifact's cells and of its trace sidecars. Prints a line per
+    /// row to stderr and the table to stdout, saves the artifact with its
+    /// sidecars, and returns the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a cell's run fails or an artifact cannot be written.
+    pub fn run<W, E>(
+        self,
+        rows: impl IntoIterator<Item = (String, W)>,
+        run: fn(&W, MachineConfig, ProtocolKind, RunLength) -> Result<SimReport, E>,
+    ) -> FigureTable
+    where
+        W: Clone + Send + 'static,
+        E: std::fmt::Debug + 'static,
+    {
+        let timer = HostTimer::start();
+        let len = run_length();
+        let machine = with_env_trace(self.machine);
+        let mut cells = vec![("volatile", ProtocolKind::Volatile, machine.clone())];
+        for (name, protocol) in figure_protocols() {
+            cells.push((name, protocol, machine.clone()));
+        }
+        if self.amnt_plus {
+            let amnt = AmntConfig::default();
+            cells.push(("amnt++", ProtocolKind::Amnt(amnt), with_amnt_plus(machine, amnt)));
+        }
+        let mut grid: Grid<SimReport> = Grid::new();
+        for (row, workload) in rows {
+            for (col, protocol, cfg) in &cells {
+                let (workload, protocol, cfg, col) =
+                    (workload.clone(), *protocol, cfg.clone(), *col);
+                grid.add(row.clone(), col, move || {
+                    run(&workload, cfg, protocol, len).unwrap_or_else(|e| panic!("{col}: {e:?}"))
+                });
+            }
+        }
+        let results = grid.run();
+
+        let cols: Vec<&'static str> = cells.iter().skip(1).map(|(name, _, _)| *name).collect();
+        let mut result = ExperimentResult::new(self.id, "cycles normalized to volatile");
+        let rows = results.render_normalized("volatile", &cols, &mut result, self.gmean);
+        let width = rows.iter().map(|(row, _)| row.len()).max().unwrap_or(0);
+        for (row, vals) in &rows {
+            eprint!("{}: {row:<width$}", self.id);
+            for (col, v) in cols.iter().zip(vals) {
+                eprint!(" {col}={v:.3}");
+            }
+            eprintln!();
+        }
+        print_table(self.title, &cols, &rows);
+
+        result.set_host(&timer, results.workers);
+        let path = result.save().expect("save results");
+        for p in save_trace_artifacts(self.id, &results).expect("save trace sidecars") {
+            println!("saved {}", p.display());
+        }
+        println!(
+            "saved {} ({:.1}s host wall-clock at {} jobs)",
+            path.display(),
+            result.host_seconds,
+            results.workers
+        );
+        FigureTable { cols, rows }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +274,6 @@ mod tests {
                 grid.add(r, c, move || format!("{r2}{c2}"));
             }
         }
-        assert_eq!(grid.len(), 6);
         let res = grid.run_with(3);
         let order: Vec<String> =
             res.cells().iter().map(|c| format!("{}{}", c.row, c.col)).collect();

@@ -1,8 +1,9 @@
 //! # amnt-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper
-//! (`fig3_hot_regions` … `table4_recovery`, plus `all`), and shared
-//! plumbing — protocol sets, run-length knobs, table formatting, geometric
+//! (`fig3_hot_regions` … `table4_recovery`, plus `all`), each declared
+//! once in the artifact [`registry`], and shared plumbing — protocol sets,
+//! run-length knobs, the protocol-figure grid, table formatting, geometric
 //! means, and JSON result dumps under `results/`.
 //!
 //! Run any experiment with, e.g.:
@@ -12,7 +13,8 @@
 //! ```
 //!
 //! Environment knobs: `AMNT_ACCESSES` (per-core measured accesses),
-//! `AMNT_WARMUP`, `AMNT_SEED`, and `AMNT_JOBS` (parallel executor worker
+//! `AMNT_WARMUP`, `AMNT_SEED` (each read by [`count_knob`], which stops
+//! the run on a malformed value), and `AMNT_JOBS` (parallel executor worker
 //! count; default: available parallelism — see [`exec`]), plus
 //! `AMNT_TRACE=1` to emit `*.trace.json` / `*.perfetto.json` sidecars
 //! (see [`trace_out`]).
@@ -24,55 +26,60 @@ pub mod diff;
 pub mod exec;
 pub mod grid;
 pub mod json;
+pub mod registry;
 pub mod series;
-pub mod sweep;
 pub mod trace_out;
 
-pub use grid::{Grid, GridCell, GridResults};
+pub use grid::{FigureTable, Grid, GridCell, GridResults, ProtocolFigure};
 pub use json::Json;
-pub use trace_out::{save_trace_artifacts, trace_config, with_env_trace};
+pub use trace_out::{save_trace_artifacts, with_env_trace};
 
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, ProtocolKind};
-use amnt_sim::{RunLength, SimReport};
+use amnt_sim::RunLength;
 use amnt_trace::json_str;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Measured run length, overridable from the environment.
+/// Measured run length, overridable from the environment through
+/// [`count_knob`].
 pub fn run_length() -> RunLength {
-    let get = |k: &str, d: u64| {
-        std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d)
-    };
     RunLength {
-        accesses: get("AMNT_ACCESSES", 150_000),
-        warmup: get("AMNT_WARMUP", 15_000),
-        seed: get("AMNT_SEED", 1),
+        accesses: count_knob("AMNT_ACCESSES", 150_000, 0),
+        warmup: count_knob("AMNT_WARMUP", 15_000, 0),
+        seed: count_knob("AMNT_SEED", 1, 0),
     }
 }
 
-/// Parses the value of the sweep-size knob `var`: unset (`None`) keeps
-/// `default`; a set value must be a non-negative integer.
+/// Parses the value of the count knob `var`: unset (`None`) keeps
+/// `default`; a set value must be an integer of type `T` no smaller than
+/// `min`. `T` is an unsigned integer type, up to `u64`.
 ///
 /// # Errors
 ///
 /// A message naming the variable and its value when the value does not
-/// parse.
-pub fn parse_count(var: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
-    match value {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{var}={v:?} is not a non-negative integer")),
+/// parse or is below `min`.
+pub fn parse_count<T>(var: &str, value: Option<&str>, default: T, min: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let Some(v) = value else { return Ok(default) };
+    match v.parse() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(format!("{var}={v:?} is below the minimum {min}")),
+        Err(_) => Err(format!("{var}={v:?} is not a non-negative integer")),
     }
 }
 
-/// Reads the sweep-size knob `var` through [`parse_count`]. A set value
-/// that does not parse ends the process with status 2 and the message,
-/// rather than silently running the default.
-pub fn count_knob(var: &str, default: usize) -> usize {
+/// Reads the count knob `var` through [`parse_count`]. A set value that
+/// does not parse, or is below `min`, ends the process with status 2 and
+/// the message, rather than silently running the default.
+pub fn count_knob<T>(var: &str, default: T, min: T) -> T
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
     let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    parse_count(var, value.as_deref(), default).unwrap_or_else(|e| {
+    parse_count(var, value.as_deref(), default, min).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     })
@@ -364,29 +371,38 @@ pub fn compare(label: &str, paper: f64, measured: f64) {
     println!("  {label:<44} paper {paper:>10.3}   measured {measured:>10.3}");
 }
 
-/// Extracts (normalized cycles vs `baseline`) from a report.
-pub fn normalized(report: &SimReport, baseline: &SimReport) -> f64 {
-    report.normalized_to(baseline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn count_knobs_default_when_unset_and_reject_malformed_values() {
-        assert_eq!(parse_count("AMNT_FAULT_OPS", None, 100), Ok(100));
-        assert_eq!(parse_count("AMNT_FAULT_OPS", Some("24"), 100), Ok(24));
-        assert_eq!(parse_count("AMNT_SHARD_OPS", Some("0"), 800), Ok(0));
+        assert_eq!(parse_count("AMNT_FAULT_OPS", None, 100, 0), Ok(100));
+        assert_eq!(parse_count("AMNT_FAULT_OPS", Some("24"), 100, 0), Ok(24));
+        assert_eq!(parse_count("AMNT_SHARD_OPS", Some("0"), 800, 0), Ok(0));
         assert_eq!(
-            parse_count("AMNT_FAULT_OPS", Some("1O0"), 100),
+            parse_count("AMNT_FAULT_OPS", Some("1O0"), 100, 0),
             Err("AMNT_FAULT_OPS=\"1O0\" is not a non-negative integer".to_string())
         );
         for bad in ["abc", "", " 24", "-1", "2.5", "24 "] {
-            let err = parse_count("AMNT_SHARD_OPS", Some(bad), 800).expect_err(bad);
+            let err = parse_count("AMNT_SHARD_OPS", Some(bad), 800, 0).expect_err(bad);
             assert!(err.starts_with("AMNT_SHARD_OPS="), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+        // Run-length knobs are u64: the whole range parses, one past it
+        // does not, and a typo no longer runs a silent default.
+        assert_eq!(parse_count("AMNT_SEED", Some("18446744073709551615"), 1, 0), Ok(u64::MAX));
+        assert!(parse_count("AMNT_SEED", Some("18446744073709551616"), 1u64, 0).is_err());
+        assert_eq!(
+            parse_count("AMNT_ACCESSES", Some("15O000"), 150_000u64, 0),
+            Err("AMNT_ACCESSES=\"15O000\" is not a non-negative integer".to_string())
+        );
+        // A zero trace epoch or event capacity is rejected, not clamped.
+        assert_eq!(
+            parse_count("AMNT_TRACE_EPOCH", Some("0"), 250_000u64, 1),
+            Err("AMNT_TRACE_EPOCH=\"0\" is below the minimum 1".to_string())
+        );
+        assert_eq!(parse_count("AMNT_TRACE_EVENTS", Some("1"), 65_536usize, 1), Ok(1));
     }
 
     #[test]

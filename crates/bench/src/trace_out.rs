@@ -4,52 +4,40 @@
 //! time-series) and `results/<id>.perfetto.json` (Chrome trace-event /
 //! Perfetto timeline).
 //!
-//! Tracing is opt-in via `AMNT_TRACE=1` (see [`trace_config`]); when it is
+//! Tracing is opt-in via `AMNT_TRACE=1` (see [`with_env_trace`]); when it is
 //! off every [`SimReport::trace`] is `None` and [`save_trace_artifacts`]
 //! writes nothing. Both sidecars are derived purely from simulated-cycle
 //! state collected in declaration order, so like the main artifacts they
 //! are byte-identical at any `AMNT_JOBS` value.
 
 use crate::grid::GridResults;
-use crate::results_dir;
+use crate::{count_knob, results_dir};
 use amnt_sim::{MachineConfig, SimReport};
 use amnt_trace::{chrome_document, metrics_document, TraceConfig, TraceReport};
 use std::io::Write as _;
 use std::path::PathBuf;
 
-/// Reads the tracing knobs from the environment.
-///
-/// `AMNT_TRACE=1` (or any value other than `0`/empty) enables tracing;
-/// `AMNT_TRACE_EPOCH` overrides the epoch-sample period in sim cycles and
-/// `AMNT_TRACE_EVENTS` the timeline ring capacity. Returns `None` when
-/// tracing is off — the value plugs straight into
-/// [`MachineConfig::trace`].
-pub fn trace_config() -> Option<TraceConfig> {
-    let on = std::env::var("AMNT_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if !on {
-        return None;
-    }
-    Some(env_tuned_config())
-}
-
-/// The trace configuration the environment's tuning knobs describe,
-/// without the `AMNT_TRACE` on/off gate — for binaries (like
-/// `trace_report`) that trace by default.
+/// The trace configuration the environment's tuning knobs describe:
+/// `AMNT_TRACE_EPOCH` sets the epoch-sample period in sim cycles and
+/// `AMNT_TRACE_EVENTS` the timeline ring capacity. Both go through
+/// [`count_knob`], and a zero epoch or event capacity is rejected.
+/// Binaries that trace by default (like `trace_report`) call it directly.
 pub fn env_tuned_config() -> TraceConfig {
-    let get = |k: &str, d: u64| std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d);
-    let mut cfg = TraceConfig::default();
-    cfg.epoch_cycles = get("AMNT_TRACE_EPOCH", cfg.epoch_cycles).max(1);
-    cfg.max_events = get("AMNT_TRACE_EVENTS", cfg.max_events as u64).max(1) as usize;
-    cfg
+    let defaults = TraceConfig::default();
+    TraceConfig {
+        epoch_cycles: count_knob("AMNT_TRACE_EPOCH", defaults.epoch_cycles, 1),
+        max_events: count_knob("AMNT_TRACE_EVENTS", defaults.max_events, 1),
+    }
 }
 
-/// Applies the environment's tracing knobs to a machine config. The
-/// figure binaries call this once per cell config so a plain
-/// `AMNT_TRACE=1 cargo run ...` traces every cell with no code changes.
+/// Applies the environment's tracing knobs to a machine config:
+/// `AMNT_TRACE=1` (or any value other than `0`/empty) traces at
+/// [`env_tuned_config`], and tracing stays off otherwise.
+/// [`crate::ProtocolFigure`] applies it to its machine, so a plain
+/// `AMNT_TRACE=1 cargo run ...` traces every cell of Figures 4, 5 and 8.
 pub fn with_env_trace(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.trace = trace_config();
+    let on = std::env::var("AMNT_TRACE").is_ok_and(|v| !v.is_empty() && v != "0");
+    cfg.trace = on.then(env_tuned_config);
     cfg
 }
 
@@ -98,7 +86,7 @@ pub fn save_trace_artifacts(
 mod tests {
     use super::*;
 
-    // trace_config() reads process-global env vars, so tests that set them
+    // with_env_trace() reads process-global env vars, so tests that set them
     // would race under the parallel test harness; the env-driven paths are
     // exercised end-to-end by scripts/check.sh's trace smoke gate instead.
 

@@ -64,9 +64,10 @@ pub enum Partition {
 /// use amnt_core::{HybridConfig, HybridMemory, Partition};
 ///
 /// let mut mem = HybridMemory::new(HybridConfig::new(1 << 20, 1 << 21))?;
-/// assert_eq!(mem.partition_of(0x1000), Partition::Dram);
+/// assert_eq!(mem.partition_of(0x1000), Some(Partition::Dram));
 /// let scm_addr = (1 << 20) + 0x1000;
-/// assert_eq!(mem.partition_of(scm_addr), Partition::Scm);
+/// assert_eq!(mem.partition_of(scm_addr), Some(Partition::Scm));
+/// assert_eq!(mem.partition_of(3 << 20), None, "past both partitions");
 ///
 /// mem.write_block(0, 0x1000, &[1u8; 64])?;     // DRAM: volatile
 /// mem.write_block(0, scm_addr, &[2u8; 64])?;   // SCM: crash consistent
@@ -107,20 +108,23 @@ impl HybridMemory {
         SecureMemory::new(cfg, ProtocolKind::Volatile)
     }
 
-    /// The partition containing `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is beyond both partitions.
-    pub fn partition_of(&self, addr: u64) -> Partition {
+    /// The partition containing `addr`, or `None` past both partitions.
+    pub fn partition_of(&self, addr: u64) -> Option<Partition> {
         if addr < self.config.dram_bytes {
-            Partition::Dram
+            Some(Partition::Dram)
+        } else if addr - self.config.dram_bytes < self.config.scm_bytes {
+            Some(Partition::Scm)
         } else {
-            assert!(
-                addr < self.config.dram_bytes + self.config.scm_bytes,
-                "address {addr:#x} beyond the hybrid address space"
-            );
-            Partition::Scm
+            None
+        }
+    }
+
+    /// The engine owning `addr` and the address within it.
+    fn route(&mut self, addr: u64) -> Result<(&mut SecureMemory, u64), IntegrityError> {
+        match self.partition_of(addr) {
+            Some(Partition::Dram) => Ok((&mut self.dram, addr)),
+            Some(Partition::Scm) => Ok((&mut self.scm, addr - self.config.dram_bytes)),
+            None => Err(IntegrityError::OutOfRange { addr }),
         }
     }
 
@@ -138,16 +142,15 @@ impl HybridMemory {
     ///
     /// # Errors
     ///
-    /// Propagates [`IntegrityError`] from the owning engine.
+    /// [`IntegrityError::OutOfRange`] past both partitions; otherwise
+    /// propagates [`IntegrityError`] from the owning engine.
     pub fn read_block(
         &mut self,
         now: u64,
         addr: u64,
     ) -> Result<([u8; BLOCK_SIZE], u64), IntegrityError> {
-        match self.partition_of(addr) {
-            Partition::Dram => self.dram.read_block(now, addr),
-            Partition::Scm => self.scm.read_block(now, addr - self.config.dram_bytes),
-        }
+        let (engine, local) = self.route(addr)?;
+        engine.read_block(now, local)
     }
 
     /// Like [`Self::read_block`], but the owning engine's lazy verify
@@ -156,18 +159,14 @@ impl HybridMemory {
     ///
     /// # Errors
     ///
-    /// Propagates [`IntegrityError`] from the owning engine.
+    /// As [`Self::read_block`].
     pub fn read_block_verified(
         &mut self,
         now: u64,
         addr: u64,
     ) -> Result<([u8; BLOCK_SIZE], u64), IntegrityError> {
-        match self.partition_of(addr) {
-            Partition::Dram => self.dram.read_block_verified(now, addr),
-            Partition::Scm => self
-                .scm
-                .read_block_verified(now, addr - self.config.dram_bytes),
-        }
+        let (engine, local) = self.route(addr)?;
+        engine.read_block_verified(now, local)
     }
 
     /// Writes the block at `addr` to whichever partition holds it. SCM
@@ -176,19 +175,15 @@ impl HybridMemory {
     ///
     /// # Errors
     ///
-    /// Propagates [`IntegrityError`] from the owning engine.
+    /// As [`Self::read_block`].
     pub fn write_block(
         &mut self,
         now: u64,
         addr: u64,
         data: &[u8; BLOCK_SIZE],
     ) -> Result<u64, IntegrityError> {
-        match self.partition_of(addr) {
-            Partition::Dram => self.dram.write_block(now, addr, data),
-            Partition::Scm => self
-                .scm
-                .write_block(now, addr - self.config.dram_bytes, data),
-        }
+        let (engine, local) = self.route(addr)?;
+        engine.write_block(now, local, data)
     }
 
     /// Power failure and recovery: DRAM contents (and the volatile BMT over
@@ -222,16 +217,27 @@ mod tests {
     #[test]
     fn partition_mapping() {
         let m = hybrid();
-        assert_eq!(m.partition_of(0), Partition::Dram);
-        assert_eq!(m.partition_of(4 * MIB - 64), Partition::Dram);
-        assert_eq!(m.partition_of(4 * MIB), Partition::Scm);
-        assert_eq!(m.partition_of(12 * MIB - 64), Partition::Scm);
+        assert_eq!(m.partition_of(0), Some(Partition::Dram));
+        assert_eq!(m.partition_of(4 * MIB - 64), Some(Partition::Dram));
+        assert_eq!(m.partition_of(4 * MIB), Some(Partition::Scm));
+        assert_eq!(m.partition_of(12 * MIB - 64), Some(Partition::Scm));
     }
 
     #[test]
-    #[should_panic(expected = "beyond the hybrid address space")]
-    fn out_of_space_panics() {
-        hybrid().partition_of(12 * MIB);
+    fn addresses_past_both_partitions_are_out_of_range() {
+        let mut m = hybrid();
+        // The first address past the SCM, and one whose end would
+        // overflow `dram_bytes + scm_bytes`-style arithmetic.
+        for addr in [12 * MIB, u64::MAX - 63] {
+            assert_eq!(m.partition_of(addr), None);
+            let out_of_range = Err(IntegrityError::OutOfRange { addr });
+            assert_eq!(m.read_block(0, addr).map(|_| ()), out_of_range);
+            assert_eq!(m.read_block_verified(0, addr).map(|_| ()), out_of_range);
+            assert_eq!(m.write_block(0, addr, &[9; 64]).map(|_| ()), out_of_range);
+        }
+        // Nothing was written: both partitions still read back zeros.
+        assert_eq!(m.read_block(0, 0).unwrap().0, [0; 64]);
+        assert_eq!(m.read_block(0, 12 * MIB - 64).unwrap().0, [0; 64]);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl Features {
 /// compound expressions are out of scope; `i` counts as guarded when it is
 /// bound by a `for` pattern, compared against a bound (`i <`, `i <=`,
 /// `i >=` — assertions included), or derived through `%` / `.min(` /
-/// `& mask` in an assignment.
+/// `.clamp(` / `& mask` in an assignment (see [`masked`]).
 fn unguarded_indexing(body: &str) -> Vec<(usize, String)> {
     let bytes = body.as_bytes();
     let mut out = Vec::new();
@@ -164,7 +164,6 @@ fn unguarded_indexing(body: &str) -> Vec<(usize, String)> {
 
 /// Whether `ident` has a visible bound anywhere in `body`.
 fn ident_guarded(body: &str, ident: &str) -> bool {
-    let bytes = body.as_bytes();
     let ins = token_offsets(body, "in");
     for f in token_offsets(body, "for") {
         // The pattern between `for` and its `in` binds iteration variables.
@@ -187,7 +186,11 @@ fn ident_guarded(body: &str, ident: &str) -> bool {
         if rest.starts_with('=') && !rest.starts_with("==") {
             let stmt_end = rest.find(';').unwrap_or(rest.len());
             let rhs = &rest[..stmt_end];
-            if rhs.contains('%') || rhs.contains(".min(") || rhs.contains(".clamp(") || rhs.contains("& ") {
+            if rhs.contains('%')
+                || rhs.contains(".min(")
+                || rhs.contains(".clamp(")
+                || masked(rhs)
+            {
                 return true;
             }
         }
@@ -198,8 +201,73 @@ fn ident_guarded(body: &str, ident: &str) -> bool {
             return true;
         }
     }
-    let _ = bytes;
     false
+}
+
+/// Whether `expr` applies a binary `&` whose other operand is a mask: an
+/// integer literal, an all-caps constant, or a parenthesised `(… - 1)`.
+/// `addr & 63` and `addr & (len - 1)` bound the result; `addr & v.len()`
+/// does not.
+fn masked(expr: &str) -> bool {
+    let is_mask = |op: &str| {
+        let name = op.rsplit("::").next().unwrap_or(op);
+        op.starts_with(|c: char| c.is_ascii_digit())
+            || (op.starts_with('(') && op[1..op.len() - 1].trim_end().ends_with("- 1"))
+            || (name.starts_with(|c: char| c.is_ascii_uppercase())
+                && name.bytes().all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_'))
+    };
+    expr.match_indices('&').any(|(at, _)| {
+        let (left, right) = (expr[..at].trim_end(), expr[at + 1..].trim_start());
+        let binary = left.ends_with(|c: char| is_ident_byte(c as u8) || c == ')' || c == ']')
+            && !right.starts_with('&');
+        binary && (is_mask(leading_operand(right)) || is_mask(trailing_operand(left)))
+    })
+}
+
+/// The operand `s` starts with: a balanced `(…)` group, or a path of
+/// identifier characters and `::` that is not a call or a field access
+/// (those yield `""`).
+fn leading_operand(s: &str) -> &str {
+    let end = if s.starts_with('(') {
+        let mut depth = 0i64;
+        s.bytes()
+            .position(|b| {
+                depth += i64::from(b == b'(') - i64::from(b == b')');
+                depth == 0
+            })
+            .map_or(0, |close| close + 1)
+    } else {
+        s.bytes().position(|b| !(is_ident_byte(b) || b == b':')).unwrap_or(s.len())
+    };
+    if s[end..].trim_start().starts_with(['.', '(']) {
+        ""
+    } else {
+        &s[..end]
+    }
+}
+
+/// The operand `s` ends with, read backwards like [`leading_operand`]: a
+/// balanced `(…)` group that is not a call's argument list, or a path
+/// that is not a field access (both else `""`).
+fn trailing_operand(s: &str) -> &str {
+    let start = if s.ends_with(')') {
+        let mut depth = 0i64;
+        s.bytes()
+            .rposition(|b| {
+                depth += i64::from(b == b')') - i64::from(b == b'(');
+                depth == 0
+            })
+            .unwrap_or(s.len())
+    } else {
+        s.bytes().rposition(|b| !(is_ident_byte(b) || b == b':')).map_or(0, |at| at + 1)
+    };
+    let before = s[..start].trim_end();
+    let call = s.ends_with(')') && before.ends_with(|c: char| is_ident_byte(c as u8));
+    if before.ends_with('.') || call {
+        ""
+    } else {
+        &s[start..]
+    }
 }
 
 /// Downward boolean fixpoint: `out[f] = base[f] || any(out[callee])`.
@@ -441,5 +509,30 @@ mod tests {
         assert!(!ident_guarded("{ let x = bank << 2; a[bank]; }", "bank"));
         // ...but a real comparison is.
         assert!(ident_guarded("{ debug_assert!(bank < n); a[bank]; }", "bank"));
+    }
+
+    #[test]
+    fn only_a_mask_operand_makes_and_a_bound() {
+        for bounded in [
+            "= addr as usize & 63",
+            "= 0x3f & addr",
+            "= (addr & LINE_MASK) as usize",
+            "= addr & Self::MASK",
+            "= addr & (len - 1)",
+            "= (self.ways - 1) & hash",
+        ] {
+            assert!(masked(bounded), "{bounded}");
+        }
+        for unbounded in [
+            "= addr as usize & pre.len()",
+            "= addr & len",
+            "= addr & MASK.count_ones()",
+            "= f(&MASK)",
+            "= a && b",
+            "= addr & mask(len - 1)",
+            "= addr & (len + 1)",
+        ] {
+            assert!(!masked(unbounded), "{unbounded}");
+        }
     }
 }

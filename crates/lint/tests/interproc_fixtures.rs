@@ -110,6 +110,41 @@ fn r1_flags_unwrap_two_calls_deep_from_recover() {
     assert!(findings[0].message.contains("recover"), "{}", findings[0].message);
 }
 
+/// `Nvm::undo_group`, reached from `crash`, indexing its pre-image through
+/// an index masked with `mask`.
+fn undo_group_masked_with(mask: &str) -> Vec<Finding> {
+    let src = format!(
+        "impl Nvm {{\n\
+         \x20   pub fn crash(&mut self, group: Vec<(u64, Vec<u8>)>) {{\n\
+         \x20       self.undo_group(group);\n\
+         \x20   }}\n\
+         \x20   fn undo_group(&mut self, group: Vec<(u64, Vec<u8>)>) {{\n\
+         \x20       for (addr, pre) in group.into_iter().rev() {{\n\
+         \x20           let i = addr as usize & {mask};\n\
+         \x20           let _ = pre[i];\n\
+         \x20       }}\n\
+         \x20   }}\n\
+         }}\n"
+    );
+    corpus(&[("crates/nvm/src/undo.rs", &src)])
+}
+
+#[test]
+fn r1_flags_index_masked_with_a_length() {
+    // `addr & pre.len()` is out of bounds whenever `addr` has the bit of
+    // `pre.len()` set: `&` bounds an index only against a mask.
+    let findings = undo_group_masked_with("pre.len()");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "R1");
+    assert!(findings[0].message.contains("undo_group"), "{}", findings[0].message);
+}
+
+#[test]
+fn r1_accepts_index_masked_with_a_literal() {
+    let findings = undo_group_masked_with("63");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
 #[test]
 fn r9_flags_early_question_mark_between_begin_and_end() {
     let findings = corpus(&[(

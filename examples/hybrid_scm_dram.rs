@@ -17,8 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 8 MiB of DRAM at [0, 8M), 32 MiB of SCM above it.
     let mut mem = HybridMemory::new(HybridConfig::new(8 * MIB, 32 * MIB))?;
     let scm_base = 8 * MIB;
-    assert_eq!(mem.partition_of(0x1000), Partition::Dram);
-    assert_eq!(mem.partition_of(scm_base + 0x1000), Partition::Scm);
+    assert_eq!(mem.partition_of(0x1000), Some(Partition::Dram));
+    assert_eq!(mem.partition_of(scm_base + 0x1000), Some(Partition::Scm));
+    // Past both partitions is a typed error, never a panic.
+    assert_eq!(mem.partition_of(scm_base + 32 * MIB), None);
+    assert!(mem.read_block(0, scm_base + 32 * MIB).is_err());
 
     // A scratch buffer in DRAM and a durable log in SCM.
     let mut t = 0;

@@ -64,31 +64,48 @@ echo "== perfbench tests (repository benchmark, its own cargo workspace) =="
 # that surface compiling and its counts reconciled.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml || fail=1
 
-echo "== fault sweep (crash-point, eviction-class + idempotence smoke) =="
-# Bounded smoke by default; the sweep is exhaustive in crash points at any
-# size — including eviction-writeback crash points and the nested
-# recovery-fault (idempotence) pass — so silent, boundary_deficit,
-# evict_silent and idempotence_violations must be zero regardless of
-# AMNT_FAULT_OPS. Run the full acceptance sweep with AMNT_FAULT_OPS=100
-# (or larger). The artifact must also be byte-identical across AMNT_JOBS.
-sweepdir="$(mktemp -d)"
-AMNT_FAULT_OPS="${AMNT_FAULT_OPS:-24}" AMNT_JOBS=1 \
-    cargo run --release -p amnt-bench --bin fault_sweep || fail=1
-cp results/fault_sweep.json results/fault_sweep.trace.json "$sweepdir"/ || fail=1
-AMNT_FAULT_OPS="${AMNT_FAULT_OPS:-24}" AMNT_JOBS=2 \
-    cargo run --release -q -p amnt-bench --bin fault_sweep >/dev/null || fail=1
-for f in fault_sweep.json fault_sweep.trace.json; do
-    if ! cmp -s "$sweepdir/$f" "results/$f"; then
-        echo "   fault sweep: $f differs between AMNT_JOBS=1 and 2"
-        fail=1
+echo "== registry artifacts (fresh for perfgate; AMNT_JOBS 1-vs-2 byte-compare) =="
+# One loop over the artifact registry (crates/bench/src/registry.rs), read
+# through `all --list`. Every entry marked `run` or `jobs` runs with its
+# knob defaults (a variable already set here wins, so AMNT_FAULT_OPS=100
+# runs the acceptance fault sweep) and leaves fresh artifacts in results/:
+# perfgate never reads a stale or missing one. A `jobs` entry runs first at
+# AMNT_JOBS=1 in a scratch directory, then at AMNT_JOBS=2 here, and every
+# file the first run wrote, host-clock .host.json sidecars aside, must be
+# byte-identical to the second run's. The fault sweep is exhaustive in
+# crash points at any size, and perfgate pins its zero rows (silent,
+# boundary_deficit, evict_silent, idempotence_violations) and
+# shard_bench's; crypto_bench's rows are host-clock ratios.
+bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+run_entry() {
+    # shellcheck disable=SC2086 # $knobs holds VAR=value words
+    env -u CARGO_MANIFEST_DIR $knobs "$@" "$bin_dir/$bin"
+}
+listing="$("$bin_dir/all" --list)" || fail=1
+while read -r -u 3 bin _ check _ knobs; do
+    [ "$check" = - ] && continue
+    echo "-- $bin $knobs"
+    if [ "$check" = run ]; then
+        run_entry || fail=1
+        continue
     fi
-done
-rm -rf "$sweepdir"
+    jobsdir="$(mktemp -d)"
+    (cd "$jobsdir" && run_entry AMNT_JOBS=1) || fail=1
+    run_entry AMNT_JOBS=2 >/dev/null || fail=1
+    for f in "$jobsdir"/results/*.json; do
+        case "$f" in *.host.json) continue ;; esac
+        if ! cmp -s "$f" "results/${f##*/}"; then
+            echo "   $bin: ${f##*/} differs between AMNT_JOBS=1 and 2"
+            fail=1
+        fi
+    done
+    rm -rf "$jobsdir"
+done 3< <(grep -v '^#' <<<"$listing")
 
-echo "== trace smoke (sidecar determinism + observer purity) =="
-# Quick traced runs of the trace_report grid: the two sidecars must be
-# byte-identical across worker counts, and the main artifact must be
-# byte-identical with tracing on or off (tracing is a pure observer).
+echo "== trace smoke (observer purity + cross-run diff) =="
+# Quick traced runs of the trace_report grid (the registry loop above
+# byte-compares its sidecars across worker counts): the main artifact must
+# be byte-identical with tracing on or off (tracing is a pure observer).
 tracedir="$(mktemp -d)"
 # 30k accesses so each AMNT cell's epoch series is dense enough for the
 # perfgate `series` rows (one subtree transition per cell with sampled
@@ -98,15 +115,7 @@ trace_smoke() {
         cargo run --release -q -p amnt-bench --bin trace_report >/dev/null || return 1
 }
 AMNT_JOBS=1 trace_smoke || fail=1
-cp results/trace_report.json results/trace_report.trace.json \
-   results/trace_report.perfetto.json "$tracedir"/ || fail=1
-AMNT_JOBS=2 trace_smoke || fail=1
-for f in trace_report.trace.json trace_report.perfetto.json; do
-    if ! cmp -s "$tracedir/$f" "results/$f"; then
-        echo "   trace smoke: $f differs between AMNT_JOBS=1 and 2"
-        fail=1
-    fi
-done
+cp results/trace_report.json results/trace_report.trace.json "$tracedir"/ || fail=1
 AMNT_JOBS=2 AMNT_TRACE=0 trace_smoke || fail=1
 if ! cmp -s "$tracedir/trace_report.json" results/trace_report.json; then
     echo "   trace smoke: main artifact differs with tracing on vs off"
@@ -133,62 +142,7 @@ if ! cargo run --release -q -p amnt-bench --bin trace_diff -- \
     fail=1
 fi
 rm -rf "$tracedir"
-[ "$fail" -eq 0 ] && echo "   trace smoke: sidecars deterministic, observer pure, cross-run diff empty"
-
-echo "== sharded smoke (shard_bench determinism across worker counts) =="
-# The sharded controller runs one shard per executor job, so AMNT_JOBS is
-# a pure speed knob: the main artifact and the per-shard trace sidecar
-# must be byte-identical between 1 and 2 workers. The bin itself asserts
-# N=1 bit-equivalence to the unsharded SecureMemory and runs the fault
-# sweep, every fault class, at every N (perfgate pins the zero rows).
-# AMNT_SHARD_OPS scales the tenant mix (default 800).
-sharddir="$(mktemp -d)"
-AMNT_JOBS=1 cargo run --release -p amnt-bench --bin shard_bench || fail=1
-cp results/shard_bench.json results/shard_bench.trace.json "$sharddir"/ || fail=1
-AMNT_JOBS=2 cargo run --release -q -p amnt-bench --bin shard_bench >/dev/null || fail=1
-for f in shard_bench.json shard_bench.trace.json; do
-    if ! cmp -s "$sharddir/$f" "results/$f"; then
-        echo "   sharded smoke: $f differs between AMNT_JOBS=1 and 2"
-        fail=1
-    fi
-done
-rm -rf "$sharddir"
-
-echo "== table4 recovery (2 TB simulated recovery smoke) =="
-# The simulated column runs a real crash + O(touched) recovery on an actual
-# (sparse-frame) 2 TB device and reconciles against the analytical leaf
-# anchor; perfgate pins the extrapolated cell to 6222.21 ms ± 2%. The
-# functional grid is parallel, so the artifact must also be byte-identical
-# across AMNT_JOBS (wall-clock lives in the .host.json sidecar).
-t4dir="$(mktemp -d)"
-AMNT_JOBS=1 cargo run --release -p amnt-bench --bin table4_recovery || fail=1
-cp results/table4.json "$t4dir"/ || fail=1
-AMNT_JOBS=2 cargo run --release -q -p amnt-bench --bin table4_recovery >/dev/null || fail=1
-if ! cmp -s "$t4dir/table4.json" results/table4.json; then
-    echo "   table4: artifact differs between AMNT_JOBS=1 and 2"
-    fail=1
-fi
-rm -rf "$t4dir"
-
-echo "== wear smoke (per-region wear ledger determinism) =="
-# wear_analysis is the one artifact the controller's wear ledger feeds:
-# per-region frame-write summaries for every protocol. Its cells run in
-# parallel, so the artifact must be byte-identical across AMNT_JOBS.
-weardir="$(mktemp -d)"
-AMNT_JOBS=1 cargo run --release -p amnt-bench --bin wear_analysis || fail=1
-cp results/wear.json "$weardir"/ || fail=1
-AMNT_JOBS=2 cargo run --release -q -p amnt-bench --bin wear_analysis >/dev/null || fail=1
-if ! cmp -s "$weardir/wear.json" results/wear.json; then
-    echo "   wear smoke: artifact differs between AMNT_JOBS=1 and 2"
-    fail=1
-fi
-rm -rf "$weardir"
-
-echo "== crypto bench (multi-lane MAC engine) =="
-# Host-clock ns/op for the scalar vs 8-lane batched 85-byte MAC; perfgate
-# holds the batched path to >= 1.6x scalar throughput per MAC (and <= 0.6x
-# the scalar per-MAC cost) via the one-sided reference rows.
-cargo run --release -p amnt-bench --bin crypto_bench || fail=1
+[ "$fail" -eq 0 ] && echo "   trace smoke: observer pure, cross-run diff empty"
 
 echo "== perfgate (results/*.json vs EXPERIMENTS.md reference rows) =="
 cargo run --release -p amnt-bench --bin perfgate || fail=1
