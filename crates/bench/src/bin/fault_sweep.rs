@@ -1,20 +1,17 @@
 //! **Fault sweep** — exhaustive crash-point exploration coverage artifact.
 //!
-//! For each recoverable protocol, crash a seeded workload at every device-
-//! write ordinal (clean and torn-line variants) and at every op boundary
-//! with a dropped WPQ tail, recover, and classify each outcome — every
-//! read-back checked byte-for-byte against the lockstep untimed oracle.
-//! Eviction-writeback crash points are enumerated as their own class, and
-//! the nested recovery-fault sweep re-crashes the recovery procedure at
-//! every one of its device writes before recovering again (the idempotence
-//! sweep). A fourth phase cuts power with deferred leaf-MAC checks still
-//! pending in the lazy verify queue, at every op boundary and queue depth,
-//! and a fifth flips one media bit between the nested recovery crash and
-//! the second recovery (tamper interleaving) at every clean crash point.
-//! Emits `results/fault_sweep.json` with the per-protocol coverage
-//! counters that `perfgate` checks (silent corruption, boundary deficits,
-//! eviction-class silents, idempotence violations, verify-queue-class and
-//! tamper-class silents must be exactly zero at any workload size).
+//! For each recoverable protocol, run a seeded workload through every
+//! scenario of every fault class of `amnt_core::fault`: a clean, a
+//! nested-recovery, two torn and a tamper scenario per device-write crash
+//! point, and WPQ-tail and verify-queue crashes at every op boundary. Each
+//! scenario recovers and is classified, every read-back checked
+//! byte-for-byte against the lockstep untimed oracle, and eviction-writeback
+//! crash points are attributed as their own class. Emits
+//! `results/fault_sweep.json` with the per-protocol columns of
+//! `SweepSummary::columns`, which `perfgate` checks (silent corruption,
+//! boundary deficits, eviction-class silents, idempotence violations,
+//! verify-queue-class and tamper-class silents must be exactly zero at any
+//! workload size), and prints them one line per column.
 //!
 //! `AMNT_FAULT_OPS` scales the workload (default 100 ops — the acceptance
 //! sweep); a value that is not a non-negative integer exits with status 2.
@@ -46,133 +43,34 @@ fn main() {
     }
     let results = grid.run();
 
-    println!("=== Fault sweep: {ops}-op seeded workload, every device-write crash point ===\n");
-    println!(
-        "{:<9}{:>7}{:>7}{:>7}{:>9}{:>9}{:>7}{:>7}{:>9}{:>7}{:>9}",
-        "protocol",
-        "points",
-        "recov",
-        "detect",
-        "torn_rec",
-        "torn_det",
-        "tl_rec",
-        "tl_det",
-        "at_read",
-        "silent",
-        "boundary"
-    );
+    let summaries: Vec<_> = results
+        .cells()
+        .iter()
+        .map(|c| (&c.row, c.value.0.columns()))
+        .collect();
     let mut result = ExperimentResult::new(
         "fault_sweep",
         "crash-point exploration outcomes per protocol",
     );
-    for cell in results.cells() {
-        let s = &cell.value.0;
-        println!(
-            "{:<9}{:>7}{:>7}{:>7}{:>9}{:>9}{:>7}{:>7}{:>9}{:>7}{:>9}",
-            cell.row,
-            s.crash_points,
-            s.recovered,
-            s.detected,
-            s.torn_recovered,
-            s.torn_detected,
-            s.tail_recovered,
-            s.tail_detected,
-            s.detected_at_read,
-            s.silent,
-            s.boundary_deficit
-        );
-        result.push(&cell.row, "crash_points", s.crash_points as f64);
-        result.push(&cell.row, "recovered", s.recovered as f64);
-        result.push(&cell.row, "detected", s.detected as f64);
-        result.push(&cell.row, "torn_recovered", s.torn_recovered as f64);
-        result.push(&cell.row, "torn_detected", s.torn_detected as f64);
-        result.push(&cell.row, "tail_recovered", s.tail_recovered as f64);
-        result.push(&cell.row, "tail_detected", s.tail_detected as f64);
-        result.push(&cell.row, "detected_at_read", s.detected_at_read as f64);
-        result.push(&cell.row, "silent", s.silent as f64);
-        result.push(&cell.row, "boundary_deficit", s.boundary_deficit as f64);
-        result.push(&cell.row, "bounds_violations", s.bounds_violations as f64);
-        result.push(&cell.row, "evict_points", s.evict_points as f64);
-        result.push(&cell.row, "evict_recovered", s.evict_recovered as f64);
-        result.push(&cell.row, "evict_detected", s.evict_detected as f64);
-        result.push(&cell.row, "evict_silent", s.evict_silent as f64);
-        result.push(&cell.row, "recovery_points", s.recovery_points as f64);
-        result.push(&cell.row, "recovery_recovered", s.recovery_recovered as f64);
-        result.push(&cell.row, "recovery_detected", s.recovery_detected as f64);
-        result.push(
-            &cell.row,
-            "idempotence_violations",
-            s.idempotence_violations as f64,
-        );
-        result.push(&cell.row, "work_regressions", s.work_regressions as f64);
-        result.push(
-            &cell.row,
-            "verify_queue_points",
-            s.verify_queue_points as f64,
-        );
-        result.push(
-            &cell.row,
-            "verify_queue_recovered",
-            s.verify_queue_recovered as f64,
-        );
-        result.push(
-            &cell.row,
-            "verify_queue_detected",
-            s.verify_queue_detected as f64,
-        );
-        result.push(
-            &cell.row,
-            "verify_queue_silent",
-            s.verify_queue_silent as f64,
-        );
-        result.push(&cell.row, "tamper_points", s.tamper_points as f64);
-        result.push(&cell.row, "tamper_detected", s.tamper_detected as f64);
-        result.push(&cell.row, "tamper_healed", s.tamper_healed as f64);
-        result.push(&cell.row, "tamper_silent", s.tamper_silent as f64);
+    for (row, columns) in &summaries {
+        for &(name, value) in columns {
+            result.push(row, name, value as f64);
+        }
     }
-    println!(
-        "\n{:<9}{:>7}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}{:>7}{:>7}{:>8}{:>8}",
-        "protocol",
-        "evict",
-        "ev_rec",
-        "ev_det",
-        "ev_sil",
-        "rec_pts",
-        "rec_rec",
-        "rec_det",
-        "idem",
-        "workrg",
-        "vq_pts",
-        "vq_sil"
-    );
-    for cell in results.cells() {
-        let s = &cell.value.0;
-        println!(
-            "{:<9}{:>7}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}{:>7}{:>7}{:>8}{:>8}",
-            cell.row,
-            s.evict_points,
-            s.evict_recovered,
-            s.evict_detected,
-            s.evict_silent,
-            s.recovery_points,
-            s.recovery_recovered,
-            s.recovery_detected,
-            s.idempotence_violations,
-            s.work_regressions,
-            s.verify_queue_points,
-            s.verify_queue_silent
-        );
+
+    // One line per column, one column per protocol.
+    println!("=== Fault sweep: {ops}-op seeded workload, every device-write crash point ===\n");
+    print!("{:<24}", "");
+    for (row, _) in &summaries {
+        print!("{row:>8}");
     }
-    println!(
-        "\n{:<9}{:>9}{:>9}{:>9}{:>9}",
-        "protocol", "tam_pts", "tam_det", "tam_heal", "tam_sil"
-    );
-    for cell in results.cells() {
-        let s = &cell.value.0;
-        println!(
-            "{:<9}{:>9}{:>9}{:>9}{:>9}",
-            cell.row, s.tamper_points, s.tamper_detected, s.tamper_healed, s.tamper_silent
-        );
+    println!();
+    for (i, (name, _)) in SweepSummary::default().columns().into_iter().enumerate() {
+        print!("{name:<24}");
+        for (_, columns) in &summaries {
+            print!("{:>8}", columns[i].1);
+        }
+        println!();
     }
     println!(
         "\nsilent corruption, boundary deficits, eviction-class silents, \

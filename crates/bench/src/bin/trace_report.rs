@@ -16,7 +16,7 @@
 //! Like every experiment binary, all three artifacts are byte-identical
 //! at any `AMNT_JOBS` value.
 
-use amnt_bench::trace_out::env_tuned_config;
+use amnt_bench::trace_out::env_trace;
 use amnt_bench::{
     print_table, run_length, save_trace_artifacts, ExperimentResult, Grid, HostTimer,
 };
@@ -24,20 +24,12 @@ use amnt_core::{AmntConfig, ProtocolKind};
 use amnt_sim::{run_single, MachineConfig, SimReport};
 use amnt_workloads::WorkloadModel;
 
-/// Tracing defaults ON for this binary; the environment can still tune
-/// the sampler or disable it outright (`AMNT_TRACE=0`).
-fn default_on_trace() -> Option<amnt_trace::TraceConfig> {
-    if std::env::var("AMNT_TRACE").map(|v| v == "0").unwrap_or(false) {
-        return None;
-    }
-    Some(env_tuned_config())
-}
-
 fn main() {
     let timer = HostTimer::start();
     let len = run_length();
     let mut cfg = MachineConfig::parsec_single();
-    cfg.trace = default_on_trace();
+    // Tracing is on unless `AMNT_TRACE=0`.
+    cfg.trace = env_trace(true);
 
     let protocols: Vec<(&'static str, ProtocolKind)> = vec![
         ("volatile", ProtocolKind::Volatile),

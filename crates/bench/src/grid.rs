@@ -12,7 +12,7 @@
 //! its runner and its paper anchors.
 
 use crate::exec;
-use crate::trace_out::{save_trace_artifacts, with_env_trace};
+use crate::trace_out::{env_trace, save_trace_artifacts};
 use crate::{figure_protocols, gmean, print_table, run_length, ExperimentResult, HostTimer};
 use amnt_core::{AmntConfig, ProtocolKind};
 use amnt_sim::{with_amnt_plus, MachineConfig, RunLength, SimReport};
@@ -212,7 +212,8 @@ impl ProtocolFigure {
     {
         let timer = HostTimer::start();
         let len = run_length();
-        let machine = with_env_trace(self.machine);
+        // `AMNT_TRACE=1` traces every cell.
+        let machine = MachineConfig { trace: env_trace(false), ..self.machine };
         let mut cells = vec![("volatile", ProtocolKind::Volatile, machine.clone())];
         for (name, protocol) in figure_protocols() {
             cells.push((name, protocol, machine.clone()));

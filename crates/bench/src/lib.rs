@@ -32,7 +32,7 @@ pub mod trace_out;
 
 pub use grid::{FigureTable, Grid, GridCell, GridResults, ProtocolFigure};
 pub use json::Json;
-pub use trace_out::{save_trace_artifacts, with_env_trace};
+pub use trace_out::save_trace_artifacts;
 
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, ProtocolKind};
 use amnt_sim::RunLength;
@@ -71,18 +71,39 @@ where
     }
 }
 
-/// Reads the count knob `var` through [`parse_count`]. A set value that
-/// does not parse, or is below `min`, ends the process with status 2 and
-/// the message, rather than silently running the default.
+/// Parses the value of the on/off knob `var`: unset (`None`) keeps
+/// `default`, `0` is off and `1` is on.
+///
+/// # Errors
+///
+/// A message naming the variable and its value for any other value.
+pub(crate) fn parse_switch(var: &str, value: Option<&str>, default: bool) -> Result<bool, String> {
+    match value {
+        None => Ok(default),
+        Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(v) => Err(format!("{var}={v:?} is not 0 or 1")),
+    }
+}
+
+/// Reads the knob `var` and parses it with `parse`. A value `parse`
+/// rejects ends the process with status 2 and the message, rather than
+/// silently running the default.
+pub(crate) fn read_knob<T>(var: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Reads the count knob `var` through [`parse_count`]; a set value that
+/// does not parse, or is below `min`, exits with status 2.
 pub fn count_knob<T>(var: &str, default: T, min: T) -> T
 where
     T: std::str::FromStr + PartialOrd + std::fmt::Display,
 {
-    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    parse_count(var, value.as_deref(), default, min).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    read_knob(var, |v| parse_count(var, v, default, min))
 }
 
 /// The protocol set the paper's runtime figures compare (order matches the
@@ -348,11 +369,10 @@ pub fn print_table(title: &str, cols: &[&str], rows: &[(String, Vec<f64>)]) {
 
 /// Times `iters` calls of `f`, prints `ns/iter`, and returns it.
 ///
-/// The support routine behind the `harness = false` bench binaries
-/// (`benches/micro.rs`, `benches/ablation.rs`): a short warmup, then one
-/// timed pass over `std::hint::black_box`. Good enough for the relative
-/// host-cost comparisons those benches exist for; simulated-cycle numbers
-/// come from the experiment binaries, not from wall-clock timing.
+/// A short warmup, then one timed pass over `std::hint::black_box`:
+/// `crypto_bench` times its MAC engines with it and reports their host-cost
+/// ratios. Simulated-cycle numbers come from the experiment binaries, not
+/// from wall-clock timing.
 pub fn time_bench<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) -> f64 {
     for _ in 0..(iters / 10).clamp(1, 1000) {
         std::hint::black_box(f());
@@ -403,6 +423,26 @@ mod tests {
             Err("AMNT_TRACE_EPOCH=\"0\" is below the minimum 1".to_string())
         );
         assert_eq!(parse_count("AMNT_TRACE_EVENTS", Some("1"), 65_536usize, 1), Ok(1));
+    }
+
+    #[test]
+    fn switch_knobs_default_when_unset_and_take_only_0_or_1() {
+        assert_eq!(parse_switch("AMNT_TRACE", None, false), Ok(false));
+        assert_eq!(parse_switch("AMNT_TRACE", None, true), Ok(true));
+        assert_eq!(parse_switch("AMNT_TRACE", Some("0"), true), Ok(false));
+        assert_eq!(parse_switch("AMNT_TRACE", Some("1"), false), Ok(true));
+        assert_eq!(
+            parse_switch("AMNT_TRACE", Some("true"), false),
+            Err("AMNT_TRACE=\"true\" is not 0 or 1".to_string())
+        );
+        // An empty value no longer means off to one reader and on to another.
+        for bad in ["", "true", " 1", "false", "01"] {
+            for default in [false, true] {
+                let err = parse_switch("AMNT_TRACE", Some(bad), default).expect_err(bad);
+                assert!(err.starts_with("AMNT_TRACE="), "{err}");
+                assert!(err.contains(&format!("{bad:?}")), "{err}");
+            }
+        }
     }
 
     #[test]

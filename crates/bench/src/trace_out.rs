@@ -4,15 +4,15 @@
 //! time-series) and `results/<id>.perfetto.json` (Chrome trace-event /
 //! Perfetto timeline).
 //!
-//! Tracing is opt-in via `AMNT_TRACE=1` (see [`with_env_trace`]); when it is
+//! Tracing is opt-in via `AMNT_TRACE=1` (see [`env_trace`]); when it is
 //! off every [`SimReport::trace`] is `None` and [`save_trace_artifacts`]
 //! writes nothing. Both sidecars are derived purely from simulated-cycle
 //! state collected in declaration order, so like the main artifacts they
 //! are byte-identical at any `AMNT_JOBS` value.
 
 use crate::grid::GridResults;
-use crate::{count_knob, results_dir};
-use amnt_sim::{MachineConfig, SimReport};
+use crate::{count_knob, parse_switch, read_knob, results_dir};
+use amnt_sim::SimReport;
 use amnt_trace::{chrome_document, metrics_document, TraceConfig, TraceReport};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -21,7 +21,6 @@ use std::path::PathBuf;
 /// `AMNT_TRACE_EPOCH` sets the epoch-sample period in sim cycles and
 /// `AMNT_TRACE_EVENTS` the timeline ring capacity. Both go through
 /// [`count_knob`], and a zero epoch or event capacity is rejected.
-/// Binaries that trace by default (like `trace_report`) call it directly.
 pub fn env_tuned_config() -> TraceConfig {
     let defaults = TraceConfig::default();
     TraceConfig {
@@ -30,15 +29,14 @@ pub fn env_tuned_config() -> TraceConfig {
     }
 }
 
-/// Applies the environment's tracing knobs to a machine config:
-/// `AMNT_TRACE=1` (or any value other than `0`/empty) traces at
-/// [`env_tuned_config`], and tracing stays off otherwise.
-/// [`crate::ProtocolFigure`] applies it to its machine, so a plain
-/// `AMNT_TRACE=1 cargo run ...` traces every cell of Figures 4, 5 and 8.
-pub fn with_env_trace(mut cfg: MachineConfig) -> MachineConfig {
-    let on = std::env::var("AMNT_TRACE").is_ok_and(|v| !v.is_empty() && v != "0");
-    cfg.trace = on.then(env_tuned_config);
-    cfg
+/// The tracing `AMNT_TRACE` asks for: `1` traces at [`env_tuned_config`],
+/// `0` does not, and unset keeps `default`. Any other value exits with
+/// status 2. `trace_report` traces by default; [`crate::ProtocolFigure`]
+/// does not, so a plain `AMNT_TRACE=1 cargo run ...` traces every cell of
+/// Figures 4, 5 and 8.
+pub fn env_trace(default: bool) -> Option<TraceConfig> {
+    let on = read_knob("AMNT_TRACE", |v| parse_switch("AMNT_TRACE", v, default));
+    on.then(env_tuned_config)
 }
 
 /// Writes the trace sidecars for an executed [`SimReport`] grid:
@@ -86,7 +84,7 @@ pub fn save_trace_artifacts(
 mod tests {
     use super::*;
 
-    // with_env_trace() reads process-global env vars, so tests that set them
+    // env_trace() reads process-global env vars, so tests that set them
     // would race under the parallel test harness; the env-driven paths are
     // exercised end-to-end by scripts/check.sh's trace smoke gate instead.
 

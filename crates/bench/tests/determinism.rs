@@ -112,34 +112,9 @@ fn render_fault(workers: usize) -> String {
         "crash-point exploration outcomes per protocol",
     );
     for cell in results.cells() {
-        let s = &cell.value;
-        result.push(&cell.row, "crash_points", s.crash_points as f64);
-        result.push(&cell.row, "recovered", s.recovered as f64);
-        result.push(&cell.row, "detected", s.detected as f64);
-        result.push(&cell.row, "torn_recovered", s.torn_recovered as f64);
-        result.push(&cell.row, "torn_detected", s.torn_detected as f64);
-        result.push(&cell.row, "silent", s.silent as f64);
-        result.push(&cell.row, "evict_points", s.evict_points as f64);
-        result.push(&cell.row, "evict_silent", s.evict_silent as f64);
-        result.push(&cell.row, "recovery_points", s.recovery_points as f64);
-        result.push(&cell.row, "recovery_recovered", s.recovery_recovered as f64);
-        result.push(&cell.row, "recovery_detected", s.recovery_detected as f64);
-        result.push(
-            &cell.row,
-            "idempotence_violations",
-            s.idempotence_violations as f64,
-        );
-        result.push(&cell.row, "work_regressions", s.work_regressions as f64);
-        result.push(
-            &cell.row,
-            "verify_queue_points",
-            s.verify_queue_points as f64,
-        );
-        result.push(
-            &cell.row,
-            "verify_queue_silent",
-            s.verify_queue_silent as f64,
-        );
+        for (col, value) in cell.value.columns() {
+            result.push(&cell.row, col, value as f64);
+        }
     }
     result.to_json()
 }

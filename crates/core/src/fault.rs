@@ -7,57 +7,59 @@
 //! mid-metadata-update, mid-epoch-merge, everywhere — while the other shards
 //! (the *bystanders*) commit to completion, then recovers the victim and
 //! classifies the outcome. One shard is the unsharded machine: at N=1 the
-//! facade is bit-identical to a bare [`SecureMemory`]. Three fault modes are
-//! explored:
+//! facade is bit-identical to a bare [`SecureMemory`].
 //!
-//! * **Clean** ([`FaultPlan::crash_after`]): the in-flight write is wholly
-//!   lost. Recovery must either succeed with every completed operation's
-//!   block reading back exactly, or fail with a *detected*
-//!   [`RecoveryError`]. A crash at an operation boundary must always be the
-//!   former (counted in [`SweepSummary::boundary_deficit`] otherwise).
-//! * **Torn** ([`FaultPlan::torn_after`], both halves): only half of each
-//!   64-byte line touched by the in-flight write lands. Recovery may
-//!   succeed with individual completed blocks failing their MAC at read
-//!   time (counted in [`SweepSummary::detected_at_read`]) — torn metadata
-//!   lines are shared — but a completed block must never *silently* read
-//!   wrong bytes.
-//! * **Dropped WPQ tail** ([`FaultPlan::drop_tail`]): power fails cleanly
-//!   at an operation boundary but the last *n* device writes never drained
-//!   from the write-pending queue. Any *historical* value of an address
-//!   (prefix-loss equivalence) or a detected error is acceptable; bytes the
-//!   workload never wrote are not.
+//! Every scenario takes one path: replay the workload with the scenario's
+//! fault hook armed on the victim's lane, crash the victim, run what its
+//! class puts between the crash and the final recovery, recover, judge the
+//! read-back, and tally the outcome in its class's counters. Every sweep
+//! runs six classes of scenario, in this order:
 //!
-//! Further dimensions ride on the clean sweep:
-//!
-//! * **Nested recovery faults** ([`FaultSweepConfig::recovery_faults`]):
-//!   for every clean mutation-path crash point, the recovery procedure
-//!   itself is re-crashed at every one of *its* device writes — the
-//!   recovery-phase ordinal domain a [`PhasedPlan`] survives into — both
-//!   cleanly and tearing the in-flight line, and then recovered again.
-//!   Recovery must be *idempotent*: a cleanly interrupted recovery, re-run,
-//!   must converge to a byte-identical media state and the same outcome
-//!   class as the uninterrupted recovery
-//!   ([`SweepSummary::idempotence_violations`]), and repeating a completed
-//!   recovery must never do more work than the pass before it
+//! * **Clean** ([`FaultPlan::crash_after`]), at every ordinal: the
+//!   in-flight write is wholly lost. Recovery must either succeed with every
+//!   completed operation's block reading back exactly, or fail with a
+//!   *detected* [`RecoveryError`]. A crash at an operation boundary must
+//!   always be the former (counted in [`SweepSummary::boundary_deficit`]
+//!   otherwise). Repeating a completed recovery must leave the media
+//!   byte-identical and never do more work than the pass before it
 //!   ([`SweepSummary::work_regressions`]).
-//! * **Tamper interleaving** ([`FaultSweepConfig::tamper`]): at every clean
-//!   crash point a bit is flipped on the raw media between the nested
-//!   recovery crash and the second recovery (targets rotating over a
-//!   committed data block, its counter block, and its bottom-level tree
-//!   node). The tamper must be healed by an authenticated rebuild or
+//! * **Nested recovery**, for every clean crash whose recovery wrote: the
+//!   recovery procedure itself is re-crashed at every one of *its* device
+//!   writes — the recovery-phase ordinal domain a [`PhasedPlan`] survives
+//!   into — both cleanly and tearing the in-flight line, and then recovered
+//!   again. A cleanly interrupted recovery, re-run, must converge to a
+//!   byte-identical media state and the same outcome class as the
+//!   uninterrupted recovery ([`SweepSummary::idempotence_violations`]).
+//! * **Torn** ([`FaultPlan::torn_after`], both halves), at every ordinal:
+//!   only half of each 64-byte line touched by the in-flight write lands.
+//!   Recovery may succeed with individual completed blocks failing their
+//!   MAC at read time (counted in [`SweepSummary::detected_at_read`]) —
+//!   torn metadata lines are shared — but a completed block must never
+//!   *silently* read wrong bytes.
+//! * **Dropped WPQ tail** ([`FaultPlan::drop_tail`]), at every operation
+//!   boundary and at depths 1, 2 and 4: power fails cleanly but the last
+//!   *n* device writes never drained from the write-pending queue. Any
+//!   *historical* value of an address (prefix-loss equivalence) or a
+//!   detected error is acceptable; bytes the workload never wrote are not.
+//! * **Verify queue**, at every operation boundary: power fails with 1 to
+//!   `verify_queue` deferred leaf-MAC checks still pending
+//!   ([`SweepSummary::verify_queue_points`]); the crash must still recover
+//!   in full.
+//! * **Tamper**, at every ordinal: a bit is flipped on the raw media between
+//!   the nested recovery crash and the second recovery, or between the
+//!   crash and its recovery when the clean recovery does no device writes
+//!   (targets rotating over a committed data block, its counter block, and
+//!   its bottom-level tree node). The tamper must be healed by an authenticated rebuild or
 //!   detected by a recovery error / read-back MAC failure — a silent
 //!   outcome lands in [`SweepSummary::tamper_silent`] and must stay zero.
-//! * **Eviction-writeback crash points**: metadata-cache eviction
-//!   writebacks persist tree nodes *out of protocol order* — the exact
-//!   hazard lazy (leaf-style) persistence claims to bound — so their
-//!   ordinals are enumerated as their own class
-//!   ([`SweepSummary::evict_points`]) and their clean-crash outcomes
-//!   attributed separately. The sweep shrinks the metadata cache
-//!   ([`FaultSweepConfig::metadata_cache_bytes`]) so eviction pressure is
-//!   real at every workload size.
-//! * **Verify-queue crashes**: power fails at every op boundary with
-//!   deferred leaf-MAC checks still pending
-//!   ([`SweepSummary::verify_queue_points`]).
+//!
+//! Metadata-cache eviction writebacks persist tree nodes *out of protocol
+//! order* — the exact hazard lazy (leaf-style) persistence claims to bound
+//! — so their ordinals are enumerated as their own class
+//! ([`SweepSummary::evict_points`]) and the outcomes of scenarios that crash
+//! there are attributed separately. The sweep shrinks the metadata cache
+//! ([`FaultSweepConfig::metadata_cache_bytes`]) so eviction pressure is real
+//! at every workload size.
 //!
 //! Every outcome that exposes wrong bytes without an error — the property
 //! the paper's protocols must never violate — lands in
@@ -95,15 +97,18 @@ use crate::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, SecureMemory, SecureMemoryConfig, BLOCK_SIZE,
 };
 use amnt_bmt::BmtGeometry;
-use amnt_nvm::{CrashWriteMode, FaultHook, FaultPlan, NvmError, PhasedPlan, TornHalf};
+use amnt_nvm::CrashWriteMode::{self, Clean, Torn};
+use amnt_nvm::{FaultHook, FaultPlan, NvmError, PhasedPlan, TornHalf};
 use amnt_prng::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::error::RecoveryError;
 
-/// Sweep parameters. The defaults give a debug-friendly sweep on one shard;
-/// the `fault_sweep` bench bin scales `ops` up to the acceptance workload,
-/// and `shard_bench` sweeps a [`tenant_mix`] at several shard counts.
+/// Sweep parameters: the workload, and the machine it runs on. Every sweep
+/// runs every fault class (see the [module docs](self)). The defaults give
+/// a debug-friendly sweep on one shard; the `fault_sweep` bench bin scales
+/// `ops` up to the acceptance workload, and `shard_bench` sweeps a
+/// [`tenant_mix`] at several shard counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSweepConfig {
     /// Workload seed (`amnt_prng`, bit-stable forever).
@@ -119,27 +124,11 @@ pub struct FaultSweepConfig {
     /// workload ops until the victim goes down (`0` = no mid-run merges),
     /// so crashes also land mid-epoch and inside a merge's queue flush.
     pub merge_every: usize,
-    /// WPQ tail depths to drop at each operation boundary.
-    pub tail_depths: Vec<usize>,
-    /// Explore torn-line variants (both halves) at every ordinal.
-    pub torn: bool,
-    /// Nested recovery-fault sweep: for every clean mutation-path crash
-    /// point, re-crash the recovery procedure at every one of its own
-    /// device writes (clean, and torn when [`FaultSweepConfig::torn`] is
-    /// set), recover again, and check idempotence.
-    pub recovery_faults: bool,
     /// Metadata cache size for the swept machine, split evenly across its
     /// shards. Deliberately small (16 lines) so dirty eviction writebacks —
     /// their own crash-point class — occur even at smoke-test workload
     /// sizes.
     pub metadata_cache_bytes: usize,
-    /// Tamper-interleaving pass: at every clean crash point, flip one media
-    /// bit between the nested recovery crash and the second recovery (or
-    /// between the crash and its recovery when the baseline recovery does
-    /// no device writes) and require the tamper to be healed or *detected*,
-    /// never silent. The target class cycles per ordinal over a committed
-    /// data block, its counter block, and its bottom-level node.
-    pub tamper: bool,
     /// Externally supplied workload. When non-empty it replaces the
     /// built-in seeded generator (and `ops` is ignored): each [`SweepOp`]
     /// becomes one operation, write values assigned deterministically by op
@@ -169,11 +158,7 @@ impl Default for FaultSweepConfig {
             capacity: 1024 * 1024,
             shards: 1,
             merge_every: 0,
-            tail_depths: vec![1, 2, 4],
-            torn: true,
-            recovery_faults: true,
             metadata_cache_bytes: 1024,
-            tamper: true,
             workload: Vec::new(),
         }
     }
@@ -256,9 +241,9 @@ pub struct SweepSummary {
     /// must stay zero: deferred checks are read-side speculation and
     /// discarding them at power loss must not lose committed state.
     pub verify_queue_silent: u64,
-    /// Tamper-interleaving scenarios explored (one per clean crash point
-    /// when [`FaultSweepConfig::tamper`] is set): a bit flipped on the
-    /// media between the nested recovery crash and the second recovery.
+    /// Tamper-interleaving scenarios explored (one per clean crash point):
+    /// a bit flipped on the media between the nested recovery crash and the
+    /// second recovery.
     pub tamper_points: u64,
     /// Tamper scenarios where the final recovery returned an error or a
     /// read-back MAC check flagged the damage — the attack was *detected*.
@@ -285,11 +270,99 @@ pub struct SweepSummary {
 }
 
 impl SweepSummary {
-    /// Counts one silent outcome, in the eviction class too when its
-    /// mutation-path crash point was an eviction writeback.
-    fn count_silent(&mut self, evict: bool) {
-        self.silent += 1;
-        self.evict_silent += u64::from(evict);
+    /// The counters the `fault_sweep` artifact reports, as (column name,
+    /// value) in column order: every field but the three cross-shard ones.
+    pub fn columns(&self) -> [(&'static str, u64); 28] {
+        [
+            ("crash_points", self.crash_points),
+            ("recovered", self.recovered),
+            ("detected", self.detected),
+            ("torn_recovered", self.torn_recovered),
+            ("torn_detected", self.torn_detected),
+            ("tail_recovered", self.tail_recovered),
+            ("tail_detected", self.tail_detected),
+            ("detected_at_read", self.detected_at_read),
+            ("silent", self.silent),
+            ("boundary_deficit", self.boundary_deficit),
+            ("bounds_violations", self.bounds_violations),
+            ("evict_points", self.evict_points),
+            ("evict_recovered", self.evict_recovered),
+            ("evict_detected", self.evict_detected),
+            ("evict_silent", self.evict_silent),
+            ("recovery_points", self.recovery_points),
+            ("recovery_recovered", self.recovery_recovered),
+            ("recovery_detected", self.recovery_detected),
+            ("idempotence_violations", self.idempotence_violations),
+            ("work_regressions", self.work_regressions),
+            ("verify_queue_points", self.verify_queue_points),
+            ("verify_queue_recovered", self.verify_queue_recovered),
+            ("verify_queue_detected", self.verify_queue_detected),
+            ("verify_queue_silent", self.verify_queue_silent),
+            ("tamper_points", self.tamper_points),
+            ("tamper_detected", self.tamper_detected),
+            ("tamper_healed", self.tamper_healed),
+            ("tamper_silent", self.tamper_silent),
+        ]
+    }
+
+    /// Counts one scenario of `class` that ended in `outcome`: its class's
+    /// scenario and outcome counters, the silent total, and a boundary
+    /// deficit when the class must recover in full. `evict` attributes the
+    /// outcome to the eviction class too (the scenario's mutation-path
+    /// crash point was an eviction writeback).
+    fn tally(&mut self, class: Class<'_>, outcome: Outcome, evict: bool) {
+        use Outcome::{Detected, Recovered, Silent};
+        let evict = u64::from(evict);
+        match (class, outcome) {
+            (Class::Clean { .. }, Recovered { .. }) => {
+                self.recovered += 1;
+                self.evict_recovered += evict;
+            }
+            (Class::Clean { .. }, Detected) => {
+                self.detected += 1;
+                self.evict_detected += evict;
+            }
+            // A re-recovery that succeeded counts before its read-back is
+            // judged.
+            (Class::Nested { .. }, Recovered { reads_detected }) => {
+                self.recovery_recovered += 1;
+                self.detected_at_read += reads_detected;
+            }
+            (Class::Nested { .. }, Silent) => self.recovery_recovered += 1,
+            (Class::Nested { .. }, Detected) => self.recovery_detected += 1,
+            (Class::Torn, Recovered { reads_detected }) => {
+                self.torn_recovered += 1;
+                self.detected_at_read += reads_detected;
+            }
+            (Class::Torn, Detected) => self.torn_detected += 1,
+            (Class::Tail, Recovered { reads_detected }) => {
+                self.tail_recovered += 1;
+                self.detected_at_read += reads_detected;
+            }
+            (Class::Tail, Detected) => self.tail_detected += 1,
+            (Class::VerifyQueue { .. }, Recovered { .. }) => self.verify_queue_recovered += 1,
+            (Class::VerifyQueue { .. }, Detected) => self.verify_queue_detected += 1,
+            (Class::VerifyQueue { .. }, Silent) => self.verify_queue_silent += 1,
+            // A read-back MAC failure detected the flipped bit too; a full
+            // read-back means recovery rewrote the line.
+            (Class::Tamper { .. }, Recovered { reads_detected: 0 }) => self.tamper_healed += 1,
+            (Class::Tamper { .. }, Recovered { .. } | Detected) => self.tamper_detected += 1,
+            (Class::Tamper { .. }, Silent) => self.tamper_silent += 1,
+            (Class::Clean { .. } | Class::Torn | Class::Tail, Silent) => {}
+        }
+        match class {
+            Class::Nested { .. } => self.recovery_points += 1,
+            Class::VerifyQueue { .. } => self.verify_queue_points += 1,
+            Class::Tamper { .. } => self.tamper_points += 1,
+            _ => {}
+        }
+        if outcome == Silent {
+            self.silent += 1;
+            self.evict_silent += evict;
+        }
+        if class.must_recover() && outcome != (Recovered { reads_detected: 0 }) {
+            self.boundary_deficit += 1;
+        }
     }
 }
 
@@ -564,8 +637,13 @@ fn power_failed(e: &IntegrityError) -> bool {
     matches!(e, IntegrityError::Device(NvmError::PowerFailure { .. }))
 }
 
-fn recovery_power_failed(e: &RecoveryError) -> bool {
-    matches!(e, RecoveryError::Device(NvmError::PowerFailure { .. }))
+/// Runs a recovery that an armed nested fault should cut short; whether
+/// the fault did cut it (power failed mid-recovery).
+fn recovery_cut(mem: &mut SecureMemory) -> bool {
+    matches!(
+        mem.recover(),
+        Err(RecoveryError::Device(NvmError::PowerFailure { .. }))
+    )
 }
 
 /// How one crash-and-recover attempt ended.
@@ -736,10 +814,130 @@ fn run_sweep_impl(
             idx,
             ops,
             base: Vec::new(),
+            s: &mut s,
+            tr: tr.as_deref_mut(),
         };
-        victim.sweep(&mut s, tr.as_deref_mut())?;
+        victim.sweep()?;
     }
     Ok(s)
+}
+
+/// WPQ tail depths the tail class drops at every op boundary.
+const TAIL_DEPTHS: [usize; 3] = [1, 2, 4];
+
+/// A fault class: what runs between a scenario's crash and its final
+/// recovery, how the read-back is judged, and which counters the outcome
+/// lands in ([`SweepSummary::tally`]).
+#[derive(Debug, Clone, Copy)]
+enum Class<'a> {
+    /// A clean crash at a mutation-path ordinal; `boundary` when the
+    /// ordinal is an op boundary, where recovery must be complete.
+    Clean { boundary: bool },
+    /// A clean crash whose recovery is cut at one of its own device writes
+    /// (the write lost or torn per `mode`), then recovered again. A cleanly
+    /// cut recovery must converge to `baseline`, the media the
+    /// uninterrupted recovery left (`None` when it detected).
+    Nested {
+        mode: CrashWriteMode,
+        baseline: Option<&'a MediaImage>,
+    },
+    /// A torn crash at a mutation-path ordinal.
+    Torn,
+    /// A dropped WPQ tail at an op boundary.
+    Tail,
+    /// A crash at an op boundary with deferred leaf-MAC checks of `target`
+    /// queued.
+    VerifyQueue { target: u64 },
+    /// A media bit flip before the final recovery, after a clean crash and
+    /// (when `nested`) a recovery cut at one of its own device writes.
+    Tamper { nested: bool },
+}
+
+impl Class<'_> {
+    /// How the read-back is judged: `(strict, prefix_loss)` for
+    /// [`classify_readback`].
+    fn judged(self) -> (bool, bool) {
+        match self {
+            Class::Clean { .. } | Class::VerifyQueue { .. } => (true, false),
+            Class::Nested { mode, .. } => (mode == CrashWriteMode::Clean, false),
+            Class::Torn | Class::Tamper { .. } => (false, false),
+            Class::Tail => (false, true),
+        }
+    }
+
+    /// Whether anything short of a full recovery is a boundary deficit: a
+    /// clean crash at an op boundary must recover completely.
+    fn must_recover(self) -> bool {
+        match self {
+            Class::Clean { boundary } => boundary,
+            Class::VerifyQueue { .. } => true,
+            _ => false,
+        }
+    }
+
+    /// The sweep tracer's scenario counter for the class, and the
+    /// histogram of its strike values.
+    fn trace_names(self) -> (&'static str, &'static str) {
+        macro_rules! names {
+            ($class:literal, $strike:literal) => {
+                (concat!("sweep.scenarios.", $class), $strike)
+            };
+        }
+        match self {
+            Class::Clean { .. } => names!("clean", "sweep.strike.clean"),
+            Class::Nested { .. } => names!("nested", "sweep.strike.nested"),
+            Class::Torn => names!("torn", "sweep.strike.torn"),
+            Class::Tail => names!("tail", "sweep.tail.depth"),
+            Class::VerifyQueue { .. } => names!("verify_queue", "sweep.vq.depth"),
+            Class::Tamper { .. } => names!("tamper", "sweep.strike.tamper"),
+        }
+    }
+}
+
+/// One fault scenario of one victim.
+struct Scenario<'a> {
+    class: Class<'a>,
+    /// The fault hook the replay arms on the victim's lane.
+    hook: Box<dyn FaultHook>,
+    /// Victim ops the replay runs: `None` runs them all, and the scenario
+    /// exists only if its fault fires on the way.
+    limit: Option<usize>,
+    /// The class's strike value: the mutation-path ordinal `k` (clean,
+    /// torn, tamper), the recovery ordinal `r` (nested), or the tail or
+    /// queue depth.
+    strike: u64,
+    /// Whether the mutation-path crash ordinal is an eviction writeback.
+    evict: bool,
+}
+
+impl<'a> Scenario<'a> {
+    /// A scenario that strikes while the replay runs every victim op.
+    fn new(class: Class<'a>, hook: impl FaultHook + 'static, strike: u64, evict: bool) -> Self {
+        Scenario {
+            class,
+            hook: Box::new(hook),
+            limit: None,
+            strike,
+            evict,
+        }
+    }
+
+    /// The same scenario, crashed once the victim's first `limit` ops ran.
+    fn at(self, limit: usize) -> Self {
+        let limit = Some(limit);
+        Scenario { limit, ..self }
+    }
+}
+
+/// What a clean scenario's recovery leaves for the nested and tamper
+/// scenarios at its ordinal.
+#[derive(Default)]
+struct Baseline {
+    /// Device writes the recovery made: the nested scenarios' crash
+    /// points (zero when it detected).
+    writes: u64,
+    /// The media the recovery left, when it succeeded.
+    media: Option<MediaImage>,
 }
 
 /// One replayed machine, stopped where the victim's fault fired or its op
@@ -764,6 +962,10 @@ struct Victim<'a> {
     /// Every bystander's fault-free data image, in shard order (filled by
     /// the sweep's first phase).
     base: Vec<(usize, MediaImage)>,
+    /// The sweep's summary, summed over victims.
+    s: &'a mut SweepSummary,
+    /// The sweep tracer, when the sweep is traced.
+    tr: Option<&'a mut amnt_trace::Tracer>,
 }
 
 impl Victim<'_> {
@@ -847,56 +1049,9 @@ impl Victim<'_> {
         Ok(diverged)
     }
 
-    /// Power-fails the victim; the bystanders must not notice.
-    fn crash(&self, mem: &mut ShardedMemory, s: &mut SweepSummary) -> Result<(), IntegrityError> {
-        mem.crash_shard(self.idx)?;
-        s.cross_shard_disturbances += self.bystanders(mem)?;
-        Ok(())
-    }
-
-    /// Checks a successful victim recovery against its shard's analytical
-    /// bound and classifies the victim's read-back.
-    fn classify(
-        &self,
-        run: &mut Replay,
-        report: &RecoveryReport,
-        strict: bool,
-        prefix_loss: bool,
-        s: &mut SweepSummary,
-    ) -> Result<Outcome, IntegrityError> {
-        let victim = engine(&mut run.mem, self.idx)?;
-        if !report_in_bounds(self.kind, victim, report) {
-            s.bounds_violations += 1;
-        }
-        let outcome = classify_readback(victim, self.ops, run.completed, strict, prefix_loss);
-        Ok(outcome)
-    }
-
-    /// Crash, recover and classify one fault scenario, checking the
-    /// bystanders on both sides of the recovery.
-    fn crash_and_classify(
-        &self,
-        run: &mut Replay,
-        strict: bool,
-        prefix_loss: bool,
-        s: &mut SweepSummary,
-    ) -> Result<Outcome, IntegrityError> {
-        self.crash(&mut run.mem, s)?;
-        let outcome = match run.mem.recover_shard(self.idx) {
-            Err(_) => Outcome::Detected,
-            Ok(report) => self.classify(run, &report, strict, prefix_loss, s)?,
-        };
-        s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
-        Ok(outcome)
-    }
-
     /// Runs every fault class with this shard as the victim.
-    fn sweep(
-        &mut self,
-        s: &mut SweepSummary,
-        mut tr: Option<&mut amnt_trace::Tracer>,
-    ) -> Result<(), IntegrityError> {
-        let (cfg, victim) = (self.cfg, self.idx);
+    fn sweep(&mut self) -> Result<(), IntegrityError> {
+        let victim = self.idx;
 
         // Phase 1: one fault-free, count-only replay records the victim's
         // op boundaries and eviction-writeback ordinals and the bystanders'
@@ -912,164 +1067,58 @@ impl Victim<'_> {
             .iter()
             .copied()
             .collect();
-        let queue_cap = counted.config().verify_queue.max(1);
+        let queue_cap = counted.config().verify_queue.max(1) as u64;
         self.base = (0..run.mem.shards())
             .filter(|&other| other != victim)
             .map(|other| (other, data_image(&run.mem, other)))
             .collect();
-        merge(&mut run.mem, s);
-        s.crash_points += total;
-        s.evict_points += evict_ordinals.len() as u64;
+        merge(&mut run.mem, self.s);
+        self.s.crash_points += total;
+        self.s.evict_points += evict_ordinals.len() as u64;
 
-        // Phase 2: clean and torn crashes at every ordinal. Each clean crash
-        // doubles as the baseline for the nested recovery-fault sweep, and
-        // its recovery-phase write count is kept for the tamper pass
-        // (phase 5).
-        let mut recovery_writes_by_k = vec![0u64; total as usize];
+        // Phase 2, at every ordinal `k`: the clean crash, the nested
+        // scenarios that cut its recovery at each of that recovery's device
+        // writes, and the two torn crashes. The clean recovery's write
+        // count is kept for the tamper phase.
+        let mut recovery_writes = Vec::with_capacity(total as usize);
         for k in 0..total {
+            let (crash, evict) = (FaultPlan::crash_after(k), evict_ordinals.contains(&k));
             let boundary = boundaries.binary_search(&k).is_ok();
-            let evict = evict_ordinals.contains(&k);
-            // Clean crash, with a count-only second phase: the recovery
-            // procedure's own device writes become the nested sweep's crash
-            // points, counted in their fresh post-crash ordinal domain.
-            let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), FaultPlan::count_only());
-            let mut run = self.replay(Box::new(plan), usize::MAX, None)?;
-            let mut recovery_writes = 0u64;
-            let mut baseline_media: Option<MediaImage> = None;
-            if run.faulted {
-                if let Some(t) = tr.as_deref_mut() {
-                    t.add("sweep.scenarios.clean", 1);
-                    t.record("sweep.strike.clean", k);
-                    // Observe the baseline recovery's phase tree: tracing is
-                    // a pure observer, so the summary is unchanged by this.
-                    let crashed = engine(&mut run.mem, victim)?;
-                    crashed.enable_tracing(amnt_trace::TraceConfig::default());
+            // A count-only second phase counts the recovery's own device
+            // writes in their fresh post-crash ordinal domain.
+            let plan = PhasedPlan::two_phase(crash, FaultPlan::count_only());
+            let base = self.run(Scenario::new(Class::Clean { boundary }, plan, k, evict))?;
+            let baseline = base.media.as_ref();
+            for r in 0..base.writes {
+                for mode in [Clean, Torn(TornHalf::First), Torn(TornHalf::Last)] {
+                    let cut = FaultPlan::crash_after(r);
+                    let plan = PhasedPlan::two_phase(crash, FaultPlan { mode, ..cut });
+                    let class = Class::Nested { mode, baseline };
+                    self.run(Scenario::new(class, plan, r, evict))?;
                 }
-                self.crash(&mut run.mem, s)?;
-                let first = run.mem.recover_shard(victim);
-                let crashed = engine(&mut run.mem, victim)?;
-                if let Some(t) = tr.as_deref_mut() {
-                    harvest_recovery_trace(t, crashed);
-                    // Scope the observation window to this one crash/recover
-                    // pair: the repeat pass and the read-back classification
-                    // below must run exactly as the untraced sweep runs them.
-                    crashed.disable_tracing();
-                }
-                let outcome = match first {
-                    Err(_) => Outcome::Detected,
-                    Ok(report) => {
-                        // The recovery-phase ordinal count is captured before
-                        // read-back: read-path cache evictions would otherwise
-                        // keep consuming recovery-domain ordinals.
-                        recovery_writes = crashed.nvm().device_write_ordinals();
-                        recovery_writes_by_k[k as usize] = recovery_writes;
-                        let media = crashed.nvm().media_image();
-                        // Idempotence baseline: re-crash the recovered state
-                        // cleanly and recover again — the repeat must
-                        // succeed, leave the media byte-identical, and never
-                        // do more work than the first pass.
-                        crashed.crash();
-                        match crashed.recover() {
-                            Ok(repeat) => {
-                                if repeat.work() > report.work() {
-                                    s.work_regressions += 1;
-                                }
-                                if crashed.nvm().media_image() != media {
-                                    s.idempotence_violations += 1;
-                                }
-                            }
-                            Err(_) => s.idempotence_violations += 1,
-                        }
-                        baseline_media = Some(media);
-                        self.classify(&mut run, &report, true, false, s)?
-                    }
-                };
-                match outcome {
-                    Outcome::Recovered { .. } => {
-                        s.recovered += 1;
-                        s.evict_recovered += u64::from(evict);
-                        // Every shard is healthy again: the deferred epoch
-                        // must now seal and verify.
-                        merge(&mut run.mem, s);
-                    }
-                    Outcome::Detected => {
-                        s.detected += 1;
-                        s.evict_detected += u64::from(evict);
-                    }
-                    Outcome::Silent => s.count_silent(evict),
-                }
-                if boundary && outcome != (Outcome::Recovered { reads_detected: 0 }) {
-                    s.boundary_deficit += 1;
-                }
-                s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
             }
-
-            // Nested sweep: re-crash the recovery procedure at every one of
-            // its device writes, then recover again.
-            if cfg.recovery_faults && recovery_writes > 0 {
-                self.nested_recovery_sweep(
-                    k,
-                    recovery_writes,
-                    baseline_media.as_ref(),
-                    evict,
-                    s,
-                    tr.as_deref_mut(),
-                )?;
-            }
-
-            let halves: &[TornHalf] = if cfg.torn {
-                &[TornHalf::First, TornHalf::Last]
-            } else {
-                &[]
-            };
-            for &half in halves {
+            for half in [TornHalf::First, TornHalf::Last] {
                 let plan = FaultPlan::torn_after(k, half);
-                let mut run = self.replay(Box::new(plan), usize::MAX, None)?;
-                if !run.faulted {
-                    continue;
-                }
-                if let Some(t) = tr.as_deref_mut() {
-                    t.add("sweep.scenarios.torn", 1);
-                    t.record("sweep.strike.torn", k);
-                }
-                match self.crash_and_classify(&mut run, false, false, s)? {
-                    Outcome::Recovered { reads_detected } => {
-                        s.torn_recovered += 1;
-                        s.detected_at_read += reads_detected;
-                    }
-                    Outcome::Detected => s.torn_detected += 1,
-                    Outcome::Silent => s.count_silent(evict),
-                }
+                self.run(Scenario::new(Class::Torn, plan, k, evict))?;
             }
+            recovery_writes.push(base.writes);
         }
 
         // Phase 3: dropped WPQ tails at every op boundary.
-        for limit in 1..=self.ops.ops.len() {
-            for &depth in &cfg.tail_depths {
-                let mut run = self.replay(Box::new(FaultPlan::drop_tail(depth)), limit, None)?;
-                if let Some(t) = tr.as_deref_mut() {
-                    t.add("sweep.scenarios.tail", 1);
-                    t.record("sweep.tail.depth", depth as u64);
-                }
-                match self.crash_and_classify(&mut run, false, true, s)? {
-                    Outcome::Recovered { reads_detected } => {
-                        s.tail_recovered += 1;
-                        s.detected_at_read += reads_detected;
-                    }
-                    Outcome::Detected => s.tail_detected += 1,
-                    Outcome::Silent => s.count_silent(false),
-                }
+        let ops = self.ops.ops.len();
+        for limit in 1..=ops {
+            for depth in TAIL_DEPTHS {
+                let plan = FaultPlan::drop_tail(depth);
+                let tail = Scenario::new(Class::Tail, plan, depth as u64, false);
+                self.run(tail.at(limit))?;
             }
         }
 
         // Phase 4: power loss with a non-empty lazy verify queue, at every op
-        // boundary and every reachable queue depth. Deferred leaf-MAC checks
-        // are read-side speculation; discarding them at the crash must leave
-        // exactly the committed prefix (these are boundary crashes, so full
-        // recovery is required and any deficit counts). Reading the target
+        // boundary and every reachable queue depth. Reading the target
         // `verify_queue` (cap) times also covers the batch-full drain path —
         // the queue is empty again at that depth, which is itself a scenario.
-        for limit in 1..=self.ops.ops.len() {
+        for limit in 1..=ops {
             // An address already committed within the prefix, to stack
             // deferred checks against.
             let target = self
@@ -1079,210 +1128,174 @@ impl Victim<'_> {
                 .find(|(_, h)| h.first().is_some_and(|&(i, _)| i < limit))
                 .map(|(&a, _)| a);
             let Some(target) = target else { continue };
-            for depth in 1..=queue_cap as u64 {
-                let mut run = self.replay(Box::new(FaultPlan::count_only()), limit, None)?;
-                debug_assert!(!run.faulted, "count-only replay never faults");
-                let queued = engine(&mut run.mem, victim)?;
-                // Trailing workload reads may have left deferred checks of
-                // their own; depth accounting starts from that base.
-                let base = queued.verify_queue_len() as u64;
-                let mut t = 0;
-                for _ in 0..depth {
-                    let (_, done) = queued.read_block(t, target)?;
-                    t = done;
-                }
-                debug_assert_eq!(
-                    queued.verify_queue_len() as u64,
-                    (base + depth) % queue_cap as u64,
-                    "queue depth after {depth} reads from base {base} at cap {queue_cap}"
-                );
-                s.verify_queue_points += 1;
-                if let Some(t) = tr.as_deref_mut() {
-                    t.add("sweep.scenarios.verify_queue", 1);
-                    t.record("sweep.vq.depth", depth);
-                }
-                match self.crash_and_classify(&mut run, true, false, s)? {
-                    Outcome::Recovered { .. } => s.verify_queue_recovered += 1,
-                    Outcome::Detected => {
-                        s.verify_queue_detected += 1;
-                        s.boundary_deficit += 1;
-                    }
-                    Outcome::Silent => {
-                        s.count_silent(false);
-                        s.verify_queue_silent += 1;
-                        s.boundary_deficit += 1;
-                    }
-                }
+            for depth in 1..=queue_cap {
+                let class = Class::VerifyQueue { target };
+                let queued = Scenario::new(class, FaultPlan::count_only(), depth, false);
+                self.run(queued.at(limit))?;
             }
         }
 
-        // Phase 5: tamper interleaving. For every clean crash point,
-        // interleave an active attack with the crash/recovery sequence:
-        // crash at `k`, let recovery run until a nested crash at one of its
-        // own device writes (when the baseline recovery writes at all), then
-        // flip one bit on the raw media before the second recovery
-        // completes. The flipped line must either be *healed* — recovery
-        // rewrites it from authenticated state — or *detected* by a recovery
-        // error or a read-back MAC failure, by the victim alone: silence is
-        // an integrity-protection failure regardless of crash timing, and a
-        // bystander that changes saw or healed the damage across the
-        // boundary. The target rotates over line classes (see
-        // `Workload::tamper_target`).
-        let tamper_points = if cfg.tamper { total } else { 0 };
-        for k in 0..tamper_points {
-            let rec_writes = recovery_writes_by_k[k as usize];
-            let plan: Box<dyn FaultHook> = if rec_writes > 0 {
-                let nested = FaultPlan::crash_after(k % rec_writes);
-                Box::new(PhasedPlan::two_phase(FaultPlan::crash_after(k), nested))
-            } else {
-                Box::new(FaultPlan::crash_after(k))
-            };
-            let mut run = self.replay(plan, usize::MAX, None)?;
-            if !run.faulted {
-                continue;
+        // Phase 5: tamper interleaving at every clean crash point: crash at
+        // `k`, let recovery run until a nested crash at one of its own
+        // device writes (when the clean recovery writes at all), then flip
+        // one bit on the raw media before the final recovery. The target
+        // rotates over line classes (see `Workload::tamper_target`).
+        for (k, writes) in (0..total).zip(recovery_writes) {
+            let mut phases = vec![FaultPlan::crash_after(k)];
+            if writes > 0 {
+                phases.push(FaultPlan::crash_after(k % writes));
             }
-            self.crash(&mut run.mem, s)?;
-            let crashed = engine(&mut run.mem, victim)?;
-            if rec_writes > 0 {
-                // The nested crash fires mid-recovery: crash again with the
-                // power-failure flag still set, so the second recovery sees
-                // a dirty shutdown. If the baseline instead detected before
-                // reaching ordinal `k % rec_writes`, or completed without it
-                // firing, tamper a cleanly re-crashed state.
-                if !matches!(crashed.recover(), Err(ref e) if recovery_power_failed(e)) {
-                    crashed.nvm_mut().disarm_fault_hook();
+            let class = Class::Tamper { nested: writes > 0 };
+            let evict = evict_ordinals.contains(&k);
+            self.run(Scenario::new(class, PhasedPlan::new(phases), k, evict))?;
+        }
+        Ok(())
+    }
+
+    /// Runs one scenario: replay to the fault, crash the victim, run what
+    /// its class puts before the final recovery, recover, judge the
+    /// read-back against the oracle, and tally the outcome; the bystanders
+    /// are checked after the crash and at the end. A clean scenario also
+    /// harvests its recovery's trace, repeats a completed recovery to check
+    /// it is idempotent, seals the deferred epoch once the victim
+    /// recovered, and returns its [`Baseline`].
+    fn run(&mut self, sc: Scenario<'_>) -> Result<Baseline, IntegrityError> {
+        let mut base = Baseline::default();
+        let mut run = self.replay(sc.hook, sc.limit.unwrap_or(usize::MAX), None)?;
+        if sc.limit.is_none() && !run.faulted {
+            return Ok(base);
+        }
+        let clean = matches!(sc.class, Class::Clean { .. });
+        let victim = engine(&mut run.mem, self.idx)?;
+        if let Class::VerifyQueue { target } = sc.class {
+            // Stack `strike` deferred checks on whatever the trailing
+            // workload reads left queued.
+            let queued = victim.verify_queue_len() as u64;
+            let mut t = 0;
+            for _ in 0..sc.strike {
+                t = victim.read_block(t, target)?.1;
+            }
+            let cap = victim.config().verify_queue.max(1) as u64;
+            debug_assert_eq!(victim.verify_queue_len() as u64, (queued + sc.strike) % cap);
+        }
+        if let Some(t) = self.tr.as_deref_mut() {
+            let (scenarios, strikes) = sc.class.trace_names();
+            t.add(scenarios, 1);
+            t.record(strikes, sc.strike);
+            if clean {
+                // Observe the recovery's phase tree: tracing is a pure
+                // observer, so the summary is unchanged by this.
+                victim.enable_tracing(amnt_trace::TraceConfig::default());
+            }
+        }
+        run.mem.crash_shard(self.idx)?;
+        self.s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
+
+        let victim = engine(&mut run.mem, self.idx)?;
+        let recovers = match sc.class {
+            // The nested fault cuts power mid-recovery. When the un-faulted
+            // recovery prefix errors first instead (`r` lies at or past its
+            // own failure point), the scenario ends there: detected.
+            Class::Nested { .. } => {
+                let cut = recovery_cut(victim);
+                if cut {
+                    victim.crash();
                 }
-                crashed.crash();
+                cut
             }
-            let (tamper_addr, bit) = self.ops.tamper_target(run.completed, k, crashed.geometry());
-            crashed.nvm_mut().tamper_flip_bit(tamper_addr, bit);
-            s.tamper_points += 1;
-            if let Some(t) = tr.as_deref_mut() {
-                t.add("sweep.scenarios.tamper", 1);
-                t.record("sweep.strike.tamper", k);
-            }
-            let outcome = match run.mem.recover_shard(victim) {
-                Err(_) => Outcome::Detected,
-                Ok(report) => self.classify(&mut run, &report, false, false, s)?,
-            };
-            match outcome {
-                Outcome::Recovered { reads_detected: 0 } => s.tamper_healed += 1,
-                Outcome::Recovered { .. } | Outcome::Detected => s.tamper_detected += 1,
-                Outcome::Silent => {
-                    s.tamper_silent += 1;
-                    s.count_silent(evict_ordinals.contains(&k));
+            Class::Tamper { nested } => {
+                // Crash again after the nested cut with the power-failure
+                // flag still set, so the final recovery sees a dirty
+                // shutdown. If the recovery instead detected before the cut
+                // or completed without it, tamper a cleanly re-crashed state.
+                if nested {
+                    if !recovery_cut(victim) {
+                        victim.nvm_mut().disarm_fault_hook();
+                    }
+                    victim.crash();
                 }
+                let g = victim.geometry();
+                let (addr, bit) = self.ops.tamper_target(run.completed, sc.strike, g);
+                victim.nvm_mut().tamper_flip_bit(addr, bit);
+                true
             }
-            s.cross_shard_heals += self.bystanders(&mut run.mem)?;
+            _ => true,
+        };
+        let recovery = recovers.then(|| victim.recover());
+        if let (true, Some(t)) = (clean, self.tr.as_deref_mut()) {
+            harvest_recovery_trace(t, victim);
+            // Scope the observation window to this one crash/recover pair:
+            // the repeat pass and the read-back below must run exactly as
+            // the untraced sweep runs them.
+            victim.disable_tracing();
+        }
+        let (strict, prefix_loss) = sc.class.judged();
+        let mut media = None;
+        let outcome = match recovery {
+            None | Some(Err(_)) => Outcome::Detected,
+            Some(Ok(report)) => {
+                if matches!(sc.class, Class::Clean { .. } | Class::Nested { .. }) {
+                    media = Some(victim.nvm().media_image());
+                }
+                if clean {
+                    // Counted before read-back: read-path cache evictions
+                    // would otherwise keep consuming recovery-domain
+                    // ordinals.
+                    base.writes = victim.nvm().device_write_ordinals();
+                    // Re-crash the recovered state cleanly and recover
+                    // again: the repeat must succeed, leave the media
+                    // byte-identical, and never do more work.
+                    victim.crash();
+                    match victim.recover() {
+                        Ok(repeat) => {
+                            if repeat.work() > report.work() {
+                                self.s.work_regressions += 1;
+                            }
+                            if Some(victim.nvm().media_image()) != media {
+                                self.s.idempotence_violations += 1;
+                            }
+                        }
+                        Err(_) => self.s.idempotence_violations += 1,
+                    }
+                }
+                if !report_in_bounds(self.kind, victim, &report) {
+                    self.s.bounds_violations += 1;
+                }
+                classify_readback(victim, self.ops, run.completed, strict, prefix_loss)
+            }
+        };
+        self.s.tally(sc.class, outcome, sc.evict);
+
+        match sc.class {
+            Class::Clean { .. } => {
+                // Once the victim recovered every shard is healthy again:
+                // the deferred epoch must now seal and verify.
+                if outcome == (Outcome::Recovered { reads_detected: 0 }) {
+                    merge(&mut run.mem, self.s);
+                }
+                base.media = media;
+            }
+            // A cleanly cut recovery (judged strictly), re-run, must land
+            // where the uninterrupted one did: the same media, or a
+            // detection where it detected.
+            Class::Nested { baseline, .. } if strict && recovers && baseline != media.as_ref() => {
+                self.s.idempotence_violations += 1;
+            }
+            _ => {}
+        }
+        if let Class::Tamper { .. } = sc.class {
+            // Damage inside the victim must not be seen by, or repaired
+            // through, another shard.
+            self.s.cross_shard_heals += self.bystanders(&mut run.mem)?;
             for (other, _) in &self.base {
                 if !matches!(run.mem.audit_shard(*other), Ok(true)) {
-                    s.cross_shard_heals += 1;
+                    self.s.cross_shard_heals += 1;
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// The nested recovery-fault sweep for one mutation-path crash point
-    /// `k`: for every recovery-phase ordinal `r` in `0..recovery_writes` and
-    /// every fault mode, replay to `k`, crash, let recovery run until the
-    /// nested fault cuts power at its `r`-th device write, power-cycle
-    /// again, and recover to completion.
-    ///
-    /// Idempotence contract, checked against the single-recovery baseline:
-    ///
-    /// * A **cleanly** interrupted recovery, re-run, must converge to the
-    ///   same outcome class as the uninterrupted recovery, and — when that
-    ///   baseline succeeded — to byte-identical media (`baseline_media`).
-    ///   Divergence is an idempotence violation.
-    /// * A **torn** recovery write may leave detectable damage (the re-run
-    ///   may fail, or individual reads may fail MAC checks — recovery
-    ///   rewrites its whole write set, but a torn counter can poison
-    ///   re-derivation), yet never a silent one.
-    fn nested_recovery_sweep(
-        &self,
-        k: u64,
-        recovery_writes: u64,
-        baseline_media: Option<&MediaImage>,
-        evict: bool,
-        s: &mut SweepSummary,
-        mut tr: Option<&mut amnt_trace::Tracer>,
-    ) -> Result<(), IntegrityError> {
-        let modes: &[CrashWriteMode] = if self.cfg.torn {
-            &[
-                CrashWriteMode::Clean,
-                CrashWriteMode::Torn(TornHalf::First),
-                CrashWriteMode::Torn(TornHalf::Last),
-            ]
         } else {
-            &[CrashWriteMode::Clean]
-        };
-        for r in 0..recovery_writes {
-            for &mode in modes {
-                let rplan = match mode {
-                    CrashWriteMode::Clean => FaultPlan::crash_after(r),
-                    CrashWriteMode::Torn(half) => FaultPlan::torn_after(r, half),
-                };
-                let plan = PhasedPlan::two_phase(FaultPlan::crash_after(k), rplan);
-                let mut run = self.replay(Box::new(plan), usize::MAX, None)?;
-                if !run.faulted {
-                    continue;
-                }
-                s.recovery_points += 1;
-                if let Some(t) = tr.as_deref_mut() {
-                    t.add("sweep.scenarios.nested", 1);
-                    t.record("sweep.strike.nested", r);
-                }
-                self.crash(&mut run.mem, s)?;
-                match run.mem.recover_shard(self.idx) {
-                    Err(ref e) if recovery_power_failed(e) => {
-                        self.rerun_recovery(&mut run, mode, baseline_media, evict, s)?;
-                    }
-                    // The nested fault never fired as a power failure: the
-                    // un-faulted recovery prefix errored first (`r` lies at
-                    // or past the baseline's own failure point). Detected.
-                    _ => s.recovery_detected += 1,
-                }
-                s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
-            }
+            self.s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
         }
-        Ok(())
-    }
-
-    /// Power-cycles the victim out of an interrupted recovery and runs it
-    /// again, this time to completion (the phased plan is exhausted).
-    fn rerun_recovery(
-        &self,
-        run: &mut Replay,
-        mode: CrashWriteMode,
-        baseline_media: Option<&MediaImage>,
-        evict: bool,
-        s: &mut SweepSummary,
-    ) -> Result<(), IntegrityError> {
-        let clean = mode == CrashWriteMode::Clean;
-        run.mem.crash_shard(self.idx)?;
-        let Ok(report) = run.mem.recover_shard(self.idx) else {
-            s.recovery_detected += 1;
-            // The uninterrupted recovery succeeded, so a clean interruption
-            // must be restartable.
-            if baseline_media.is_some() && clean {
-                s.idempotence_violations += 1;
-            }
-            return Ok(());
-        };
-        s.recovery_recovered += 1;
-        let media = engine(&mut run.mem, self.idx)?.nvm().media_image();
-        match self.classify(run, &report, clean, false, s)? {
-            Outcome::Recovered { reads_detected } => s.detected_at_read += reads_detected,
-            Outcome::Silent => s.count_silent(evict),
-            Outcome::Detected => {}
-        }
-        // Media divergence, or the baseline detected where the interrupted
-        // re-run succeeded: the outcome depends on where recovery was cut.
-        if clean && baseline_media != Some(&media) {
-            s.idempotence_violations += 1;
-        }
-        Ok(())
+        Ok(base)
     }
 }
 
@@ -1372,7 +1385,6 @@ mod tests {
         // Small but non-trivial: a few ordinals of every scenario class.
         let cfg = FaultSweepConfig {
             ops: 6,
-            tail_depths: vec![1],
             ..FaultSweepConfig::default()
         };
         let untraced = run_sweep(ProtocolKind::Leaf, &cfg).expect("sweep");
@@ -1404,6 +1416,8 @@ mod tests {
             idx: 0,
             ops: &w.shards[0],
             base: Vec::new(),
+            s: &mut SweepSummary::default(),
+            tr: None,
         };
         let mut runs = Vec::new();
         for _ in 0..2 {

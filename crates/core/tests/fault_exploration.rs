@@ -49,9 +49,16 @@ fn no_silent_corruption_at_any_crash_point() {
             2 * s.crash_points,
             "{name}: unclassified torn crash points: {s:?}"
         );
-        assert!(
-            s.tail_recovered + s.tail_detected > 0,
-            "{name}: no WPQ-tail scenarios ran: {s:?}"
+        // WPQ tails of depth 1, 2 and 4 at every op boundary.
+        assert_eq!(
+            s.tail_recovered + s.tail_detected,
+            3 * cfg.ops as u64,
+            "{name}: unclassified WPQ-tail scenarios: {s:?}"
+        );
+        assert_eq!(
+            s.verify_queue_points,
+            s.verify_queue_recovered + s.verify_queue_detected + s.verify_queue_silent,
+            "{name}: unclassified verify-queue scenarios: {s:?}"
         );
     }
 }

@@ -187,8 +187,18 @@ fn every_fault_class_is_clean_across_shards() {
         assert!(s.crash_points > 0, "{name}: no ordinals explored: {s:?}");
         assert!(s.recovered > 0, "{name}: never recovered a victim: {s:?}");
         assert!(s.torn_recovered + s.torn_detected > 0, "{name}: no torn points: {s:?}");
-        assert!(s.tail_recovered + s.tail_detected > 0, "{name}: no tail points: {s:?}");
+        // WPQ tails of depth 1, 2 and 4 at every op boundary of every victim.
+        assert_eq!(
+            s.tail_recovered + s.tail_detected,
+            3 * cfg.ops as u64,
+            "{name}: unclassified tail points: {s:?}"
+        );
         assert!(s.verify_queue_points > 0, "{name}: no verify-queue points: {s:?}");
+        assert_eq!(
+            s.verify_queue_points,
+            s.verify_queue_recovered + s.verify_queue_detected + s.verify_queue_silent,
+            "{name}: unclassified verify-queue points: {s:?}"
+        );
         assert!(s.tamper_points > 0, "{name}: no tamper points: {s:?}");
         if matches!(name, "leaf" | "osiris" | "anubis" | "bmf") {
             assert!(s.recovery_points > 0, "{name}: recovery never faulted: {s:?}");
@@ -217,24 +227,10 @@ fn every_fault_class_is_clean_across_shards() {
     let again = run_sweep(ProtocolKind::Leaf, &cfg).expect("leaf sweep");
     assert_eq!(leaf, Some(again), "sharded sweep not deterministic");
 
-    // A class switched off explores nothing; the clean crashes still hold.
-    let clean_only = FaultSweepConfig {
-        tail_depths: Vec::new(),
-        torn: false,
-        recovery_faults: false,
-        tamper: false,
-        ..cfg
-    };
+    // AMNT at its shallowest subtree level, every class on.
     let amnt = ProtocolKind::Amnt(AmntConfig::at_level(2));
-    let s = run_sweep(amnt, &clean_only).expect("amnt clean-only sweep");
+    let s = run_sweep(amnt, &cfg).expect("amnt level-2 sweep");
     assert!(s.crash_points > 0 && s.recovered > 0, "{s:?}");
-    let off = [
-        s.torn_recovered + s.torn_detected,
-        s.tail_recovered + s.tail_detected,
-        s.recovery_points,
-        s.tamper_points,
-    ];
-    assert_eq!(off, [0; 4], "disabled classes ran: {s:?}");
     assert_eq!(s.silent + s.cross_shard_disturbances + s.merge_failures, 0, "{s:?}");
 }
 

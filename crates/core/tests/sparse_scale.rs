@@ -118,8 +118,6 @@ fn fault_sweep_runs_at_two_terabytes() {
     let cfg = FaultSweepConfig {
         ops: 6,
         capacity: 2 * TB,
-        tail_depths: vec![1],
-        torn: false,
         ..FaultSweepConfig::default()
     };
     for (name, kind) in sweep_protocols() {

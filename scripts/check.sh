@@ -38,8 +38,8 @@ if [ "$lint_elapsed" -gt "$lint_budget" ]; then
 fi
 
 echo "== cargo build --release --workspace --all-targets =="
-# --all-targets also compiles the bench harnesses (crates/bench/benches/),
-# which no other step builds.
+# --all-targets also compiles the examples and every test target in
+# release mode, which the debug-mode test step below does not.
 cargo build --release --workspace --all-targets || fail=1
 
 echo "== cargo test --workspace =="
@@ -107,16 +107,19 @@ echo "== trace smoke (observer purity + cross-run diff) =="
 # byte-compares its sidecars across worker counts): the main artifact must
 # be byte-identical with tracing on or off (tracing is a pure observer).
 tracedir="$(mktemp -d)"
-# 30k accesses so each AMNT cell's epoch series is dense enough for the
-# perfgate `series` rows (one subtree transition per cell with sampled
-# post-transition windows) — still ~2 s per run.
+# Every run takes the trace_report registry entry's knobs, as the loop
+# above ran it: its run length keeps each AMNT cell's epoch series dense
+# enough for the perfgate `series` rows (one subtree transition per cell
+# with sampled post-transition windows), and a caller's AMNT_ACCESSES wins
+# here too.
+read -r _ _ _ _ trace_knobs < <(grep '^trace_report ' <<<"$listing")
 trace_smoke() {
-    AMNT_ACCESSES=30000 AMNT_WARMUP=2000 \
-        cargo run --release -q -p amnt-bench --bin trace_report >/dev/null || return 1
+    # shellcheck disable=SC2086 # $trace_knobs holds VAR=value words
+    env -u CARGO_MANIFEST_DIR $trace_knobs "$@" "$bin_dir/trace_report" >/dev/null
 }
-AMNT_JOBS=1 trace_smoke || fail=1
+trace_smoke AMNT_JOBS=1 || fail=1
 cp results/trace_report.json results/trace_report.trace.json "$tracedir"/ || fail=1
-AMNT_JOBS=2 AMNT_TRACE=0 trace_smoke || fail=1
+trace_smoke AMNT_JOBS=2 AMNT_TRACE=0 || fail=1
 if ! cmp -s "$tracedir/trace_report.json" results/trace_report.json; then
     echo "   trace smoke: main artifact differs with tracing on vs off"
     fail=1
@@ -124,13 +127,13 @@ fi
 # The lazy verify queue batches host-side MAC checks but charges each one
 # at enqueue: disabling it (eager per-read verification) must not change a
 # byte of the main artifact either.
-AMNT_JOBS=2 AMNT_VERIFY_QUEUE=0 trace_smoke || fail=1
+trace_smoke AMNT_JOBS=2 AMNT_VERIFY_QUEUE=0 || fail=1
 if ! cmp -s "$tracedir/trace_report.json" results/trace_report.json; then
     echo "   trace smoke: main artifact differs with verify queue on vs off"
     fail=1
 fi
 # Leave deterministic traced sidecars behind, not the quick-run artifact.
-AMNT_JOBS=1 trace_smoke || fail=1
+trace_smoke AMNT_JOBS=1 || fail=1
 # Cross-run diff gate: the fresh sidecar against the AMNT_JOBS=1 copy
 # from the start of this block must be an *empty* diff at tol 0 (same
 # knobs, same bytes). trace_diff exits nonzero on any divergence; the
