@@ -19,8 +19,8 @@
 
 use amnt_bench::{ExperimentResult, Grid, HostTimer};
 use amnt_core::{
-    table4_scenarios, AmntConfig, AnubisConfig, OsirisConfig, ProtocolKind, RecoveryModel,
-    RecoveryReport, RecoveryScenario, SecureMemory, SecureMemoryConfig,
+    AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, RecoveryModel,
+    RecoveryReport, SecureMemory, SecureMemoryConfig,
 };
 use amnt_workloads::SparseHotSet;
 
@@ -58,15 +58,25 @@ fn analytical(result: &mut ExperimentResult) {
         "{:<10}{:>24}{:>24}{:>26}{:>10}",
         "", "2TB", "16TB", "128TB", "stale %"
     );
-    for (name, scenario) in table4_scenarios() {
+    let rows = [
+        ("leaf", ProtocolKind::Leaf),
+        ("strict", ProtocolKind::Strict),
+        ("Anubis", ProtocolKind::Anubis(AnubisConfig::default())),
+        ("Osiris", ProtocolKind::Osiris(OsirisConfig::default())),
+        ("BMF", ProtocolKind::Bmf(BmfConfig::default())),
+        ("AMNT L2", ProtocolKind::Amnt(AmntConfig::at_level(2))),
+        ("AMNT L3", ProtocolKind::Amnt(AmntConfig::at_level(3))),
+        ("AMNT L4", ProtocolKind::Amnt(AmntConfig::at_level(4))),
+    ];
+    for (name, kind) in rows {
         print!("{name:<10}");
         for size_tb in [2.0, 16.0, 128.0] {
-            let ours = model.recovery_ms(scenario, size_tb * TB);
+            let ours = model.recovery_ms(kind, size_tb * TB);
             let paper = paper_value(name, size_tb);
             print!("{:>12.2} |{:>10.2}", ours, paper);
             result.push(name, &format!("{size_tb}TB_ms"), ours);
         }
-        let stale = model.stale_fraction(scenario);
+        let stale = model.stale_fraction(kind);
         if stale.is_nan() {
             println!("{:>10}", "fixed");
         } else {
@@ -180,8 +190,7 @@ fn simulated(result: &mut ExperimentResult) {
         // scaling by the counter ratio projects the full-device recovery.
         let scale = (capacity / 4096) as f64 / (span / 4096) as f64;
         let sim_ms = hot_ms * scale;
-        let scenario = if name == "leaf" { RecoveryScenario::Leaf } else { RecoveryScenario::Strict };
-        let analytical_ms = model.recovery_ms(scenario, capacity as f64);
+        let analytical_ms = model.recovery_ms(kind, capacity as f64);
         println!(
             "{:<12}{:>14}{:>14.4}{:>14.2}{:>14.2}{:>12}",
             name, report.bytes_read, hot_ms, sim_ms, analytical_ms, peak_frames

@@ -18,15 +18,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Worker count for [`run_jobs`]: `AMNT_JOBS` if set and nonzero, else the
-/// host's available parallelism.
+/// host's available parallelism. `AMNT_JOBS` is read by
+/// [`count_knob`](crate::count_knob): a malformed value exits with status 2.
 pub fn worker_count() -> usize {
-    std::env::var("AMNT_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
+    match crate::count_knob("AMNT_JOBS", 0, 0) {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
+    }
 }
 
 /// Runs `jobs` on `workers` scoped threads, returning results in

@@ -13,9 +13,9 @@
 //! ```
 //!
 //! Environment knobs: `AMNT_ACCESSES` (per-core measured accesses),
-//! `AMNT_WARMUP`, `AMNT_SEED` (each read by [`count_knob`], which stops
-//! the run on a malformed value), and `AMNT_JOBS` (parallel executor worker
-//! count; default: available parallelism — see [`exec`]), plus
+//! `AMNT_WARMUP`, `AMNT_SEED` and `AMNT_JOBS` (parallel executor worker
+//! count; unset or `0`: available parallelism — see [`exec`]), each read by
+//! [`count_knob`], which stops the run on a malformed value, plus
 //! `AMNT_TRACE=1` to emit `*.trace.json` / `*.perfetto.json` sidecars
 //! (see [`trace_out`]).
 

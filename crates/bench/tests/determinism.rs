@@ -18,8 +18,9 @@ const MIB: u64 = 1024 * 1024;
 
 /// A miniature fig4-style grid: three workloads × three protocols of raw
 /// simulation runs, normalized to each row's volatile baseline. The
-/// verify-queue depth is a parameter so the on/off byte-identity contract
-/// (`AMNT_VERIFY_QUEUE` as a pure host-speed knob) is pinned here too.
+/// verify-queue depth is a parameter so its byte-identity contract (the
+/// `SecureMemoryConfig::verify_queue` depth is a pure host-speed knob) is
+/// pinned here too.
 fn small_grid(verify_queue: usize) -> Grid<SimReport> {
     let len = RunLength {
         accesses: 8_000,

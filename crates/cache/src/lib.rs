@@ -226,12 +226,6 @@ impl SetAssocCache {
         self.config
     }
 
-    /// Line-aligns `addr`.
-    #[inline]
-    pub fn line_addr(&self, addr: u64) -> u64 {
-        addr & !((self.config.line_size as u64) - 1)
-    }
-
     #[inline]
     fn set_range(&self, addr: u64) -> std::ops::Range<usize> {
         let set = ((addr >> self.set_shift) & self.set_mask) as usize;
@@ -407,14 +401,6 @@ impl SetAssocCache {
             line.valid = false;
             line.dirty = false;
         }
-    }
-
-    /// Iterates over the line addresses of all valid lines.
-    pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(move |l| l.tag << self.set_shift)
     }
 
     /// Iterates over the line addresses of all dirty lines.

@@ -100,7 +100,7 @@ pub struct SecureMemoryConfig {
     /// transitively, their subtree path into the trusted-ancestor cache) on
     /// detected sequential access. Off by default: prefetching perturbs
     /// metadata-cache contents and therefore simulated artifacts; it is an
-    /// opt-in study knob (`AMNT_PREFETCH=1` in the sim config loaders).
+    /// opt-in study knob that only code setting this field turns on.
     pub subtree_prefetch: bool,
 }
 

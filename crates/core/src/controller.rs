@@ -21,7 +21,7 @@
 //!   hardware; zeroing an initialised region still trips its ancestors).
 
 use crate::config::SecureMemoryConfig;
-use crate::error::IntegrityError;
+use crate::error::{IntegrityError, RecoveryError};
 use crate::protocol::{PathPersist, ProtocolKind, ProtocolState, WritePlan};
 use crate::stats::{ControllerStats, StatsSnapshot};
 use crate::timing::MemoryTimeline;
@@ -75,7 +75,7 @@ pub struct SecureMemory {
     /// [`SecureMemory::enable_tracing`]). Trace state never feeds back into
     /// `stats`, the caches, or the timeline, so traced and untraced runs
     /// produce identical artifacts.
-    tracer: amnt_trace::Tracer,
+    pub(crate) tracer: amnt_trace::Tracer,
     /// Statistics at the last emitted epoch boundary; epoch rows carry the
     /// deltas since this snapshot, so rows sum to the final snapshot.
     trace_epoch_base: StatsSnapshot,
@@ -106,10 +106,7 @@ pub struct SecureMemory {
     /// work-proportional timestamps: each phase advances the cursor by its
     /// device traffic plus hash ops. Trace-only state — never read by the
     /// simulation.
-    recovery_cursor: u64,
-    /// Open recovery-phase frames: (start cursor, device reads baseline,
-    /// device writes baseline) per frame, for per-phase deltas at close.
-    recovery_phase_base: Vec<(u64, u64, u64)>,
+    pub(crate) recovery_cursor: u64,
 }
 
 /// One deferred leaf-MAC check: the flattened authenticated message (see
@@ -171,7 +168,6 @@ impl SecureMemory {
             prefetch_last: None,
             prefetching: false,
             recovery_cursor: 0,
-            recovery_phase_base: Vec::new(),
             nvm,
             kind,
             config,
@@ -384,64 +380,34 @@ impl SecureMemory {
             .add("recovery.nodes_recomputed", r.nodes_recomputed);
     }
 
-    /// Opens one frame of the recovery phase tree (no-op when tracing is
-    /// off). Recovery runs on untimed device ops, so the frame starts at a
-    /// synthetic cursor (seeded from the last recorded cycle for the
-    /// outermost frame) and [`Self::trace_phase_close`] advances it by the
-    /// phase's device traffic + hash ops — the Perfetto view then shows
-    /// each phase's width proportional to its work.
-    pub(crate) fn trace_phase_open(&mut self, name: &'static str) {
+    /// Runs `body` as one phase of the recovery phase tree. Recovery runs
+    /// on untimed device ops, so the phase's span opens at the synthetic
+    /// cursor and closes after the phase's device reads and writes plus the
+    /// hash ops `body` counts (at least one cycle, so even a zero-work
+    /// phase is a visible "X" event) — the Perfetto view then shows each
+    /// phase's width proportional to its work. The span carries the same
+    /// three counts as args; a phase whose body errs closes with `hashes`
+    /// 0, and its enclosing phases close as the error passes through them.
+    /// With tracing off this is just `body`.
+    pub(crate) fn phase<T>(
+        &mut self,
+        name: &'static str,
+        body: impl FnOnce(&mut Self) -> Result<(T, u64), RecoveryError>,
+    ) -> Result<T, RecoveryError> {
         if !self.tracer.enabled() {
-            return;
+            return body(self).map(|(value, _)| value);
         }
-        if self.recovery_phase_base.is_empty() {
-            self.recovery_cursor = self.tracer.last_ts();
-        }
+        let (start, s0) = (self.recovery_cursor, *self.nvm.stats());
+        self.tracer.push_span(start, name, "recovery", &[]);
+        let result = body(self);
+        let hashes = result.as_ref().map_or(0, |(_, hashes)| *hashes);
         let s = self.nvm.stats();
-        self.recovery_phase_base
-            .push((self.recovery_cursor, s.reads, s.writes));
-        self.tracer
-            .push_span(self.recovery_cursor, name, "recovery", &[]);
-    }
-
-    /// Closes the innermost recovery phase frame, attaching the per-phase
-    /// device-read/device-write deltas and the caller-counted hash ops as
-    /// span arguments. `hashes` is the phase's MAC/hash computation count
-    /// (exact where the procedure counts trials, derived otherwise — see
-    /// the call sites in `recovery.rs`).
-    pub(crate) fn trace_phase_close(&mut self, hashes: u64) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let Some((start, r0, w0)) = self.recovery_phase_base.pop() else {
-            return;
-        };
-        let s = self.nvm.stats();
-        let (dr, dw) = (s.reads - r0, s.writes - w0);
-        // Work-proportional synthetic duration, min 1 so the span is a
-        // visible "X" event even for zero-work phases.
+        let (dr, dw) = (s.reads - s0.reads, s.writes - s0.writes);
         let end = (start + 1 + dr + dw + hashes).max(self.recovery_cursor);
         self.recovery_cursor = end;
         self.tracer
             .pop_span_with(end, &[("reads", dr), ("writes", dw), ("hashes", hashes)]);
-    }
-
-    /// Unwinds recovery phase frames still open above `depth` (error paths
-    /// bail out of `recover()` mid-phase; their frames close here so the
-    /// span stack never leaks into post-recovery operations).
-    pub(crate) fn trace_phase_unwind(&mut self, depth: usize) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        while self.recovery_phase_base.len() > depth {
-            self.trace_phase_close(0);
-        }
-    }
-
-    /// Open recovery phase frames right now (pass to
-    /// [`Self::trace_phase_unwind`] to restore on error paths).
-    pub(crate) fn trace_phase_depth(&self) -> usize {
-        self.recovery_phase_base.len()
+        result.map(|(value, _)| value)
     }
 
     /// Records `value` into recovery histogram `name` (no-op when tracing

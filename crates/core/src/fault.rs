@@ -1,4 +1,4 @@
-//! Exhaustive crash-point exploration over the device fault hook.
+//! Exhaustive crash-point exploration over the device's fault plans.
 //!
 //! [`run_sweep`] takes one protocol and a seeded workload, runs it on a
 //! [`ShardedMemory`] of [`FaultSweepConfig::shards`] domains, and lets each
@@ -10,7 +10,7 @@
 //! facade is bit-identical to a bare [`SecureMemory`].
 //!
 //! Every scenario takes one path: replay the workload with the scenario's
-//! fault hook armed on the victim's lane, crash the victim, run what its
+//! fault plan armed on the victim's lane, crash the victim, run what its
 //! class puts between the crash and the final recovery, recover, judge the
 //! read-back, and tally the outcome in its class's counters. Every sweep
 //! runs six classes of scenario, in this order:
@@ -98,7 +98,7 @@ use crate::{
 };
 use amnt_bmt::BmtGeometry;
 use amnt_nvm::CrashWriteMode::{self, Clean, Torn};
-use amnt_nvm::{FaultHook, FaultPlan, NvmError, PhasedPlan, TornHalf};
+use amnt_nvm::{FaultPlan, NvmError, PhasedPlan, TornHalf};
 use amnt_prng::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -897,8 +897,8 @@ impl Class<'_> {
 /// One fault scenario of one victim.
 struct Scenario<'a> {
     class: Class<'a>,
-    /// The fault hook the replay arms on the victim's lane.
-    hook: Box<dyn FaultHook>,
+    /// The fault plan the replay arms on the victim's lane.
+    plan: PhasedPlan,
     /// Victim ops the replay runs: `None` runs them all, and the scenario
     /// exists only if its fault fires on the way.
     limit: Option<usize>,
@@ -912,10 +912,10 @@ struct Scenario<'a> {
 
 impl<'a> Scenario<'a> {
     /// A scenario that strikes while the replay runs every victim op.
-    fn new(class: Class<'a>, hook: impl FaultHook + 'static, strike: u64, evict: bool) -> Self {
+    fn new(class: Class<'a>, plan: impl Into<PhasedPlan>, strike: u64, evict: bool) -> Self {
         Scenario {
             class,
-            hook: Box::new(hook),
+            plan: plan.into(),
             limit: None,
             strike,
             evict,
@@ -969,7 +969,7 @@ struct Victim<'a> {
 }
 
 impl Victim<'_> {
-    /// Replays the workload on a fresh machine with `hook` armed on the
+    /// Replays the workload on a fresh machine with `plan` armed on the
     /// victim's lane. The victim runs its first `limit` ops, or stops when
     /// its fault fires; every other shard commits to completion, and epoch
     /// merges seal every [`FaultSweepConfig::merge_every`] ops until the
@@ -979,12 +979,12 @@ impl Victim<'_> {
     /// device-write ordinal count after each of its ops.
     fn replay(
         &self,
-        hook: Box<dyn FaultHook>,
+        plan: PhasedPlan,
         limit: usize,
         mut boundaries: Option<&mut Vec<u64>>,
     ) -> Result<Replay, IntegrityError> {
         let mut mem = machine(self.kind, self.cfg)?;
-        engine(&mut mem, self.idx)?.nvm_mut().arm_fault_hook(hook);
+        engine(&mut mem, self.idx)?.nvm_mut().arm_fault_hook(plan);
         let mut clocks = vec![0u64; mem.shards()];
         let (mut completed, mut faulted) = (0, false);
         let every = self.cfg.merge_every;
@@ -1057,7 +1057,7 @@ impl Victim<'_> {
         // op boundaries and eviction-writeback ordinals and the bystanders'
         // data images; its final merge must seal.
         let mut boundaries = Vec::with_capacity(self.ops.ops.len());
-        let count_only = Box::new(FaultPlan::count_only());
+        let count_only = FaultPlan::count_only().into();
         let mut run = self.replay(count_only, usize::MAX, Some(&mut boundaries))?;
         let counted = engine(&mut run.mem, victim)?;
         let total = counted.nvm().device_write_ordinals();
@@ -1161,7 +1161,7 @@ impl Victim<'_> {
     /// recovered, and returns its [`Baseline`].
     fn run(&mut self, sc: Scenario<'_>) -> Result<Baseline, IntegrityError> {
         let mut base = Baseline::default();
-        let mut run = self.replay(sc.hook, sc.limit.unwrap_or(usize::MAX), None)?;
+        let mut run = self.replay(sc.plan, sc.limit.unwrap_or(usize::MAX), None)?;
         if sc.limit.is_none() && !run.faulted {
             return Ok(base);
         }
@@ -1422,7 +1422,7 @@ mod tests {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let mut boundaries = Vec::new();
-            let plan = Box::new(FaultPlan::count_only());
+            let plan = FaultPlan::count_only().into();
             let mut run = victim
                 .replay(plan, usize::MAX, Some(&mut boundaries))
                 .expect("count-only replay");

@@ -60,7 +60,7 @@ pub use overhead::{hardware_overhead, HardwareOverhead};
 pub use protocol::{
     AmntConfig, AnubisConfig, BmfConfig, HistoryBuffer, OsirisConfig, ProtocolKind,
 };
-pub use recovery::{table4_scenarios, RecoveryModel, RecoveryReport, RecoveryScenario};
+pub use recovery::{RecoveryModel, RecoveryReport};
 pub use stats::{ControllerStats, StatsSnapshot};
 pub use timing::{MemoryTimeline, TimelineStats, WearSummary};
 pub use untimed::{ShardedUntimed, UntimedMemory};

@@ -3,7 +3,7 @@
 
 use crate::controller::SecureMemory;
 use crate::error::RecoveryError;
-use crate::protocol::{ProtocolKind, ProtocolState};
+use crate::protocol::{AmntConfig, ProtocolKind, ProtocolState};
 use crate::untimed::NvmUntimed;
 use amnt_bmt::{set_slot, BmtGeometry, NodeBytes, NodeId, PAGE_SIZE};
 use std::cmp::Reverse;
@@ -69,19 +69,12 @@ impl SecureMemory {
                 verified: true,
             });
         }
-        // Phase tree root: every per-protocol procedure below opens child
-        // phases (scan → rebuild counters → verify/rebuild subtree →
-        // audit) under this frame, so a traced recovery exports as one
-        // nested flame. Error paths unwind whatever is still open — the
-        // span stack never leaks into post-recovery operation.
-        let depth = self.trace_phase_depth();
-        self.trace_phase_open("recovery");
-        let result = self.recover_crashed();
-        match &result {
-            Ok(_) => self.trace_phase_close(0),
-            Err(_) => self.trace_phase_unwind(depth),
-        }
-        result
+        // Phase tree root, starting at the last recorded cycle: every
+        // per-protocol procedure below runs its phases (scan → rebuild
+        // counters → verify/rebuild subtree → audit) inside this one, so a
+        // traced recovery exports as one nested flame.
+        self.recovery_cursor = self.tracer.last_ts();
+        self.phase("recovery", |s| Ok((s.recover_crashed()?, 0)))
     }
 
     fn recover_crashed(&mut self) -> Result<RecoveryReport, RecoveryError> {
@@ -109,15 +102,14 @@ impl SecureMemory {
             // recovery with a bounded scan). Zero-work scan phase so the
             // trace still shows an explicit (empty) tree.
             ProtocolKind::Strict | ProtocolKind::Plp => {
-                self.trace_phase_open("recovery.scan");
-                self.trace_phase_close(0);
+                self.phase("recovery.scan", |_| Ok(((), 0)))?;
             }
             ProtocolKind::Leaf => {
-                self.trace_scan_touched();
+                self.trace_scan_touched()?;
                 nodes_recomputed = self.rebuild_touched_phase()?;
             }
             ProtocolKind::Osiris(cfg) => {
-                let candidates = self.touched_counter_candidates();
+                let candidates = self.touched_counter_candidates()?;
                 counters_recovered = self.rebuild_counters_phase(candidates, cfg.stop_loss)?;
                 nodes_recomputed = self.rebuild_touched_phase()?;
             }
@@ -127,11 +119,11 @@ impl SecureMemory {
                 nodes_recomputed = self.recompute_phase(&[], stale_nodes)?;
             }
             ProtocolKind::Bmf(_) => {
-                self.trace_scan_touched();
+                self.trace_scan_touched()?;
                 nodes_recomputed = self.recover_bmf()?;
             }
             ProtocolKind::Amnt(_) => {
-                self.trace_scan_touched();
+                self.trace_scan_touched()?;
                 nodes_recomputed = self.recover_amnt()?;
             }
         }
@@ -166,46 +158,43 @@ impl SecureMemory {
 
     /// The `recovery.audit` phase: re-derives the touched ancestor closure
     /// and checks it against the root register. Returns whether they agree;
-    /// on a mismatch the phase is left for the caller's error path to
-    /// unwind.
+    /// a mismatch closes the phase with no hashes, as an error would.
     fn audit_phase(&mut self) -> Result<bool, RecoveryError> {
-        let r0 = self.nvm.stats().reads;
-        self.trace_phase_open("recovery.audit");
-        let ok = self.bmt.verify_touched(&mut self.nvm, &self.root_register)?;
-        if ok {
+        self.phase("recovery.audit", |s| {
+            let r0 = s.nvm.stats().reads;
+            let ok = s.bmt.verify_touched(&mut s.nvm, &s.root_register)?;
             // One MAC per block the verification walk fetched.
-            self.trace_phase_close(self.nvm.stats().reads - r0);
-        }
-        Ok(ok)
+            Ok((ok, if ok { s.nvm.stats().reads - r0 } else { 0 }))
+        })
     }
 
     /// Trace-only touched-frame scan phase: counts the touched data frames
     /// (the recovery closure's seed set) into the
     /// `recovery.touched_frames` histogram. Host-side bitmap queries only —
     /// no device stats move, and nothing runs when tracing is off.
-    fn trace_scan_touched(&mut self) {
+    fn trace_scan_touched(&mut self) -> Result<(), RecoveryError> {
         if !self.tracing_enabled() {
-            return;
+            return Ok(());
         }
         let cap = self.geometry().data_capacity();
         let touched = self.nvm.touched_frames_in(0, cap).into_iter().count() as u64;
-        self.trace_phase_open("recovery.scan");
-        self.trace_phase_close(0);
+        self.phase("recovery.scan", |_| Ok(((), 0)))?;
         self.trace_recovery_stat("recovery.touched_frames", touched);
+        Ok(())
     }
 
     /// Leaf and Osiris: rebuilds the touched tree from the counters and
     /// checks the result against the root register. Returns the nodes
     /// recomputed.
     fn rebuild_touched_phase(&mut self) -> Result<u64, RecoveryError> {
-        self.trace_phase_open("recovery.rebuild_subtree");
-        let (computed, recomputed) = self.bmt.build_touched(&mut self.nvm)?;
-        if computed != self.root_register {
-            return Err(RecoveryError::RootMismatch);
-        }
-        // Each recomputed node MACs its 8 children.
-        self.trace_phase_close(recomputed.saturating_mul(8));
-        Ok(recomputed)
+        self.phase("recovery.rebuild_subtree", |s| {
+            let (computed, recomputed) = s.bmt.build_touched(&mut s.nvm)?;
+            if computed != s.root_register {
+                return Err(RecoveryError::RootMismatch);
+            }
+            // Each recomputed node MACs its 8 children.
+            Ok((recomputed, recomputed.saturating_mul(8)))
+        })
     }
 
     /// Osiris's scan phase: every *touched* counter block. The candidate
@@ -214,28 +203,28 @@ impl SecureMemory {
     /// persisted data even when the counter block itself never reached the
     /// media, so the data/HMAC regions vote too. Untouched pages (all three
     /// regions virgin) are exactly the factory state and need no trial.
-    fn touched_counter_candidates(&mut self) -> Vec<u64> {
+    fn touched_counter_candidates(&mut self) -> Result<Vec<u64>, RecoveryError> {
         let g = self.geometry().clone();
-        self.trace_phase_open("recovery.scan");
-        let mut set: BTreeSet<u64> = self.bmt.touched_counters(&self.nvm).into_iter().collect();
-        // One data frame is one page is one counter.
-        for frame in self.nvm.touched_frames_in(0, g.data_capacity()) {
-            set.insert(g.counter_index(frame));
-        }
-        // One HMAC frame covers FRAME_SIZE / 8 blocks = 8 pages.
-        let hmac_base = g.hmac_addr(0);
-        let hmac_end = hmac_base + g.data_capacity() / 64 * 8;
-        for frame in self.nvm.touched_frames_in(hmac_base, hmac_end) {
-            // Lane byte `o` (from hmac_base) belongs to data block o/8,
-            // i.e. counter (o/8)*64 / PAGE_SIZE = o/512.
-            let lo = frame.max(hmac_base) - hmac_base;
-            let hi = (lo + amnt_nvm::FRAME_SIZE as u64).min(hmac_end - hmac_base);
-            for counter in (lo / 512)..=((hi - 1) / 512).min(g.counter_blocks() - 1) {
-                set.insert(counter);
+        self.phase("recovery.scan", |s| {
+            let mut set: BTreeSet<u64> = s.bmt.touched_counters(&s.nvm).into_iter().collect();
+            // One data frame is one page is one counter.
+            for frame in s.nvm.touched_frames_in(0, g.data_capacity()) {
+                set.insert(g.counter_index(frame));
             }
-        }
-        self.trace_phase_close(0);
-        set.into_iter().collect()
+            // One HMAC frame covers FRAME_SIZE / 8 blocks = 8 pages.
+            let hmac_base = g.hmac_addr(0);
+            let hmac_end = hmac_base + g.data_capacity() / 64 * 8;
+            for frame in s.nvm.touched_frames_in(hmac_base, hmac_end) {
+                // Lane byte `o` (from hmac_base) belongs to data block o/8,
+                // i.e. counter (o/8)*64 / PAGE_SIZE = o/512.
+                let lo = frame.max(hmac_base) - hmac_base;
+                let hi = (lo + amnt_nvm::FRAME_SIZE as u64).min(hmac_end - hmac_base);
+                for counter in (lo / 512)..=((hi - 1) / 512).min(g.counter_blocks() - 1) {
+                    set.insert(counter);
+                }
+            }
+            Ok((set.into_iter().collect(), 0))
+        })
     }
 
     /// Anubis's scan phase: reads the shadow table for the counters and
@@ -245,26 +234,26 @@ impl SecureMemory {
     fn shadow_table_scan(&mut self) -> Result<(Vec<u64>, StaleNodes), RecoveryError> {
         let lines = self.config().metadata_cache.lines();
         let g = self.geometry().clone();
-        let mut stale_counters = Vec::new();
-        let mut stale_nodes = StaleNodes::new();
-        self.trace_phase_open("recovery.scan");
-        for slot in 0..lines as u64 {
-            let tagged = self.nvm.read_u64(self.aux_base + slot * 8)?;
-            if tagged == 0 {
-                continue;
-            }
-            let addr = tagged - 1;
-            if let Some(idx) = g.counter_index_of_addr(addr) {
-                stale_counters.push(idx);
-                for node in g.path_to_root(idx) {
-                    stale_nodes.insert((Reverse(node.level), node.index));
+        self.phase("recovery.scan", |s| {
+            let mut stale_counters = Vec::new();
+            let mut stale_nodes = StaleNodes::new();
+            for slot in 0..lines as u64 {
+                let tagged = s.nvm.read_u64(s.aux_base + slot * 8)?;
+                if tagged == 0 {
+                    continue;
                 }
-            } else if let Some(node) = g.node_of_addr(addr) {
-                insert_ancestry(&g, Some(node), &mut stale_nodes);
+                let addr = tagged - 1;
+                if let Some(idx) = g.counter_index_of_addr(addr) {
+                    stale_counters.push(idx);
+                    for node in g.path_to_root(idx) {
+                        stale_nodes.insert((Reverse(node.level), node.index));
+                    }
+                } else if let Some(node) = g.node_of_addr(addr) {
+                    insert_ancestry(&g, Some(node), &mut stale_nodes);
+                }
             }
-        }
-        self.trace_phase_close(0);
-        Ok((stale_counters, stale_nodes))
+            Ok(((stale_counters, stale_nodes), 0))
+        })
     }
 
     /// Osiris-style bounded re-derivation of `candidates`, as the
@@ -277,18 +266,18 @@ impl SecureMemory {
         stop_loss: u32,
     ) -> Result<u64, RecoveryError> {
         self.trace_recovery_stat("recovery.touched_counters", candidates.len() as u64);
-        self.trace_phase_open("recovery.rebuild_counters");
-        let mut recovered = 0;
-        let mut trials = 0;
-        for index in candidates {
-            let (changed, t) = self.recover_counter(index, stop_loss)?;
-            trials += t;
-            if changed {
-                recovered += 1;
+        self.phase("recovery.rebuild_counters", |s| {
+            let mut recovered = 0;
+            let mut trials = 0;
+            for index in candidates {
+                let (changed, t) = s.recover_counter(index, stop_loss)?;
+                trials += t;
+                if changed {
+                    recovered += 1;
+                }
             }
-        }
-        self.trace_phase_close(trials);
-        Ok(recovered)
+            Ok((recovered, trials))
+        })
     }
 
     /// Recovers one counter block; returns whether it changed and how many
@@ -355,25 +344,23 @@ impl SecureMemory {
         stale: StaleNodes,
     ) -> Result<u64, RecoveryError> {
         let g = self.geometry().clone();
-        self.trace_phase_open("recovery.rebuild_subtree");
-        for (node, image) in images {
-            self.nvm.write_block(g.node_addr(*node), image)?;
-        }
-        let recomputed = stale.len() as u64;
-        for (Reverse(level), index) in stale {
-            let node = NodeId { level, index };
-            let image = self.bmt.compute_node(&mut self.nvm, node)?;
-            self.nvm.write_block(g.node_addr(node), &image)?;
-        }
-        let computed_root = self
-            .bmt
-            .compute_node(&mut self.nvm, NodeId { level: 1, index: 0 })?;
-        if computed_root != self.root_register {
-            return Err(RecoveryError::RootMismatch);
-        }
-        // Each recomputed node (and the root check) hashes its 8 children.
-        self.trace_phase_close(recomputed.saturating_add(1).saturating_mul(8));
-        Ok(recomputed)
+        self.phase("recovery.rebuild_subtree", |s| {
+            for (node, image) in images {
+                s.nvm.write_block(g.node_addr(*node), image)?;
+            }
+            let recomputed = stale.len() as u64;
+            for (Reverse(level), index) in stale {
+                let node = NodeId { level, index };
+                let image = s.bmt.compute_node(&mut s.nvm, node)?;
+                s.nvm.write_block(g.node_addr(node), &image)?;
+            }
+            let computed_root = s.bmt.compute_node(&mut s.nvm, NodeId { level: 1, index: 0 })?;
+            if computed_root != s.root_register {
+                return Err(RecoveryError::RootMismatch);
+            }
+            // Each recomputed node (and the root check) hashes its 8 children.
+            Ok((recomputed, recomputed.saturating_add(1).saturating_mul(8)))
+        })
     }
 
     /// BMF: fold the non-volatile root set back into memory and recompute
@@ -405,34 +392,35 @@ impl SecureMemory {
         let Some((id, reg_image)) = self.protocol.subtree_register() else {
             return Ok(0); // never left strict persistence
         };
-        self.trace_phase_open("recovery.rebuild_subtree");
-        let (computed, rebuilt) = self.bmt.rebuild_subtree_touched(&mut self.nvm, id)?;
-        if computed != reg_image {
-            return Err(RecoveryError::RootMismatch);
-        }
-        // Fold the (verified) subtree root back into its strict ancestors.
-        let hasher = self.bmt.hasher();
-        let mut child_mac = hasher.node_mac(&reg_image, id);
-        let mut child_slot = g.child_slot(id);
-        let mut cur = g.parent(id);
-        let mut folded = 0u64;
-        while let Some(node) = cur {
-            if node.level < 2 {
-                break;
+        self.phase("recovery.rebuild_subtree", |s| {
+            let (computed, rebuilt) = s.bmt.rebuild_subtree_touched(&mut s.nvm, id)?;
+            if computed != reg_image {
+                return Err(RecoveryError::RootMismatch);
             }
-            let addr = g.node_addr(node);
-            let mut image = self.nvm.read_block(addr)?;
-            set_slot(&mut image, child_slot, child_mac);
-            self.nvm.write_block(addr, &image)?;
-            child_mac = hasher.node_mac(&image, node);
-            child_slot = g.child_slot(node);
-            cur = g.parent(node);
-            folded += 1;
-        }
-        set_slot(&mut self.root_register, child_slot, child_mac);
-        // Each rebuilt node hashes its 8 children; each fold re-MACs one node.
-        self.trace_phase_close(rebuilt.saturating_mul(8).saturating_add(folded).saturating_add(1));
-        Ok(rebuilt + folded)
+            // Fold the (verified) subtree root back into its strict ancestors.
+            let hasher = s.bmt.hasher();
+            let mut child_mac = hasher.node_mac(&reg_image, id);
+            let mut child_slot = g.child_slot(id);
+            let mut cur = g.parent(id);
+            let mut folded = 0u64;
+            while let Some(node) = cur {
+                if node.level < 2 {
+                    break;
+                }
+                let addr = g.node_addr(node);
+                let mut image = s.nvm.read_block(addr)?;
+                set_slot(&mut image, child_slot, child_mac);
+                s.nvm.write_block(addr, &image)?;
+                child_mac = hasher.node_mac(&image, node);
+                child_slot = g.child_slot(node);
+                cur = g.parent(node);
+                folded += 1;
+            }
+            set_slot(&mut s.root_register, child_slot, child_mac);
+            // Each rebuilt node hashes its 8 children; each fold re-MACs one node.
+            let hashes = rebuilt.saturating_mul(8).saturating_add(folded).saturating_add(1);
+            Ok((rebuilt + folded, hashes))
+        })
     }
 }
 
@@ -485,48 +473,34 @@ impl Default for RecoveryModel {
     }
 }
 
-/// A protocol point in the Table 4 projection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryScenario {
-    /// Leaf persistence: the whole tree is stale.
-    Leaf,
-    /// Strict persistence: nothing is stale.
-    Strict,
-    /// Anubis: stale set bounded by the metadata cache.
-    Anubis,
-    /// Osiris: whole tree plus counter re-derivation.
-    Osiris,
-    /// BMF: nothing (beyond the on-chip frontier) is stale.
-    Bmf,
-    /// AMNT with the subtree root at the given (paper-numbered) level.
-    AmntLevel(u32),
-}
-
 impl RecoveryModel {
-    /// Fraction of the BMT that is stale at a crash under `scenario`.
-    pub fn stale_fraction(&self, scenario: RecoveryScenario) -> f64 {
-        match scenario {
-            RecoveryScenario::Leaf | RecoveryScenario::Osiris => 1.0,
-            RecoveryScenario::Strict | RecoveryScenario::Bmf => 0.0,
-            RecoveryScenario::Anubis => f64::NAN, // fixed, not a fraction
-            RecoveryScenario::AmntLevel(level) => 8f64.powi(-(level as i32 - 1)),
+    /// Fraction of the BMT that is stale at a crash under `kind`: the whole
+    /// tree for volatile, leaf and Osiris; nothing beyond the on-chip
+    /// registers for strict, PLP and BMF; AMNT's fast subtree at its
+    /// configured level. Anubis's stale set is bounded by the metadata
+    /// cache, not a fraction of the tree, so it reads NaN.
+    pub fn stale_fraction(&self, kind: ProtocolKind) -> f64 {
+        match kind {
+            ProtocolKind::Volatile | ProtocolKind::Leaf | ProtocolKind::Osiris(_) => 1.0,
+            ProtocolKind::Strict | ProtocolKind::Plp | ProtocolKind::Bmf(_) => 0.0,
+            ProtocolKind::Anubis(_) => f64::NAN,
+            ProtocolKind::Amnt(cfg) => 8f64.powi(-(cfg.subtree_level as i32 - 1)),
         }
     }
 
     /// Projected recovery time in milliseconds for `memory_bytes` of
-    /// protected data (Table 4).
-    pub fn recovery_ms(&self, scenario: RecoveryScenario, memory_bytes: f64) -> f64 {
+    /// protected data under `kind` (Table 4). Volatile has no recovery, so
+    /// it reads NaN.
+    pub fn recovery_ms(&self, kind: ProtocolKind, memory_bytes: f64) -> f64 {
         let counters = memory_bytes / 64.0;
         let leaf_fetch = counters * 8.0 / 7.0;
         let leaf_ms = leaf_fetch / self.effective_read_bandwidth * 1e3;
-        match scenario {
-            RecoveryScenario::Leaf => leaf_ms,
-            RecoveryScenario::Strict | RecoveryScenario::Bmf => 0.0,
-            RecoveryScenario::Anubis => self.anubis_fixed_ms,
-            RecoveryScenario::Osiris => leaf_ms * self.osiris_factor,
-            RecoveryScenario::AmntLevel(level) => {
-                leaf_ms * 8f64.powi(-(level as i32 - 1))
-            }
+        match kind {
+            ProtocolKind::Volatile => f64::NAN,
+            ProtocolKind::Strict | ProtocolKind::Plp | ProtocolKind::Bmf(_) => 0.0,
+            ProtocolKind::Anubis(_) => self.anubis_fixed_ms,
+            ProtocolKind::Osiris(_) => leaf_ms * self.osiris_factor,
+            ProtocolKind::Leaf | ProtocolKind::Amnt(_) => leaf_ms * self.stale_fraction(kind),
         }
     }
 
@@ -551,7 +525,8 @@ impl RecoveryModel {
     /// ```
     pub fn level_for_budget(&self, budget_ms: f64, memory_bytes: f64, max_level: u32) -> u32 {
         for level in 2..=max_level {
-            if self.recovery_ms(RecoveryScenario::AmntLevel(level), memory_bytes) <= budget_ms {
+            let amnt = ProtocolKind::Amnt(AmntConfig::at_level(level));
+            if self.recovery_ms(amnt, memory_bytes) <= budget_ms {
                 return level;
             }
         }
@@ -565,38 +540,29 @@ fn be_u64(bytes: &[u8]) -> u64 {
     bytes.iter().take(8).fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
 }
 
-/// Convenience: full Table 4 row labels in paper order.
-pub fn table4_scenarios() -> Vec<(&'static str, RecoveryScenario)> {
-    vec![
-        ("leaf", RecoveryScenario::Leaf),
-        ("strict", RecoveryScenario::Strict),
-        ("Anubis", RecoveryScenario::Anubis),
-        ("Osiris", RecoveryScenario::Osiris),
-        ("BMF", RecoveryScenario::Bmf),
-        ("AMNT L2", RecoveryScenario::AmntLevel(2)),
-        ("AMNT L3", RecoveryScenario::AmntLevel(3)),
-        ("AMNT L4", RecoveryScenario::AmntLevel(4)),
-    ]
-}
-
 #[cfg(test)]
 mod model_tests {
     use super::*;
+    use crate::protocol::{AnubisConfig, BmfConfig, OsirisConfig};
 
     const TB: f64 = 1024.0 * 1024.0 * 1024.0 * 1024.0;
+
+    fn amnt(level: u32) -> ProtocolKind {
+        ProtocolKind::Amnt(AmntConfig::at_level(level))
+    }
 
     #[test]
     fn leaf_matches_paper_anchor() {
         let m = RecoveryModel::default();
-        let ms = m.recovery_ms(RecoveryScenario::Leaf, 2.0 * TB);
+        let ms = m.recovery_ms(ProtocolKind::Leaf, 2.0 * TB);
         assert!((ms - 6222.21).abs() < 0.5, "got {ms}");
     }
 
     #[test]
     fn leaf_scales_linearly_with_memory() {
         let m = RecoveryModel::default();
-        let a = m.recovery_ms(RecoveryScenario::Leaf, 2.0 * TB);
-        let b = m.recovery_ms(RecoveryScenario::Leaf, 16.0 * TB);
+        let a = m.recovery_ms(ProtocolKind::Leaf, 2.0 * TB);
+        let b = m.recovery_ms(ProtocolKind::Leaf, 16.0 * TB);
         assert!((b / a - 8.0).abs() < 1e-9);
     }
 
@@ -604,9 +570,9 @@ mod model_tests {
     fn amnt_levels_match_paper_rows() {
         let m = RecoveryModel::default();
         // Paper Table 4 at 2 TB: L2=777.77, L3=97.22, L4=12.15.
-        let l2 = m.recovery_ms(RecoveryScenario::AmntLevel(2), 2.0 * TB);
-        let l3 = m.recovery_ms(RecoveryScenario::AmntLevel(3), 2.0 * TB);
-        let l4 = m.recovery_ms(RecoveryScenario::AmntLevel(4), 2.0 * TB);
+        let l2 = m.recovery_ms(amnt(2), 2.0 * TB);
+        let l3 = m.recovery_ms(amnt(3), 2.0 * TB);
+        let l4 = m.recovery_ms(amnt(4), 2.0 * TB);
         assert!((l2 - 777.78).abs() < 0.5, "L2 {l2}");
         assert!((l3 - 97.22).abs() < 0.2, "L3 {l3}");
         assert!((l4 - 12.15).abs() < 0.1, "L4 {l4}");
@@ -615,24 +581,32 @@ mod model_tests {
     #[test]
     fn strict_and_bmf_are_instant() {
         let m = RecoveryModel::default();
-        assert_eq!(m.recovery_ms(RecoveryScenario::Strict, 128.0 * TB), 0.0);
-        assert_eq!(m.recovery_ms(RecoveryScenario::Bmf, 128.0 * TB), 0.0);
+        assert_eq!(m.recovery_ms(ProtocolKind::Strict, 128.0 * TB), 0.0);
+        assert_eq!(m.recovery_ms(ProtocolKind::Bmf(BmfConfig::default()), 128.0 * TB), 0.0);
+    }
+
+    #[test]
+    fn plp_recovers_like_strict_and_volatile_never_does() {
+        let m = RecoveryModel::default();
+        assert_eq!(m.recovery_ms(ProtocolKind::Plp, 128.0 * TB), 0.0);
+        assert_eq!(m.stale_fraction(ProtocolKind::Plp), 0.0);
+        assert!(m.recovery_ms(ProtocolKind::Volatile, 2.0 * TB).is_nan());
     }
 
     #[test]
     fn anubis_is_memory_size_independent() {
         let m = RecoveryModel::default();
         assert_eq!(
-            m.recovery_ms(RecoveryScenario::Anubis, 2.0 * TB),
-            m.recovery_ms(RecoveryScenario::Anubis, 128.0 * TB)
+            m.recovery_ms(ProtocolKind::Anubis(AnubisConfig::default()), 2.0 * TB),
+            m.recovery_ms(ProtocolKind::Anubis(AnubisConfig::default()), 128.0 * TB)
         );
     }
 
     #[test]
     fn osiris_is_about_eight_times_leaf() {
         let m = RecoveryModel::default();
-        let ratio = m.recovery_ms(RecoveryScenario::Osiris, 2.0 * TB)
-            / m.recovery_ms(RecoveryScenario::Leaf, 2.0 * TB);
+        let ratio = m.recovery_ms(ProtocolKind::Osiris(OsirisConfig::default()), 2.0 * TB)
+            / m.recovery_ms(ProtocolKind::Leaf, 2.0 * TB);
         assert!((ratio - 8.1429).abs() < 1e-6);
     }
 
@@ -652,8 +626,8 @@ mod model_tests {
     #[test]
     fn stale_fractions_match_table() {
         let m = RecoveryModel::default();
-        assert_eq!(m.stale_fraction(RecoveryScenario::Leaf), 1.0);
-        assert!((m.stale_fraction(RecoveryScenario::AmntLevel(2)) - 0.125).abs() < 1e-12);
-        assert!((m.stale_fraction(RecoveryScenario::AmntLevel(3)) - 0.015625).abs() < 1e-12);
+        assert_eq!(m.stale_fraction(ProtocolKind::Leaf), 1.0);
+        assert!((m.stale_fraction(amnt(2)) - 0.125).abs() < 1e-12);
+        assert!((m.stale_fraction(amnt(3)) - 0.015625).abs() < 1e-12);
     }
 }

@@ -323,19 +323,6 @@ impl ShardedMemory {
         }
     }
 
-    /// Audits every shard; `true` only if every per-shard audit passes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard [`IntegrityError`].
-    pub fn audit_all(&mut self) -> Result<bool, IntegrityError> {
-        let mut ok = true;
-        for engine in &mut self.shards {
-            ok &= engine.audit()?;
-        }
-        Ok(ok)
-    }
-
     /// Flushes every shard's lazy verify queue.
     ///
     /// # Errors
@@ -428,11 +415,6 @@ impl ShardedMemory {
     pub fn verify_merge(&self, report: &MergeReport) -> bool {
         let fresh = self.fold(report.epoch);
         fresh.shard_roots == report.shard_roots && fresh.global_root == report.global_root
-    }
-
-    /// The most recent sealed merge, if any epoch has been sealed.
-    pub fn last_merge(&self) -> Option<&MergeReport> {
-        self.last_merge.as_ref()
     }
 
     /// The current epoch ordinal (number of sealed epochs).

@@ -7,8 +7,8 @@
 //! device's traffic counters' *semantics* being conflated with model
 //! bookkeeping by keeping such accesses obviously marked at call sites.
 //!
-//! All helpers are fallible: with a fault hook armed (see
-//! [`amnt_nvm::FaultHook`]) any device access may observe the power failing
+//! All helpers are fallible: with a fault plan armed (see
+//! [`amnt_nvm::PhasedPlan`]) any device access may observe the power failing
 //! and must fail-stop rather than keep mutating the media, so errors
 //! propagate to the interrupted operation instead of panicking.
 //!

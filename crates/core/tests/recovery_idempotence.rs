@@ -48,10 +48,10 @@ fn value_for(i: usize) -> [u8; BLOCK_SIZE] {
 fn scenario(kind: ProtocolKind) -> (Vec<(u64, Vec<u8>)>, RecoveryReport, RecoveryReport) {
     let cfg = SecureMemoryConfig::with_capacity(1024 * 1024).with_metadata_cache_bytes(1024);
     let mut mem = SecureMemory::new(cfg, kind).expect("controller");
-    mem.nvm_mut().arm_fault_hook(Box::new(PhasedPlan::two_phase(
+    mem.nvm_mut().arm_fault_hook(PhasedPlan::two_phase(
         FaultPlan::crash_after(CRASH_ORDINAL),
         FaultPlan::crash_after(RECOVERY_ORDINAL),
-    )));
+    ));
     // A hot 8-block region: every protocol reaches the crash ordinal fast.
     let mut t = 0;
     for i in 0..ops_knob() {

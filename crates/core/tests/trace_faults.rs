@@ -43,7 +43,7 @@ fn arg(ev: &TraceEvent, key: &str) -> Option<u64> {
 fn clean_power_cut_leaves_a_power_off_instant() {
     let mut m = traced_controller(ProtocolKind::Leaf);
     let ordinal = 5;
-    m.nvm_mut().arm_fault_hook(Box::new(FaultPlan::crash_after(ordinal)));
+    m.nvm_mut().arm_fault_hook(FaultPlan::crash_after(ordinal));
     write_until_power_fails(&mut m);
     m.crash();
     // Mid-op power cuts may recover or surface as a detected error (the
@@ -84,7 +84,7 @@ fn torn_halves_are_distinguished_by_kind() {
         [(TornHalf::First, 1, "torn_first"), (TornHalf::Last, 2, "torn_last")]
     {
         let mut m = traced_controller(ProtocolKind::Leaf);
-        m.nvm_mut().arm_fault_hook(Box::new(FaultPlan::torn_after(3, half)));
+        m.nvm_mut().arm_fault_hook(FaultPlan::torn_after(3, half));
         write_until_power_fails(&mut m);
         m.crash();
         let _ = m.recover(); // torn metadata may be a detected error — fine
@@ -100,7 +100,7 @@ fn torn_halves_are_distinguished_by_kind() {
 #[test]
 fn dropped_wpq_tail_strikes_at_crash_time() {
     let mut m = traced_controller(ProtocolKind::Leaf);
-    m.nvm_mut().arm_fault_hook(Box::new(FaultPlan::drop_tail(2)));
+    m.nvm_mut().arm_fault_hook(FaultPlan::drop_tail(2));
     let mut t = 0;
     for i in 0u64..16 {
         t = m.write_block(t, i * 64, &[i as u8; 64]).expect("write");
@@ -125,4 +125,70 @@ fn unfaulted_runs_have_no_fault_events() {
     let (faults, report) = fault_events(&m);
     assert!(faults.is_empty(), "{faults:?}");
     assert_eq!(report.counter("crashes"), None, "no crash => counter never registered");
+}
+
+/// Each span of a recovery phase tree: name, start relative to the root
+/// span's, duration and `reads`/`writes`/`hashes` args.
+type PhaseSpan = (&'static str, u64, u64, [u64; 3]);
+
+/// One recovery's phase tree, innermost-first as the spans close. Checks
+/// every phase is a child of the root span, which is itself a root, and
+/// returns the root's start.
+fn phase_tree(spans: &[TraceEvent]) -> (u64, Vec<PhaseSpan>) {
+    let root = spans.last().expect("a root span");
+    assert_eq!((root.name, root.parent), ("recovery", 0), "{spans:?}");
+    assert!(spans[..spans.len() - 1].iter().all(|e| e.parent == root.id), "{spans:?}");
+    let args = |e: &TraceEvent| ["reads", "writes", "hashes"].map(|k| arg(e, k).unwrap_or(u64::MAX));
+    let tree = spans.iter().map(|e| (e.name, e.ts - root.ts, e.dur, args(e))).collect();
+    (root.ts, tree)
+}
+
+#[test]
+fn recovery_phase_tree_closes_on_failure_and_on_success() {
+    // Leaf recovery rebuilds the tree from the counters; a counter line
+    // flipped between the crash and the recovery makes the rebuilt root
+    // contradict the register, so `recovery.rebuild_subtree` fails.
+    let mut m = traced_controller(ProtocolKind::Leaf);
+    let mut t = 0;
+    for i in 0u64..8 {
+        t = m.write_block(t, i * 64, &[i as u8; 64]).expect("write");
+    }
+    m.crash();
+    let counter = m.geometry().counter_addr(0);
+    m.nvm_mut().tamper_flip_bit(counter + 5, 1);
+    assert_eq!(m.recover(), Err(amnt_core::RecoveryError::RootMismatch));
+
+    // Every phase, the failed one included, closed under the root span, and
+    // the failed phase counts no hashes.
+    let report = m.trace_report().expect("traced");
+    let failed: Vec<_> = report.events.iter().filter(|e| e.cat == "recovery").cloned().collect();
+    let (start, tree) = phase_tree(&failed);
+    assert_eq!(
+        tree,
+        [
+            ("recovery.scan", 0, 1, [0, 0, 0]),
+            ("recovery.rebuild_subtree", 1, 99, [88, 10, 0]),
+            ("recovery", 0, 100, [88, 10, 0]),
+        ]
+    );
+    assert_eq!(report.dropped_frames, 0);
+
+    // Undoing the tamper lets the same controller recover. Its root span is
+    // a root again, starting where the failed one ended: the failed
+    // recovery left no frame open.
+    m.nvm_mut().tamper_flip_bit(counter + 5, 1);
+    m.recover().expect("the untampered counters rebuild the root");
+    let report = m.trace_report().expect("traced");
+    let spans: Vec<_> = report.events.iter().filter(|e| e.cat == "recovery").cloned().collect();
+    let (restart, tree) = phase_tree(&spans[failed.len()..]);
+    assert_eq!(restart, start + 100);
+    assert_eq!(
+        tree,
+        [
+            ("recovery.scan", 0, 1, [0, 0, 0]),
+            ("recovery.rebuild_subtree", 1, 187, [88, 10, 88]),
+            ("recovery", 0, 188, [88, 10, 0]),
+        ]
+    );
+    assert_eq!(report.dropped_frames, 0);
 }

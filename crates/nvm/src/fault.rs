@@ -1,24 +1,19 @@
 //! Fault injection: power failures at device-write granularity.
 //!
-//! A [`FaultHook`] armed on an [`Nvm`](crate::Nvm) is consulted once per
+//! A [`PhasedPlan`] armed on an [`Nvm`](crate::Nvm) is consulted once per
 //! *device-write ordinal* — every [`write_bytes`](crate::Nvm::write_bytes)
 //! call, except that writes inside an atomic group (see
 //! [`begin_atomic`](crate::Nvm::begin_atomic)) share one ordinal — and
 //! decides whether the write applies, tears, or is the one the power failure
-//! lands on. Once the hook cuts power, every subsequent access fails with
+//! lands on. Once the plan cuts power, every subsequent access fails with
 //! [`NvmError::PowerFailure`](crate::NvmError::PowerFailure) until
 //! [`crate::Nvm::crash`] power-cycles the device; the fail-stop behaviour
 //! guarantees a crashed operation cannot silently keep mutating the media.
 //!
-//! [`FaultPlan`] is the deterministic standard hook: crash after the *k*-th
-//! device write (cleanly or tearing the in-flight line), and/or drop the
-//! last *n* journaled writes — the write-pending-queue tail — at the crash
-//! itself. Determinism contract: a `FaultPlan`'s decisions depend only on
-//! the write ordinal, never on addresses, contents, or host state, so the
-//! same workload replayed against the same plan crashes at the same point
-//! with byte-identical media.
-
-use std::fmt;
+//! Each phase of the plan is a [`FaultPlan`]: crash after the *k*-th device
+//! write (cleanly or tearing the in-flight line), and/or drop the last *n*
+//! journaled writes — the write-pending-queue tail — at the crash itself.
+//! A bare [`FaultPlan`] arms as a one-phase plan.
 
 /// Protocol attribution of one device write, for crash-point
 /// classification. Most device writes are issued by the persistence
@@ -49,7 +44,7 @@ pub enum TornHalf {
 
 /// What the device should do with one device write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Apply the write normally.
     Apply,
     /// Apply only the surviving half of each touched 64-byte line, then cut
@@ -57,49 +52,6 @@ pub enum FaultAction {
     Torn(TornHalf),
     /// Cut power before the write applies; nothing persists.
     PowerOff,
-}
-
-/// Faults applied at crash time (power actually failing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrashFaults {
-    /// How many journaled device writes — the write-pending-queue tail — to
-    /// undo, newest first. `0` models a healthy ADR domain.
-    pub drop_wpq_tail: usize,
-}
-
-/// A per-write fault decision source, armed on an [`Nvm`](crate::Nvm).
-///
-/// `seq` is the zero-based device-write ordinal since arming (an atomic
-/// group consumes a single ordinal). Implementations must be deterministic
-/// functions of their own state and `seq`/`addr`/`len`.
-pub trait FaultHook: fmt::Debug + Send {
-    /// Decides the fate of the write with ordinal `seq` at `addr`.
-    fn on_write(&mut self, seq: u64, addr: u64, len: usize) -> FaultAction;
-
-    /// Faults to apply when the device actually crashes.
-    fn crash_faults(&mut self) -> CrashFaults {
-        CrashFaults::default()
-    }
-
-    /// Consulted by [`crate::Nvm::crash`] after [`FaultHook::crash_faults`]:
-    /// return `true` to stay armed across the power cycle. The device-write
-    /// ordinal counter restarts at zero on every crash, so a hook that
-    /// survives addresses the *next phase's* writes — typically the recovery
-    /// procedure — in a fresh coordinate system (the recovery-phase ordinal
-    /// domain). The default is `false`: single-phase plans are consumed at
-    /// the crash, exactly as before.
-    fn rearm_after_crash(&mut self) -> bool {
-        false
-    }
-
-    /// Clones the hook behind its box (keeps `Nvm: Clone`).
-    fn box_clone(&self) -> Box<dyn FaultHook>;
-}
-
-impl Clone for Box<dyn FaultHook> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
 }
 
 /// How the write at the crash ordinal is treated.
@@ -111,7 +63,7 @@ pub enum CrashWriteMode {
     Torn(TornHalf),
 }
 
-/// The standard deterministic fault plan (see the module docs).
+/// One power cycle's faults (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Crash ordinal: the first `crash_after` device writes apply, then the
@@ -148,38 +100,20 @@ impl FaultPlan {
     }
 }
 
-impl FaultHook for FaultPlan {
-    fn on_write(&mut self, seq: u64, _addr: u64, _len: usize) -> FaultAction {
-        match self.crash_after {
-            Some(k) if seq > k => FaultAction::PowerOff,
-            Some(k) if seq == k => match self.mode {
-                CrashWriteMode::Clean => FaultAction::PowerOff,
-                CrashWriteMode::Torn(half) => FaultAction::Torn(half),
-            },
-            _ => FaultAction::Apply,
-        }
-    }
-
-    fn crash_faults(&mut self) -> CrashFaults {
-        CrashFaults { drop_wpq_tail: self.drop_wpq_tail }
-    }
-
-    fn box_clone(&self) -> Box<dyn FaultHook> {
-        Box::new(*self)
-    }
-}
-
-/// A fault plan that survives power cycles: one [`FaultPlan`] per phase.
+/// The fault plan an [`Nvm`](crate::Nvm) arms: one [`FaultPlan`] per power
+/// cycle.
 ///
 /// Phase 0 governs the mutation path. Each [`crate::Nvm::crash`] advances to
 /// the next phase with the write-ordinal counter restarted at zero, so phase
 /// 1 addresses the *recovery procedure's* device writes — the
 /// recovery-phase ordinal domain — phase 2 the re-recovery after that, and
-/// so on. After the last phase the hook disarms at the next crash, like a
-/// plain [`FaultPlan`].
+/// so on. After the last phase the plan disarms at the next crash; a
+/// one-phase plan (what `From<FaultPlan>` builds) is spent by its first.
 ///
-/// Determinism contract: every phase is a [`FaultPlan`], so the whole
-/// multi-cycle schedule is a pure function of per-phase write ordinals.
+/// Determinism contract: every decision depends only on the current phase
+/// and the write ordinal, never on addresses, contents, or host state, so
+/// the same workload replayed against the same plan crashes at the same
+/// points with byte-identical media.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhasedPlan {
     phases: Vec<FaultPlan>,
@@ -203,30 +137,38 @@ impl PhasedPlan {
     pub fn current_phase(&self) -> Option<&FaultPlan> {
         self.phases.get(self.current)
     }
-}
 
-impl FaultHook for PhasedPlan {
-    fn on_write(&mut self, seq: u64, addr: u64, len: usize) -> FaultAction {
-        match self.phases.get_mut(self.current) {
-            Some(p) => p.on_write(seq, addr, len),
-            None => FaultAction::Apply,
+    /// The fate of the current phase's write with ordinal `seq`.
+    pub(crate) fn action(&self, seq: u64) -> FaultAction {
+        let Some(plan) = self.current_phase() else {
+            return FaultAction::Apply;
+        };
+        match plan.crash_after {
+            Some(k) if seq > k => FaultAction::PowerOff,
+            Some(k) if seq == k => match plan.mode {
+                CrashWriteMode::Clean => FaultAction::PowerOff,
+                CrashWriteMode::Torn(half) => FaultAction::Torn(half),
+            },
+            _ => FaultAction::Apply,
         }
     }
 
-    fn crash_faults(&mut self) -> CrashFaults {
-        match self.phases.get_mut(self.current) {
-            Some(p) => p.crash_faults(),
-            None => CrashFaults::default(),
-        }
+    /// How many journaled writes the crash ending the current phase drops.
+    pub(crate) fn wpq_tail(&self) -> usize {
+        self.current_phase().map_or(0, |plan| plan.drop_wpq_tail)
     }
 
-    fn rearm_after_crash(&mut self) -> bool {
+    /// Moves to the next phase at a crash; `false` once every phase is
+    /// spent and the plan disarms.
+    pub(crate) fn advance(&mut self) -> bool {
         self.current += 1;
         self.current < self.phases.len()
     }
+}
 
-    fn box_clone(&self) -> Box<dyn FaultHook> {
-        Box::new(self.clone())
+impl From<FaultPlan> for PhasedPlan {
+    fn from(plan: FaultPlan) -> Self {
+        PhasedPlan::new(vec![plan])
     }
 }
 
@@ -236,40 +178,40 @@ mod tests {
 
     #[test]
     fn plan_is_a_pure_function_of_the_ordinal() {
-        let mut p = FaultPlan::crash_after(2);
-        assert_eq!(p.on_write(0, 0x40, 64), FaultAction::Apply);
-        assert_eq!(p.on_write(1, 0x999, 8), FaultAction::Apply);
-        assert_eq!(p.on_write(2, 0, 64), FaultAction::PowerOff);
-        assert_eq!(p.on_write(3, 0, 64), FaultAction::PowerOff);
+        let p = PhasedPlan::from(FaultPlan::crash_after(2));
+        assert_eq!(p.action(0), FaultAction::Apply);
+        assert_eq!(p.action(1), FaultAction::Apply);
+        assert_eq!(p.action(2), FaultAction::PowerOff);
+        assert_eq!(p.action(3), FaultAction::PowerOff);
     }
 
     #[test]
     fn torn_plan_tears_exactly_the_crash_ordinal() {
-        let mut p = FaultPlan::torn_after(1, TornHalf::Last);
-        assert_eq!(p.on_write(0, 0, 64), FaultAction::Apply);
-        assert_eq!(p.on_write(1, 0, 64), FaultAction::Torn(TornHalf::Last));
+        let p = PhasedPlan::from(FaultPlan::torn_after(1, TornHalf::Last));
+        assert_eq!(p.action(0), FaultAction::Apply);
+        assert_eq!(p.action(1), FaultAction::Torn(TornHalf::Last));
     }
 
     #[test]
     fn count_only_never_faults() {
-        let mut p = FaultPlan::count_only();
+        let p = PhasedPlan::from(FaultPlan::count_only());
         for seq in 0..1000 {
-            assert_eq!(p.on_write(seq, seq * 64, 64), FaultAction::Apply);
+            assert_eq!(p.action(seq), FaultAction::Apply);
         }
-        assert_eq!(p.crash_faults(), CrashFaults::default());
+        assert_eq!(p.wpq_tail(), 0);
     }
 
     #[test]
     fn drop_tail_reports_its_crash_faults() {
-        let mut p = FaultPlan::drop_tail(3);
-        assert_eq!(p.on_write(0, 0, 64), FaultAction::Apply);
-        assert_eq!(p.crash_faults(), CrashFaults { drop_wpq_tail: 3 });
+        let p = PhasedPlan::from(FaultPlan::drop_tail(3));
+        assert_eq!(p.action(0), FaultAction::Apply);
+        assert_eq!(p.wpq_tail(), 3);
     }
 
     #[test]
     fn single_phase_plans_do_not_rearm() {
-        let mut p = FaultPlan::crash_after(0);
-        assert!(!p.rearm_after_crash());
+        let mut p = PhasedPlan::from(FaultPlan::crash_after(0));
+        assert!(!p.advance());
     }
 
     #[test]
@@ -277,24 +219,24 @@ mod tests {
         let mut p =
             PhasedPlan::two_phase(FaultPlan::crash_after(1), FaultPlan::crash_after(0));
         // Phase 0: the mutation-path plan.
-        assert_eq!(p.on_write(0, 0, 64), FaultAction::Apply);
-        assert_eq!(p.on_write(1, 0, 64), FaultAction::PowerOff);
+        assert_eq!(p.action(0), FaultAction::Apply);
+        assert_eq!(p.action(1), FaultAction::PowerOff);
         // Crash: the recovery phase arms, in a fresh ordinal domain.
-        assert!(p.rearm_after_crash());
+        assert!(p.advance());
         assert_eq!(p.current_phase(), Some(&FaultPlan::crash_after(0)));
-        assert_eq!(p.on_write(0, 0, 64), FaultAction::PowerOff);
-        // Second crash: phases exhausted, the hook disarms.
-        assert!(!p.rearm_after_crash());
+        assert_eq!(p.action(0), FaultAction::PowerOff);
+        // Second crash: phases exhausted, the plan disarms.
+        assert!(!p.advance());
         assert_eq!(p.current_phase(), None);
-        assert_eq!(p.on_write(0, 0, 64), FaultAction::Apply);
+        assert_eq!(p.action(0), FaultAction::Apply);
     }
 
     #[test]
     fn phased_plan_crash_faults_come_from_the_current_phase() {
         let mut p =
             PhasedPlan::two_phase(FaultPlan::drop_tail(2), FaultPlan::count_only());
-        assert_eq!(p.crash_faults(), CrashFaults { drop_wpq_tail: 2 });
-        assert!(p.rearm_after_crash());
-        assert_eq!(p.crash_faults(), CrashFaults::default());
+        assert_eq!(p.wpq_tail(), 2);
+        assert!(p.advance());
+        assert_eq!(p.wpq_tail(), 0);
     }
 }

@@ -39,10 +39,8 @@ use std::fmt;
 
 mod fault;
 mod frame_map;
-pub use fault::{
-    CrashFaults, CrashWriteMode, FaultAction, FaultHook, FaultPlan, PhasedPlan, TornHalf,
-    WriteClass,
-};
+use fault::FaultAction;
+pub use fault::{CrashWriteMode, FaultPlan, PhasedPlan, TornHalf, WriteClass};
 pub use frame_map::FrameMap;
 use frame_map::Slots;
 
@@ -153,7 +151,7 @@ pub enum NvmError {
         /// Requested address.
         addr: u64,
     },
-    /// Power failed at (or before) this access: an armed [`FaultHook`] cut
+    /// Power failed at (or before) this access: an armed [`PhasedPlan`] cut
     /// power, and the device fail-stops until [`Nvm::crash`] power-cycles
     /// it. Surfacing the failure on every access guarantees an interrupted
     /// operation cannot silently keep mutating the media.
@@ -208,15 +206,15 @@ pub struct Nvm {
     stats: NvmStats,
     /// Bumped on every crash; lets tests assert they really crossed one.
     generation: u64,
-    /// Armed fault hook, consulted once per device-write ordinal.
-    fault: Option<Box<dyn FaultHook>>,
-    /// Device-write ordinals consumed since the hook was armed.
+    /// Armed fault plan, consulted once per device-write ordinal.
+    fault: Option<PhasedPlan>,
+    /// Device-write ordinals consumed since the plan was armed.
     fault_seq: u64,
     /// Class the controller declared for writes currently being issued
     /// (protocol-ordered vs eviction writeback); see [`Nvm::set_write_class`].
     write_class: WriteClass,
     /// Ordinals (current domain) consumed by eviction-class writes, recorded
-    /// while a hook is armed so sweeps can enumerate them as their own
+    /// while a plan is armed so sweeps can enumerate them as their own
     /// crash-point class.
     evict_seqs: Vec<u64>,
     /// WPQ lane this device's write-pending queue drains on. Every device
@@ -224,7 +222,7 @@ pub struct Nvm {
     /// sharded controllers stamp one lane per shard so strikes, wear and
     /// crash points are attributable to the shard that issued them.
     lane: u32,
-    /// Set once an armed hook cuts power: every access fails until
+    /// Set once an armed plan cuts power: every access fails until
     /// [`Nvm::crash`] power-cycles the device.
     powered_off: bool,
     /// Nesting depth of [`Nvm::begin_atomic`] groups.
@@ -235,7 +233,7 @@ pub struct Nvm {
     open_group: Vec<(u64, Vec<u8>)>,
     /// Bounded undo journal of recent writes (newest at the back), one entry
     /// per device-write ordinal — the modelled write-pending queue. Only
-    /// populated while a fault hook is armed.
+    /// populated while a fault plan is armed.
     journal: VecDeque<Vec<(u64, Vec<u8>)>>,
     /// Whether the last crash interrupted in-flight work (a power failure
     /// surfaced mid-write, or the WPQ tail was dropped) — the NVDIMM-style
@@ -300,32 +298,30 @@ impl Nvm {
     /// Volatile state (caches, on-chip volatile registers) is owned by the
     /// layers above and must be cleared by them.
     ///
-    /// If a [`FaultHook`] is armed, its [`FaultHook::crash_faults`] may drop
-    /// the journaled write-pending-queue tail (newest writes undone first),
-    /// and the device then power-cycles — accesses work again. The hook is
-    /// normally consumed here, but a multi-phase hook (see
-    /// [`fault::PhasedPlan`]) may elect to stay armed via
-    /// [`FaultHook::rearm_after_crash`]: it then governs the next power
-    /// cycle's writes with the ordinal counter restarted at zero, which is
-    /// how the recovery procedure itself gets faulted. The dirty-shutdown
-    /// flag records whether this crash interrupted in-flight work (see
-    /// [`Nvm::dirty_shutdown`]).
+    /// If a [`PhasedPlan`] is armed, its current phase may drop the
+    /// journaled write-pending-queue tail (newest writes undone first), and
+    /// the device then power-cycles — accesses work again. The plan then
+    /// advances to its next phase, which governs the next power cycle's
+    /// writes with the ordinal counter restarted at zero — how the recovery
+    /// procedure itself gets faulted — or, once every phase is spent,
+    /// disarms. The dirty-shutdown flag records whether this crash
+    /// interrupted in-flight work (see [`Nvm::dirty_shutdown`]).
     pub fn crash(&mut self) {
         let mut dropped = 0usize;
-        let mut rearmed: Option<Box<dyn FaultHook>> = None;
-        if let Some(mut hook) = self.fault.take() {
-            let faults = hook.crash_faults();
+        let mut rearmed = None;
+        if let Some(mut plan) = self.fault.take() {
+            let tail = plan.wpq_tail();
             // A torn or rejected write already landed its partial effects;
             // the open-group journal (if an atomic group was cut short) and
             // the committed journal both hold undo candidates. The open
             // group is newest, so it is undone first.
-            if faults.drop_wpq_tail > 0 && !self.open_group.is_empty() {
+            if tail > 0 && !self.open_group.is_empty() {
                 let group = std::mem::take(&mut self.open_group);
                 self.record_wpq_drop(&group, dropped as u64);
                 self.undo_group(group);
                 dropped += 1;
             }
-            while dropped < faults.drop_wpq_tail {
+            while dropped < tail {
                 match self.journal.pop_back() {
                     Some(group) => {
                         self.record_wpq_drop(&group, dropped as u64);
@@ -335,8 +331,8 @@ impl Nvm {
                     None => break,
                 }
             }
-            if hook.rearm_after_crash() {
-                rearmed = Some(hook);
+            if plan.advance() {
+                rearmed = Some(plan);
             }
         }
         self.dirty_shutdown = self.powered_off || dropped > 0;
@@ -369,42 +365,43 @@ impl Nvm {
     }
 
     // ------------------------------------------------------------------
-    // Fault hook plumbing
+    // Fault plan plumbing
     // ------------------------------------------------------------------
 
-    /// Arms `hook`: from now on every device-write ordinal consults it and
-    /// recent writes are journaled for WPQ-tail drops. Resets the ordinal
-    /// counter. The hook stays armed until [`Nvm::crash`] consumes it (or
+    /// Arms `plan` (a [`PhasedPlan`], or a [`FaultPlan`] as one phase):
+    /// from now on every device-write ordinal consults it and recent writes
+    /// are journaled for WPQ-tail drops. Resets the ordinal counter. The
+    /// plan stays armed until [`Nvm::crash`] spends its last phase (or
     /// [`Nvm::disarm_fault_hook`] removes it).
-    pub fn arm_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
-        self.fault = Some(hook);
+    pub fn arm_fault_hook(&mut self, plan: impl Into<PhasedPlan>) {
+        self.fault = Some(plan.into());
         self.fault_seq = 0;
         self.write_class = WriteClass::Protocol;
         self.evict_seqs.clear();
         self.powered_off = false;
     }
 
-    /// Removes the armed hook, if any, without a power cycle.
-    pub fn disarm_fault_hook(&mut self) -> Option<Box<dyn FaultHook>> {
-        let hook = self.fault.take();
+    /// Removes the armed plan, if any, without a power cycle.
+    pub fn disarm_fault_hook(&mut self) -> Option<PhasedPlan> {
+        let plan = self.fault.take();
         self.powered_off = false;
         self.journal.clear();
         self.open_group.clear();
         self.group_charged = false;
-        hook
+        plan
     }
 
-    /// Whether a fault hook is currently armed.
+    /// Whether a fault plan is currently armed.
     pub fn fault_armed(&self) -> bool {
         self.fault.is_some()
     }
 
-    /// Whether an armed hook has cut power (accesses currently fail).
+    /// Whether an armed plan has cut power (accesses currently fail).
     pub fn powered_off(&self) -> bool {
         self.powered_off
     }
 
-    /// Device-write ordinals consumed since the hook was armed (an atomic
+    /// Device-write ordinals consumed since the plan was armed (an atomic
     /// group counts once). The crash-point coordinate system of
     /// [`FaultPlan`]. Restarts at zero on every [`Nvm::crash`], so after a
     /// rearming crash this counts the *recovery-phase* domain. Ordinals are
@@ -435,7 +432,7 @@ impl Nvm {
     }
 
     /// Ordinals in the current domain consumed by [`WriteClass::Eviction`]
-    /// writes, in consumption order. Empty unless a hook is armed.
+    /// writes, in consumption order. Empty unless a plan is armed.
     pub fn eviction_write_ordinals(&self) -> &[u64] {
         &self.evict_seqs
     }
@@ -531,7 +528,7 @@ impl Nvm {
         }
     }
 
-    /// Records the pre-image of an imminent write while a hook is armed.
+    /// Records the pre-image of an imminent write while a plan is armed.
     fn journal_record(&mut self, addr: u64, len: usize) {
         let mut pre = vec![0u8; len];
         self.peek(addr, &mut pre);
@@ -543,7 +540,7 @@ impl Nvm {
     }
 
     /// Raw media restore used by crash modelling: rewinds `addr` to a
-    /// pre-crash image with no stats, no ordinal, and no fault-hook
+    /// pre-crash image with no stats, no ordinal, and no fault-plan
     /// interaction. Rolling back dirty cached lines models *volatility* —
     /// bytes that never actually persisted — not device traffic, so it must
     /// stay invisible to a multi-phase fault plan that survived the power
@@ -592,7 +589,7 @@ impl Nvm {
     /// # Errors
     ///
     /// [`NvmError::OutOfBounds`] if the range exceeds the device, or
-    /// [`NvmError::PowerFailure`] once an armed fault hook has cut power.
+    /// [`NvmError::PowerFailure`] once an armed fault plan has cut power.
     pub fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), NvmError> {
         self.check(addr, buf.len())?;
         if self.powered_off {
@@ -614,7 +611,7 @@ impl Nvm {
     /// # Errors
     ///
     /// [`NvmError::OutOfBounds`] if the range exceeds the device, or
-    /// [`NvmError::PowerFailure`] when an armed fault hook cuts power at (or
+    /// [`NvmError::PowerFailure`] when an armed fault plan cuts power at (or
     /// before) this write.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), NvmError> {
         self.check(addr, data.len())?;
@@ -622,7 +619,7 @@ impl Nvm {
             if self.powered_off {
                 return Err(NvmError::PowerFailure { addr });
             }
-            // Inside an atomic group only the first write consults the hook;
+            // Inside an atomic group only the first write consults the plan;
             // the rest of the group rides on the same ordinal.
             let action = if self.group_depth > 0 && self.group_charged {
                 FaultAction::Apply
@@ -635,8 +632,8 @@ impl Nvm {
                 if self.group_depth > 0 {
                     self.group_charged = true;
                 }
-                match self.fault.as_mut() {
-                    Some(hook) => hook.on_write(seq, addr, data.len()),
+                match &self.fault {
+                    Some(plan) => plan.action(seq),
                     None => FaultAction::Apply,
                 }
             };
@@ -757,7 +754,7 @@ impl Nvm {
     pub fn tamper_flip_bit(&mut self, addr: u64, bit: u8) {
         assert!(addr < self.config.capacity_bytes, "tamper address out of range");
         // Raw media access: attacks are not device traffic and never
-        // interact with an armed fault hook or the undo journal.
+        // interact with an armed fault plan or the undo journal.
         let mut byte = [0u8];
         self.peek(addr, &mut byte);
         byte[0] ^= 1 << (bit % 8);
@@ -833,8 +830,8 @@ mod tests {
         let mut b = Nvm::new(NvmConfig::gib(1));
         a.set_lane(0);
         b.set_lane(1);
-        a.arm_fault_hook(Box::new(FaultPlan::count_only()));
-        b.arm_fault_hook(Box::new(FaultPlan::count_only()));
+        a.arm_fault_hook(FaultPlan::count_only());
+        b.arm_fault_hook(FaultPlan::count_only());
         for i in 0..5u64 {
             a.write_block(i * 64, &[1u8; 64]).unwrap();
         }
@@ -914,7 +911,7 @@ mod tests {
     #[test]
     fn crash_after_k_fail_stops_until_power_cycle() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::crash_after(2)));
+        nvm.arm_fault_hook(FaultPlan::crash_after(2));
         nvm.write_block(0, &[1; 64]).unwrap();
         nvm.write_block(64, &[2; 64]).unwrap();
         // The third write is where power fails: nothing lands.
@@ -942,7 +939,7 @@ mod tests {
     fn torn_write_persists_exactly_one_half_per_line() {
         for (half, lo, hi) in [(TornHalf::First, 0xAB, 0x00), (TornHalf::Last, 0x00, 0xAB)] {
             let mut nvm = Nvm::new(NvmConfig::gib(1));
-            nvm.arm_fault_hook(Box::new(FaultPlan::torn_after(0, half)));
+            nvm.arm_fault_hook(FaultPlan::torn_after(0, half));
             assert!(nvm.write_block(64, &[0xAB; 64]).is_err());
             nvm.crash();
             let block = nvm.read_block(64).unwrap();
@@ -954,7 +951,7 @@ mod tests {
     #[test]
     fn torn_write_tears_every_overlapped_line_of_a_span() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::torn_after(0, TornHalf::First)));
+        nvm.arm_fault_hook(FaultPlan::torn_after(0, TornHalf::First));
         // A 128-byte span covering two whole lines: each line keeps only its
         // own first half.
         assert!(nvm.write_bytes(0, &[0xCD; 128]).is_err());
@@ -970,7 +967,7 @@ mod tests {
     fn dropped_wpq_tail_undoes_the_newest_writes() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
         nvm.write_block(0, &[1; 64]).unwrap();
-        nvm.arm_fault_hook(Box::new(FaultPlan::drop_tail(2)));
+        nvm.arm_fault_hook(FaultPlan::drop_tail(2));
         nvm.write_block(0, &[2; 64]).unwrap();
         nvm.write_block(64, &[3; 64]).unwrap();
         nvm.write_block(128, &[4; 64]).unwrap();
@@ -986,7 +983,7 @@ mod tests {
     fn atomic_group_consumes_one_ordinal_and_never_tears() {
         // All-or-nothing under a clean crash at the group's ordinal.
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::crash_after(1)));
+        nvm.arm_fault_hook(FaultPlan::crash_after(1));
         nvm.write_block(0, &[1; 64]).unwrap(); // ordinal 0
         nvm.begin_atomic(); // ordinal 1: the crash ordinal
         let r1 = nvm.write_block(64, &[2; 64]);
@@ -999,7 +996,7 @@ mod tests {
 
         // Past the crash ordinal the whole group lands and counts once.
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::count_only()));
+        nvm.arm_fault_hook(FaultPlan::count_only());
         nvm.begin_atomic();
         nvm.write_block(0, &[7; 64]).unwrap();
         nvm.write_block(64, &[8; 64]).unwrap();
@@ -1008,7 +1005,7 @@ mod tests {
 
         // A torn fault at the group ordinal degrades to clean power-off.
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::torn_after(0, TornHalf::First)));
+        nvm.arm_fault_hook(FaultPlan::torn_after(0, TornHalf::First));
         nvm.begin_atomic();
         assert!(nvm.write_block(0, &[9; 64]).is_err());
         nvm.end_atomic();
@@ -1019,7 +1016,7 @@ mod tests {
     #[test]
     fn wpq_tail_drop_undoes_an_atomic_group_as_a_unit() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::drop_tail(1)));
+        nvm.arm_fault_hook(FaultPlan::drop_tail(1));
         nvm.write_block(0, &[1; 64]).unwrap();
         nvm.begin_atomic();
         nvm.write_block(64, &[2; 64]).unwrap();
@@ -1035,7 +1032,7 @@ mod tests {
     #[test]
     fn tamper_ignores_fault_state() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(FaultPlan::count_only()));
+        nvm.arm_fault_hook(FaultPlan::count_only());
         nvm.tamper_flip_bit(5, 0);
         assert_eq!(nvm.device_write_ordinals(), 0, "attacks consume no ordinals");
         nvm.disarm_fault_hook();
@@ -1045,20 +1042,20 @@ mod tests {
     #[test]
     fn phased_hook_survives_the_crash_into_a_fresh_ordinal_domain() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(PhasedPlan::two_phase(
+        nvm.arm_fault_hook(PhasedPlan::two_phase(
             FaultPlan::crash_after(1),
             FaultPlan::crash_after(0),
-        )));
+        ));
         nvm.write_block(0, &[1; 64]).unwrap();
         assert!(nvm.write_block(64, &[2; 64]).is_err(), "phase 0 crash at ordinal 1");
         nvm.crash();
-        // The hook survived the power cycle; the ordinal domain restarted,
+        // The plan survived the power cycle; the ordinal domain restarted,
         // so the recovery phase's very first write is the crash point.
         assert!(nvm.fault_armed());
         assert_eq!(nvm.device_write_ordinals(), 0);
         assert!(nvm.write_block(128, &[3; 64]).is_err(), "phase 1 crash at ordinal 0");
         nvm.crash();
-        // Phases exhausted: the hook is consumed like a plain FaultPlan.
+        // Phases exhausted: the plan disarms like a one-phase plan.
         assert!(!nvm.fault_armed());
         nvm.write_block(128, &[3; 64]).unwrap();
         assert_eq!(nvm.read_block(128).unwrap(), [3; 64]);
@@ -1067,10 +1064,10 @@ mod tests {
     #[test]
     fn eviction_class_ordinals_are_recorded_per_domain() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(Box::new(PhasedPlan::two_phase(
+        nvm.arm_fault_hook(PhasedPlan::two_phase(
             FaultPlan::count_only(),
             FaultPlan::count_only(),
-        )));
+        ));
         nvm.write_block(0, &[1; 64]).unwrap();
         nvm.set_write_class(WriteClass::Eviction);
         nvm.write_block(64, &[2; 64]).unwrap();
@@ -1273,11 +1270,11 @@ mod tests {
                             _ => Some(CrashWriteMode::Torn(TornHalf::Last)),
                         };
                         let drop = rng.gen_range_usize(0..4);
-                        nvm.arm_fault_hook(Box::new(FaultPlan {
+                        nvm.arm_fault_hook(FaultPlan {
                             crash_after: cut.map(|_| applied),
                             mode: cut.unwrap_or(CrashWriteMode::Clean),
                             drop_wpq_tail: drop,
-                        }));
+                        });
                         let mut journal = Vec::new();
                         for w in 0..applied {
                             let (addr, data) = draw_span(&mut rng, WINDOW);

@@ -80,25 +80,6 @@ pub struct MachineConfig {
     pub trace: Option<amnt_trace::TraceConfig>,
 }
 
-/// Applies the secure-engine environment overrides to `cfg`:
-/// `AMNT_VERIFY_QUEUE` (lazy verify-queue depth; `0` restores the eager
-/// per-read MAC check) and `AMNT_PREFETCH` (`1` enables the sequential
-/// subtree-path prefetcher). The queue depth is a host-side batching knob
-/// — artifacts are byte-identical at any setting — while prefetch changes
-/// simulated timing and is therefore opt-in.
-fn secure_env(mut cfg: SecureMemoryConfig) -> SecureMemoryConfig {
-    if let Some(depth) = std::env::var("AMNT_VERIFY_QUEUE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        cfg.verify_queue = depth;
-    }
-    if std::env::var("AMNT_PREFETCH").is_ok_and(|v| v == "1") {
-        cfg.subtree_prefetch = true;
-    }
-    cfg
-}
-
 impl MachineConfig {
     /// Paper §6.1: single-program PARSEC machine — one core, 32 kB L1D,
     /// 1 MB L2, 8 GB PCM, Table 1 security configuration. Fresh-boot
@@ -110,7 +91,7 @@ impl MachineConfig {
             l2: CacheConfig::new(1024 * 1024, 16, 64),
             l3: None,
             timing: HierarchyTiming::default(),
-            secure: secure_env(SecureMemoryConfig::paper_default()),
+            secure: SecureMemoryConfig::paper_default(),
             alloc_policy: AllocPolicy::Standard,
             aging: None,
             trace: None,
@@ -126,7 +107,7 @@ impl MachineConfig {
             l2: CacheConfig::new(128 * 1024, 8, 64),
             l3: Some(CacheConfig::new(1024 * 1024, 16, 64)),
             timing: HierarchyTiming::default(),
-            secure: secure_env(SecureMemoryConfig::paper_default()),
+            secure: SecureMemoryConfig::paper_default(),
             alloc_policy: AllocPolicy::Standard,
             aging: Some(AgingConfig::default()),
             trace: None,
@@ -143,7 +124,7 @@ impl MachineConfig {
             l2: CacheConfig::new(512 * 1024, 8, 64),
             l3: Some(CacheConfig::new(8 * 1024 * 1024, 16, 64)),
             timing: HierarchyTiming::default(),
-            secure: secure_env(SecureMemoryConfig::paper_default()),
+            secure: SecureMemoryConfig::paper_default(),
             alloc_policy: AllocPolicy::Standard,
             aging: None,
             trace: None,
@@ -152,7 +133,7 @@ impl MachineConfig {
 
     /// Shrinks the machine (memory + caches) for fast tests.
     pub fn scaled_down(mut self, data_capacity: u64) -> Self {
-        self.secure = secure_env(SecureMemoryConfig::with_capacity(data_capacity));
+        self.secure = SecureMemoryConfig::with_capacity(data_capacity);
         self
     }
 }

@@ -543,11 +543,6 @@ impl TraceReport {
         self.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
-    /// Whether a counter of this name was registered.
-    pub fn has_counter(&self, name: &str) -> bool {
-        self.counter(name).is_some()
-    }
-
     /// Merges a leaf component's [`CompTrace`] counters (prefixed with
     /// `prefix`) and strike records into this report. Strikes become
     /// instant events in category `"fault"` at timestamp `ts`, carrying
@@ -634,7 +629,7 @@ mod tests {
         assert_eq!(r.hist("write.wait").unwrap().max(), 1);
         assert_eq!(r.counter("ops"), Some(5));
         assert_eq!(r.counter("missing"), None, "absent is not zero");
-        assert!(r.has_counter("ops") && !r.has_counter("missing"));
+        assert!(r.counter("ops").is_some() && r.counter("missing").is_none());
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! cargo run --release --example recovery_drill
 //! ```
 
-use midsummer::core::{
-    AmntConfig, ProtocolKind, RecoveryModel, RecoveryScenario, SecureMemory, SecureMemoryConfig,
-};
+use midsummer::core::{AmntConfig, ProtocolKind, RecoveryModel, SecureMemory, SecureMemoryConfig};
 
 const MIB: u64 = 1024 * 1024;
 const TB: f64 = 1024.0 * 1024.0 * 1024.0 * 1024.0;
@@ -26,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for level in 2..=5u32 {
         let cfg = SecureMemoryConfig::with_capacity(128 * MIB);
-        let amnt = AmntConfig::at_level(level);
-        let mut mem = SecureMemory::new(cfg, ProtocolKind::Amnt(amnt))?;
+        let kind = ProtocolKind::Amnt(AmntConfig::at_level(level));
+        let mut mem = SecureMemory::new(cfg, kind)?;
         let mut t = 0;
         for i in 0..30_000u64 {
             let addr = if i % 5 == 0 {
@@ -49,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             hit * 100.0,
             report.bytes_read,
             model.measured_ms(&report),
-            model.recovery_ms(RecoveryScenario::AmntLevel(level), 2.0 * TB)
+            model.recovery_ms(kind, 2.0 * TB)
         );
     }
     println!(

@@ -3,8 +3,7 @@
 //! structure.
 
 use midsummer::core::{
-    hardware_overhead, AmntConfig, ProtocolKind, RecoveryModel, RecoveryScenario,
-    SecureMemory, SecureMemoryConfig,
+    hardware_overhead, AmntConfig, ProtocolKind, RecoveryModel, SecureMemory, SecureMemoryConfig,
 };
 use midsummer::os::{AllocPolicy, MemoryManager};
 use midsummer::sim::{run_pair, run_single, with_amnt_plus, MachineConfig, RunLength};
@@ -74,8 +73,8 @@ fn table3_and_table4_invariants() {
 
     let model = RecoveryModel::default();
     let tb = 2.0 * 1024.0f64.powi(4);
-    let leaf = model.recovery_ms(RecoveryScenario::Leaf, tb);
-    let l3 = model.recovery_ms(RecoveryScenario::AmntLevel(3), tb);
+    let leaf = model.recovery_ms(ProtocolKind::Leaf, tb);
+    let l3 = model.recovery_ms(ProtocolKind::Amnt(AmntConfig::at_level(3)), tb);
     assert!((leaf / l3 - 64.0).abs() < 1e-6, "L3 recovers 64x faster than leaf");
 }
 
