@@ -6,7 +6,7 @@
 //! same workload under each protocol (one parallel grid job per protocol)
 //! and reports per-region wear (data, HMACs, counters, tree nodes) from the
 //! device's frame-write counters — the "write-friendly" axis SecNVM-style
-//! work optimises (paper §1's citation [42]).
+//! work optimises (paper §1's citation \[42\]).
 
 use amnt_bench::{print_table, ExperimentResult, Grid, HostTimer};
 use amnt_core::{

@@ -52,7 +52,7 @@ pub const BLOCK_SIZE: usize = 64;
 /// assert_eq!(data, [42u8; 64]);
 /// # Ok::<(), amnt_core::IntegrityError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SecureMemory {
     config: SecureMemoryConfig,
     kind: ProtocolKind,
@@ -1572,9 +1572,9 @@ impl SecureMemory {
         // Power actually fails now. Device-level faults — a lost or torn
         // in-flight write, a dropped WPQ tail — land first, so the rollback
         // restores below model the *post-fault* media. They bypass the fault
-        // path entirely: a multi-phase plan that survives this crash (the
-        // recovery-phase ordinal domain) must see recovery's own writes as
-        // ordinal 0, not the model's volatility bookkeeping.
+        // path entirely: they model volatility, not device traffic, so a
+        // plan armed after this crash sees recovery's own first write as
+        // ordinal 0.
         self.nvm.crash();
         if self.tracer.enabled() {
             // Promote the device's strike records (FaultPlan ordinal, kind,

@@ -9,11 +9,13 @@
 //! classifies the outcome. One shard is the unsharded machine: at N=1 the
 //! facade is bit-identical to a bare [`SecureMemory`].
 //!
-//! Every scenario takes one path: replay the workload with the scenario's
-//! fault plan armed on the victim's lane, crash the victim, run what its
-//! class puts between the crash and the final recovery, recover, judge the
-//! read-back, and tally the outcome in its class's counters. Every sweep
-//! runs six classes of scenario, in this order:
+//! Every scenario takes one path: replay the workload with a mutation-path
+//! fault plan armed on the victim's lane, crash the victim, arm the plan
+//! its class gives the recovery's power cycle, run what the class puts
+//! between the crash and the final recovery, recover, judge the read-back,
+//! and tally the outcome in its class's counters. Scenarios that share a
+//! crashed state share its replay: each runs on a clone of the crashed
+//! machine. Every sweep runs six classes of scenario, in this order:
 //!
 //! * **Clean** ([`FaultPlan::crash_after`]), at every ordinal: the
 //!   in-flight write is wholly lost. Recovery must either succeed with every
@@ -25,11 +27,11 @@
 //!   ([`SweepSummary::work_regressions`]).
 //! * **Nested recovery**, for every clean crash whose recovery wrote: the
 //!   recovery procedure itself is re-crashed at every one of *its* device
-//!   writes — the recovery-phase ordinal domain a [`PhasedPlan`] survives
-//!   into — both cleanly and tearing the in-flight line, and then recovered
-//!   again. A cleanly interrupted recovery, re-run, must converge to a
-//!   byte-identical media state and the same outcome class as the
-//!   uninterrupted recovery ([`SweepSummary::idempotence_violations`]).
+//!   writes — the recovery-phase ordinal domain of a [`FaultPlan`] armed on
+//!   the crashed device — both cleanly and tearing the in-flight line, and
+//!   then recovered again. A cleanly interrupted recovery, re-run, must
+//!   converge to a byte-identical media state and the same outcome class as
+//!   the uninterrupted recovery ([`SweepSummary::idempotence_violations`]).
 //! * **Torn** ([`FaultPlan::torn_after`], both halves), at every ordinal:
 //!   only half of each 64-byte line touched by the in-flight write lands.
 //!   Recovery may succeed with individual completed blocks failing their
@@ -98,7 +100,7 @@ use crate::{
 };
 use amnt_bmt::BmtGeometry;
 use amnt_nvm::CrashWriteMode::{self, Clean, Torn};
-use amnt_nvm::{FaultPlan, NvmError, PhasedPlan, TornHalf};
+use amnt_nvm::{FaultPlan, NvmError, TornHalf};
 use amnt_prng::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -637,15 +639,6 @@ fn power_failed(e: &IntegrityError) -> bool {
     matches!(e, IntegrityError::Device(NvmError::PowerFailure { .. }))
 }
 
-/// Runs a recovery that an armed nested fault should cut short; whether
-/// the fault did cut it (power failed mid-recovery).
-fn recovery_cut(mem: &mut SecureMemory) -> bool {
-    matches!(
-        mem.recover(),
-        Err(RecoveryError::Device(NvmError::PowerFailure { .. }))
-    )
-}
-
 /// How one crash-and-recover attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
@@ -849,8 +842,9 @@ enum Class<'a> {
     /// queued.
     VerifyQueue { target: u64 },
     /// A media bit flip before the final recovery, after a clean crash and
-    /// (when `nested`) a recovery cut at one of its own device writes.
-    Tamper { nested: bool },
+    /// (when `cut` is set) a recovery cut at that ordinal of its own device
+    /// writes.
+    Tamper { cut: Option<u64> },
 }
 
 impl Class<'_> {
@@ -897,11 +891,6 @@ impl Class<'_> {
 /// One fault scenario of one victim.
 struct Scenario<'a> {
     class: Class<'a>,
-    /// The fault plan the replay arms on the victim's lane.
-    plan: PhasedPlan,
-    /// Victim ops the replay runs: `None` runs them all, and the scenario
-    /// exists only if its fault fires on the way.
-    limit: Option<usize>,
     /// The class's strike value: the mutation-path ordinal `k` (clean,
     /// torn, tamper), the recovery ordinal `r` (nested), or the tail or
     /// queue depth.
@@ -911,21 +900,28 @@ struct Scenario<'a> {
 }
 
 impl<'a> Scenario<'a> {
-    /// A scenario that strikes while the replay runs every victim op.
-    fn new(class: Class<'a>, plan: impl Into<PhasedPlan>, strike: u64, evict: bool) -> Self {
+    fn new(class: Class<'a>, strike: u64, evict: bool) -> Self {
         Scenario {
             class,
-            plan: plan.into(),
-            limit: None,
             strike,
             evict,
         }
     }
 
-    /// The same scenario, crashed once the victim's first `limit` ops ran.
-    fn at(self, limit: usize) -> Self {
-        let limit = Some(limit);
-        Scenario { limit, ..self }
+    /// The plan armed on the crashed victim for the power cycle its
+    /// recovery runs in: a clean crash counts the recovery's device writes
+    /// (the nested scenarios' crash points), a nested scenario cuts the
+    /// recovery at its ordinal `r`, and a tamper scenario at its `cut`.
+    fn recovery_plan(&self) -> Option<FaultPlan> {
+        match self.class {
+            Class::Clean { .. } => Some(FaultPlan::count_only()),
+            Class::Nested { mode, .. } => Some(FaultPlan {
+                mode,
+                ..FaultPlan::crash_after(self.strike)
+            }),
+            Class::Tamper { cut } => cut.map(FaultPlan::crash_after),
+            _ => None,
+        }
     }
 }
 
@@ -941,7 +937,9 @@ struct Baseline {
 }
 
 /// One replayed machine, stopped where the victim's fault fired or its op
-/// limit ran out.
+/// limit ran out. Scenarios that start from the same state each run on a
+/// clone of it.
+#[derive(Clone)]
 struct Replay {
     mem: ShardedMemory,
     /// Victim ops that completed.
@@ -979,7 +977,7 @@ impl Victim<'_> {
     /// device-write ordinal count after each of its ops.
     fn replay(
         &self,
-        plan: PhasedPlan,
+        plan: FaultPlan,
         limit: usize,
         mut boundaries: Option<&mut Vec<u64>>,
     ) -> Result<Replay, IntegrityError> {
@@ -1026,6 +1024,13 @@ impl Victim<'_> {
         })
     }
 
+    /// Replays every victim op with `plan` armed; `None` when its fault
+    /// never fired, so no scenario starts from it.
+    fn crashed(&self, plan: FaultPlan) -> Result<Option<Replay>, IntegrityError> {
+        let run = self.replay(plan, usize::MAX, None)?;
+        Ok(run.faulted.then_some(run))
+    }
+
     /// Counts the bystanders that diverged from the fault-free run: data
     /// media first (the read-backs after it may evict metadata and write
     /// the device), then a verified read-back of every address against
@@ -1057,7 +1062,7 @@ impl Victim<'_> {
         // op boundaries and eviction-writeback ordinals and the bystanders'
         // data images; its final merge must seal.
         let mut boundaries = Vec::with_capacity(self.ops.ops.len());
-        let count_only = FaultPlan::count_only().into();
+        let count_only = FaultPlan::count_only();
         let mut run = self.replay(count_only, usize::MAX, Some(&mut boundaries))?;
         let counted = engine(&mut run.mem, victim)?;
         let total = counted.nvm().device_write_ordinals();
@@ -1078,39 +1083,40 @@ impl Victim<'_> {
 
         // Phase 2, at every ordinal `k`: the clean crash, the nested
         // scenarios that cut its recovery at each of that recovery's device
-        // writes, and the two torn crashes. The clean recovery's write
-        // count is kept for the tamper phase.
+        // writes, and the two torn crashes. The clean and nested scenarios
+        // start from one replay's crashed machine. The clean recovery's
+        // write count is kept for the tamper phase.
         let mut recovery_writes = Vec::with_capacity(total as usize);
         for k in 0..total {
-            let (crash, evict) = (FaultPlan::crash_after(k), evict_ordinals.contains(&k));
+            let evict = evict_ordinals.contains(&k);
             let boundary = boundaries.binary_search(&k).is_ok();
-            // A count-only second phase counts the recovery's own device
-            // writes in their fresh post-crash ordinal domain.
-            let plan = PhasedPlan::two_phase(crash, FaultPlan::count_only());
-            let base = self.run(Scenario::new(Class::Clean { boundary }, plan, k, evict))?;
-            let baseline = base.media.as_ref();
-            for r in 0..base.writes {
-                for mode in [Clean, Torn(TornHalf::First), Torn(TornHalf::Last)] {
-                    let cut = FaultPlan::crash_after(r);
-                    let plan = PhasedPlan::two_phase(crash, FaultPlan { mode, ..cut });
-                    let class = Class::Nested { mode, baseline };
-                    self.run(Scenario::new(class, plan, r, evict))?;
+            let mut writes = 0;
+            if let Some(crashed) = self.crashed(FaultPlan::crash_after(k))? {
+                let clean = Scenario::new(Class::Clean { boundary }, k, evict);
+                let base = self.run(clean, crashed.clone())?;
+                let baseline = base.media.as_ref();
+                for r in 0..base.writes {
+                    for mode in [Clean, Torn(TornHalf::First), Torn(TornHalf::Last)] {
+                        let class = Class::Nested { mode, baseline };
+                        self.run(Scenario::new(class, r, evict), crashed.clone())?;
+                    }
                 }
+                writes = base.writes;
             }
             for half in [TornHalf::First, TornHalf::Last] {
-                let plan = FaultPlan::torn_after(k, half);
-                self.run(Scenario::new(Class::Torn, plan, k, evict))?;
+                if let Some(torn) = self.crashed(FaultPlan::torn_after(k, half))? {
+                    self.run(Scenario::new(Class::Torn, k, evict), torn)?;
+                }
             }
-            recovery_writes.push(base.writes);
+            recovery_writes.push(writes);
         }
 
         // Phase 3: dropped WPQ tails at every op boundary.
         let ops = self.ops.ops.len();
         for limit in 1..=ops {
             for depth in TAIL_DEPTHS {
-                let plan = FaultPlan::drop_tail(depth);
-                let tail = Scenario::new(Class::Tail, plan, depth as u64, false);
-                self.run(tail.at(limit))?;
+                let run = self.replay(FaultPlan::drop_tail(depth), limit, None)?;
+                self.run(Scenario::new(Class::Tail, depth as u64, false), run)?;
             }
         }
 
@@ -1128,10 +1134,11 @@ impl Victim<'_> {
                 .find(|(_, h)| h.first().is_some_and(|&(i, _)| i < limit))
                 .map(|(&a, _)| a);
             let Some(target) = target else { continue };
+            // One replay to the boundary serves every queue depth.
+            let run = self.replay(FaultPlan::count_only(), limit, None)?;
             for depth in 1..=queue_cap {
                 let class = Class::VerifyQueue { target };
-                let queued = Scenario::new(class, FaultPlan::count_only(), depth, false);
-                self.run(queued.at(limit))?;
+                self.run(Scenario::new(class, depth, false), run.clone())?;
             }
         }
 
@@ -1141,30 +1148,25 @@ impl Victim<'_> {
         // one bit on the raw media before the final recovery. The target
         // rotates over line classes (see `Workload::tamper_target`).
         for (k, writes) in (0..total).zip(recovery_writes) {
-            let mut phases = vec![FaultPlan::crash_after(k)];
-            if writes > 0 {
-                phases.push(FaultPlan::crash_after(k % writes));
+            if let Some(crashed) = self.crashed(FaultPlan::crash_after(k))? {
+                let cut = (writes > 0).then(|| k % writes);
+                let evict = evict_ordinals.contains(&k);
+                self.run(Scenario::new(Class::Tamper { cut }, k, evict), crashed)?;
             }
-            let class = Class::Tamper { nested: writes > 0 };
-            let evict = evict_ordinals.contains(&k);
-            self.run(Scenario::new(class, PhasedPlan::new(phases), k, evict))?;
         }
         Ok(())
     }
 
-    /// Runs one scenario: replay to the fault, crash the victim, run what
-    /// its class puts before the final recovery, recover, judge the
-    /// read-back against the oracle, and tally the outcome; the bystanders
-    /// are checked after the crash and at the end. A clean scenario also
-    /// harvests its recovery's trace, repeats a completed recovery to check
-    /// it is idempotent, seals the deferred epoch once the victim
-    /// recovered, and returns its [`Baseline`].
-    fn run(&mut self, sc: Scenario<'_>) -> Result<Baseline, IntegrityError> {
+    /// Runs one scenario on `run`, the replayed machine: crash the victim,
+    /// arm the class's [`Scenario::recovery_plan`], run what the class puts
+    /// before the final recovery, recover, judge the read-back against the
+    /// oracle, and tally the outcome; the bystanders are checked after the
+    /// crash and at the end. A clean scenario also harvests its recovery's
+    /// trace, repeats a completed recovery to check it is idempotent, seals
+    /// the deferred epoch once the victim recovered, and returns its
+    /// [`Baseline`].
+    fn run(&mut self, sc: Scenario<'_>, mut run: Replay) -> Result<Baseline, IntegrityError> {
         let mut base = Baseline::default();
-        let mut run = self.replay(sc.plan, sc.limit.unwrap_or(usize::MAX), None)?;
-        if sc.limit.is_none() && !run.faulted {
-            return Ok(base);
-        }
         let clean = matches!(sc.class, Class::Clean { .. });
         let victim = engine(&mut run.mem, self.idx)?;
         if let Class::VerifyQueue { target } = sc.class {
@@ -1189,6 +1191,10 @@ impl Victim<'_> {
             }
         }
         run.mem.crash_shard(self.idx)?;
+        if let Some(plan) = sc.recovery_plan() {
+            let victim = engine(&mut run.mem, self.idx)?;
+            victim.nvm_mut().arm_fault_hook(plan);
+        }
         self.s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
 
         let victim = engine(&mut run.mem, self.idx)?;
@@ -1197,21 +1203,22 @@ impl Victim<'_> {
             // recovery prefix errors first instead (`r` lies at or past its
             // own failure point), the scenario ends there: detected.
             Class::Nested { .. } => {
-                let cut = recovery_cut(victim);
+                let cut = matches!(
+                    victim.recover(),
+                    Err(RecoveryError::Device(NvmError::PowerFailure { .. }))
+                );
                 if cut {
                     victim.crash();
                 }
                 cut
             }
-            Class::Tamper { nested } => {
+            Class::Tamper { cut } => {
                 // Crash again after the nested cut with the power-failure
                 // flag still set, so the final recovery sees a dirty
                 // shutdown. If the recovery instead detected before the cut
                 // or completed without it, tamper a cleanly re-crashed state.
-                if nested {
-                    if !recovery_cut(victim) {
-                        victim.nvm_mut().disarm_fault_hook();
-                    }
+                if cut.is_some() {
+                    let _ = victim.recover();
                     victim.crash();
                 }
                 let g = victim.geometry();
@@ -1422,7 +1429,7 @@ mod tests {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let mut boundaries = Vec::new();
-            let plan = FaultPlan::count_only().into();
+            let plan = FaultPlan::count_only();
             let mut run = victim
                 .replay(plan, usize::MAX, Some(&mut boundaries))
                 .expect("count-only replay");

@@ -98,7 +98,7 @@ pub struct MergeReport {
 /// assert_eq!(mem.read_block(0, 0x40)?.0[0], 1);
 /// # Ok::<(), amnt_core::IntegrityError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShardedMemory {
     shards: Vec<SecureMemory>,
     /// Bytes of protected data each shard owns.

@@ -8,7 +8,7 @@
 //! bookkeeping by keeping such accesses obviously marked at call sites.
 //!
 //! All helpers are fallible: with a fault plan armed (see
-//! [`amnt_nvm::PhasedPlan`]) any device access may observe the power failing
+//! [`amnt_nvm::FaultPlan`]) any device access may observe the power failing
 //! and must fail-stop rather than keep mutating the media, so errors
 //! propagate to the interrupted operation instead of panicking.
 //!

@@ -9,10 +9,13 @@
 //!
 //! `AMNT_FAULT_OPS` scales the workload (default 24 ops: debug-friendly;
 //! the `fault_sweep` bench bin runs the 100-op acceptance sweep); a value
-//! that is not a non-negative integer fails the tests.
+//! that is not a non-negative integer fails the tests. Each protocol's
+//! sweep at that size runs once per test binary, shared by every test that
+//! reads it.
 
 use amnt_core::fault::{run_sweep, sweep_protocols};
-use amnt_core::{FaultSweepConfig, IntegrityError, ProtocolKind, SweepOp};
+use amnt_core::{FaultSweepConfig, IntegrityError, ProtocolKind, SweepOp, SweepSummary};
+use std::sync::OnceLock;
 
 /// The default sweep at `AMNT_FAULT_OPS` ops. Unset runs 24; a value that
 /// does not parse fails with the message the `fault_sweep` bin exits on.
@@ -28,11 +31,26 @@ fn sweep_config() -> FaultSweepConfig {
     FaultSweepConfig { ops, ..FaultSweepConfig::default() }
 }
 
+/// Every protocol's sweep of [`sweep_config`], run on first use.
+fn sweeps() -> &'static [(&'static str, ProtocolKind, SweepSummary)] {
+    static SWEEPS: OnceLock<Vec<(&'static str, ProtocolKind, SweepSummary)>> = OnceLock::new();
+    SWEEPS.get_or_init(|| {
+        let cfg = sweep_config();
+        sweep_protocols()
+            .into_iter()
+            .map(|(name, kind)| {
+                let s =
+                    run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: sweep setup: {e}"));
+                (name, kind, s)
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn no_silent_corruption_at_any_crash_point() {
     let cfg = sweep_config();
-    for (name, kind) in sweep_protocols() {
-        let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: sweep setup: {e}"));
+    for &(name, _, s) in sweeps() {
         assert!(s.crash_points > 0, "{name}: workload produced no device writes");
         assert_eq!(s.silent, 0, "{name}: silent corruption outcomes: {s:?}");
         assert_eq!(s.boundary_deficit, 0, "{name}: boundary crashes not recovered: {s:?}");
@@ -70,9 +88,7 @@ fn tampering_between_crash_and_recovery_is_never_silent() {
     // counter block, and bottom tree node targets in rotation) must always
     // be healed by an authenticated rebuild or detected — for every one of
     // the six protocols, at every clean crash point.
-    let cfg = sweep_config();
-    for (name, kind) in sweep_protocols() {
-        let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: sweep setup: {e}"));
+    for &(name, _, s) in sweeps() {
         assert!(s.tamper_points > 0, "{name}: no tamper scenarios ran: {s:?}");
         assert_eq!(s.tamper_silent, 0, "{name}: silent tamper outcomes: {s:?}");
         assert_eq!(
@@ -92,9 +108,7 @@ fn nested_recovery_crashes_are_idempotent() {
     // every one of *its* device writes (clean + both torn halves), recover
     // again — the final state must match the single-recovery state and the
     // untimed oracle, with recovery work monotonically non-increasing.
-    let cfg = sweep_config();
-    for (name, kind) in sweep_protocols() {
-        let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: sweep setup: {e}"));
+    for &(name, kind, s) in sweeps() {
         assert_eq!(s.silent, 0, "{name}: silent corruption outcomes: {s:?}");
         assert_eq!(s.idempotence_violations, 0, "{name}: recovery not idempotent: {s:?}");
         assert_eq!(s.work_regressions, 0, "{name}: repeat recovery did more work: {s:?}");
@@ -115,10 +129,8 @@ fn nested_recovery_crashes_are_idempotent() {
 
 #[test]
 fn eviction_writebacks_are_their_own_crash_point_class() {
-    let cfg = sweep_config();
     let mut lazy_evictions = 0;
-    for (name, kind) in sweep_protocols() {
-        let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: sweep setup: {e}"));
+    for &(name, kind, s) in sweeps() {
         assert!(s.evict_points <= s.crash_points, "{name}: class not a subset: {s:?}");
         assert_eq!(
             s.evict_recovered + s.evict_detected,

@@ -2,7 +2,7 @@
 //!
 //! Each test crashes a workload at a fixed device-write ordinal, lets the
 //! recovery procedure itself be cut at a fixed ordinal of *its own* write
-//! domain (a [`PhasedPlan`] surviving the power cycle), recovers to
+//! domain (a [`FaultPlan`] armed on the crashed device), recovers to
 //! completion, and then repeats the whole scenario from scratch: the final
 //! media image and the [`RecoveryReport`]s must be equal across the two
 //! runs, and within a run a repeated recovery must leave the media
@@ -11,11 +11,12 @@
 //! `AMNT_FAULT_OPS` scales the workload (default 16 ops); a value that is
 //! not a non-negative integer fails the tests.
 
+use amnt_core::fault::sweep_protocols;
 use amnt_core::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, RecoveryReport,
     SecureMemory, SecureMemoryConfig, BLOCK_SIZE,
 };
-use amnt_nvm::{FaultPlan, PhasedPlan};
+use amnt_nvm::FaultPlan;
 
 /// Workload size knob shared with the sweep tests. Unset runs the default;
 /// a value that does not parse fails with the message the `fault_sweep`
@@ -35,7 +36,7 @@ const CRASH_ORDINAL: u64 = 5;
 
 /// Recovery-phase crash ordinal: the recovery procedure's very first
 /// device write (protocols whose recovery never writes skip the nested
-/// crash entirely — the phased plan just never fires again).
+/// crash entirely — the recovery's plan just never fires).
 const RECOVERY_ORDINAL: u64 = 0;
 
 fn value_for(i: usize) -> [u8; BLOCK_SIZE] {
@@ -48,10 +49,8 @@ fn value_for(i: usize) -> [u8; BLOCK_SIZE] {
 fn scenario(kind: ProtocolKind) -> (Vec<(u64, Vec<u8>)>, RecoveryReport, RecoveryReport) {
     let cfg = SecureMemoryConfig::with_capacity(1024 * 1024).with_metadata_cache_bytes(1024);
     let mut mem = SecureMemory::new(cfg, kind).expect("controller");
-    mem.nvm_mut().arm_fault_hook(PhasedPlan::two_phase(
-        FaultPlan::crash_after(CRASH_ORDINAL),
-        FaultPlan::crash_after(RECOVERY_ORDINAL),
-    ));
+    mem.nvm_mut()
+        .arm_fault_hook(FaultPlan::crash_after(CRASH_ORDINAL));
     // A hot 8-block region: every protocol reaches the crash ordinal fast.
     let mut t = 0;
     for i in 0..ops_knob() {
@@ -62,6 +61,8 @@ fn scenario(kind: ProtocolKind) -> (Vec<(u64, Vec<u8>)>, RecoveryReport, Recover
         }
     }
     mem.crash();
+    mem.nvm_mut()
+        .arm_fault_hook(FaultPlan::crash_after(RECOVERY_ORDINAL));
     // First recovery: cut at RECOVERY_ORDINAL if this protocol's recovery
     // writes at all, in which case a second power cycle completes it.
     let first = match mem.recover() {
@@ -130,4 +131,53 @@ fn amnt_recovery_is_idempotent() {
         interval_writes: 16,
         history_entries: 16,
     }));
+}
+
+/// The fault sweep replays each shared crash state once and runs every
+/// scenario that starts from it on a clone of the crashed machine: a clone
+/// must recover exactly as the original does, and share no device state
+/// with it.
+#[test]
+fn a_cloned_crashed_engine_recovers_like_the_original() {
+    for (name, kind) in sweep_protocols() {
+        let cfg = SecureMemoryConfig::with_capacity(1024 * 1024).with_metadata_cache_bytes(1024);
+        let mut original = SecureMemory::new(cfg, kind).expect("controller");
+        original
+            .nvm_mut()
+            .arm_fault_hook(FaultPlan::crash_after(CRASH_ORDINAL));
+        // The scenario's hot 8-block region, crashed mid-workload.
+        let mut t = 0;
+        for i in 0..16 {
+            let addr = (i as u64 % 8) * BLOCK_SIZE as u64;
+            match original.write_block(t, addr, &value_for(i)) {
+                Ok(done) => t = done,
+                Err(_) => break,
+            }
+        }
+        original.crash();
+        assert!(
+            original.nvm().dirty_shutdown(),
+            "{name}: the crash point was not reached"
+        );
+        let mut clone = original.clone();
+        clone.nvm_mut().arm_fault_hook(FaultPlan::count_only());
+        assert!(clone.nvm().fault_armed(), "{name}");
+        assert!(
+            !original.nvm().fault_armed(),
+            "{name}: the clone's plan armed the original"
+        );
+
+        let report = original.recover();
+        assert!(report.is_ok(), "{name}: {report:?}");
+        assert_eq!(clone.recover(), report, "{name}: RecoveryReport");
+        assert_eq!(
+            clone.nvm().media_image(),
+            original.nvm().media_image(),
+            "{name}: media"
+        );
+        for addr in (0..8).map(|block| block * BLOCK_SIZE as u64) {
+            let (a, b) = (original.read_block(0, addr), clone.read_block(0, addr));
+            assert_eq!(a, b, "{name}: read-back of {addr:#x}");
+        }
+    }
 }

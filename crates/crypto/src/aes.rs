@@ -72,7 +72,7 @@ fn sub_word(w: u32) -> u32 {
 ///
 /// The state and round keys are held as four little-endian column words,
 /// and each full round is four table lookups per column (SubBytes,
-/// ShiftRows and MixColumns folded into [`TE`]).
+/// ShiftRows and MixColumns folded into `TE`).
 ///
 /// # Examples
 ///

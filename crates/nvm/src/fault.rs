@@ -1,6 +1,6 @@
 //! Fault injection: power failures at device-write granularity.
 //!
-//! A [`PhasedPlan`] armed on an [`Nvm`](crate::Nvm) is consulted once per
+//! A [`FaultPlan`] armed on an [`Nvm`](crate::Nvm) is consulted once per
 //! *device-write ordinal* — every [`write_bytes`](crate::Nvm::write_bytes)
 //! call, except that writes inside an atomic group (see
 //! [`begin_atomic`](crate::Nvm::begin_atomic)) share one ordinal — and
@@ -10,10 +10,11 @@
 //! [`crate::Nvm::crash`] power-cycles the device; the fail-stop behaviour
 //! guarantees a crashed operation cannot silently keep mutating the media.
 //!
-//! Each phase of the plan is a [`FaultPlan`]: crash after the *k*-th device
-//! write (cleanly or tearing the in-flight line), and/or drop the last *n*
+//! A plan lasts one power cycle: crash after the *k*-th device write
+//! (cleanly or tearing the in-flight line), and/or drop the last *n*
 //! journaled writes — the write-pending-queue tail — at the crash itself.
-//! A bare [`FaultPlan`] arms as a one-phase plan.
+//! Every crash disarms it; a plan armed on the crashed device faults the
+//! next power cycle's writes, recovery's among them, from ordinal 0.
 
 /// Protocol attribution of one device write, for crash-point
 /// classification. Most device writes are issued by the persistence
@@ -64,6 +65,11 @@ pub enum CrashWriteMode {
 }
 
 /// One power cycle's faults (see the module docs).
+///
+/// Determinism contract: every decision depends only on the write ordinal,
+/// never on addresses, contents, or host state, so the same workload
+/// replayed against the same plan crashes at the same points with
+/// byte-identical media.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Crash ordinal: the first `crash_after` device writes apply, then the
@@ -98,77 +104,17 @@ impl FaultPlan {
     pub fn drop_tail(n: usize) -> Self {
         FaultPlan { crash_after: None, mode: CrashWriteMode::Clean, drop_wpq_tail: n }
     }
-}
 
-/// The fault plan an [`Nvm`](crate::Nvm) arms: one [`FaultPlan`] per power
-/// cycle.
-///
-/// Phase 0 governs the mutation path. Each [`crate::Nvm::crash`] advances to
-/// the next phase with the write-ordinal counter restarted at zero, so phase
-/// 1 addresses the *recovery procedure's* device writes — the
-/// recovery-phase ordinal domain — phase 2 the re-recovery after that, and
-/// so on. After the last phase the plan disarms at the next crash; a
-/// one-phase plan (what `From<FaultPlan>` builds) is spent by its first.
-///
-/// Determinism contract: every decision depends only on the current phase
-/// and the write ordinal, never on addresses, contents, or host state, so
-/// the same workload replayed against the same plan crashes at the same
-/// points with byte-identical media.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhasedPlan {
-    phases: Vec<FaultPlan>,
-    current: usize,
-}
-
-impl PhasedPlan {
-    /// A plan with one [`FaultPlan`] per power cycle, starting with the
-    /// mutation phase. An empty list never faults.
-    pub fn new(phases: Vec<FaultPlan>) -> Self {
-        PhasedPlan { phases, current: 0 }
-    }
-
-    /// The nested-sweep shape: fault the mutation path with `mutation`,
-    /// then fault the recovery that follows with `recovery`.
-    pub fn two_phase(mutation: FaultPlan, recovery: FaultPlan) -> Self {
-        Self::new(vec![mutation, recovery])
-    }
-
-    /// The phase currently armed (`None` once every phase is spent).
-    pub fn current_phase(&self) -> Option<&FaultPlan> {
-        self.phases.get(self.current)
-    }
-
-    /// The fate of the current phase's write with ordinal `seq`.
+    /// The fate of the write with ordinal `seq`.
     pub(crate) fn action(&self, seq: u64) -> FaultAction {
-        let Some(plan) = self.current_phase() else {
-            return FaultAction::Apply;
-        };
-        match plan.crash_after {
+        match self.crash_after {
             Some(k) if seq > k => FaultAction::PowerOff,
-            Some(k) if seq == k => match plan.mode {
+            Some(k) if seq == k => match self.mode {
                 CrashWriteMode::Clean => FaultAction::PowerOff,
                 CrashWriteMode::Torn(half) => FaultAction::Torn(half),
             },
             _ => FaultAction::Apply,
         }
-    }
-
-    /// How many journaled writes the crash ending the current phase drops.
-    pub(crate) fn wpq_tail(&self) -> usize {
-        self.current_phase().map_or(0, |plan| plan.drop_wpq_tail)
-    }
-
-    /// Moves to the next phase at a crash; `false` once every phase is
-    /// spent and the plan disarms.
-    pub(crate) fn advance(&mut self) -> bool {
-        self.current += 1;
-        self.current < self.phases.len()
-    }
-}
-
-impl From<FaultPlan> for PhasedPlan {
-    fn from(plan: FaultPlan) -> Self {
-        PhasedPlan::new(vec![plan])
     }
 }
 
@@ -178,7 +124,7 @@ mod tests {
 
     #[test]
     fn plan_is_a_pure_function_of_the_ordinal() {
-        let p = PhasedPlan::from(FaultPlan::crash_after(2));
+        let p = FaultPlan::crash_after(2);
         assert_eq!(p.action(0), FaultAction::Apply);
         assert_eq!(p.action(1), FaultAction::Apply);
         assert_eq!(p.action(2), FaultAction::PowerOff);
@@ -187,56 +133,24 @@ mod tests {
 
     #[test]
     fn torn_plan_tears_exactly_the_crash_ordinal() {
-        let p = PhasedPlan::from(FaultPlan::torn_after(1, TornHalf::Last));
+        let p = FaultPlan::torn_after(1, TornHalf::Last);
         assert_eq!(p.action(0), FaultAction::Apply);
         assert_eq!(p.action(1), FaultAction::Torn(TornHalf::Last));
     }
 
     #[test]
     fn count_only_never_faults() {
-        let p = PhasedPlan::from(FaultPlan::count_only());
+        let p = FaultPlan::count_only();
         for seq in 0..1000 {
             assert_eq!(p.action(seq), FaultAction::Apply);
         }
-        assert_eq!(p.wpq_tail(), 0);
+        assert_eq!(p.drop_wpq_tail, 0);
     }
 
     #[test]
     fn drop_tail_reports_its_crash_faults() {
-        let p = PhasedPlan::from(FaultPlan::drop_tail(3));
+        let p = FaultPlan::drop_tail(3);
         assert_eq!(p.action(0), FaultAction::Apply);
-        assert_eq!(p.wpq_tail(), 3);
-    }
-
-    #[test]
-    fn single_phase_plans_do_not_rearm() {
-        let mut p = PhasedPlan::from(FaultPlan::crash_after(0));
-        assert!(!p.advance());
-    }
-
-    #[test]
-    fn phased_plan_advances_one_phase_per_crash() {
-        let mut p =
-            PhasedPlan::two_phase(FaultPlan::crash_after(1), FaultPlan::crash_after(0));
-        // Phase 0: the mutation-path plan.
-        assert_eq!(p.action(0), FaultAction::Apply);
-        assert_eq!(p.action(1), FaultAction::PowerOff);
-        // Crash: the recovery phase arms, in a fresh ordinal domain.
-        assert!(p.advance());
-        assert_eq!(p.current_phase(), Some(&FaultPlan::crash_after(0)));
-        assert_eq!(p.action(0), FaultAction::PowerOff);
-        // Second crash: phases exhausted, the plan disarms.
-        assert!(!p.advance());
-        assert_eq!(p.current_phase(), None);
-        assert_eq!(p.action(0), FaultAction::Apply);
-    }
-
-    #[test]
-    fn phased_plan_crash_faults_come_from_the_current_phase() {
-        let mut p =
-            PhasedPlan::two_phase(FaultPlan::drop_tail(2), FaultPlan::count_only());
-        assert_eq!(p.wpq_tail(), 2);
-        assert!(p.advance());
-        assert_eq!(p.wpq_tail(), 0);
+        assert_eq!(p.drop_wpq_tail, 3);
     }
 }

@@ -40,7 +40,7 @@ use std::fmt;
 mod fault;
 mod frame_map;
 use fault::FaultAction;
-pub use fault::{CrashWriteMode, FaultPlan, PhasedPlan, TornHalf, WriteClass};
+pub use fault::{CrashWriteMode, FaultPlan, TornHalf, WriteClass};
 pub use frame_map::FrameMap;
 use frame_map::Slots;
 
@@ -151,7 +151,7 @@ pub enum NvmError {
         /// Requested address.
         addr: u64,
     },
-    /// Power failed at (or before) this access: an armed [`PhasedPlan`] cut
+    /// Power failed at (or before) this access: an armed [`FaultPlan`] cut
     /// power, and the device fail-stops until [`Nvm::crash`] power-cycles
     /// it. Surfacing the failure on every access guarantees an interrupted
     /// operation cannot silently keep mutating the media.
@@ -206,8 +206,9 @@ pub struct Nvm {
     stats: NvmStats,
     /// Bumped on every crash; lets tests assert they really crossed one.
     generation: u64,
-    /// Armed fault plan, consulted once per device-write ordinal.
-    fault: Option<PhasedPlan>,
+    /// Fault plan armed for this power cycle, consulted once per
+    /// device-write ordinal.
+    fault: Option<FaultPlan>,
     /// Device-write ordinals consumed since the plan was armed.
     fault_seq: u64,
     /// Class the controller declared for writes currently being issued
@@ -298,19 +299,17 @@ impl Nvm {
     /// Volatile state (caches, on-chip volatile registers) is owned by the
     /// layers above and must be cleared by them.
     ///
-    /// If a [`PhasedPlan`] is armed, its current phase may drop the
-    /// journaled write-pending-queue tail (newest writes undone first), and
-    /// the device then power-cycles — accesses work again. The plan then
-    /// advances to its next phase, which governs the next power cycle's
-    /// writes with the ordinal counter restarted at zero — how the recovery
-    /// procedure itself gets faulted — or, once every phase is spent,
-    /// disarms. The dirty-shutdown flag records whether this crash
+    /// If a [`FaultPlan`] is armed, it may drop the journaled
+    /// write-pending-queue tail (newest writes undone first), and the
+    /// device then power-cycles — accesses work again — with the plan
+    /// disarmed and the ordinal counter restarted at zero. To fault the next
+    /// power cycle (the recovery procedure), arm a plan on the crashed
+    /// device. The dirty-shutdown flag records whether this crash
     /// interrupted in-flight work (see [`Nvm::dirty_shutdown`]).
     pub fn crash(&mut self) {
         let mut dropped = 0usize;
-        let mut rearmed = None;
-        if let Some(mut plan) = self.fault.take() {
-            let tail = plan.wpq_tail();
+        if let Some(plan) = self.fault.take() {
+            let tail = plan.drop_wpq_tail;
             // A torn or rejected write already landed its partial effects;
             // the open-group journal (if an atomic group was cut short) and
             // the committed journal both hold undo candidates. The open
@@ -331,9 +330,6 @@ impl Nvm {
                     None => break,
                 }
             }
-            if plan.advance() {
-                rearmed = Some(plan);
-            }
         }
         self.dirty_shutdown = self.powered_off || dropped > 0;
         self.journal.clear();
@@ -341,7 +337,6 @@ impl Nvm {
         self.group_depth = 0;
         self.group_charged = false;
         self.powered_off = false;
-        self.fault = rearmed;
         self.fault_seq = 0;
         self.write_class = WriteClass::Protocol;
         self.evict_seqs.clear();
@@ -368,27 +363,18 @@ impl Nvm {
     // Fault plan plumbing
     // ------------------------------------------------------------------
 
-    /// Arms `plan` (a [`PhasedPlan`], or a [`FaultPlan`] as one phase):
-    /// from now on every device-write ordinal consults it and recent writes
-    /// are journaled for WPQ-tail drops. Resets the ordinal counter. The
-    /// plan stays armed until [`Nvm::crash`] spends its last phase (or
-    /// [`Nvm::disarm_fault_hook`] removes it).
-    pub fn arm_fault_hook(&mut self, plan: impl Into<PhasedPlan>) {
-        self.fault = Some(plan.into());
+    /// Arms `plan` for the rest of this power cycle: from now on every
+    /// device-write ordinal consults it and recent writes are journaled for
+    /// WPQ-tail drops. Resets the ordinal counter. The next [`Nvm::crash`]
+    /// disarms it. Armed on a device that [`Nvm::crash`] just power-cycled,
+    /// the plan faults that power cycle's writes from ordinal 0 — a
+    /// recovery run next makes recovery's first write ordinal 0.
+    pub fn arm_fault_hook(&mut self, plan: FaultPlan) {
+        self.fault = Some(plan);
         self.fault_seq = 0;
         self.write_class = WriteClass::Protocol;
         self.evict_seqs.clear();
         self.powered_off = false;
-    }
-
-    /// Removes the armed plan, if any, without a power cycle.
-    pub fn disarm_fault_hook(&mut self) -> Option<PhasedPlan> {
-        let plan = self.fault.take();
-        self.powered_off = false;
-        self.journal.clear();
-        self.open_group.clear();
-        self.group_charged = false;
-        plan
     }
 
     /// Whether a fault plan is currently armed.
@@ -403,8 +389,8 @@ impl Nvm {
 
     /// Device-write ordinals consumed since the plan was armed (an atomic
     /// group counts once). The crash-point coordinate system of
-    /// [`FaultPlan`]. Restarts at zero on every [`Nvm::crash`], so after a
-    /// rearming crash this counts the *recovery-phase* domain. Ordinals are
+    /// [`FaultPlan`]. Restarts at zero on every [`Nvm::crash`], so a plan
+    /// armed after a crash counts the *recovery-phase* domain. Ordinals are
     /// scoped to this device's WPQ [`Nvm::lane`]: two devices on different
     /// lanes consume ordinals independently.
     pub fn device_write_ordinals(&self) -> u64 {
@@ -542,10 +528,8 @@ impl Nvm {
     /// Raw media restore used by crash modelling: rewinds `addr` to a
     /// pre-crash image with no stats, no ordinal, and no fault-plan
     /// interaction. Rolling back dirty cached lines models *volatility* —
-    /// bytes that never actually persisted — not device traffic, so it must
-    /// stay invisible to a multi-phase fault plan that survived the power
-    /// cycle (the recovery-phase ordinal domain starts with recovery's own
-    /// first real write, not with the model's bookkeeping).
+    /// bytes that never actually persisted — not device traffic, so it
+    /// counts as no write and no armed plan can cut or journal it.
     pub fn rollback_bytes(&mut self, addr: u64, data: &[u8]) {
         self.poke(addr, data);
     }
@@ -615,7 +599,7 @@ impl Nvm {
     /// before) this write.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), NvmError> {
         self.check(addr, data.len())?;
-        if self.fault.is_some() {
+        if let Some(plan) = self.fault {
             if self.powered_off {
                 return Err(NvmError::PowerFailure { addr });
             }
@@ -632,10 +616,7 @@ impl Nvm {
                 if self.group_depth > 0 {
                     self.group_charged = true;
                 }
-                match &self.fault {
-                    Some(plan) => plan.action(seq),
-                    None => FaultAction::Apply,
-                }
+                plan.action(seq)
             };
             match action {
                 FaultAction::Apply => self.journal_record(addr, data.len()),
@@ -1035,28 +1016,39 @@ mod tests {
         nvm.arm_fault_hook(FaultPlan::count_only());
         nvm.tamper_flip_bit(5, 0);
         assert_eq!(nvm.device_write_ordinals(), 0, "attacks consume no ordinals");
-        nvm.disarm_fault_hook();
         assert_eq!(nvm.read_block(0).unwrap()[5], 1);
     }
 
     #[test]
-    fn phased_hook_survives_the_crash_into_a_fresh_ordinal_domain() {
+    fn a_plan_lasts_one_power_cycle_and_one_armed_after_a_crash_cuts_the_next() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(PhasedPlan::two_phase(
-            FaultPlan::crash_after(1),
-            FaultPlan::crash_after(0),
-        ));
+        nvm.arm_fault_hook(FaultPlan::crash_after(1));
         nvm.write_block(0, &[1; 64]).unwrap();
-        assert!(nvm.write_block(64, &[2; 64]).is_err(), "phase 0 crash at ordinal 1");
+        assert!(
+            nvm.write_block(64, &[2; 64]).is_err(),
+            "mutation cut at ordinal 1"
+        );
         nvm.crash();
-        // The plan survived the power cycle; the ordinal domain restarted,
-        // so the recovery phase's very first write is the crash point.
-        assert!(nvm.fault_armed());
-        assert_eq!(nvm.device_write_ordinals(), 0);
-        assert!(nvm.write_block(128, &[3; 64]).is_err(), "phase 1 crash at ordinal 0");
-        nvm.crash();
-        // Phases exhausted: the plan disarms like a one-phase plan.
+        // The crash disarmed the plan: the next power cycle runs unfaulted.
         assert!(!nvm.fault_armed());
+        assert!(nvm.dirty_shutdown());
+        nvm.write_block(64, &[2; 64]).unwrap();
+        assert_eq!(nvm.device_write_ordinals(), 0, "no plan, no ordinals");
+        nvm.crash();
+        // Armed on the crashed device, a plan counts from that power
+        // cycle's first write: here the very first write is the cut.
+        nvm.arm_fault_hook(FaultPlan::crash_after(0));
+        assert!(
+            nvm.write_block(128, &[3; 64]).is_err(),
+            "recovery cut at ordinal 0"
+        );
+        assert_eq!(nvm.device_write_ordinals(), 1);
+        assert_eq!(nvm.read_block(64), Err(NvmError::PowerFailure { addr: 64 }));
+        nvm.crash();
+        // And the next crash disarms again.
+        assert!(!nvm.fault_armed());
+        assert!(nvm.dirty_shutdown());
+        assert_eq!(nvm.read_block(128).unwrap(), [0; 64]);
         nvm.write_block(128, &[3; 64]).unwrap();
         assert_eq!(nvm.read_block(128).unwrap(), [3; 64]);
     }
@@ -1064,10 +1056,7 @@ mod tests {
     #[test]
     fn eviction_class_ordinals_are_recorded_per_domain() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
-        nvm.arm_fault_hook(PhasedPlan::two_phase(
-            FaultPlan::count_only(),
-            FaultPlan::count_only(),
-        ));
+        nvm.arm_fault_hook(FaultPlan::count_only());
         nvm.write_block(0, &[1; 64]).unwrap();
         nvm.set_write_class(WriteClass::Eviction);
         nvm.write_block(64, &[2; 64]).unwrap();
@@ -1078,6 +1067,7 @@ mod tests {
         nvm.crash();
         // A crash starts a fresh domain: class resets, records clear.
         assert_eq!(nvm.eviction_write_ordinals(), &[] as &[u64]);
+        nvm.arm_fault_hook(FaultPlan::count_only());
         nvm.write_block(0, &[5; 64]).unwrap();
         assert_eq!(nvm.eviction_write_ordinals(), &[] as &[u64]);
     }

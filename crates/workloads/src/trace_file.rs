@@ -86,6 +86,15 @@ pub fn write_trace<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
     Ok(())
 }
 
+/// Fills `buf` from `r`. A stream that ends first is the format error
+/// `short`; any other read failure is [`TraceFileError::Io`].
+fn fill<R: Read>(r: &mut R, buf: &mut [u8], short: TraceFileError) -> Result<(), TraceFileError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => short,
+        _ => TraceFileError::Io(e),
+    })
+}
+
 /// Reads a trace previously written by [`write_trace`].
 ///
 /// # Errors
@@ -93,21 +102,21 @@ pub fn write_trace<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
 /// [`TraceFileError`] on malformed input or I/O failure.
 pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<Event>, TraceFileError> {
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(|_| TraceFileError::BadMagic)?;
+    fill(&mut r, &mut magic, TraceFileError::BadMagic)?;
     if &magic != MAGIC {
         return Err(TraceFileError::BadMagic);
     }
     let mut count = [0u8; 8];
-    r.read_exact(&mut count).map_err(|_| TraceFileError::Truncated)?;
+    fill(&mut r, &mut count, TraceFileError::Truncated)?;
     let count = u64::from_le_bytes(count);
     let mut events = Vec::with_capacity(count.min(1 << 24) as usize);
     for _ in 0..count {
         let mut tag = [0u8];
-        r.read_exact(&mut tag).map_err(|_| TraceFileError::Truncated)?;
+        fill(&mut r, &mut tag, TraceFileError::Truncated)?;
         match tag[0] {
             TAG_ACCESS => {
                 let mut buf = [0u8; 13];
-                r.read_exact(&mut buf).map_err(|_| TraceFileError::Truncated)?;
+                fill(&mut r, &mut buf, TraceFileError::Truncated)?;
                 events.push(Event::Access(TraceOp {
                     vaddr: u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")),
                     think_cycles: u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")),
@@ -116,7 +125,7 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<Event>, TraceFileError> {
             }
             TAG_UNMAP => {
                 let mut buf = [0u8; 8];
-                r.read_exact(&mut buf).map_err(|_| TraceFileError::Truncated)?;
+                fill(&mut r, &mut buf, TraceFileError::Truncated)?;
                 events.push(Event::Unmap { vpn: u64::from_le_bytes(buf) });
             }
             t => return Err(TraceFileError::BadTag(t)),
@@ -164,6 +173,28 @@ mod tests {
         write_trace(&mut buf2, &[Event::Unmap { vpn: 3 }]).unwrap();
         buf2[16] = 0x7F;
         assert!(matches!(read_trace(buf2.as_slice()), Err(TraceFileError::BadTag(0x7F))));
+    }
+
+    /// Serves its bytes, then fails every read with `ErrorKind::Other`.
+    struct FailsAfter<'a>(&'a [u8]);
+
+    impl Read for FailsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(io::Error::other("device gone"));
+            }
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn read_failures_that_are_not_a_short_stream_are_io_errors() {
+        let err = read_trace(FailsAfter(MAGIC)).expect_err("failing reader");
+        assert!(
+            matches!(err, TraceFileError::Io(ref e) if e.kind() == io::ErrorKind::Other),
+            "{err:?}"
+        );
+        assert!(matches!(read_trace(FailsAfter(&[])), Err(TraceFileError::Io(_))));
     }
 
     #[test]

@@ -42,6 +42,11 @@ echo "== cargo build --release --workspace --all-targets =="
 # release mode, which the debug-mode test step below does not.
 cargo build --release --workspace --all-targets || fail=1
 
+echo "== cargo doc --no-deps --workspace (warnings are errors) =="
+# A doc comment that links a deleted or private item, or a bracketed
+# citation rustdoc reads as a link, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace || fail=1
+
 echo "== cargo test --workspace =="
 cargo test -q --workspace || fail=1
 
