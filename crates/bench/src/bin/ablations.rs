@@ -9,16 +9,18 @@
 //! ```
 
 use amnt_bench::{print_table, ExperimentResult, Grid, HostTimer};
-use amnt_core::{
-    AmntConfig, ProtocolKind, SecureMemory, SecureMemoryConfig, WriteQueueConfig,
-};
+use amnt_core::{AmntConfig, ProtocolKind, SecureMemory, SecureMemoryConfig, WriteQueueConfig};
 use amnt_sim::{run_single, MachineConfig, RunLength, SimReport};
 use amnt_workloads::WorkloadModel;
 
 const MIB: u64 = 1024 * 1024;
 
 fn len() -> RunLength {
-    RunLength { accesses: 60_000, warmup: 6_000, seed: 3 }
+    RunLength {
+        accesses: 60_000,
+        warmup: 6_000,
+        seed: 3,
+    }
 }
 
 /// Metadata cache size: the trusted-ancestor optimisation lives or dies by
@@ -37,7 +39,11 @@ fn metadata_cache_ablation(result: &mut ExperimentResult) {
     for cell in grid.run().cells() {
         let (kb, r) = (&cell.col, &cell.value);
         result.push("metadata_cache", &format!("{kb}kB_cycles"), r.cycles as f64);
-        result.push("metadata_cache", &format!("{kb}kB_hit"), r.metadata_hit_rate);
+        result.push(
+            "metadata_cache",
+            &format!("{kb}kB_hit"),
+            r.metadata_hit_rate,
+        );
         rows.push((
             format!("md cache {kb} kB"),
             vec![r.cycles as f64 / r.accesses as f64, r.metadata_hit_rate],
@@ -57,7 +63,10 @@ fn interval_ablation(result: &mut ExperimentResult) {
     for interval in [8u32, 32, 64, 256, 1024] {
         grid.add("interval", format!("{interval}"), move || {
             let cfg = MachineConfig::parsec_single();
-            let amnt = AmntConfig { interval_writes: interval, ..AmntConfig::default() };
+            let amnt = AmntConfig {
+                interval_writes: interval,
+                ..AmntConfig::default()
+            };
             run_single(&model, cfg, ProtocolKind::Amnt(amnt), len()).expect("run")
         });
     }
@@ -65,7 +74,11 @@ fn interval_ablation(result: &mut ExperimentResult) {
     for cell in grid.run().cells() {
         let (interval, r) = (&cell.col, &cell.value);
         result.push("interval", &format!("{interval}_cycles"), r.cycles as f64);
-        result.push("interval", &format!("{interval}_transitions"), r.subtree_transitions as f64);
+        result.push(
+            "interval",
+            &format!("{interval}_transitions"),
+            r.subtree_transitions as f64,
+        );
         rows.push((
             format!("interval {interval}"),
             vec![
@@ -89,7 +102,10 @@ fn history_capacity_ablation(result: &mut ExperimentResult) {
     for entries in [4usize, 16, 64, 256] {
         grid.add("history", format!("{entries}"), move || {
             let cfg = MachineConfig::parsec_single();
-            let amnt = AmntConfig { history_entries: entries, ..AmntConfig::default() };
+            let amnt = AmntConfig {
+                history_entries: entries,
+                ..AmntConfig::default()
+            };
             run_single(&model, cfg, ProtocolKind::Amnt(amnt), len()).expect("run")
         });
     }
@@ -152,7 +168,11 @@ fn overflow_ablation(result: &mut ExperimentResult) {
     println!("\n=== Ablation: split-counter overflow ===");
     println!("2000 writes to one block -> {overflows} page re-encryptions");
     println!("(7-bit minors overflow every 128 writes: expected ~15)");
-    result.push("overflow", "reencryptions_per_2000_writes", overflows as f64);
+    result.push(
+        "overflow",
+        "reencryptions_per_2000_writes",
+        overflows as f64,
+    );
 }
 
 /// Trusted-ancestor caching: the standard optimisation DESIGN.md §4.2 marks
@@ -161,16 +181,24 @@ fn trusted_ancestor_ablation(result: &mut ExperimentResult) {
     let model = WorkloadModel::by_name("mcf").expect("catalogued");
     let mut grid: Grid<SimReport> = Grid::new();
     for caching in [true, false] {
-        grid.add("trusted_ancestor", if caching { "on" } else { "off" }, move || {
-            let mut cfg = MachineConfig::parsec_single();
-            cfg.secure.trusted_ancestor_caching = caching;
-            run_single(&model, cfg, ProtocolKind::Leaf, len()).expect("run")
-        });
+        grid.add(
+            "trusted_ancestor",
+            if caching { "on" } else { "off" },
+            move || {
+                let mut cfg = MachineConfig::parsec_single();
+                cfg.secure.trusted_ancestor_caching = caching;
+                run_single(&model, cfg, ProtocolKind::Leaf, len()).expect("run")
+            },
+        );
     }
     let mut rows = Vec::new();
     for cell in grid.run().cells() {
         let r = &cell.value;
-        result.push("trusted_ancestor", &format!("{}_cycles", cell.col), r.cycles as f64);
+        result.push(
+            "trusted_ancestor",
+            &format!("{}_cycles", cell.col),
+            r.cycles as f64,
+        );
         rows.push((
             format!("caching {}", cell.col),
             vec![

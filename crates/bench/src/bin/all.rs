@@ -30,7 +30,10 @@ fn main() {
     }
     let exe = std::env::current_exe().expect("current executable path");
     let dir = exe.parent().expect("executable directory");
-    println!("experiment executor: {} worker(s)", amnt_bench::exec::worker_count());
+    println!(
+        "experiment executor: {} worker(s)",
+        amnt_bench::exec::worker_count()
+    );
     let mut failures = Vec::new();
     for name in REGISTRY.iter().filter(|e| e.paper).map(|e| e.bin) {
         println!("\n################ {name} ################");

@@ -107,7 +107,11 @@ fn main() {
     let mut grid2: Grid<SimReport> = Grid::new();
     for (label, aged, plus) in scenarios {
         let mut cfg = MachineConfig::parsec_multi();
-        cfg.aging = if aged { Some(amnt_sim::AgingConfig::default()) } else { None };
+        cfg.aging = if aged {
+            Some(amnt_sim::AgingConfig::default())
+        } else {
+            None
+        };
         if plus {
             cfg = amnt_sim::with_amnt_plus(cfg, AmntConfig::default());
         }

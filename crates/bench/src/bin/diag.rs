@@ -8,7 +8,9 @@ use amnt_sim::{run_single, MachineConfig, SimReport};
 use amnt_workloads::WorkloadModel;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "fluidanimate".into());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "fluidanimate".into());
     let model = WorkloadModel::by_name(&name).expect("known benchmark");
     let len = run_length();
     let cfg = MachineConfig::parsec_single();
@@ -31,8 +33,16 @@ fn main() {
 
     println!(
         "{:<10}{:>12}{:>9}{:>9}{:>10}{:>10}{:>10}{:>10}{:>9}{:>9}",
-        "proto", "cycles", "cyc/acc", "llcmiss%", "mdhit%", "persistW", "postedW",
-        "stallcyc", "bankwait", "shadowW"
+        "proto",
+        "cycles",
+        "cyc/acc",
+        "llcmiss%",
+        "mdhit%",
+        "persistW",
+        "postedW",
+        "stallcyc",
+        "bankwait",
+        "shadowW"
     );
     for cell in results.cells() {
         print_row(&cell.row, &cell.value);

@@ -95,6 +95,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("results dir");
     let trace_path = dir.join("fault_sweep.trace.json");
     let mut f = std::fs::File::create(&trace_path).expect("create sweep trace sidecar");
-    f.write_all(doc.as_bytes()).expect("write sweep trace sidecar");
+    f.write_all(doc.as_bytes())
+        .expect("write sweep trace sidecar");
     println!("saved {}", trace_path.display());
 }

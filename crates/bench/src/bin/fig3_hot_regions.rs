@@ -38,7 +38,11 @@ fn summarize(tag: &str, report: &SimReport, result: &mut ExperimentResult) {
         }
     }
     println!("\n--- {tag} ---");
-    println!("touched pages: {}, touched 16MiB bins: {}", profile.len(), bins.len());
+    println!(
+        "touched pages: {}, touched 16MiB bins: {}",
+        profile.len(),
+        bins.len()
+    );
     println!("bins covering 90% of accesses: {bins_90}");
     println!("accesses per bin (physical order):");
     for (bin, n) in &bins {
@@ -61,12 +65,23 @@ fn main() {
 
     let mut grid: Grid<SimReport> = Grid::new();
     grid.add("single: lbm", "profile", move || {
-        profile_single(&lbm, MachineConfig::parsec_single(), ProtocolKind::Volatile, len)
-            .expect("fig3a run")
+        profile_single(
+            &lbm,
+            MachineConfig::parsec_single(),
+            ProtocolKind::Volatile,
+            len,
+        )
+        .expect("fig3a run")
     });
     grid.add("multi: perlbench+lbm", "profile", move || {
-        profile_pair(&perl, &lbm, MachineConfig::parsec_multi(), ProtocolKind::Volatile, len)
-            .expect("fig3b run")
+        profile_pair(
+            &perl,
+            &lbm,
+            MachineConfig::parsec_multi(),
+            ProtocolKind::Volatile,
+            len,
+        )
+        .expect("fig3b run")
     });
     let results = grid.run();
     for cell in results.cells() {

@@ -19,8 +19,13 @@ fn main() {
         amnt_plus: true,
         gmean: true,
     }
-    .run(parsec().into_iter().map(|m| (m.name.to_string(), m)), run_single);
+    .run(
+        parsec().into_iter().map(|m| (m.name.to_string(), m)),
+        run_single,
+    );
 
-    println!("\nPaper anchors (§6.1): leaf ≈ 1.08, strict ≈ 2.39, amnt ≈ 1.16, amnt++ ≈ 1.10 (means);");
+    println!(
+        "\nPaper anchors (§6.1): leaf ≈ 1.08, strict ≈ 2.39, amnt ≈ 1.16, amnt++ ≈ 1.10 (means);"
+    );
     println!("canneal under Anubis ≈ 2.4x, under AMNT < 1.001x.");
 }

@@ -21,7 +21,9 @@ fn main() {
         amnt_plus: true,
         gmean: false,
     }
-    .run(pairs, |(a, b), cfg, protocol, len| run_pair(a, b, cfg, protocol, len));
+    .run(pairs, |(a, b), cfg, protocol, len| {
+        run_pair(a, b, cfg, protocol, len)
+    });
 
     let vs_leaf = |col| {
         let pair = "bodytrack+fluidanimate";
@@ -29,6 +31,12 @@ fn main() {
     };
     println!("\nPaper anchors (§6.2):");
     compare("bodytrack+fluidanimate amnt vs leaf", 1.08, vs_leaf("amnt"));
-    compare("bodytrack+fluidanimate amnt++ vs leaf", 1.001, vs_leaf("amnt++"));
-    println!("  swaptions+streamcluster and x264+freqmine: not memory-intensive, negligible overheads.");
+    compare(
+        "bodytrack+fluidanimate amnt++ vs leaf",
+        1.001,
+        vs_leaf("amnt++"),
+    );
+    println!(
+        "  swaptions+streamcluster and x264+freqmine: not memory-intensive, negligible overheads."
+    );
 }

@@ -42,11 +42,13 @@ fn main() {
             let label = format!("{pair_label}{}", if plus { " ++" } else { "" });
             for level in LEVELS {
                 let amnt = AmntConfig::at_level(level);
-                let cfg_run =
-                    if plus { with_amnt_plus(cfg.clone(), amnt) } else { cfg.clone() };
+                let cfg_run = if plus {
+                    with_amnt_plus(cfg.clone(), amnt)
+                } else {
+                    cfg.clone()
+                };
                 grid.add(label.clone(), format!("L{level}"), move || {
-                    run_pair(&ma, &mb, cfg_run, ProtocolKind::Amnt(amnt), len)
-                        .expect("sweep run")
+                    run_pair(&ma, &mb, cfg_run, ProtocolKind::Amnt(amnt), len).expect("sweep run")
                 });
             }
             labels.push((pair_label.clone(), label));
@@ -77,10 +79,18 @@ fn main() {
         hit_rows.push((label, hits));
     }
 
-    print_table("Figure 6: normalized cycles vs subtree level", &LEVEL_COLS, &cycle_rows);
+    print_table(
+        "Figure 6: normalized cycles vs subtree level",
+        &LEVEL_COLS,
+        &cycle_rows,
+    );
     println!("\nPaper shape (§6.3): deeper subtree roots protect less memory and hit rates fall;");
     println!("AMNT++ recovers ≥5% subtree hit rate for bodytrack+fluidanimate between L3 and L7.");
-    print_table("Figure 7: subtree hit rate vs subtree level", &LEVEL_COLS, &hit_rows);
+    print_table(
+        "Figure 7: subtree hit rate vs subtree level",
+        &LEVEL_COLS,
+        &hit_rows,
+    );
     println!("\nPaper anchors (§6.2-6.3), bodytrack+fluidanimate at L3:");
     compare("amnt subtree hit rate", 0.91, hit_rows[0].1[1]);
     compare("amnt++ subtree hit rate", 0.97, hit_rows[1].1[1]);

@@ -21,13 +21,24 @@ fn main() {
         amnt_plus: false,
         gmean: true,
     }
-    .run(spec2017().into_iter().map(|m| (m.name.to_string(), m)), run_multithread);
+    .run(
+        spec2017().into_iter().map(|m| (m.name.to_string(), m)),
+        run_multithread,
+    );
 
     println!("\nPaper anchors (§6.5):");
     compare("xz under amnt", 1.32, table.cell("xz", "amnt"));
     compare("xz under anubis", 1.41, table.cell("xz", "anubis"));
     compare("xz under bmf", 7.0, table.cell("xz", "bmf"));
     let gmean = |col| table.cell("gmean", col);
-    compare("amnt avg improvement vs anubis", 0.87, gmean("amnt") / gmean("anubis"));
-    compare("amnt overhead vs leaf (<= 1.02)", 1.02, gmean("amnt") / gmean("leaf"));
+    compare(
+        "amnt avg improvement vs anubis",
+        0.87,
+        gmean("amnt") / gmean("anubis"),
+    );
+    compare(
+        "amnt overhead vs leaf (<= 1.02)",
+        1.02,
+        gmean("amnt") / gmean("leaf"),
+    );
 }

@@ -42,7 +42,9 @@ fn load<T>(dir: &Path, file: &str, parse: fn(&str) -> Result<T, String>) -> Resu
 
 /// An artifact's cells.
 fn load_cells(dir: &Path, id: &str) -> Result<Vec<Cell>, String> {
-    load(dir, &format!("{id}.json"), |src| ExperimentResult::from_json(src).map(|r| r.cells))
+    load(dir, &format!("{id}.json"), |src| {
+        ExperimentResult::from_json(src).map(|r| r.cells)
+    })
 }
 
 /// Geometric mean of an artifact's values in column `col`.
@@ -147,9 +149,9 @@ fn main() {
 
         // Series directives read the trace sidecar, not the flat artifact.
         if fields.first() == Some(&"series") {
-            let sidecar = sidecars.entry(artifact_id.clone()).or_insert_with(|| {
-                load(&dir, &format!("{artifact_id}.trace.json"), Json::parse)
-            });
+            let sidecar = sidecars
+                .entry(artifact_id.clone())
+                .or_insert_with(|| load(&dir, &format!("{artifact_id}.trace.json"), Json::parse));
             match sidecar {
                 Err(e) => fail(e.clone()),
                 Ok(doc) => match amnt_bench::series::eval_directive(doc, &fields[2..]) {

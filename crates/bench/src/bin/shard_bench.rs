@@ -87,7 +87,11 @@ fn run_sharded(trace: &[TenantOp], shards: usize, workers: usize) -> ShardRun {
     let mut per_shard: Vec<Vec<(u64, bool, [u8; BLOCK_SIZE])>> = vec![Vec::new(); shards];
     for (i, op) in trace.iter().enumerate() {
         let shard = (op.addr / span) as usize;
-        per_shard[shard].push((op.addr - shard as u64 * span, op.is_write, payload(i, op.tenant)));
+        per_shard[shard].push((
+            op.addr - shard as u64 * span,
+            op.is_write,
+            payload(i, op.tenant),
+        ));
     }
 
     let engines = mem.detach_shards();
@@ -119,7 +123,13 @@ fn run_sharded(trace: &[TenantOp], shards: usize, workers: usize) -> ShardRun {
         writes += s.controller.data_writes;
         wait_cycles += s.controller.wait_cycles;
     }
-    ShardRun { mem, epoch: sealed.epoch, reads, writes, wait_cycles }
+    ShardRun {
+        mem,
+        epoch: sealed.epoch,
+        reads,
+        writes,
+        wait_cycles,
+    }
 }
 
 /// The unsharded reference: a bare engine over the flat global trace.
@@ -154,8 +164,17 @@ fn main() {
 
     println!(
         "{:<5}{:>7}{:>9}{:>9}{:>13}{:>7}{:>9}{:>9}{:>9}{:>8}{:>8}",
-        "N", "epoch", "reads", "writes", "wait_cycles", "silent", "x_dist", "x_heal", "bounds",
-        "merge", "tam_sil"
+        "N",
+        "epoch",
+        "reads",
+        "writes",
+        "wait_cycles",
+        "silent",
+        "x_dist",
+        "x_heal",
+        "bounds",
+        "merge",
+        "tam_sil"
     );
     for &shards in &[1usize, 2, 4] {
         let row = format!("n{shards}");
@@ -200,7 +219,11 @@ fn main() {
         result.push(&row, "recovered", s.recovered as f64);
         result.push(&row, "detected", s.detected as f64);
         result.push(&row, "silent", s.silent as f64);
-        result.push(&row, "cross_shard_disturbances", s.cross_shard_disturbances as f64);
+        result.push(
+            &row,
+            "cross_shard_disturbances",
+            s.cross_shard_disturbances as f64,
+        );
         result.push(&row, "cross_shard_heals", s.cross_shard_heals as f64);
         result.push(&row, "bounds_violations", s.bounds_violations as f64);
         result.push(&row, "merge_failures", s.merge_failures as f64);
@@ -247,6 +270,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("results dir");
     let trace_path = dir.join("shard_bench.trace.json");
     let mut f = std::fs::File::create(&trace_path).expect("create shard trace sidecar");
-    f.write_all(doc.as_bytes()).expect("write shard trace sidecar");
+    f.write_all(doc.as_bytes())
+        .expect("write shard trace sidecar");
     println!("saved {}", trace_path.display());
 }

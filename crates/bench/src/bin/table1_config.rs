@@ -14,8 +14,14 @@ fn main() {
 
     println!("=== Table 1: system configuration (paper | this repo) ===\n");
     println!("Security configuration");
-    println!("  BMT                      8-ary integrity nodes | {}-ary", amnt_bmt::TREE_ARITY);
-    println!("                           64-ary counters       | {}-ary", amnt_bmt::MINORS_PER_BLOCK);
+    println!(
+        "  BMT                      8-ary integrity nodes | {}-ary",
+        amnt_bmt::TREE_ARITY
+    );
+    println!(
+        "                           64-ary counters       | {}-ary",
+        amnt_bmt::MINORS_PER_BLOCK
+    );
     println!(
         "  BMT node levels          8-level (SGX-like)    | {} node levels + counter level",
         geometry.bottom_level()

@@ -5,9 +5,7 @@
 //! cache.
 
 use amnt_bench::{ExperimentResult, HostTimer};
-use amnt_core::{
-    hardware_overhead, AmntConfig, AnubisConfig, BmfConfig, ProtocolKind,
-};
+use amnt_core::{hardware_overhead, AmntConfig, AnubisConfig, BmfConfig, ProtocolKind};
 
 fn fmt_bytes(b: u64) -> String {
     if b == 0 {
@@ -26,7 +24,10 @@ fn main() {
     let cache = 64 * 1024;
     let mut result = ExperimentResult::new("table3", "additional hardware bytes");
     println!("=== Table 3: hardware overheads (64 kB metadata cache) ===\n");
-    println!("{:<8}{:>14}{:>16}{:>14}", "", "NV on-chip", "Vol. on-chip", "In-memory");
+    println!(
+        "{:<8}{:>14}{:>16}{:>14}",
+        "", "NV on-chip", "Vol. on-chip", "In-memory"
+    );
     let entries = [
         ("BMF", ProtocolKind::Bmf(BmfConfig::default())),
         ("Anubis", ProtocolKind::Anubis(AnubisConfig::default())),

@@ -19,8 +19,8 @@
 
 use amnt_bench::{ExperimentResult, Grid, HostTimer};
 use amnt_core::{
-    AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, RecoveryModel,
-    RecoveryReport, SecureMemory, SecureMemoryConfig,
+    AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, RecoveryModel, RecoveryReport,
+    SecureMemory, SecureMemoryConfig,
 };
 use amnt_workloads::SparseHotSet;
 
@@ -145,9 +145,7 @@ fn functional(result: &mut ExperimentResult) -> usize {
         result.push(&cell.row, "functional_bytes_read", report.bytes_read as f64);
         result.push(&cell.row, "functional_est_ms", est_ms);
     }
-    println!(
-        "\nleaf read {leaf_bytes} bytes; AMNT levels should read ~1/8, 1/64, 1/512 of that"
-    );
+    println!("\nleaf read {leaf_bytes} bytes; AMNT levels should read ~1/8, 1/64, 1/512 of that");
     println!("(plus fixed per-recovery overheads that dominate at this small scale).");
     reports.workers
 }
@@ -161,7 +159,9 @@ fn simulated_run(kind: ProtocolKind, capacity: u64, span: u64) -> (RecoveryRepor
     let mut mem = SecureMemory::new(cfg, kind).expect("paper-scale controller");
     let mut t = 0;
     for (i, addr) in gen.hot_pages_shuffled().into_iter().enumerate() {
-        t = mem.write_block(t, addr, &[i as u8; 64]).expect("hot-span write");
+        t = mem
+            .write_block(t, addr, &[i as u8; 64])
+            .expect("hot-span write");
     }
     let _ = t;
     mem.crash();
@@ -182,7 +182,10 @@ fn simulated(result: &mut ExperimentResult) {
         "{:<12}{:>14}{:>14}{:>14}{:>14}{:>12}",
         "protocol", "bytes read", "hot-span ms", "sim 2TB ms", "analytical", "frames"
     );
-    for (name, kind) in [("strict", ProtocolKind::Strict), ("leaf", ProtocolKind::Leaf)] {
+    for (name, kind) in [
+        ("strict", ProtocolKind::Strict),
+        ("leaf", ProtocolKind::Leaf),
+    ] {
         let (report, peak_frames) = simulated_run(kind, capacity, span);
         let hot_ms = model.measured_ms(&report);
         // The hot span's counters are a contiguous aligned slice of the

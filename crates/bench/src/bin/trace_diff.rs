@@ -62,7 +62,9 @@ fn main() {
             _ => usage(),
         }
     }
-    let [a_path, b_path] = paths.as_slice() else { usage() };
+    let [a_path, b_path] = paths.as_slice() else {
+        usage()
+    };
 
     let (a, b) = (load(a_path), load(b_path));
     let entries = diff_documents(&a, &b, tol);

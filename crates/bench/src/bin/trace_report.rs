@@ -51,11 +51,17 @@ fn main() {
     let mut result = ExperimentResult::new("trace_report", "cycles normalized to volatile");
     let cols: Vec<&str> = protocols.iter().map(|(n, _)| *n).skip(1).collect();
     let rows = results.render_normalized("volatile", &cols, &mut result, false);
-    print_table("trace_report: traced mini-grid (normalized cycles)", &cols, &rows);
+    print_table(
+        "trace_report: traced mini-grid (normalized cycles)",
+        &cols,
+        &rows,
+    );
 
     // Per-cell wait-latency digest straight from the harvests.
     for cell in results.cells() {
-        let Some(trace) = &cell.value.trace else { continue };
+        let Some(trace) = &cell.value.trace else {
+            continue;
+        };
         eprint!("trace_report: {:<14} {:<9}", cell.row, cell.col);
         for op in ["read.wait", "write.wait"] {
             if let Some(h) = trace.hist(op) {

@@ -70,9 +70,12 @@ fn main() {
     let mut rows = Vec::new();
     for cell in results.cells() {
         let w = &cell.value;
-        for (region, s) in
-            [("data", &w.data), ("hmac", &w.hmacs), ("counter", &w.counters), ("nodes", &w.nodes)]
-        {
+        for (region, s) in [
+            ("data", &w.data),
+            ("hmac", &w.hmacs),
+            ("counter", &w.counters),
+            ("nodes", &w.nodes),
+        ] {
             result.push(&cell.row, &format!("{region}_total"), s.total_writes as f64);
             result.push(&cell.row, &format!("{region}_max"), s.max_writes as f64);
         }

@@ -31,7 +31,11 @@ pub struct DiffEntry {
 }
 
 fn entry(out: &mut Vec<DiffEntry>, path: String, a: impl ToString, b: impl ToString) {
-    out.push(DiffEntry { path, a: a.to_string(), b: b.to_string() });
+    out.push(DiffEntry {
+        path,
+        a: a.to_string(),
+        b: b.to_string(),
+    });
 }
 
 fn numbers_agree(a: f64, b: f64, tol: f64) -> bool {
@@ -51,7 +55,10 @@ fn fmt_num(v: f64) -> String {
 
 /// Compares `"key": <number>` members of two objects at `path`.
 fn diff_scalar(out: &mut Vec<DiffEntry>, path: &str, key: &str, a: &Json, b: &Json, tol: f64) {
-    let (va, vb) = (a.get(key).and_then(Json::as_f64), b.get(key).and_then(Json::as_f64));
+    let (va, vb) = (
+        a.get(key).and_then(Json::as_f64),
+        b.get(key).and_then(Json::as_f64),
+    );
     match (va, vb) {
         (Some(x), Some(y)) if numbers_agree(x, y, tol) => {}
         (None, None) => {}
@@ -76,11 +83,18 @@ fn diff_named_list(
     tol: f64,
 ) {
     let items = |doc: &Json| -> Vec<Json> {
-        doc.get(section).and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
+        doc.get(section)
+            .and_then(Json::as_arr)
+            .map(<[Json]>::to_vec)
+            .unwrap_or_default()
     };
     let (la, lb) = (items(a), items(b));
-    let name_of =
-        |j: &Json| j.get("name").and_then(Json::as_str).unwrap_or_default().to_string();
+    let name_of = |j: &Json| {
+        j.get("name")
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
     for ia in &la {
         let name = name_of(ia);
         match lb.iter().find(|ib| name_of(ib) == name) {
@@ -104,16 +118,28 @@ fn diff_epochs(out: &mut Vec<DiffEntry>, path: &str, a: &Json, b: &Json, tol: f6
     let fields = |doc: &Json| -> Vec<String> {
         doc.get("epoch_fields")
             .and_then(Json::as_arr)
-            .map(|fs| fs.iter().map(|f| f.as_str().unwrap_or_default().to_string()).collect())
+            .map(|fs| {
+                fs.iter()
+                    .map(|f| f.as_str().unwrap_or_default().to_string())
+                    .collect()
+            })
             .unwrap_or_default()
     };
     let (fa, fb) = (fields(a), fields(b));
     if fa != fb {
-        entry(out, format!("{path} epoch_fields"), fa.join(","), fb.join(","));
+        entry(
+            out,
+            format!("{path} epoch_fields"),
+            fa.join(","),
+            fb.join(","),
+        );
         return; // rows are not comparable under different schemas
     }
     let rows = |doc: &Json| -> Vec<Json> {
-        doc.get("epochs").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
+        doc.get("epochs")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::to_vec)
+            .unwrap_or_default()
     };
     let (ra, rb) = (rows(a), rows(b));
     if ra.len() != rb.len() {
@@ -152,12 +178,20 @@ const HIST_FIELDS: [&str; 7] = ["count", "sum", "mean", "p50", "p90", "p99", "ma
 /// `tol`".
 pub fn diff_documents(a: &Json, b: &Json, tol: f64) -> Vec<DiffEntry> {
     let mut out = Vec::new();
-    let id = |doc: &Json| doc.get("id").and_then(Json::as_str).unwrap_or_default().to_string();
+    let id = |doc: &Json| {
+        doc.get("id")
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
     if id(a) != id(b) {
         entry(&mut out, "id".to_string(), id(a), id(b));
     }
     let cells = |doc: &Json| -> Vec<Json> {
-        doc.get("cells").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
+        doc.get("cells")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::to_vec)
+            .unwrap_or_default()
     };
     let label = |c: &Json| -> String {
         format!(
@@ -176,7 +210,15 @@ pub fn diff_documents(a: &Json, b: &Json, tol: f64) -> Vec<DiffEntry> {
         for key in ["events_kept", "events_dropped", "frames_dropped"] {
             diff_scalar(&mut out, &name, key, cell_a, cell_b, tol);
         }
-        diff_named_list(&mut out, &name, "histograms", &HIST_FIELDS, cell_a, cell_b, tol);
+        diff_named_list(
+            &mut out,
+            &name,
+            "histograms",
+            &HIST_FIELDS,
+            cell_a,
+            cell_b,
+            tol,
+        );
         diff_named_list(&mut out, &name, "counters", &["value"], cell_a, cell_b, tol);
         diff_epochs(&mut out, &name, cell_a, cell_b, tol);
     }
@@ -253,11 +295,23 @@ mod tests {
         let diffs = diff_documents(&a, &b, 0.0);
         assert!(!diffs.is_empty());
         let paths: Vec<&str> = diffs.iter().map(|e| e.path.as_str()).collect();
-        assert!(paths.iter().any(|p| p.contains("counters ops value")), "{paths:?}");
-        assert!(paths.iter().any(|p| p.contains("epochs[0] reads")), "{paths:?}");
-        assert!(paths.iter().any(|p| p.contains("histograms read.wait")), "{paths:?}");
+        assert!(
+            paths.iter().any(|p| p.contains("counters ops value")),
+            "{paths:?}"
+        );
+        assert!(
+            paths.iter().any(|p| p.contains("epochs[0] reads")),
+            "{paths:?}"
+        );
+        assert!(
+            paths.iter().any(|p| p.contains("histograms read.wait")),
+            "{paths:?}"
+        );
         // Untouched values don't appear.
-        assert!(!paths.iter().any(|p| p.ends_with("epochs[0] writes")), "{paths:?}");
+        assert!(
+            !paths.iter().any(|p| p.ends_with("epochs[0] writes")),
+            "{paths:?}"
+        );
     }
 
     #[test]

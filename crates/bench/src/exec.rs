@@ -22,7 +22,9 @@ use std::sync::Mutex;
 /// [`count_knob`](crate::count_knob): a malformed value exits with status 2.
 pub fn worker_count() -> usize {
     match crate::count_knob("AMNT_JOBS", 0, 0) {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
         n => n,
     }
 }
@@ -109,7 +111,11 @@ mod tests {
                 })
                 .collect();
             let out = run_jobs_with(workers, jobs);
-            assert_eq!(out, (0..32u64).map(|i| i * 10).collect::<Vec<_>>(), "workers={workers}");
+            assert_eq!(
+                out,
+                (0..32u64).map(|i| i * 10).collect::<Vec<_>>(),
+                "workers={workers}"
+            );
         }
     }
 

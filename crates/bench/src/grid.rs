@@ -95,7 +95,10 @@ impl<R> GridResults<R> {
 
     /// The first cell matching (`row`, `col`).
     pub fn get(&self, row: &str, col: &str) -> Option<&R> {
-        self.cells.iter().find(|c| c.row == row && c.col == col).map(|c| &c.value)
+        self.cells
+            .iter()
+            .find(|c| c.row == row && c.col == col)
+            .map(|c| &c.value)
     }
 
     /// Like [`Self::get`], panicking with the labels when absent (the
@@ -145,7 +148,10 @@ impl GridResults<SimReport> {
             rows.push((row, vals));
         }
         if with_gmean {
-            rows.push(("gmean".to_string(), per_col.iter().map(|v| gmean(v)).collect()));
+            rows.push((
+                "gmean".to_string(),
+                per_col.iter().map(|v| gmean(v)).collect(),
+            ));
         }
         rows
     }
@@ -213,14 +219,21 @@ impl ProtocolFigure {
         let timer = HostTimer::start();
         let len = run_length();
         // `AMNT_TRACE=1` traces every cell.
-        let machine = MachineConfig { trace: env_trace(false), ..self.machine };
+        let machine = MachineConfig {
+            trace: env_trace(false),
+            ..self.machine
+        };
         let mut cells = vec![("volatile", ProtocolKind::Volatile, machine.clone())];
         for (name, protocol) in figure_protocols() {
             cells.push((name, protocol, machine.clone()));
         }
         if self.amnt_plus {
             let amnt = AmntConfig::default();
-            cells.push(("amnt++", ProtocolKind::Amnt(amnt), with_amnt_plus(machine, amnt)));
+            cells.push((
+                "amnt++",
+                ProtocolKind::Amnt(amnt),
+                with_amnt_plus(machine, amnt),
+            ));
         }
         let mut grid: Grid<SimReport> = Grid::new();
         for (row, workload) in rows {
@@ -276,8 +289,11 @@ mod tests {
             }
         }
         let res = grid.run_with(3);
-        let order: Vec<String> =
-            res.cells().iter().map(|c| format!("{}{}", c.row, c.col)).collect();
+        let order: Vec<String> = res
+            .cells()
+            .iter()
+            .map(|c| format!("{}{}", c.row, c.col))
+            .collect();
         assert_eq!(order, vec!["ax", "ay", "az", "bx", "by", "bz"]);
         assert_eq!(res.value("b", "y"), "by");
         assert_eq!(res.rows(), vec!["a", "b"]);

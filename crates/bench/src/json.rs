@@ -161,12 +161,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -262,7 +259,13 @@ mod tests {
             Some(&Json::Null)
         );
         assert_eq!(
-            v.get("c").unwrap().get("d").unwrap().as_arr().unwrap().len(),
+            v.get("c")
+                .unwrap()
+                .get("d")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .len(),
             2
         );
     }
@@ -270,7 +273,12 @@ mod tests {
     #[test]
     fn preserves_key_order() {
         let v = Json::parse(r#"{"z": 1, "a": 2, "m": 3}"#).unwrap();
-        let keys: Vec<&str> = v.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["z", "a", "m"]);
     }
 

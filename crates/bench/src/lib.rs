@@ -180,7 +180,11 @@ impl ExperimentResult {
 
     /// Adds one cell.
     pub fn push(&mut self, row: &str, col: &str, value: f64) {
-        self.cells.push(Cell { row: row.to_string(), col: col.to_string(), value });
+        self.cells.push(Cell {
+            row: row.to_string(),
+            col: col.to_string(),
+            value,
+        });
     }
 
     /// Serialises the result to pretty-printed JSON.
@@ -411,7 +415,10 @@ mod tests {
         }
         // Run-length knobs are u64: the whole range parses, one past it
         // does not, and a typo no longer runs a silent default.
-        assert_eq!(parse_count("AMNT_SEED", Some("18446744073709551615"), 1, 0), Ok(u64::MAX));
+        assert_eq!(
+            parse_count("AMNT_SEED", Some("18446744073709551615"), 1, 0),
+            Ok(u64::MAX)
+        );
         assert!(parse_count("AMNT_SEED", Some("18446744073709551616"), 1u64, 0).is_err());
         assert_eq!(
             parse_count("AMNT_ACCESSES", Some("15O000"), 150_000u64, 0),
@@ -422,7 +429,10 @@ mod tests {
             parse_count("AMNT_TRACE_EPOCH", Some("0"), 250_000u64, 1),
             Err("AMNT_TRACE_EPOCH=\"0\" is below the minimum 1".to_string())
         );
-        assert_eq!(parse_count("AMNT_TRACE_EVENTS", Some("1"), 65_536usize, 1), Ok(1));
+        assert_eq!(
+            parse_count("AMNT_TRACE_EVENTS", Some("1"), 65_536usize, 1),
+            Ok(1)
+        );
     }
 
     #[test]
@@ -472,7 +482,10 @@ mod tests {
         assert!(json.contains(r#""id": "quo\"te""#));
         assert!(json.contains(r#""metric": "tab\tline\nback\\slash""#));
         assert_eq!(json.matches("\"value\": null").count(), 2);
-        assert!(json.contains("\"value\": 3.0"), "integral floats keep a dot");
+        assert!(
+            json.contains("\"value\": 3.0"),
+            "integral floats keep a dot"
+        );
     }
 
     #[test]
@@ -507,8 +520,13 @@ mod tests {
         r.set_host(&HostTimer::start(), 3);
         let doc = Json::parse(&r.to_host_json()).unwrap();
         assert_eq!(doc.get("jobs").and_then(Json::as_f64), Some(3.0));
-        assert!(doc.get("cpus").and_then(Json::as_f64).is_some_and(|n| n >= 1.0));
-        let rss = doc.get("peak_rss_mb").expect("peak_rss_mb is always present");
+        assert!(doc
+            .get("cpus")
+            .and_then(Json::as_f64)
+            .is_some_and(|n| n >= 1.0));
+        let rss = doc
+            .get("peak_rss_mb")
+            .expect("peak_rss_mb is always present");
         let reported = std::path::Path::new("/proc/self/status").exists();
         assert_eq!(rss.as_f64().is_some_and(|mb| mb > 0.0), reported, "{rss:?}");
     }

@@ -42,11 +42,23 @@ pub struct Entry {
 }
 
 const fn paper(bin: &'static str, check: Check) -> Entry {
-    Entry { bin, paper: true, check, host_clock: false, knobs: &[] }
+    Entry {
+        bin,
+        paper: true,
+        check,
+        host_clock: false,
+        knobs: &[],
+    }
 }
 
 const fn gate(bin: &'static str, knobs: &'static [(&'static str, &'static str)]) -> Entry {
-    Entry { bin, paper: false, check: Check::CompareJobs, host_clock: false, knobs }
+    Entry {
+        bin,
+        paper: false,
+        check: Check::CompareJobs,
+        host_clock: false,
+        knobs,
+    }
 }
 
 /// Every experiment bin, paper experiments first in paper order.
@@ -64,9 +76,16 @@ pub const REGISTRY: &[Entry] = &[
     paper("wear_analysis", Check::CompareJobs),
     paper("crossover", Check::No),
     gate("fault_sweep", &[("AMNT_FAULT_OPS", "24")]),
-    gate("trace_report", &[("AMNT_ACCESSES", "30000"), ("AMNT_WARMUP", "2000")]),
+    gate(
+        "trace_report",
+        &[("AMNT_ACCESSES", "30000"), ("AMNT_WARMUP", "2000")],
+    ),
     gate("shard_bench", &[]),
-    Entry { check: Check::Run, host_clock: true, ..gate("crypto_bench", &[]) },
+    Entry {
+        check: Check::Run,
+        host_clock: true,
+        ..gate("crypto_bench", &[])
+    },
 ];
 
 /// The registry as `all --list` prints it: a `#` header, then one line
@@ -89,7 +108,10 @@ pub fn listing(env: impl Fn(&str) -> Option<String>) -> String {
             if e.host_clock { "host" } else { "sim" }
         );
         for (var, default) in e.knobs {
-            line.push_str(&format!(" {var}={}", env(var).unwrap_or_else(|| default.to_string())));
+            line.push_str(&format!(
+                " {var}={}",
+                env(var).unwrap_or_else(|| default.to_string())
+            ));
         }
         out.push_str(line.trim_end());
         out.push('\n');
@@ -106,8 +128,17 @@ mod tests {
     fn every_registry_bin_has_a_source_and_every_experiment_bin_is_registered() {
         let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
         for e in REGISTRY {
-            assert!(bins.join(format!("{}.rs", e.bin)).is_file(), "no src/bin/{}.rs", e.bin);
-            assert_eq!(REGISTRY.iter().filter(|o| o.bin == e.bin).count(), 1, "{}", e.bin);
+            assert!(
+                bins.join(format!("{}.rs", e.bin)).is_file(),
+                "no src/bin/{}.rs",
+                e.bin
+            );
+            assert_eq!(
+                REGISTRY.iter().filter(|o| o.bin == e.bin).count(),
+                1,
+                "{}",
+                e.bin
+            );
         }
         // The bins that write no artifact of their own: `all` itself, the
         // gates and the tuning dump.
@@ -128,14 +159,20 @@ mod tests {
         assert_eq!(unset.lines().count(), REGISTRY.len() + 1);
         assert!(unset.starts_with("# bin"));
         let line = |text: &str, bin: &str| {
-            text.lines().find(|l| l.split_whitespace().next() == Some(bin)).unwrap().to_string()
+            text.lines()
+                .find(|l| l.split_whitespace().next() == Some(bin))
+                .unwrap()
+                .to_string()
         };
         let words = |l: String| l.split_whitespace().map(str::to_string).collect::<Vec<_>>();
         assert_eq!(
             words(line(&unset, "fig4_parsec_single")),
             ["fig4_parsec_single", "paper", "run", "sim"]
         );
-        assert_eq!(words(line(&unset, "crypto_bench")), ["crypto_bench", "-", "run", "host"]);
+        assert_eq!(
+            words(line(&unset, "crypto_bench")),
+            ["crypto_bench", "-", "run", "host"]
+        );
         assert_eq!(
             words(line(&unset, "fault_sweep")),
             ["fault_sweep", "-", "jobs", "sim", "AMNT_FAULT_OPS=24"]

@@ -191,7 +191,11 @@ pub fn eval_directive(doc: &Json, args: &[&str]) -> Result<String, String> {
             ))
         }
         "monotone" | "bounded_drop" => {
-            let drop = if *form == "monotone" { 0.0 } else { param("a drop bound")? };
+            let drop = if *form == "monotone" {
+                0.0
+            } else {
+                param("a drop bound")?
+            };
             let samples: Vec<f64> = series.samples(field)?.into_iter().flatten().collect();
             if samples.is_empty() {
                 return Err(format!("'{field}' has no sampled epochs"));
@@ -207,12 +211,19 @@ pub fn eval_directive(doc: &Json, args: &[&str]) -> Result<String, String> {
                     ));
                 }
             }
-            Ok(format!("{field} held across {} sampled epochs (drop <= {drop})", samples.len()))
+            Ok(format!(
+                "{field} held across {} sampled epochs (drop <= {drop})",
+                samples.len()
+            ))
         }
         "final_at_least" | "final_at_most" => {
             let bound = param("a bound")?;
             let v = series.final_value(field)?;
-            let ok = if *form == "final_at_least" { v >= bound } else { v <= bound };
+            let ok = if *form == "final_at_least" {
+                v >= bound
+            } else {
+                v <= bound
+            };
             if ok {
                 Ok(format!("{field} final = {v:.4} (bound {bound})"))
             } else {
@@ -266,12 +277,24 @@ mod tests {
         // two rows after the pulse at row 1.
         let ok = eval_directive(
             &doc,
-            &["canneal", "amnt", "subtree_hit_rate", "recovers_within", "2"],
+            &[
+                "canneal",
+                "amnt",
+                "subtree_hit_rate",
+                "recovers_within",
+                "2",
+            ],
         );
         assert!(ok.is_ok(), "{ok:?}");
         let too_tight = eval_directive(
             &doc,
-            &["canneal", "amnt", "subtree_hit_rate", "recovers_within", "1"],
+            &[
+                "canneal",
+                "amnt",
+                "subtree_hit_rate",
+                "recovers_within",
+                "1",
+            ],
         );
         assert!(too_tight.is_err(), "{too_tight:?}");
     }
@@ -303,19 +326,32 @@ mod tests {
         // Cumulative ratio ≈ 0.845.
         assert!(eval_directive(
             &doc,
-            &["canneal", "amnt", "subtree_hit_rate", "final_at_least", "0.8"]
+            &[
+                "canneal",
+                "amnt",
+                "subtree_hit_rate",
+                "final_at_least",
+                "0.8"
+            ]
         )
         .is_ok());
         assert!(eval_directive(
             &doc,
-            &["canneal", "amnt", "subtree_hit_rate", "final_at_most", "0.8"]
+            &[
+                "canneal",
+                "amnt",
+                "subtree_hit_rate",
+                "final_at_most",
+                "0.8"
+            ]
         )
         .is_err());
         // Raw field: last sampled row (stale gauge = 5).
-        assert!(
-            eval_directive(&doc, &["canneal", "amnt", "stale_lines", "final_at_most", "5"])
-                .is_ok()
-        );
+        assert!(eval_directive(
+            &doc,
+            &["canneal", "amnt", "stale_lines", "final_at_most", "5"]
+        )
+        .is_ok());
     }
 
     #[test]

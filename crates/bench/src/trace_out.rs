@@ -52,7 +52,12 @@ pub fn save_trace_artifacts(
     let traced: Vec<(&str, &str, &TraceReport)> = results
         .cells()
         .iter()
-        .filter_map(|c| c.value.trace.as_ref().map(|t| (c.row.as_str(), c.col.as_str(), t)))
+        .filter_map(|c| {
+            c.value
+                .trace
+                .as_ref()
+                .map(|t| (c.row.as_str(), c.col.as_str(), t))
+        })
         .collect();
     if traced.is_empty() {
         return Ok(Vec::new());
@@ -62,8 +67,10 @@ pub fn save_trace_artifacts(
         .iter()
         .map(|(row, col, t)| (row.to_string(), col.to_string(), *t))
         .collect();
-    let chrome_cells: Vec<(String, &TraceReport)> =
-        traced.iter().map(|(row, col, t)| (format!("{row}/{col}"), *t)).collect();
+    let chrome_cells: Vec<(String, &TraceReport)> = traced
+        .iter()
+        .map(|(row, col, t)| (format!("{row}/{col}"), *t))
+        .collect();
 
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
@@ -117,6 +124,8 @@ mod tests {
         assert!(results.cells()[0].value.trace.is_none());
         let written = save_trace_artifacts("never_written_probe", &results).unwrap();
         assert!(written.is_empty());
-        assert!(!results_dir().join("never_written_probe.trace.json").exists());
+        assert!(!results_dir()
+            .join("never_written_probe.trace.json")
+            .exists());
     }
 }

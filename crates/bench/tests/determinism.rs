@@ -161,7 +161,13 @@ fn render_trace_sidecars(workers: usize) -> (String, String) {
     let metric_cells: Vec<(String, String, &TraceReport)> = results
         .cells()
         .iter()
-        .map(|c| (c.row.clone(), c.col.clone(), c.value.trace.as_ref().expect("traced")))
+        .map(|c| {
+            (
+                c.row.clone(),
+                c.col.clone(),
+                c.value.trace.as_ref().expect("traced"),
+            )
+        })
         .collect();
     let chrome_cells: Vec<(String, &TraceReport)> = metric_cells
         .iter()
@@ -178,7 +184,10 @@ fn trace_sidecars_are_byte_identical_across_worker_counts() {
     // The span-stack harvest (nested read/meta-fetch/verify frames) rides
     // in both sidecars; neither may vary with scheduling.
     let (metrics, chrome) = render_trace_sidecars(1);
-    assert!(chrome.contains("\"parent_id\""), "Perfetto doc lost span nesting");
+    assert!(
+        chrome.contains("\"parent_id\""),
+        "Perfetto doc lost span nesting"
+    );
     for workers in [2, 4] {
         let (m, c) = render_trace_sidecars(workers);
         assert_eq!(metrics, m, "metrics sidecar varied at workers={workers}");
@@ -261,9 +270,21 @@ fn render_shard_run(shards: usize, workers: usize) -> (String, String) {
     let row = format!("n{shards}");
     result.push(&row, "epoch", sealed.epoch as f64);
     for (i, s) in mem.shard_snapshots().iter().enumerate() {
-        result.push(&row, &format!("shard{i}_reads"), s.controller.data_reads as f64);
-        result.push(&row, &format!("shard{i}_writes"), s.controller.data_writes as f64);
-        result.push(&row, &format!("shard{i}_wait"), s.controller.wait_cycles as f64);
+        result.push(
+            &row,
+            &format!("shard{i}_reads"),
+            s.controller.data_reads as f64,
+        );
+        result.push(
+            &row,
+            &format!("shard{i}_writes"),
+            s.controller.data_writes as f64,
+        );
+        result.push(
+            &row,
+            &format!("shard{i}_wait"),
+            s.controller.wait_cycles as f64,
+        );
     }
     let reports: Vec<(String, String, TraceReport)> = mem
         .shard_trace_reports()
@@ -271,9 +292,14 @@ fn render_shard_run(shards: usize, workers: usize) -> (String, String) {
         .enumerate()
         .filter_map(|(i, r)| r.map(|r| (row.clone(), format!("shard{i}"), r)))
         .collect();
-    let cells: Vec<(String, String, &TraceReport)> =
-        reports.iter().map(|(r, c, t)| (r.clone(), c.clone(), t)).collect();
-    (result.to_json(), metrics_document("shard_determinism", &cells))
+    let cells: Vec<(String, String, &TraceReport)> = reports
+        .iter()
+        .map(|(r, c, t)| (r.clone(), c.clone(), t))
+        .collect();
+    (
+        result.to_json(),
+        metrics_document("shard_determinism", &cells),
+    )
 }
 
 #[test]
@@ -285,10 +311,16 @@ fn shard_grid_artifacts_are_byte_identical_across_worker_counts() {
     for shards in [1usize, 2, 4] {
         let (reference, ref_sidecar) = render_shard_run(shards, 1);
         assert!(reference.contains(&format!("\"n{shards}\"")));
-        assert!(ref_sidecar.contains("shard0"), "sidecar lost per-shard cells");
+        assert!(
+            ref_sidecar.contains("shard0"),
+            "sidecar lost per-shard cells"
+        );
         for workers in [2usize, 5] {
             let (json, sidecar) = render_shard_run(shards, workers);
-            assert_eq!(reference, json, "N={shards}: artifact varied at workers={workers}");
+            assert_eq!(
+                reference, json,
+                "N={shards}: artifact varied at workers={workers}"
+            );
             assert_eq!(
                 ref_sidecar, sidecar,
                 "N={shards}: trace sidecar varied at workers={workers}"
@@ -329,8 +361,14 @@ fn total_shard_work_is_invariant_in_the_shard_count() {
 #[test]
 fn sweep_trace_sidecar_is_byte_identical_across_worker_counts() {
     let serial = render_sweep_trace(1);
-    assert!(serial.contains("recovery.scan"), "sweep sidecar lost phase durations");
-    assert!(serial.contains("sweep.strike.clean"), "sweep sidecar lost strike ordinals");
+    assert!(
+        serial.contains("recovery.scan"),
+        "sweep sidecar lost phase durations"
+    );
+    assert!(
+        serial.contains("sweep.strike.clean"),
+        "sweep sidecar lost strike ordinals"
+    );
     for workers in [2, 4] {
         assert_eq!(
             serial,

@@ -20,5 +20,8 @@ fn malformed_jobs_knob_exits_2() {
     let _ = std::fs::remove_dir_all(&dir);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("AMNT_JOBS"), "stderr does not name AMNT_JOBS: {stderr}");
+    assert!(
+        stderr.contains("AMNT_JOBS"),
+        "stderr does not name AMNT_JOBS: {stderr}"
+    );
 }

@@ -22,7 +22,10 @@ fn zipf_workload(ops: usize) -> Vec<SweepOp> {
         seed: 0x21BF_FA17,
     })
     .into_iter()
-    .map(|op| SweepOp { addr: op.addr, write: op.is_write })
+    .map(|op| SweepOp {
+        addr: op.addr,
+        write: op.is_write,
+    })
     .collect()
 }
 
@@ -37,13 +40,22 @@ fn zipfian_mix_survives_the_exhaustive_fault_sweep() {
             ..FaultSweepConfig::default()
         };
         let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(s.crash_points > 0, "{name}: no crash points on the zipf mix");
+        assert!(
+            s.crash_points > 0,
+            "{name}: no crash points on the zipf mix"
+        );
         assert_eq!(s.silent, 0, "{name}: silent corruption on the zipf mix");
         assert_eq!(s.boundary_deficit, 0, "{name}: boundary deficit");
         assert_eq!(s.evict_silent, 0, "{name}: eviction-class silent");
-        assert_eq!(s.verify_queue_silent, 0, "{name}: verify-queue-class silent");
+        assert_eq!(
+            s.verify_queue_silent, 0,
+            "{name}: verify-queue-class silent"
+        );
         assert_eq!(s.tamper_silent, 0, "{name}: tamper-class silent");
-        assert_eq!(s.idempotence_violations, 0, "{name}: recovery not idempotent");
+        assert_eq!(
+            s.idempotence_violations, 0,
+            "{name}: recovery not idempotent"
+        );
     }
 }
 

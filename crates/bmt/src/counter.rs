@@ -53,7 +53,10 @@ impl Default for CounterBlock {
 impl CounterBlock {
     /// A zeroed counter block (fresh page).
     pub fn new() -> Self {
-        CounterBlock { major: 0, minors: [0; MINORS_PER_BLOCK] }
+        CounterBlock {
+            major: 0,
+            minors: [0; MINORS_PER_BLOCK],
+        }
     }
 
     /// The page-wide major counter.
@@ -119,13 +122,19 @@ impl CounterBlock {
             let shift = bit_pos % 8;
             debug_assert!(byte < 56);
             let lo = bytes[byte] as u16;
-            let hi = if byte + 1 < 56 { bytes[byte + 1] as u16 } else { 0 };
+            let hi = if byte + 1 < 56 {
+                bytes[byte + 1] as u16
+            } else {
+                0
+            };
             *minor = (((lo | (hi << 8)) >> shift) & 0x7f) as u8;
         }
         // A fold rather than a fallible slice-to-array conversion: decode
         // runs on the recovery path, which must stay panic-free (lint R1).
-        let major =
-            bytes[56..64].iter().rev().fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+        let major = bytes[56..64]
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
         CounterBlock { major, minors }
     }
 

@@ -17,6 +17,8 @@ mod counter;
 mod geometry;
 mod tree;
 
-pub use counter::{CounterBlock, IncrementOutcome, COUNTER_BLOCK_SIZE, MINORS_PER_BLOCK, MINOR_MAX};
+pub use counter::{
+    CounterBlock, IncrementOutcome, COUNTER_BLOCK_SIZE, MINORS_PER_BLOCK, MINOR_MAX,
+};
 pub use geometry::{BmtGeometry, GeometryError, NodeId, BLOCK_SIZE, PAGE_SIZE, TREE_ARITY};
 pub use tree::{set_slot, slot_of, Bmt, BmtHasher, NodeBytes};

@@ -67,7 +67,10 @@ impl fmt::Display for IntegrityError {
                 write!(f, "counter block {index} failed verification")
             }
             IntegrityError::RootMismatch => {
-                write!(f, "recomputed tree root does not match the on-chip root register")
+                write!(
+                    f,
+                    "recomputed tree root does not match the on-chip root register"
+                )
             }
             IntegrityError::OutOfRange { addr } => {
                 write!(f, "address {addr:#x} is outside the protected region")

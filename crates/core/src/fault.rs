@@ -775,7 +775,9 @@ pub fn run_sweep_traced(
 /// every closed `recovery.*` phase span becomes a duration sample, and the
 /// scan phases' touched-closure gauges become size samples.
 fn harvest_recovery_trace(tr: &mut amnt_trace::Tracer, mem: &SecureMemory) {
-    let Some(rep) = mem.trace_report() else { return };
+    let Some(rep) = mem.trace_report() else {
+        return;
+    };
     for ev in &rep.events {
         if ev.cat == "recovery" && ev.dur > 0 {
             tr.record(ev.name, ev.dur);
@@ -1398,10 +1400,16 @@ mod tests {
         let (traced, report) = run_sweep_traced(ProtocolKind::Leaf, &cfg).expect("sweep");
         assert_eq!(traced, untraced, "sweep tracing perturbed the summary");
         // The harvest saw every clean-crash baseline recovery.
-        assert_eq!(report.counter("sweep.scenarios.clean"), Some(traced.crash_points));
+        assert_eq!(
+            report.counter("sweep.scenarios.clean"),
+            Some(traced.crash_points)
+        );
         let phases = report.hist("recovery").expect("root phase durations");
         assert_eq!(phases.count(), traced.crash_points);
-        assert!(report.hist("recovery.rebuild_subtree").is_some(), "leaf rebuild phase");
+        assert!(
+            report.hist("recovery.rebuild_subtree").is_some(),
+            "leaf rebuild phase"
+        );
         assert!(report.hist("sweep.strike.clean").is_some());
         assert!(report.hist("sweep.touched_frames").is_some());
         // And the report itself is a pure function of (kind, cfg).
@@ -1451,10 +1459,22 @@ mod tests {
     #[test]
     fn workload_override_replaces_generator() {
         let ops = vec![
-            SweepOp { addr: 0, write: true },
-            SweepOp { addr: 128, write: true },
-            SweepOp { addr: 0, write: false },
-            SweepOp { addr: 130, write: true }, // misaligned: snapped down
+            SweepOp {
+                addr: 0,
+                write: true,
+            },
+            SweepOp {
+                addr: 128,
+                write: true,
+            },
+            SweepOp {
+                addr: 0,
+                write: false,
+            },
+            SweepOp {
+                addr: 130,
+                write: true,
+            }, // misaligned: snapped down
         ];
         let cfg = FaultSweepConfig {
             workload: ops,
@@ -1464,9 +1484,21 @@ mod tests {
         let w = routed(&cfg);
         let ops = &w.shards[0].ops;
         assert_eq!(ops.len(), 4);
-        assert_eq!(ops[0], Op::Write { addr: 0, value: value_for(0) });
+        assert_eq!(
+            ops[0],
+            Op::Write {
+                addr: 0,
+                value: value_for(0)
+            }
+        );
         assert_eq!(ops[2], Op::Read { addr: 0 });
-        assert_eq!(ops[3], Op::Write { addr: 128, value: value_for(3) });
+        assert_eq!(
+            ops[3],
+            Op::Write {
+                addr: 128,
+                value: value_for(3)
+            }
+        );
         assert_eq!(w.shards[0].history.get(&128).map(Vec::len), Some(2));
         // Deterministic: the override ignores the seed entirely.
         let again = routed(&FaultSweepConfig { seed: 77, ..cfg });

@@ -55,12 +55,12 @@ pub use controller::{SecureMemory, BLOCK_SIZE};
 pub use error::{IntegrityError, RecoveryError};
 pub use fault::{FaultSweepConfig, SweepOp, SweepSummary};
 pub use hybrid::{HybridConfig, HybridMemory, Partition};
-pub use shard::{MergeReport, ShardedMemory};
 pub use overhead::{hardware_overhead, HardwareOverhead};
 pub use protocol::{
     AmntConfig, AnubisConfig, BmfConfig, HistoryBuffer, OsirisConfig, ProtocolKind,
 };
 pub use recovery::{RecoveryModel, RecoveryReport};
+pub use shard::{MergeReport, ShardedMemory};
 pub use stats::{ControllerStats, StatsSnapshot};
 pub use timing::{MemoryTimeline, TimelineStats, WearSummary};
 pub use untimed::{ShardedUntimed, UntimedMemory};

@@ -77,7 +77,8 @@ pub fn hardware_overhead(kind: &ProtocolKind, metadata_cache_bytes: u64) -> Hard
             }
         }
         ProtocolKind::Amnt(c) => {
-            let bits = (usize::BITS - c.history_entries.saturating_sub(1).leading_zeros()).max(1) as u64;
+            let bits =
+                (usize::BITS - c.history_entries.saturating_sub(1).leading_zeros()).max(1) as u64;
             HardwareOverhead {
                 nv_on_chip: 64,
                 volatile_on_chip: c.history_entries as u64 * 2 * bits / 8,
@@ -121,7 +122,11 @@ mod tests {
 
     #[test]
     fn static_protocols_add_nothing() {
-        for kind in [ProtocolKind::Volatile, ProtocolKind::Strict, ProtocolKind::Leaf] {
+        for kind in [
+            ProtocolKind::Volatile,
+            ProtocolKind::Strict,
+            ProtocolKind::Leaf,
+        ] {
             assert_eq!(hardware_overhead(&kind, MD), HardwareOverhead::default());
         }
     }

@@ -51,7 +51,9 @@ pub(crate) struct AnubisState {
 impl AnubisState {
     pub fn new(config: AnubisConfig, cache_lines: usize) -> Self {
         AnubisState {
-            osiris: OsirisState::new(OsirisConfig { stop_loss: config.stop_loss }),
+            osiris: OsirisState::new(OsirisConfig {
+                stop_loss: config.stop_loss,
+            }),
             slot_of: HashMap::new(),
             free_slots: Vec::new(),
             next_slot: 0,
@@ -67,7 +69,10 @@ impl AnubisState {
             self.next_slot += 1;
             s
         });
-        debug_assert!(slot < self.capacity, "shadow table overflow: cache/slot mismatch");
+        debug_assert!(
+            slot < self.capacity,
+            "shadow table overflow: cache/slot mismatch"
+        );
         self.slot_of.insert(addr, slot);
         slot
     }

@@ -28,7 +28,11 @@ pub struct BmfConfig {
 
 impl Default for BmfConfig {
     fn default() -> Self {
-        BmfConfig { capacity: 64, maintenance_interval: 1024, prune_threshold: 64 }
+        BmfConfig {
+            capacity: 64,
+            maintenance_interval: 1024,
+            prune_threshold: 64,
+        }
     }
 }
 
@@ -54,7 +58,11 @@ pub(crate) struct BmfState {
 
 impl BmfState {
     pub fn new(config: BmfConfig) -> Self {
-        BmfState { config, roots: BTreeMap::new(), writes_since_maintenance: 0 }
+        BmfState {
+            config,
+            roots: BTreeMap::new(),
+            writes_since_maintenance: 0,
+        }
     }
 
     /// Deepest level whose full population fits in `capacity`, used to seed
@@ -110,16 +118,16 @@ impl BmfState {
     /// parent; returns the parent id. `expected_children(parent)` gives how
     /// many children that parent has in the tree (8, or fewer on a ragged
     /// edge).
-    pub fn pick_merge(
-        &self,
-        expected_children: impl Fn(NodeId) -> usize,
-    ) -> Option<NodeId> {
+    pub fn pick_merge(&self, expected_children: impl Fn(NodeId) -> usize) -> Option<NodeId> {
         let mut groups: BTreeMap<NodeId, (usize, u64)> = BTreeMap::new();
         for (id, e) in &self.roots {
             if id.level <= 1 {
                 continue;
             }
-            let parent = NodeId { level: id.level - 1, index: id.index / 8 };
+            let parent = NodeId {
+                level: id.level - 1,
+                index: id.index / 8,
+            };
             let g = groups.entry(parent).or_insert((0, 0));
             g.0 += 1;
             g.1 += e.freq;
@@ -155,7 +163,13 @@ mod tests {
     fn state_with(entries: &[(NodeId, u64)]) -> BmfState {
         let mut s = BmfState::new(BmfConfig::default());
         for (node, freq) in entries {
-            s.roots.insert(*node, BmfEntry { image: [0; 64], freq: *freq });
+            s.roots.insert(
+                *node,
+                BmfEntry {
+                    image: [0; 64],
+                    freq: *freq,
+                },
+            );
         }
         s
     }
@@ -166,7 +180,11 @@ mod tests {
         assert_eq!(BmfState::seed_level(64, 7, sizes), 3); // 64 nodes at level 3
         assert_eq!(BmfState::seed_level(63, 7, sizes), 2);
         assert_eq!(BmfState::seed_level(1, 7, sizes), 1);
-        assert_eq!(BmfState::seed_level(1 << 20, 3, sizes), 3, "clamps to bottom");
+        assert_eq!(
+            BmfState::seed_level(1 << 20, 3, sizes),
+            3,
+            "clamps to bottom"
+        );
     }
 
     #[test]

@@ -94,7 +94,10 @@ impl HistoryBuffer {
 
     /// The hottest region (the head), if any write has been recorded.
     pub fn hottest(&self) -> Option<u64> {
-        self.entries.first().filter(|e| e.count > 0).map(|e| e.region)
+        self.entries
+            .first()
+            .filter(|e| e.count > 0)
+            .map(|e| e.region)
     }
 
     /// Zeroes all counters, keeping region tags, and pins `incumbent` at the

@@ -170,7 +170,9 @@ impl ProtocolState {
                 let mut state = BmfState::new(c);
                 let seed = BmfState::seed_level(c.capacity, bottom, |l| geometry.level_size(l));
                 for index in 0..geometry.level_size(seed) {
-                    state.roots.insert(NodeId { level: seed, index }, bmf_entry([0u8; 64]));
+                    state
+                        .roots
+                        .insert(NodeId { level: seed, index }, bmf_entry([0u8; 64]));
                 }
                 ProtocolState::Bmf(state)
             }
@@ -234,7 +236,10 @@ impl ProtocolState {
                 let region = geometry.subtree_index(addr, level);
                 if s.covers(region) {
                     WritePlan {
-                        terminal: Some(NodeId { level, index: region }),
+                        terminal: Some(NodeId {
+                            level,
+                            index: region,
+                        }),
                         subtree_hit: Some(true),
                         ..WritePlan::LEAF
                     }

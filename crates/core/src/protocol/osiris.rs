@@ -26,7 +26,10 @@ pub(crate) struct OsirisState {
 
 impl OsirisState {
     pub fn new(config: OsirisConfig) -> Self {
-        OsirisState { config, pending: HashMap::new() }
+        OsirisState {
+            config,
+            pending: HashMap::new(),
+        }
     }
 
     /// Records an update to counter block `index`; returns `true` when the

@@ -282,14 +282,19 @@ impl SecureMemory {
 
     /// Recovers one counter block; returns whether it changed and how many
     /// MAC trials (hash ops) the stop-loss search performed.
-    fn recover_counter(&mut self, index: u64, stop_loss: u32) -> Result<(bool, u64), RecoveryError> {
+    fn recover_counter(
+        &mut self,
+        index: u64,
+        stop_loss: u32,
+    ) -> Result<(bool, u64), RecoveryError> {
         let g = self.bmt.geometry();
         let hasher = self.bmt.hasher();
         let mut counter = self.bmt.read_counter(&mut self.nvm, index)?;
         let page_base = index * PAGE_SIZE;
         // Untouched page fast path: zero counter and zero HMACs.
         let mut hmacs = vec![0u8; (PAGE_SIZE / 64 * 8) as usize];
-        self.nvm.read_bytes_untimed(g.hmac_addr(page_base), &mut hmacs)?;
+        self.nvm
+            .read_bytes_untimed(g.hmac_addr(page_base), &mut hmacs)?;
         if counter.is_zero() && hmacs.iter().all(|&b| b == 0) {
             return Ok((false, 0));
         }
@@ -354,7 +359,9 @@ impl SecureMemory {
                 let image = s.bmt.compute_node(&mut s.nvm, node)?;
                 s.nvm.write_block(g.node_addr(node), &image)?;
             }
-            let computed_root = s.bmt.compute_node(&mut s.nvm, NodeId { level: 1, index: 0 })?;
+            let computed_root = s
+                .bmt
+                .compute_node(&mut s.nvm, NodeId { level: 1, index: 0 })?;
             if computed_root != s.root_register {
                 return Err(RecoveryError::RootMismatch);
             }
@@ -418,7 +425,10 @@ impl SecureMemory {
             }
             set_slot(&mut s.root_register, child_slot, child_mac);
             // Each rebuilt node hashes its 8 children; each fold re-MACs one node.
-            let hashes = rebuilt.saturating_mul(8).saturating_add(folded).saturating_add(1);
+            let hashes = rebuilt
+                .saturating_mul(8)
+                .saturating_add(folded)
+                .saturating_add(1);
             Ok((rebuilt + folded, hashes))
         })
     }
@@ -537,7 +547,10 @@ impl RecoveryModel {
 /// Big-endian u64 decode that tolerates short slices (missing bytes read as
 /// zero) so the recovery path never panics on a malformed HMAC lane.
 fn be_u64(bytes: &[u8]) -> u64 {
-    bytes.iter().take(8).fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
+    bytes
+        .iter()
+        .take(8)
+        .fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
 }
 
 #[cfg(test)]
@@ -582,7 +595,10 @@ mod model_tests {
     fn strict_and_bmf_are_instant() {
         let m = RecoveryModel::default();
         assert_eq!(m.recovery_ms(ProtocolKind::Strict, 128.0 * TB), 0.0);
-        assert_eq!(m.recovery_ms(ProtocolKind::Bmf(BmfConfig::default()), 128.0 * TB), 0.0);
+        assert_eq!(
+            m.recovery_ms(ProtocolKind::Bmf(BmfConfig::default()), 128.0 * TB),
+            0.0
+        );
     }
 
     #[test]
@@ -618,7 +634,11 @@ mod model_tests {
         assert_eq!(m.level_for_budget(1000.0, mem, 7), 2);
         assert_eq!(m.level_for_budget(100.0, mem, 7), 3);
         assert_eq!(m.level_for_budget(50.0, mem, 7), 4);
-        assert_eq!(m.level_for_budget(0.001, mem, 7), 7, "impossible budget: deepest level");
+        assert_eq!(
+            m.level_for_budget(0.001, mem, 7),
+            7,
+            "impossible budget: deepest level"
+        );
         // Bigger memory needs a deeper level for the same budget.
         assert!(m.level_for_budget(100.0, 16.0 * TB, 7) > 3);
     }

@@ -389,12 +389,9 @@ impl ShardedMemory {
             });
         }
         self.flush_verify_queues()?;
-        let epoch = self
-            .epoch
-            .checked_add(1)
-            .ok_or(IntegrityError::Invariant {
-                what: "epoch ordinal overflow",
-            })?;
+        let epoch = self.epoch.checked_add(1).ok_or(IntegrityError::Invariant {
+            what: "epoch ordinal overflow",
+        })?;
         let report = self.fold(epoch);
         if let Some(prev) = &self.last_merge {
             if report.epoch <= prev.epoch {
@@ -588,7 +585,10 @@ mod tests {
         let second = m.epoch_merge().unwrap();
         assert_eq!(second.epoch, 2);
         assert_eq!(second.shard_roots, first.shard_roots);
-        assert_ne!(second.global_root, first.global_root, "epoch freshens the fold");
+        assert_ne!(
+            second.global_root, first.global_root,
+            "epoch freshens the fold"
+        );
         // Mutating a shard invalidates old reports.
         m.write_block(0, 0x40, &[9u8; 64]).unwrap();
         assert!(!m.verify_merge(&second), "stale report must not verify");
@@ -614,7 +614,10 @@ mod tests {
         m.write_block(0, 0x40, &[3u8; 64]).unwrap();
         let sealed = m.epoch_merge().unwrap();
         let engines = m.detach_shards();
-        assert!(m.read_block(0, 0x40).is_err(), "detached facade refuses ops");
+        assert!(
+            m.read_block(0, 0x40).is_err(),
+            "detached facade refuses ops"
+        );
         assert!(m.epoch_merge().is_err());
         m.attach_shards(engines).unwrap();
         assert_eq!(m.epoch(), 1);

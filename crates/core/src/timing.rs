@@ -42,14 +42,21 @@ fn summarize(values: impl Iterator<Item = u64>) -> WearSummary {
         total_writes += n;
         max_writes = max_writes.max(n);
     }
-    let mean_writes =
-        if frames_touched == 0 { 0.0 } else { total_writes as f64 / frames_touched as f64 };
+    let mean_writes = if frames_touched == 0 {
+        0.0
+    } else {
+        total_writes as f64 / frames_touched as f64
+    };
     WearSummary {
         frames_touched,
         total_writes,
         max_writes,
         mean_writes,
-        imbalance: if mean_writes > 0.0 { max_writes as f64 / mean_writes } else { 0.0 },
+        imbalance: if mean_writes > 0.0 {
+            max_writes as f64 / mean_writes
+        } else {
+            0.0
+        },
     }
 }
 
@@ -197,7 +204,10 @@ impl MemoryTimeline {
 
     /// Media-write count of the frame containing `addr`.
     pub fn wear_of(&self, addr: u64) -> u64 {
-        self.wear.get(addr / FRAME_SIZE as u64).copied().unwrap_or(0)
+        self.wear
+            .get(addr / FRAME_SIZE as u64)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Endurance summary over every written frame.
@@ -340,7 +350,10 @@ mod wear_tests {
         t.write(0, 1 << 20, 0);
         t.write(0, 1 << 20, 0);
         assert_eq!(t.wear_summary_range(0, 4096).total_writes, 1);
-        assert_eq!(t.wear_summary_range(1 << 20, (1 << 20) + 4096).total_writes, 2);
+        assert_eq!(
+            t.wear_summary_range(1 << 20, (1 << 20) + 4096).total_writes,
+            2
+        );
         assert_eq!(t.wear_summary_range(8192, 16384).frames_touched, 0);
     }
 
@@ -366,7 +379,12 @@ mod wear_tests {
         }
         let want = |from: u64, to: u64| {
             let frames = from / 4096..to.div_ceil(4096);
-            summarize(reference.iter().filter(|(f, _)| frames.contains(f)).map(|(_, &n)| n))
+            summarize(
+                reference
+                    .iter()
+                    .filter(|(f, _)| frames.contains(f))
+                    .map(|(_, &n)| n),
+            )
         };
         let mut ranges = vec![(0, u64::MAX), (64 * 4096, 64 * 4096), (0x41_040, 0x41_040)];
         for &edge in &edges {
@@ -381,12 +399,19 @@ mod wear_tests {
             ]);
         }
         for (from, to) in ranges {
-            assert_eq!(t.wear_summary_range(from, to), want(from, to), "[{from:#x}, {to:#x})");
+            assert_eq!(
+                t.wear_summary_range(from, to),
+                want(from, to),
+                "[{from:#x}, {to:#x})"
+            );
         }
         assert_eq!(t.wear_summary(), summarize(reference.values().copied()));
         for (&frame, &n) in &reference {
             assert_eq!(t.wear_of(frame * 4096 + 4095), n, "frame {frame}");
         }
-        assert_eq!(t.wear_of(66 * 4096), reference.get(&66).copied().unwrap_or(0));
+        assert_eq!(
+            t.wear_of(66 * 4096),
+            reference.get(&66).copied().unwrap_or(0)
+        );
     }
 }

@@ -17,7 +17,12 @@ const BLOCKS: u64 = 4096; // 256 KiB of distinct block addresses in play
 /// A compact encoding of a random workload: (block index, payload byte).
 fn random_ops(rng: &mut Rng) -> Vec<(u16, u8)> {
     (0..rng.gen_range_usize(1..200))
-        .map(|_| (rng.gen_range_u32(0..BLOCKS as u32) as u16, (rng.next_u64() & 0xff) as u8))
+        .map(|_| {
+            (
+                rng.gen_range_u32(0..BLOCKS as u32) as u16,
+                (rng.next_u64() & 0xff) as u8,
+            )
+        })
         .collect()
 }
 
@@ -27,8 +32,16 @@ fn protocols() -> Vec<ProtocolKind> {
         ProtocolKind::Leaf,
         ProtocolKind::Osiris(OsirisConfig { stop_loss: 3 }),
         ProtocolKind::Anubis(AnubisConfig { stop_loss: 3 }),
-        ProtocolKind::Bmf(BmfConfig { capacity: 16, maintenance_interval: 32, prune_threshold: 8 }),
-        ProtocolKind::Amnt(AmntConfig { subtree_level: 2, interval_writes: 16, history_entries: 16 }),
+        ProtocolKind::Bmf(BmfConfig {
+            capacity: 16,
+            maintenance_interval: 32,
+            prune_threshold: 8,
+        }),
+        ProtocolKind::Amnt(AmntConfig {
+            subtree_level: 2,
+            interval_writes: 16,
+            history_entries: 16,
+        }),
     ]
 }
 
@@ -40,16 +53,22 @@ fn run_case(kind: ProtocolKind, ops: &[(u16, u8)], crash_at: usize) {
     for (i, &(block, byte)) in ops.iter().enumerate() {
         if i == crash_at {
             m.crash();
-            let report = m.recover().unwrap_or_else(|e| panic!("{kind}: recovery failed: {e}"));
+            let report = m
+                .recover()
+                .unwrap_or_else(|e| panic!("{kind}: recovery failed: {e}"));
             assert!(report.verified, "{kind}: unverified recovery");
         }
         let addr = block as u64 * 64;
-        t = m.write_block(t, addr, &[byte; 64]).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        t = m
+            .write_block(t, addr, &[byte; 64])
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
         expected.insert(addr, byte);
     }
     // Final crash + recovery, then everything must read back.
     m.crash();
-    let report = m.recover().unwrap_or_else(|e| panic!("{kind}: final recovery failed: {e}"));
+    let report = m
+        .recover()
+        .unwrap_or_else(|e| panic!("{kind}: final recovery failed: {e}"));
     assert!(report.verified, "{kind}");
     for (&addr, &byte) in &expected {
         let (data, done) = m
@@ -114,19 +133,32 @@ fn recovery_reports_reflect_protocol_rebuild_work() {
         // counters lazily stale, and 40 same-region writes elect AMNT's
         // fast subtree before the crash.
         for i in 0..40u64 {
-            t = m.write_block(t, (i % 8) * 64, &[i as u8; 64]).expect("write");
+            t = m
+                .write_block(t, (i % 8) * 64, &[i as u8; 64])
+                .expect("write");
         }
         let _ = t;
         let elected = m.subtree_root().is_some();
         m.crash();
-        let report = m.recover().unwrap_or_else(|e| panic!("{kind}: recovery failed: {e}"));
+        let report = m
+            .recover()
+            .unwrap_or_else(|e| panic!("{kind}: recovery failed: {e}"));
         assert!(report.verified, "{kind}");
         let total = m.geometry().total_nodes();
         match kind {
             ProtocolKind::Strict => {
-                assert_eq!(report.nvm_reads, 0, "{kind}: strict recovery read the device");
-                assert_eq!(report.nvm_writes, 0, "{kind}: strict recovery wrote the device");
-                assert_eq!(report.nodes_recomputed, 0, "{kind}: strict recomputed nodes");
+                assert_eq!(
+                    report.nvm_reads, 0,
+                    "{kind}: strict recovery read the device"
+                );
+                assert_eq!(
+                    report.nvm_writes, 0,
+                    "{kind}: strict recovery wrote the device"
+                );
+                assert_eq!(
+                    report.nodes_recomputed, 0,
+                    "{kind}: strict recomputed nodes"
+                );
             }
             ProtocolKind::Leaf | ProtocolKind::Osiris(_) => {
                 // Sparse rebuild: the touched ancestor closure only — one
@@ -153,8 +185,14 @@ fn recovery_reports_reflect_protocol_rebuild_work() {
                 // With the frontier seeded at level 2 there may be nothing
                 // *above* it to recompute, but folding the non-volatile
                 // roots back and re-deriving the register is real traffic.
-                assert!(report.nvm_reads > 0, "{kind}: frontier fold without device reads");
-                assert!(report.nvm_writes > 0, "{kind}: frontier images not written back");
+                assert!(
+                    report.nvm_reads > 0,
+                    "{kind}: frontier fold without device reads"
+                );
+                assert!(
+                    report.nvm_writes > 0,
+                    "{kind}: frontier images not written back"
+                );
             }
             ProtocolKind::Amnt(_) => {
                 assert!(elected, "workload should have elected a subtree");

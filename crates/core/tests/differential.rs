@@ -27,8 +27,16 @@ fn protocols() -> Vec<ProtocolKind> {
         ProtocolKind::Plp,
         ProtocolKind::Osiris(OsirisConfig { stop_loss: 3 }),
         ProtocolKind::Anubis(AnubisConfig { stop_loss: 3 }),
-        ProtocolKind::Bmf(BmfConfig { capacity: 16, maintenance_interval: 16, prune_threshold: 4 }),
-        ProtocolKind::Amnt(AmntConfig { subtree_level: 2, interval_writes: 8, history_entries: 8 }),
+        ProtocolKind::Bmf(BmfConfig {
+            capacity: 16,
+            maintenance_interval: 16,
+            prune_threshold: 4,
+        }),
+        ProtocolKind::Amnt(AmntConfig {
+            subtree_level: 2,
+            interval_writes: 8,
+            history_entries: 8,
+        }),
     ]
 }
 
@@ -38,11 +46,11 @@ fn trace() -> Vec<(u64, u8)> {
     let mut ops = Vec::new();
     for i in 0..600u64 {
         let addr = match i % 5 {
-            0 => (i % 16) * 64,                   // hot block set
-            1 => 4096 + (i % 64) * 64,            // one full page
-            2 => ((i * 37) % 512) * 4096,         // page-scattered
-            3 => 8192,                            // overflow hammer
-            _ => 2 * MIB + (i % 128) * 64,        // second arena
+            0 => (i % 16) * 64,            // hot block set
+            1 => 4096 + (i % 64) * 64,     // one full page
+            2 => ((i * 37) % 512) * 4096,  // page-scattered
+            3 => 8192,                     // overflow hammer
+            _ => 2 * MIB + (i % 128) * 64, // second arena
         };
         ops.push((addr, (i % 251) as u8));
     }
@@ -58,7 +66,9 @@ fn all_protocols_are_functionally_identical() {
         let mut m = SecureMemory::new(cfg, kind).expect("controller");
         let mut t = 0;
         for &(addr, byte) in &ops {
-            t = m.write_block(t, addr, &[byte; 64]).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            t = m
+                .write_block(t, addr, &[byte; 64])
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
         }
         // Read back every distinct address, in sorted order.
         let mut addrs: Vec<u64> = ops.iter().map(|&(a, _)| a).collect();
@@ -66,7 +76,9 @@ fn all_protocols_are_functionally_identical() {
         addrs.dedup();
         let mut view = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            let (data, done) = m.read_block(t, addr).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let (data, done) = m
+                .read_block(t, addr)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
             view.push(data);
             t = done;
         }
@@ -154,9 +166,9 @@ fn exhaustive_crash_points_recover_consistently() {
                 .unwrap_or_else(|e| panic!("{kind}: crash@{crash_point}: {e}"));
             assert!(report.verified, "{kind}: crash@{crash_point} unverified");
             for (&addr, &byte) in &expected {
-                let (data, done) = m.read_block(t, addr).unwrap_or_else(|e| {
-                    panic!("{kind}: crash@{crash_point}: read {addr:#x}: {e}")
-                });
+                let (data, done) = m
+                    .read_block(t, addr)
+                    .unwrap_or_else(|e| panic!("{kind}: crash@{crash_point}: read {addr:#x}: {e}"));
                 assert_eq!(
                     data, [byte; 64],
                     "{kind}: crash@{crash_point}: lost write at {addr:#x}"
@@ -169,7 +181,10 @@ fn exhaustive_crash_points_recover_consistently() {
 
 #[test]
 fn recovery_is_idempotent() {
-    for kind in [ProtocolKind::Leaf, ProtocolKind::Amnt(AmntConfig::default())] {
+    for kind in [
+        ProtocolKind::Leaf,
+        ProtocolKind::Amnt(AmntConfig::default()),
+    ] {
         let cfg = SecureMemoryConfig::with_capacity(8 * MIB);
         let mut m = SecureMemory::new(cfg, kind).unwrap();
         let mut t = 0;
@@ -181,7 +196,10 @@ fn recovery_is_idempotent() {
         // A second crash immediately after recovery must also recover:
         // recovery itself leaves a consistent persisted state.
         m.crash();
-        assert!(m.recover().unwrap().verified, "{kind}: recovery not idempotent");
+        assert!(
+            m.recover().unwrap().verified,
+            "{kind}: recovery not idempotent"
+        );
         let (data, _) = m.read_block(t, 0).unwrap();
         assert_eq!(data, [192u8; 64]);
     }

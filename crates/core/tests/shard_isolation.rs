@@ -10,8 +10,8 @@
 
 use amnt_core::fault::{run_sweep, sweep_protocols, tenant_mix};
 use amnt_core::{
-    AmntConfig, FaultSweepConfig, ProtocolKind, SecureMemoryConfig, ShardedMemory,
-    ShardedUntimed, BLOCK_SIZE,
+    AmntConfig, FaultSweepConfig, ProtocolKind, SecureMemoryConfig, ShardedMemory, ShardedUntimed,
+    BLOCK_SIZE,
 };
 
 const MIB: u64 = 1024 * 1024;
@@ -49,7 +49,10 @@ fn tamper_in_shard_a_is_detected_by_a_and_invisible_to_b() {
         let oracle = populate(&mut mem, 2);
         // Both shards audit clean before the attack.
         for idx in 0..2 {
-            assert!(mem.audit_shard(idx).expect("audit"), "{name}: shard {idx} dirty at start");
+            assert!(
+                mem.audit_shard(idx).expect("audit"),
+                "{name}: shard {idx} dirty at start"
+            );
         }
 
         // Flip one *counter* bit in shard A (shard 0): freshness damage,
@@ -108,7 +111,10 @@ fn recovering_shard_b_never_heals_shard_a() {
             let g = mem.shard(0).expect("shard 0").geometry();
             g.counter_addr(g.counter_index(0)) + 5
         };
-        mem.shard_mut(0).expect("shard 0").nvm_mut().tamper_flip_bit(target, 6);
+        mem.shard_mut(0)
+            .expect("shard 0")
+            .nvm_mut()
+            .tamper_flip_bit(target, 6);
         let a_media_before = mem.media_images().remove(0);
 
         mem.crash_shard(1).expect("crash B");
@@ -150,7 +156,10 @@ fn counter_tamper_stays_inside_its_shard() {
             let g = a.geometry();
             g.counter_addr(g.counter_index(0))
         };
-        mem.shard_mut(0).expect("shard 0").nvm_mut().tamper_flip_bit(counter_addr, 1);
+        mem.shard_mut(0)
+            .expect("shard 0")
+            .nvm_mut()
+            .tamper_flip_bit(counter_addr, 1);
 
         assert!(
             !mem.audit_shard(0).expect("audit A runs"),
@@ -188,14 +197,20 @@ fn every_fault_class_is_clean_across_shards() {
         }
         assert!(s.crash_points > 0, "{name}: no ordinals explored: {s:?}");
         assert!(s.recovered > 0, "{name}: never recovered a victim: {s:?}");
-        assert!(s.torn_recovered + s.torn_detected > 0, "{name}: no torn points: {s:?}");
+        assert!(
+            s.torn_recovered + s.torn_detected > 0,
+            "{name}: no torn points: {s:?}"
+        );
         // WPQ tails of depth 1, 2 and 4 at every op boundary of every victim.
         assert_eq!(
             s.tail_recovered + s.tail_detected,
             3 * cfg.ops as u64,
             "{name}: unclassified tail points: {s:?}"
         );
-        assert!(s.verify_queue_points > 0, "{name}: no verify-queue points: {s:?}");
+        assert!(
+            s.verify_queue_points > 0,
+            "{name}: no verify-queue points: {s:?}"
+        );
         assert_eq!(
             s.verify_queue_points,
             s.verify_queue_recovered + s.verify_queue_detected + s.verify_queue_silent,
@@ -203,7 +218,10 @@ fn every_fault_class_is_clean_across_shards() {
         );
         assert!(s.tamper_points > 0, "{name}: no tamper points: {s:?}");
         if matches!(name, "leaf" | "osiris" | "anubis" | "bmf") {
-            assert!(s.recovery_points > 0, "{name}: recovery never faulted: {s:?}");
+            assert!(
+                s.recovery_points > 0,
+                "{name}: recovery never faulted: {s:?}"
+            );
         }
         evict_points += s.evict_points;
         for (what, count) in [
@@ -233,7 +251,11 @@ fn every_fault_class_is_clean_across_shards() {
     let amnt = ProtocolKind::Amnt(AmntConfig::at_level(2));
     let s = run_sweep(amnt, &cfg).expect("amnt level-2 sweep");
     assert!(s.crash_points > 0 && s.recovered > 0, "{s:?}");
-    assert_eq!(s.silent + s.cross_shard_disturbances + s.merge_failures, 0, "{s:?}");
+    assert_eq!(
+        s.silent + s.cross_shard_disturbances + s.merge_failures,
+        0,
+        "{s:?}"
+    );
 }
 
 #[test]
@@ -244,10 +266,15 @@ fn victim_crash_mid_epoch_defers_the_merge_until_recovery() {
     let first = mem.epoch_merge().expect("healthy merge");
     mem.crash_shard(2).expect("crash");
     assert!(mem.epoch_merge().is_err(), "merge over a crashed shard");
-    assert_eq!(mem.epoch(), first.epoch, "failed merge must not advance freshness");
+    assert_eq!(
+        mem.epoch(),
+        first.epoch,
+        "failed merge must not advance freshness"
+    );
     mem.recover_shard(2).expect("recover");
     // New work lands after recovery, so the sub-roots move on.
-    mem.write_block(0, 0x40, &[0xEE; BLOCK_SIZE]).expect("post-recovery write");
+    mem.write_block(0, 0x40, &[0xEE; BLOCK_SIZE])
+        .expect("post-recovery write");
     let second = mem.epoch_merge().expect("post-recovery merge");
     assert!(second.epoch > first.epoch, "freshness is monotone");
     assert!(mem.verify_merge(&second));

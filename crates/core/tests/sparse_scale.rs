@@ -5,12 +5,12 @@
 //! (DESIGN.md): no post-crash path may scan, rebuild, or allocate
 //! proportionally to device capacity.
 
+use amnt_core::fault::{run_sweep, sweep_protocols};
+use amnt_core::FaultSweepConfig;
 use amnt_core::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind, SecureMemory,
     SecureMemoryConfig, UntimedMemory,
 };
-use amnt_core::fault::{run_sweep, sweep_protocols};
-use amnt_core::FaultSweepConfig;
 use amnt_prng::Rng;
 use amnt_workloads::SparseHotSet;
 
@@ -21,15 +21,29 @@ fn protocols() -> Vec<(&'static str, ProtocolKind)> {
     vec![
         ("strict", ProtocolKind::Strict),
         ("leaf", ProtocolKind::Leaf),
-        ("osiris", ProtocolKind::Osiris(OsirisConfig { stop_loss: 3 })),
-        ("anubis", ProtocolKind::Anubis(AnubisConfig { stop_loss: 3 })),
+        (
+            "osiris",
+            ProtocolKind::Osiris(OsirisConfig { stop_loss: 3 }),
+        ),
+        (
+            "anubis",
+            ProtocolKind::Anubis(AnubisConfig { stop_loss: 3 }),
+        ),
         (
             "bmf",
-            ProtocolKind::Bmf(BmfConfig { capacity: 16, maintenance_interval: 32, prune_threshold: 8 }),
+            ProtocolKind::Bmf(BmfConfig {
+                capacity: 16,
+                maintenance_interval: 32,
+                prune_threshold: 8,
+            }),
         ),
         (
             "amnt",
-            ProtocolKind::Amnt(AmntConfig { subtree_level: 2, interval_writes: 16, history_entries: 16 }),
+            ProtocolKind::Amnt(AmntConfig {
+                subtree_level: 2,
+                interval_writes: 16,
+                history_entries: 16,
+            }),
         ),
     ]
 }
@@ -49,7 +63,9 @@ fn two_tb_device_recovers_within_touched_frame_ceiling() {
     let addrs: Vec<u64> = gen.take(ops).collect();
     let mut t = 0;
     for (i, &addr) in addrs.iter().enumerate() {
-        t = m.write_block(t, addr, &[i as u8; 64]).expect("sparse write");
+        t = m
+            .write_block(t, addr, &[i as u8; 64])
+            .expect("sparse write");
     }
     let _ = t;
 
@@ -106,7 +122,10 @@ fn two_tb_untouched_frames_read_zero_after_recovery_without_materializing() {
         t = done;
     }
     let after = m.nvm_mut().resident_frames();
-    assert_eq!(before, after, "reads of untouched frames materialized storage");
+    assert_eq!(
+        before, after,
+        "reads of untouched frames materialized storage"
+    );
 }
 
 /// `run_sweep` accepts terabyte-capacity configs: the whole crash-point
@@ -124,8 +143,14 @@ fn fault_sweep_runs_at_two_terabytes() {
         let s = run_sweep(kind, &cfg).unwrap_or_else(|e| panic!("{name}: 2 TB sweep: {e}"));
         assert!(s.crash_points > 0, "{name}: no crash points at 2 TB");
         assert_eq!(s.silent, 0, "{name}: silent outcomes at 2 TB: {s:?}");
-        assert_eq!(s.boundary_deficit, 0, "{name}: boundary deficit at 2 TB: {s:?}");
-        assert_eq!(s.idempotence_violations, 0, "{name}: idempotence at 2 TB: {s:?}");
+        assert_eq!(
+            s.boundary_deficit, 0,
+            "{name}: boundary deficit at 2 TB: {s:?}"
+        );
+        assert_eq!(
+            s.idempotence_violations, 0,
+            "{name}: idempotence at 2 TB: {s:?}"
+        );
         assert_eq!(s.tamper_silent, 0, "{name}: silent tamper at 2 TB: {s:?}");
     }
 }
@@ -155,12 +180,16 @@ fn sparse_recovery_matches_dense_reference_for_all_protocols() {
                     rng.gen_range(0..16 * MIB / 64) * 64
                 };
                 let value = [(i as u8) ^ 0x3C; 64];
-                t = m.write_block(t, addr, &value).unwrap_or_else(|e| panic!("{name}: {e}"));
+                t = m
+                    .write_block(t, addr, &value)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
                 reference.write_block(addr, &value);
                 addrs.push(addr);
             }
             m.crash();
-            let report = m.recover().unwrap_or_else(|e| panic!("{name}: recovery: {e}"));
+            let report = m
+                .recover()
+                .unwrap_or_else(|e| panic!("{name}: recovery: {e}"));
             assert!(report.verified, "{name}");
             addrs.sort_unstable();
             addrs.dedup();
@@ -168,11 +197,18 @@ fn sparse_recovery_matches_dense_reference_for_all_protocols() {
                 let (data, done) = m
                     .read_block(t, addr)
                     .unwrap_or_else(|e| panic!("{name}: read {addr:#x}: {e}"));
-                assert_eq!(data, reference.read_block(addr), "{name}: diverged at {addr:#x}");
+                assert_eq!(
+                    data,
+                    reference.read_block(addr),
+                    "{name}: diverged at {addr:#x}"
+                );
                 t = done;
             }
             reports.push(report);
         }
-        assert_eq!(reports[0], reports[1], "{name}: recovery reports not byte-identical");
+        assert_eq!(
+            reports[0], reports[1],
+            "{name}: recovery reports not byte-identical"
+        );
     }
 }

@@ -31,7 +31,12 @@ fn write_until_power_fails(m: &mut SecureMemory) -> u64 {
 
 fn fault_events(m: &SecureMemory) -> (Vec<TraceEvent>, amnt_trace::TraceReport) {
     let report = m.trace_report().expect("tracing was enabled");
-    let events = report.events.iter().filter(|e| e.cat == "fault").cloned().collect();
+    let events = report
+        .events
+        .iter()
+        .filter(|e| e.cat == "fault")
+        .cloned()
+        .collect();
     (events, report)
 }
 
@@ -75,14 +80,18 @@ fn recovery_breakdown_lands_in_counters() {
     assert_eq!(report.counter("crashes"), Some(1));
     assert_eq!(report.counter("recovery.runs"), Some(1));
     assert!(report.counter("recovery.nvm_reads").unwrap_or(0) > 0);
-    assert!(report.events.iter().any(|e| e.cat == "recovery" && e.name == "recovery"));
+    assert!(report
+        .events
+        .iter()
+        .any(|e| e.cat == "recovery" && e.name == "recovery"));
 }
 
 #[test]
 fn torn_halves_are_distinguished_by_kind() {
-    for (half, kind, name) in
-        [(TornHalf::First, 1, "torn_first"), (TornHalf::Last, 2, "torn_last")]
-    {
+    for (half, kind, name) in [
+        (TornHalf::First, 1, "torn_first"),
+        (TornHalf::Last, 2, "torn_last"),
+    ] {
         let mut m = traced_controller(ProtocolKind::Leaf);
         m.nvm_mut().arm_fault_hook(FaultPlan::torn_after(3, half));
         write_until_power_fails(&mut m);
@@ -124,7 +133,11 @@ fn unfaulted_runs_have_no_fault_events() {
     }
     let (faults, report) = fault_events(&m);
     assert!(faults.is_empty(), "{faults:?}");
-    assert_eq!(report.counter("crashes"), None, "no crash => counter never registered");
+    assert_eq!(
+        report.counter("crashes"),
+        None,
+        "no crash => counter never registered"
+    );
 }
 
 /// Each span of a recovery phase tree: name, start relative to the root
@@ -137,9 +150,16 @@ type PhaseSpan = (&'static str, u64, u64, [u64; 3]);
 fn phase_tree(spans: &[TraceEvent]) -> (u64, Vec<PhaseSpan>) {
     let root = spans.last().expect("a root span");
     assert_eq!((root.name, root.parent), ("recovery", 0), "{spans:?}");
-    assert!(spans[..spans.len() - 1].iter().all(|e| e.parent == root.id), "{spans:?}");
-    let args = |e: &TraceEvent| ["reads", "writes", "hashes"].map(|k| arg(e, k).unwrap_or(u64::MAX));
-    let tree = spans.iter().map(|e| (e.name, e.ts - root.ts, e.dur, args(e))).collect();
+    assert!(
+        spans[..spans.len() - 1].iter().all(|e| e.parent == root.id),
+        "{spans:?}"
+    );
+    let args =
+        |e: &TraceEvent| ["reads", "writes", "hashes"].map(|k| arg(e, k).unwrap_or(u64::MAX));
+    let tree = spans
+        .iter()
+        .map(|e| (e.name, e.ts - root.ts, e.dur, args(e)))
+        .collect();
     (root.ts, tree)
 }
 
@@ -161,7 +181,12 @@ fn recovery_phase_tree_closes_on_failure_and_on_success() {
     // Every phase, the failed one included, closed under the root span, and
     // the failed phase counts no hashes.
     let report = m.trace_report().expect("traced");
-    let failed: Vec<_> = report.events.iter().filter(|e| e.cat == "recovery").cloned().collect();
+    let failed: Vec<_> = report
+        .events
+        .iter()
+        .filter(|e| e.cat == "recovery")
+        .cloned()
+        .collect();
     let (start, tree) = phase_tree(&failed);
     assert_eq!(
         tree,
@@ -177,9 +202,15 @@ fn recovery_phase_tree_closes_on_failure_and_on_success() {
     // a root again, starting where the failed one ended: the failed
     // recovery left no frame open.
     m.nvm_mut().tamper_flip_bit(counter + 5, 1);
-    m.recover().expect("the untampered counters rebuild the root");
+    m.recover()
+        .expect("the untampered counters rebuild the root");
     let report = m.trace_report().expect("traced");
-    let spans: Vec<_> = report.events.iter().filter(|e| e.cat == "recovery").cloned().collect();
+    let spans: Vec<_> = report
+        .events
+        .iter()
+        .filter(|e| e.cat == "recovery")
+        .cloned()
+        .collect();
     let (restart, tree) = phase_tree(&spans[failed.len()..]);
     assert_eq!(restart, start + 100);
     assert_eq!(

@@ -38,9 +38,15 @@ fn ctr_pads_are_temporally_unique() {
         let minor_a = (rng.next_u64() & 0x7f) as u8;
         let minor_b = (rng.next_u64() & 0x7f) as u8;
         if minor_a != minor_b {
-            assert_ne!(engine.pad(addr, major, minor_a), engine.pad(addr, major, minor_b));
+            assert_ne!(
+                engine.pad(addr, major, minor_a),
+                engine.pad(addr, major, minor_b)
+            );
         }
-        assert_ne!(engine.pad(addr, major, minor_a), engine.pad(addr, major + 1, minor_a));
+        assert_ne!(
+            engine.pad(addr, major, minor_a),
+            engine.pad(addr, major + 1, minor_a)
+        );
     }
 }
 

@@ -42,8 +42,11 @@ pub fn apply(
             _ => fresh.push(f.clone()),
         }
     }
-    let stale: Vec<String> =
-        budget.into_iter().filter(|&(_, n)| n > 0).map(|(k, _)| k).collect();
+    let stale: Vec<String> = budget
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(k, _)| k)
+        .collect();
     (fresh, suppressed, stale)
 }
 

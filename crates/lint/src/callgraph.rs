@@ -95,8 +95,10 @@ impl CallGraph {
     /// Builds the graph from parsed items (test items and test-tree files
     /// are dropped here).
     pub fn build(items: Vec<FnItem>) -> CallGraph {
-        let fns: Vec<FnItem> =
-            items.into_iter().filter(|f| !f.in_test && graph_path(&f.path)).collect();
+        let fns: Vec<FnItem> = items
+            .into_iter()
+            .filter(|f| !f.in_test && graph_path(&f.path))
+            .collect();
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.as_str()).or_default().push(i);
@@ -109,10 +111,17 @@ impl CallGraph {
                 let cands = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
                 match resolve(&fns, i, &call, &cands) {
                     Resolution::To(targets) => {
-                        let kind =
-                            if targets.len() == 1 { EdgeKind::Resolved } else { EdgeKind::Ambiguous };
+                        let kind = if targets.len() == 1 {
+                            EdgeKind::Resolved
+                        } else {
+                            EdgeKind::Ambiguous
+                        };
                         for t in targets {
-                            edges[i].push(Edge { callee: t, kind, site: call.offset });
+                            edges[i].push(Edge {
+                                callee: t,
+                                kind,
+                                site: call.offset,
+                            });
                             callers[t].push((i, call.offset));
                         }
                     }
@@ -124,7 +133,12 @@ impl CallGraph {
                 }
             }
         }
-        CallGraph { fns, edges, callers, unresolved }
+        CallGraph {
+            fns,
+            edges,
+            callers,
+            unresolved,
+        }
     }
 
     /// Node indices whose `(path prefix, name)` matches — entry-point
@@ -198,16 +212,29 @@ fn resolve(fns: &[FnItem], caller: usize, call: &CallSite, cands: &[usize]) -> R
     if cands.is_empty() {
         return Resolution::External;
     }
-    let pick = |v: Vec<usize>| if v.is_empty() { None } else { Some(Resolution::To(v)) };
+    let pick = |v: Vec<usize>| {
+        if v.is_empty() {
+            None
+        } else {
+            Some(Resolution::To(v))
+        }
+    };
     match &call.recv {
         Receiver::SelfDot => {
             let own = fns[caller].impl_type.as_deref();
-            let same: Vec<usize> =
-                cands.iter().copied().filter(|&c| own.is_some() && fns[c].impl_type.as_deref() == own).collect();
+            let same: Vec<usize> = cands
+                .iter()
+                .copied()
+                .filter(|&c| own.is_some() && fns[c].impl_type.as_deref() == own)
+                .collect();
             if let Some(r) = pick(same) {
                 return r;
             }
-            let methods: Vec<usize> = cands.iter().copied().filter(|&c| fns[c].has_receiver).collect();
+            let methods: Vec<usize> = cands
+                .iter()
+                .copied()
+                .filter(|&c| fns[c].has_receiver)
+                .collect();
             if let Some(r) = pick(methods) {
                 return r;
             }
@@ -278,8 +305,11 @@ fn resolve(fns: &[FnItem], caller: usize, call: &CallSite, cands: &[usize]) -> R
             if let Some(r) = pick(free_same_file) {
                 return r;
             }
-            let free: Vec<usize> =
-                cands.iter().copied().filter(|&c| fns[c].impl_type.is_none()).collect();
+            let free: Vec<usize> = cands
+                .iter()
+                .copied()
+                .filter(|&c| fns[c].impl_type.is_none())
+                .collect();
             pick(free).unwrap_or(Resolution::External)
         }
     }
@@ -299,7 +329,10 @@ mod tests {
     }
 
     fn idx(g: &CallGraph, id: &str) -> usize {
-        g.fns.iter().position(|f| f.display_id() == id).unwrap_or_else(|| panic!("no {id}"))
+        g.fns
+            .iter()
+            .position(|f| f.display_id() == id)
+            .unwrap_or_else(|| panic!("no {id}"))
     }
 
     #[test]
@@ -317,7 +350,10 @@ mod tests {
         ]);
         let go = idx(&g, "crates/b/src/lib.rs::C::go");
         assert_eq!(g.edges[go].len(), 1);
-        assert_eq!(g.fns[g.edges[go][0].callee].display_id(), "crates/a/src/lib.rs::MemoryTimeline::write");
+        assert_eq!(
+            g.fns[g.edges[go][0].callee].display_id(),
+            "crates/a/src/lib.rs::MemoryTimeline::write"
+        );
         assert_eq!(g.edges[go][0].kind, EdgeKind::Resolved);
     }
 
@@ -347,10 +383,15 @@ mod tests {
              fn go() { let w = Nvm::new(); w.write(); }\n",
         )]);
         let go = idx(&g, "crates/a/src/lib.rs::go");
-        let writes: Vec<&Edge> =
-            g.edges[go].iter().filter(|e| g.fns[e.callee].name == "write").collect();
+        let writes: Vec<&Edge> = g.edges[go]
+            .iter()
+            .filter(|e| g.fns[e.callee].name == "write")
+            .collect();
         assert_eq!(writes.len(), 1);
-        assert_eq!(g.fns[writes[0].callee].display_id(), "crates/a/src/lib.rs::Nvm::write");
+        assert_eq!(
+            g.fns[writes[0].callee].display_id(),
+            "crates/a/src/lib.rs::Nvm::write"
+        );
         assert_eq!(writes[0].kind, EdgeKind::Resolved);
     }
 

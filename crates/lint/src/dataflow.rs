@@ -48,7 +48,9 @@ pub fn interprocedural_findings(files: &[(String, String)]) -> Vec<Finding> {
     let graph = CallGraph::build(items);
     let feats: Vec<Features> = graph.fns.iter().map(Features::scan).collect();
     let line_at = |path: &str, offset: usize| -> usize {
-        masked.get(path).map_or(1, |(_, starts)| line_of(starts, offset))
+        masked
+            .get(path)
+            .map_or(1, |(_, starts)| line_of(starts, offset))
     };
 
     let mut findings = Vec::new();
@@ -99,8 +101,12 @@ impl Features {
         let begins = call_token("begin_atomic");
         let ends = call_token("end_atomic");
 
-        let mut exits: Vec<usize> =
-            body.bytes().enumerate().filter(|&(_, b)| b == b'?').map(|(at, _)| abs(at)).collect();
+        let mut exits: Vec<usize> = body
+            .bytes()
+            .enumerate()
+            .filter(|&(_, b)| b == b'?')
+            .map(|(at, _)| abs(at))
+            .collect();
         exits.extend(token_offsets(body, "return").into_iter().map(abs));
         exits.sort_unstable();
 
@@ -110,10 +116,20 @@ impl Features {
         }
         panics.sort_unstable();
 
-        let unguarded_idx =
-            unguarded_indexing(body).into_iter().map(|(at, id)| (abs(at), id)).collect();
+        let unguarded_idx = unguarded_indexing(body)
+            .into_iter()
+            .map(|(at, id)| (abs(at), id))
+            .collect();
 
-        Features { mutations, fence_local, begins, ends, exits, panics, unguarded_idx }
+        Features {
+            mutations,
+            fence_local,
+            begins,
+            ends,
+            exits,
+            panics,
+            unguarded_idx,
+        }
     }
 }
 
@@ -127,7 +143,11 @@ fn unguarded_indexing(body: &str) -> Vec<(usize, String)> {
     let bytes = body.as_bytes();
     let mut out = Vec::new();
     for (open, _) in body.match_indices('[') {
-        if open == 0 || !(is_ident_byte(bytes[open - 1]) || bytes[open - 1] == b')' || bytes[open - 1] == b']') {
+        if open == 0
+            || !(is_ident_byte(bytes[open - 1])
+                || bytes[open - 1] == b')'
+                || bytes[open - 1] == b']')
+        {
             continue; // array literal / attribute / slice type, not indexing
         }
         let mut depth = 0i64;
@@ -186,10 +206,7 @@ fn ident_guarded(body: &str, ident: &str) -> bool {
         if rest.starts_with('=') && !rest.starts_with("==") {
             let stmt_end = rest.find(';').unwrap_or(rest.len());
             let rhs = &rest[..stmt_end];
-            if rhs.contains('%')
-                || rhs.contains(".min(")
-                || rhs.contains(".clamp(")
-                || masked(rhs)
+            if rhs.contains('%') || rhs.contains(".min(") || rhs.contains(".clamp(") || masked(rhs)
             {
                 return true;
             }
@@ -214,7 +231,9 @@ fn masked(expr: &str) -> bool {
         op.starts_with(|c: char| c.is_ascii_digit())
             || (op.starts_with('(') && op[1..op.len() - 1].trim_end().ends_with("- 1"))
             || (name.starts_with(|c: char| c.is_ascii_uppercase())
-                && name.bytes().all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_'))
+                && name
+                    .bytes()
+                    .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_'))
     };
     expr.match_indices('&').any(|(at, _)| {
         let (left, right) = (expr[..at].trim_end(), expr[at + 1..].trim_start());
@@ -237,7 +256,9 @@ fn leading_operand(s: &str) -> &str {
             })
             .map_or(0, |close| close + 1)
     } else {
-        s.bytes().position(|b| !(is_ident_byte(b) || b == b':')).unwrap_or(s.len())
+        s.bytes()
+            .position(|b| !(is_ident_byte(b) || b == b':'))
+            .unwrap_or(s.len())
     };
     if s[end..].trim_start().starts_with(['.', '(']) {
         ""
@@ -259,7 +280,9 @@ fn trailing_operand(s: &str) -> &str {
             })
             .unwrap_or(s.len())
     } else {
-        s.bytes().rposition(|b| !(is_ident_byte(b) || b == b':')).map_or(0, |at| at + 1)
+        s.bytes()
+            .rposition(|b| !(is_ident_byte(b) || b == b':'))
+            .map_or(0, |at| at + 1)
     };
     let before = s[..start].trim_end();
     let call = s.ends_with(')') && before.ends_with(|c: char| is_ident_byte(c as u8));
@@ -300,7 +323,10 @@ fn accepted_up(graph: &CallGraph, ok: impl Fn(usize, usize) -> bool) -> Vec<bool
             if acc[x] || graph.callers[x].is_empty() {
                 continue;
             }
-            if graph.callers[x].iter().all(|&(c, site)| ok(c, site) || acc[c]) {
+            if graph.callers[x]
+                .iter()
+                .all(|&(c, site)| ok(c, site) || acc[c])
+            {
                 acc[x] = true;
                 changed = true;
             }
@@ -339,7 +365,9 @@ fn r1_reachable_panic_freedom(
         }
     }
     for i in 0..graph.fns.len() {
-        let Some(entry) = reached_from[i] else { continue };
+        let Some(entry) = reached_from[i] else {
+            continue;
+        };
         let f = &graph.fns[i];
         let entry_name = &graph.fns[entry].name;
         // The four panic patterns are already policed per-file inside
@@ -403,7 +431,10 @@ fn r3_persist_fence_pairing(
         let detail = if graph.callers[i].is_empty() {
             " (no callers found)".to_string()
         } else {
-            match graph.callers[i].iter().find(|&&(c, _)| !fences[c] && !accepted[c]) {
+            match graph.callers[i]
+                .iter()
+                .find(|&&(c, _)| !fences[c] && !accepted[c])
+            {
                 Some(&(c, _)) => format!(" (unfenced caller path via `{}`)", graph.fns[c].name),
                 None => String::new(),
             }
@@ -439,8 +470,18 @@ fn r9_atomic_bracketing(
     let close_events: Vec<Vec<usize>> = (0..graph.fns.len())
         .map(|i| {
             let mut ev = feats[i].ends.clone();
-            ev.extend(graph.edges[i].iter().filter(|e| closes[e.callee]).map(|e| e.site));
-            ev.extend(graph.unresolved[i].iter().filter(|u| u.self_call).map(|u| u.site));
+            ev.extend(
+                graph.edges[i]
+                    .iter()
+                    .filter(|e| closes[e.callee])
+                    .map(|e| e.site),
+            );
+            ev.extend(
+                graph.unresolved[i]
+                    .iter()
+                    .filter(|u| u.self_call)
+                    .map(|u| u.site),
+            );
             ev.sort_unstable();
             ev
         })
@@ -508,7 +549,10 @@ mod tests {
         // `bank << 2` is a shift, not a comparison guard...
         assert!(!ident_guarded("{ let x = bank << 2; a[bank]; }", "bank"));
         // ...but a real comparison is.
-        assert!(ident_guarded("{ debug_assert!(bank < n); a[bank]; }", "bank"));
+        assert!(ident_guarded(
+            "{ debug_assert!(bank < n); a[bank]; }",
+            "bank"
+        ));
     }
 
     #[test]

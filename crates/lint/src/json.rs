@@ -34,7 +34,9 @@ pub fn render(fresh: &[Finding], suppressed: usize, stale: &[String]) -> String 
     if !fresh.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str(&format!("],\n  \"suppressed\": {suppressed},\n  \"stale\": ["));
+    out.push_str(&format!(
+        "],\n  \"suppressed\": {suppressed},\n  \"stale\": ["
+    ));
     for (i, key) in stale.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -93,6 +95,9 @@ mod tests {
 
     #[test]
     fn empty_gate_is_compact() {
-        assert_eq!(render(&[], 0, &[]), "{\n  \"new\": [],\n  \"suppressed\": 0,\n  \"stale\": []\n}\n");
+        assert_eq!(
+            render(&[], 0, &[]),
+            "{\n  \"new\": [],\n  \"suppressed\": 0,\n  \"stale\": []\n}\n"
+        );
     }
 }

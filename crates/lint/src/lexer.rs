@@ -85,7 +85,14 @@ fn lex(src: &str) -> (String, String) {
                 i = j + 1;
                 // Consume until `"` followed by `hashes` hashes.
                 while i < n {
-                    if b[i] == '"' && b[i + 1..].iter().take(hashes).filter(|&&h| h == '#').count() == hashes {
+                    if b[i] == '"'
+                        && b[i + 1..]
+                            .iter()
+                            .take(hashes)
+                            .filter(|&&h| h == '#')
+                            .count()
+                            == hashes
+                    {
                         for _ in 0..=hashes {
                             out.push(' ');
                             com.push(' ');
@@ -318,7 +325,11 @@ pub fn fn_spans(masked: &str) -> Vec<FnSpan> {
                     }
                     k += 1;
                 }
-                spans.push(FnSpan { name, start: i, end: (k + 1).min(bytes.len()) });
+                spans.push(FnSpan {
+                    name,
+                    start: i,
+                    end: (k + 1).min(bytes.len()),
+                });
             }
             i = j;
         } else {
@@ -383,7 +394,10 @@ mod tests {
         let m = mask(src);
         assert_eq!(m.matches('\n').count(), src.matches('\n').count());
         assert!(!m.contains("line two"));
-        assert_eq!(comments(src).matches('\n').count(), src.matches('\n').count());
+        assert_eq!(
+            comments(src).matches('\n').count(),
+            src.matches('\n').count()
+        );
     }
 
     #[test]
@@ -409,7 +423,8 @@ mod tests {
 
     #[test]
     fn fn_spans_find_names_and_bodies() {
-        let src = "fn alpha() { beta(); }\nstruct S;\nimpl S {\n    fn beta(&self) -> u8 { 7 }\n}\n";
+        let src =
+            "fn alpha() { beta(); }\nstruct S;\nimpl S {\n    fn beta(&self) -> u8 { 7 }\n}\n";
         let spans = fn_spans(&mask(src));
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["alpha", "beta"]);

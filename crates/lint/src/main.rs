@@ -11,8 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use amnt_lint::{baseline, callgraph::CallGraph, find_root, json, lint_corpus, parse, read_corpus,
-    rule_info, RULES};
+use amnt_lint::{
+    baseline, callgraph::CallGraph, find_root, json, lint_corpus, parse, read_corpus, rule_info,
+    RULES,
+};
 use std::path::PathBuf;
 
 fn main() {
@@ -51,7 +53,10 @@ fn run(args: Vec<String>) -> i32 {
             "--explain" => {
                 return match it.next().as_deref().and_then(rule_info) {
                     Some(r) => {
-                        println!("{} ({}): {}\n\n{}", r.id, r.severity, r.summary, r.explanation);
+                        println!(
+                            "{} ({}): {}\n\n{}",
+                            r.id, r.severity, r.summary, r.explanation
+                        );
                         0
                     }
                     None => usage("--explain needs a rule id (R1..R9)"),
@@ -71,11 +76,14 @@ fn run(args: Vec<String>) -> i32 {
     }
 
     let root = match root.or_else(|| {
-        std::env::current_dir().ok().and_then(|d| find_root(&d)).or_else(|| {
-            // When run via `cargo run -p amnt-lint` the cwd is already in
-            // the workspace, but fall back to the build-time location too.
-            find_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR")))
-        })
+        std::env::current_dir()
+            .ok()
+            .and_then(|d| find_root(&d))
+            .or_else(|| {
+                // When run via `cargo run -p amnt-lint` the cwd is already in
+                // the workspace, but fall back to the build-time location too.
+                find_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR")))
+            })
     }) {
         Some(r) => r,
         None => return usage("no workspace root found; pass --root"),

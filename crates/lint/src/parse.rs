@@ -375,7 +375,9 @@ fn impl_spans(masked: &str) -> Vec<(usize, usize, String)> {
                 Some(f) => &masked[f + 3..open],
                 None => &masked[head_start..open],
             };
-            let Some(name) = type_simple_name(head) else { continue };
+            let Some(name) = type_simple_name(head) else {
+                continue;
+            };
             // Matching close brace.
             let mut depth = 0i64;
             let mut k = open;
@@ -473,7 +475,11 @@ fn call_sites(
             continue;
         }
         let recv = receiver_of(masked, body_start, j);
-        out.push(CallSite { name: name.to_string(), recv, offset: j });
+        out.push(CallSite {
+            name: name.to_string(),
+            recv,
+            offset: j,
+        });
     }
     out
 }
@@ -513,8 +519,7 @@ fn local_bindings(
             }
         };
         skip_ws(&mut j);
-        if masked[j..end].starts_with("mut") && !is_ident_byte(*bytes.get(j + 3).unwrap_or(&b' '))
-        {
+        if masked[j..end].starts_with("mut") && !is_ident_byte(*bytes.get(j + 3).unwrap_or(&b' ')) {
             j += 3;
             skip_ws(&mut j);
         }
@@ -583,9 +588,7 @@ fn local_bindings(
                         .rfind(|s| upper(s))
                         .map(|s| s.to_string()),
                     // `T { .. }` / `path::T { .. }` struct literal.
-                    Some(b'{') => {
-                        segs.last().filter(|s| upper(s)).map(|s| s.to_string())
-                    }
+                    Some(b'{') => segs.last().filter(|s| upper(s)).map(|s| s.to_string()),
                     _ => None,
                 }
             }
@@ -602,7 +605,9 @@ fn local_bindings(
         }
         i = j.max(i + 3);
     }
-    out.into_iter().filter_map(|(k, v)| v.map(|ty| (k, ty))).collect()
+    out.into_iter()
+        .filter_map(|(k, v)| v.map(|ty| (k, ty)))
+        .collect()
 }
 
 /// Classifies the receiver of a call whose name starts at `name_at`.
@@ -668,7 +673,15 @@ mod tests {
                    fn free() {}\n";
         let items = parse_file("a.rs", src);
         let ids: Vec<String> = items.iter().map(|f| f.display_id()).collect();
-        assert_eq!(ids, vec!["a.rs::S::method", "a.rs::S::assoc", "a.rs::S::fmt", "a.rs::free"]);
+        assert_eq!(
+            ids,
+            vec![
+                "a.rs::S::method",
+                "a.rs::S::assoc",
+                "a.rs::S::fmt",
+                "a.rs::free"
+            ]
+        );
         assert!(items[0].has_receiver);
         assert!(!items[1].has_receiver);
         assert!(items[2].has_receiver);
@@ -689,8 +702,11 @@ mod tests {
                    \x20   }\n\
                    }\n";
         let items = parse_file("a.rs", src);
-        let calls: Vec<(String, Receiver)> =
-            items[0].calls.iter().map(|c| (c.name.clone(), c.recv.clone())).collect();
+        let calls: Vec<(String, Receiver)> = items[0]
+            .calls
+            .iter()
+            .map(|c| (c.name.clone(), c.recv.clone()))
+            .collect();
         assert_eq!(
             calls,
             vec![
@@ -754,8 +770,11 @@ mod tests {
                    \x20   }\n\
                    }\n";
         let items = parse_file("a.rs", src);
-        let calls: Vec<(String, Receiver)> =
-            items[0].calls.iter().map(|c| (c.name.clone(), c.recv.clone())).collect();
+        let calls: Vec<(String, Receiver)> = items[0]
+            .calls
+            .iter()
+            .map(|c| (c.name.clone(), c.recv.clone()))
+            .collect();
         assert_eq!(
             calls,
             vec![
@@ -795,7 +814,11 @@ mod tests {
                    \x20   let y = Nvm::with_capacity(4);\n\
                    }\n";
         let items = parse_file("a.rs", src);
-        assert_eq!(items[0].locals.get("x"), None, "re-bound at a different type");
+        assert_eq!(
+            items[0].locals.get("x"),
+            None,
+            "re-bound at a different type"
+        );
         assert_eq!(items[0].locals.get("y").map(String::as_str), Some("Nvm"));
     }
 
@@ -815,7 +838,10 @@ mod tests {
 
     #[test]
     fn type_names_strip_paths_generics_and_refs() {
-        assert_eq!(type_simple_name(" amnt_bmt::CounterBlock<T> "), Some("CounterBlock".into()));
+        assert_eq!(
+            type_simple_name(" amnt_bmt::CounterBlock<T> "),
+            Some("CounterBlock".into())
+        );
         assert_eq!(type_simple_name(" &mut Nvm "), Some("Nvm".into()));
         assert_eq!(type_simple_name("S where T: X"), Some("S".into()));
         assert_eq!(type_simple_name(""), None);

@@ -13,8 +13,7 @@
 //! scope/token constants.
 
 use crate::lexer::{
-    cfg_test_ranges, comments, is_ident_byte, line_of, line_starts, mask,
-    token_offsets,
+    cfg_test_ranges, comments, is_ident_byte, line_of, line_starts, mask, token_offsets,
 };
 use std::fmt;
 
@@ -63,7 +62,11 @@ impl Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{} · {} · {} · {}", self.path, self.line, self.rule, self.severity, self.message)
+        write!(
+            f,
+            "{}:{} · {} · {} · {}",
+            self.path, self.line, self.rule, self.severity, self.message
+        )
     }
 }
 
@@ -272,8 +275,12 @@ pub(crate) const R1_SCOPE: [&str; 4] = [
 /// (`shard.rs`) — multi-shard artifacts are byte-compared across worker
 /// counts, so shard routing and epoch merging must stay entropy-free
 /// (locked by `shard_module_is_in_r2_scope` below).
-const R2_SCOPE: [&str; 4] =
-    ["crates/core/src/", "crates/sim/src/", "crates/workloads/src/", "crates/trace/src/"];
+const R2_SCOPE: [&str; 4] = [
+    "crates/core/src/",
+    "crates/sim/src/",
+    "crates/workloads/src/",
+    "crates/trace/src/",
+];
 
 /// Persist/fence-pairing scope for R3 (where *mutations* are policed;
 /// fences may be found on caller paths in any crate).
@@ -282,16 +289,27 @@ pub(crate) const R3_SCOPE: [&str; 2] =
 
 /// Engine-crate scope for R8 (print macros). `src/bin/` subtrees are
 /// exempt — binaries own their stdout.
-const R8_SCOPE: [&str; 4] =
-    ["crates/core/src/", "crates/sim/src/", "crates/cache/src/", "crates/nvm/src/"];
+const R8_SCOPE: [&str; 4] = [
+    "crates/core/src/",
+    "crates/sim/src/",
+    "crates/cache/src/",
+    "crates/nvm/src/",
+];
 
 /// Raw-NVM mutation entry points (R3).
-pub(crate) const R3_MUTATIONS: [&str; 3] =
-    [".write_block_untimed(", ".write_bytes_untimed(", ".write_u64("];
+pub(crate) const R3_MUTATIONS: [&str; 3] = [
+    ".write_block_untimed(",
+    ".write_bytes_untimed(",
+    ".write_u64(",
+];
 
 /// Durability/ordering actions that discharge an R3 mutation.
-pub(crate) const R3_FENCES: [&str; 4] =
-    ["timeline.write(", "timeline.reset(", "snapshot_before_lazy_update(", "mark_persisted("];
+pub(crate) const R3_FENCES: [&str; 4] = [
+    "timeline.write(",
+    "timeline.reset(",
+    "snapshot_before_lazy_update(",
+    "mark_persisted(",
+];
 
 /// Runs the per-file rules on one file's content under its repo-relative
 /// `path` (forward slashes). The path drives rule scoping. The
@@ -307,10 +325,22 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
     // R1: crash-path panics.
     if R1_SCOPE.iter().any(|s| path.starts_with(s)) {
         let patterns: [(&str, &str); 4] = [
-            (".unwrap()", "`.unwrap()` on the crash path — return a typed error"),
-            (".expect(", "`.expect(...)` on the crash path — return a typed error"),
-            ("panic!", "`panic!` on the crash path — return a typed error"),
-            ("unreachable!", "`unreachable!` on the crash path — return a typed error"),
+            (
+                ".unwrap()",
+                "`.unwrap()` on the crash path — return a typed error",
+            ),
+            (
+                ".expect(",
+                "`.expect(...)` on the crash path — return a typed error",
+            ),
+            (
+                "panic!",
+                "`panic!` on the crash path — return a typed error",
+            ),
+            (
+                "unreachable!",
+                "`unreachable!` on the crash path — return a typed error",
+            ),
         ];
         for (pat, msg) in patterns {
             for at in substr_offsets(&masked, pat) {
@@ -325,9 +355,18 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
     // R2: nondeterminism sources.
     if R2_SCOPE.iter().any(|s| path.starts_with(s)) {
         let tokens: [(&str, &str); 3] = [
-            ("thread_rng", "`thread_rng` — seed an amnt_prng::Rng from the run config instead"),
-            ("SystemTime", "`SystemTime` — wall-clock time breaks deterministic replay"),
-            ("Instant", "`Instant` — host timing breaks deterministic replay"),
+            (
+                "thread_rng",
+                "`thread_rng` — seed an amnt_prng::Rng from the run config instead",
+            ),
+            (
+                "SystemTime",
+                "`SystemTime` — wall-clock time breaks deterministic replay",
+            ),
+            (
+                "Instant",
+                "`Instant` — host timing breaks deterministic replay",
+            ),
         ];
         for (tok, msg) in tokens {
             for at in token_offsets(&masked, tok) {
@@ -359,8 +398,14 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
     // R4: crate-root hygiene attributes.
     if path.ends_with("src/lib.rs") {
         for (attr, what) in [
-            ("#![forbid(unsafe_code)]", "missing `#![forbid(unsafe_code)]` at crate root"),
-            ("#![warn(missing_docs)]", "missing `#![warn(missing_docs)]` at crate root"),
+            (
+                "#![forbid(unsafe_code)]",
+                "missing `#![forbid(unsafe_code)]` at crate root",
+            ),
+            (
+                "#![warn(missing_docs)]",
+                "missing `#![warn(missing_docs)]` at crate root",
+            ),
         ] {
             if !masked.contains(attr) {
                 findings.push(mk_finding(path, 1, "R4", what));
@@ -388,9 +433,18 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
     // `std::thread::spawn` and `thread::spawn` after a use-import.
     if path != "crates/bench/src/exec.rs" {
         let patterns: [(&str, &str); 3] = [
-            ("thread::spawn", "`thread::spawn` outside the executor — use amnt_bench::exec::run_jobs"),
-            ("thread::scope", "`thread::scope` outside the executor — use amnt_bench::exec::run_jobs"),
-            ("thread::Builder", "`thread::Builder` outside the executor — use amnt_bench::exec::run_jobs"),
+            (
+                "thread::spawn",
+                "`thread::spawn` outside the executor — use amnt_bench::exec::run_jobs",
+            ),
+            (
+                "thread::scope",
+                "`thread::scope` outside the executor — use amnt_bench::exec::run_jobs",
+            ),
+            (
+                "thread::Builder",
+                "`thread::Builder` outside the executor — use amnt_bench::exec::run_jobs",
+            ),
         ];
         for (pat, msg) in patterns {
             for at in substr_offsets(&masked, pat) {
@@ -407,9 +461,18 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
     // identifiers (a local named `dbg`) out.
     if R8_SCOPE.iter().any(|s| path.starts_with(s)) && !path.contains("/bin/") {
         let macros: [(&str, &str); 3] = [
-            ("println", "`println!` in engine code — record it through the trace layer"),
-            ("eprintln", "`eprintln!` in engine code — record it through the trace layer"),
-            ("dbg", "`dbg!` in engine code — record it through the trace layer"),
+            (
+                "println",
+                "`println!` in engine code — record it through the trace layer",
+            ),
+            (
+                "eprintln",
+                "`eprintln!` in engine code — record it through the trace layer",
+            ),
+            (
+                "dbg",
+                "`dbg!` in engine code — record it through the trace layer",
+            ),
         ];
         for (name, msg) in macros {
             for at in token_offsets(&masked, name) {
@@ -450,8 +513,16 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
 }
 
 pub(crate) fn mk_finding(path: &str, line: usize, rule: &'static str, message: &str) -> Finding {
-    let severity = rule_info(rule).map(|r| r.severity).unwrap_or(Severity::Error);
-    Finding { path: path.to_string(), line, rule, severity, message: message.to_string() }
+    let severity = rule_info(rule)
+        .map(|r| r.severity)
+        .unwrap_or(Severity::Error);
+    Finding {
+        path: path.to_string(),
+        line,
+        rule,
+        severity,
+        message: message.to_string(),
+    }
 }
 
 /// Plain substring occurrences (R1's patterns carry their own `.`/`!`
@@ -567,7 +638,8 @@ fn let_bindings(masked: &str) -> Vec<Bind> {
         while i < bytes.len() && bytes[i].is_ascii_whitespace() {
             i += 1;
         }
-        if masked[i..].starts_with("mut") && bytes.get(i + 3).is_some_and(|b| b.is_ascii_whitespace())
+        if masked[i..].starts_with("mut")
+            && bytes.get(i + 3).is_some_and(|b| b.is_ascii_whitespace())
         {
             i += 4;
             while i < bytes.len() && bytes[i].is_ascii_whitespace() {
@@ -597,7 +669,9 @@ fn let_bindings(masked: &str) -> Vec<Bind> {
             continue;
         }
         let rhs_start = i + 1;
-        let rhs_end = masked[rhs_start..].find(';').map_or(masked.len(), |p| rhs_start + p);
+        let rhs_end = masked[rhs_start..]
+            .find(';')
+            .map_or(masked.len(), |p| rhs_start + p);
         out.push(Bind {
             offset: name_start,
             name,
@@ -693,7 +767,10 @@ fn truncating_time_casts(masked: &str) -> Vec<(String, usize)> {
         let rest = masked[at + 2..].trim_start();
         let narrow = ["u32", "usize", "u16", "u8", "i32", "i16", "i8"]
             .iter()
-            .any(|t| rest.starts_with(t) && !rest[t.len()..].starts_with(|c: char| is_ident_byte(c as u8)));
+            .any(|t| {
+                rest.starts_with(t)
+                    && !rest[t.len()..].starts_with(|c: char| is_ident_byte(c as u8))
+            });
         if !narrow {
             continue;
         }
@@ -713,7 +790,9 @@ fn truncating_time_casts(masked: &str) -> Vec<(String, usize)> {
         let ident = &masked[j..end];
         let last = ident.rsplit('_').next().unwrap_or(ident);
         let timeish = ident == "t"
-            || ["cycle", "tick", "time"].iter().any(|k| ident.to_ascii_lowercase().contains(k))
+            || ["cycle", "tick", "time"]
+                .iter()
+                .any(|k| ident.to_ascii_lowercase().contains(k))
             || last == "t";
         if timeish {
             hits.push((ident.to_string(), j));
@@ -746,14 +825,21 @@ mod tests {
     #[test]
     fn rule_table_is_consistent() {
         let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec!["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]);
+        assert_eq!(
+            ids,
+            vec!["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
+        );
         assert!(rule_info("r3").is_some());
         assert!(rule_info("r9").is_some());
         assert!(rule_info("R10").is_none());
         // The cross-function R3 ROADMAP item is closed; no explanation may
         // still point at it as future work.
         for r in RULES {
-            assert!(!r.explanation.contains("ROADMAP"), "{} still defers to ROADMAP", r.id);
+            assert!(
+                !r.explanation.contains("ROADMAP"),
+                "{} still defers to ROADMAP",
+                r.id
+            );
         }
     }
 

@@ -46,7 +46,11 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out: Vec<(String, PathBuf)> = files
         .into_iter()
         .filter_map(|abs| {
-            let rel = abs.strip_prefix(root).ok()?.to_string_lossy().replace('\\', "/");
+            let rel = abs
+                .strip_prefix(root)
+                .ok()?
+                .to_string_lossy()
+                .replace('\\', "/");
             Some((rel, abs))
         })
         .collect();
@@ -55,8 +59,10 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
 }
 
 fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<PathBuf> =
-        std::fs::read_dir(dir)?.filter_map(|e| e.ok()).map(|e| e.path()).collect();
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .collect();
     entries.sort();
     for path in entries {
         if path.is_dir() {

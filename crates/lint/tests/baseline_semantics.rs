@@ -9,7 +9,10 @@ use amnt_lint::{baseline, lint_corpus};
 fn duplicate_findings() -> Vec<amnt_lint::Finding> {
     let src = "fn a(x: Option<u8>) -> u8 { x.unwrap() }\n\
                fn b(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let findings = lint_corpus(&[("crates/core/src/protocol/fake.rs".to_string(), src.to_string())]);
+    let findings = lint_corpus(&[(
+        "crates/core/src/protocol/fake.rs".to_string(),
+        src.to_string(),
+    )]);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert_eq!(findings[0].key(), findings[1].key());
     findings
@@ -45,7 +48,11 @@ fn excess_and_unmatched_entries_are_stale() {
     let (fresh, suppressed, stale) = baseline::apply(&findings, &baseline::parse(&text));
     assert_eq!(suppressed, 2);
     assert!(fresh.is_empty());
-    assert_eq!(stale.len(), 2, "excess duplicate + unmatched entry: {stale:?}");
+    assert_eq!(
+        stale.len(),
+        2,
+        "excess duplicate + unmatched entry: {stale:?}"
+    );
     assert!(stale.contains(&"crates/x.rs · R6 · long gone".to_string()));
     assert!(stale.contains(&key));
 }

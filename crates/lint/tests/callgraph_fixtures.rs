@@ -15,19 +15,27 @@ fn graph(files: &[(&str, &str)]) -> CallGraph {
 }
 
 fn corpus(files: &[(&str, &str)]) -> Vec<Finding> {
-    let owned: Vec<(String, String)> =
-        files.iter().map(|(p, c)| (p.to_string(), c.to_string())).collect();
+    let owned: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, c)| (p.to_string(), c.to_string()))
+        .collect();
     lint_corpus(&owned)
 }
 
 fn idx(g: &CallGraph, name: &str) -> usize {
-    g.fns.iter().position(|f| f.name == name).unwrap_or_else(|| panic!("no fn {name}"))
+    g.fns
+        .iter()
+        .position(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no fn {name}"))
 }
 
 #[test]
 fn cross_module_path_call_resolves_to_the_module_file() {
     let g = graph(&[
-        ("crates/a/src/alpha.rs", "pub fn top() { beta::helper(); }\n"),
+        (
+            "crates/a/src/alpha.rs",
+            "pub fn top() { beta::helper(); }\n",
+        ),
         ("crates/a/src/beta.rs", "pub fn helper() {}\n"),
     ]);
     let top = idx(&g, "top");
@@ -43,15 +51,26 @@ fn self_call_with_two_method_candidates_is_ambiguous_to_both() {
     // No C::act exists, so the self-call falls through to every method
     // candidate; the ambiguity policy edges to each of them.
     let g = graph(&[
-        ("crates/c/src/lib.rs", "struct C;\nimpl C { fn go(&self) { self.act(); } }\n"),
-        ("crates/a/src/lib.rs", "struct A;\nimpl A { fn act(&self) {} }\n"),
-        ("crates/b/src/lib.rs", "struct B;\nimpl B { fn act(&self) {} }\n"),
+        (
+            "crates/c/src/lib.rs",
+            "struct C;\nimpl C { fn go(&self) { self.act(); } }\n",
+        ),
+        (
+            "crates/a/src/lib.rs",
+            "struct A;\nimpl A { fn act(&self) {} }\n",
+        ),
+        (
+            "crates/b/src/lib.rs",
+            "struct B;\nimpl B { fn act(&self) {} }\n",
+        ),
     ]);
     let go = idx(&g, "go");
     assert_eq!(g.edges[go].len(), 2, "{:?}", g.edges[go]);
     assert!(g.edges[go].iter().all(|e| e.kind == EdgeKind::Ambiguous));
-    let targets: Vec<&str> =
-        g.edges[go].iter().map(|e| g.fns[e.callee].path.as_str()).collect();
+    let targets: Vec<&str> = g.edges[go]
+        .iter()
+        .map(|e| g.fns[e.callee].path.as_str())
+        .collect();
     assert!(targets.contains(&"crates/a/src/lib.rs"));
     assert!(targets.contains(&"crates/b/src/lib.rs"));
 }
@@ -81,7 +100,11 @@ fn recursion_builds_and_mutually_recursive_unfenced_mutation_is_flagged() {
     let findings = corpus(&files);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R3");
-    assert!(findings[0].message.contains("fn `a`"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("fn `a`"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
@@ -100,7 +123,9 @@ fn unresolved_self_call_counts_as_a_fence_for_r3() {
     )];
     let g = graph(&files);
     let store = idx(&g, "store");
-    assert!(g.unresolved[store].iter().any(|u| u.name == "mystery" && u.self_call));
+    assert!(g.unresolved[store]
+        .iter()
+        .any(|u| u.name == "mystery" && u.self_call));
 
     let findings = corpus(&files);
     assert!(findings.is_empty(), "{findings:?}");
@@ -120,7 +145,10 @@ fn ambiguous_candidates_are_all_reachable_for_r1() {
              \x20   }\n\
              }\n",
         ),
-        ("crates/cache/src/a.rs", "struct A;\nimpl A {\n    fn act(&self) {}\n}\n"),
+        (
+            "crates/cache/src/a.rs",
+            "struct A;\nimpl A {\n    fn act(&self) {}\n}\n",
+        ),
         (
             "crates/cache/src/b.rs",
             "struct B;\nimpl B {\n\
@@ -134,15 +162,28 @@ fn ambiguous_candidates_are_all_reachable_for_r1() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R1");
     assert_eq!(findings[0].path, "crates/cache/src/b.rs");
-    assert!(findings[0].message.contains("recover"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("recover"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
 fn dump_shows_resolution_classes() {
     let g = graph(&[
-        ("crates/c/src/lib.rs", "struct C;\nimpl C { fn go(&self) { self.act(); self.ext(); } }\n"),
-        ("crates/a/src/lib.rs", "struct A;\nimpl A { fn act(&self) {} }\n"),
-        ("crates/b/src/lib.rs", "struct B;\nimpl B { fn act(&self) {} }\n"),
+        (
+            "crates/c/src/lib.rs",
+            "struct C;\nimpl C { fn go(&self) { self.act(); self.ext(); } }\n",
+        ),
+        (
+            "crates/a/src/lib.rs",
+            "struct A;\nimpl A { fn act(&self) {} }\n",
+        ),
+        (
+            "crates/b/src/lib.rs",
+            "struct B;\nimpl B { fn act(&self) {} }\n",
+        ),
     ]);
     let d = g.dump();
     assert!(d.contains("~> crates/a/src/lib.rs::A::act"), "{d}");

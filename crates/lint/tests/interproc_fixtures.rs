@@ -8,8 +8,10 @@
 use amnt_lint::{lint_corpus, Finding};
 
 fn corpus(files: &[(&str, &str)]) -> Vec<Finding> {
-    let owned: Vec<(String, String)> =
-        files.iter().map(|(p, c)| (p.to_string(), c.to_string())).collect();
+    let owned: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, c)| (p.to_string(), c.to_string()))
+        .collect();
     lint_corpus(&owned)
 }
 
@@ -65,8 +67,16 @@ fn r3_flags_helper_when_one_caller_drops_its_fence() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R3");
     assert_eq!(findings[0].path, "crates/core/src/protocol/helper.rs");
-    assert!(findings[0].message.contains("store_meta"), "{}", findings[0].message);
-    assert!(findings[0].message.contains("commit_alt"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("store_meta"),
+        "{}",
+        findings[0].message
+    );
+    assert!(
+        findings[0].message.contains("commit_alt"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
@@ -76,7 +86,11 @@ fn r3_helper_with_no_callers_is_flagged_as_before() {
     let findings = corpus(&[HELPER]);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R3");
-    assert!(findings[0].message.contains("no callers found"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("no callers found"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
@@ -106,8 +120,16 @@ fn r1_flags_unwrap_two_calls_deep_from_recover() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R1");
     assert_eq!(findings[0].path, "crates/bmt/src/fixup.rs");
-    assert!(findings[0].message.contains("finish"), "{}", findings[0].message);
-    assert!(findings[0].message.contains("recover"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("finish"),
+        "{}",
+        findings[0].message
+    );
+    assert!(
+        findings[0].message.contains("recover"),
+        "{}",
+        findings[0].message
+    );
 }
 
 /// `Nvm::undo_group`, reached from `crash`, indexing its pre-image through
@@ -136,7 +158,11 @@ fn r1_flags_index_masked_with_a_length() {
     let findings = undo_group_masked_with("pre.len()");
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R1");
-    assert!(findings[0].message.contains("undo_group"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("undo_group"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
@@ -163,8 +189,16 @@ fn r9_flags_early_question_mark_between_begin_and_end() {
     )]);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R9");
-    assert!(findings[0].message.contains("early exit"), "{}", findings[0].message);
-    assert!(findings[0].message.contains("step"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("early exit"),
+        "{}",
+        findings[0].message
+    );
+    assert!(
+        findings[0].message.contains("step"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
@@ -216,5 +250,9 @@ fn r9_flags_open_group_no_caller_closes() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "R9");
     assert_eq!(findings[0].path, "crates/core/src/open.rs");
-    assert!(findings[0].message.contains("opens an atomic group"), "{}", findings[0].message);
+    assert!(
+        findings[0].message.contains("opens an atomic group"),
+        "{}",
+        findings[0].message
+    );
 }

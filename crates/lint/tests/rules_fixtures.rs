@@ -10,7 +10,10 @@ use amnt_lint::{lint_source, Severity};
 
 /// Findings for `content` pretended to live at `path`, as rule ids.
 fn rules_at(path: &str, content: &str) -> Vec<&'static str> {
-    lint_source(path, content).into_iter().map(|f| f.rule).collect()
+    lint_source(path, content)
+        .into_iter()
+        .map(|f| f.rule)
+        .collect()
 }
 
 // ---------------------------------------------------------------- R1 ----
@@ -252,7 +255,9 @@ fn r6_flags_unanchored_markers_in_comments() {
     let bad = "// TODO: tighten this bound\nfn f() {}\n// FIXME later\n";
     let findings = lint_source("crates/bmt/src/geometry.rs", bad);
     assert_eq!(findings.len(), 2);
-    assert!(findings.iter().all(|f| f.rule == "R6" && f.severity == Severity::Warn));
+    assert!(findings
+        .iter()
+        .all(|f| f.rule == "R6" && f.severity == Severity::Warn));
 }
 
 #[test]
@@ -330,7 +335,11 @@ fn r8_flags_print_macros_in_engine_code() {
         "crates/nvm/src/lib.rs",
     ] {
         let findings = lint_source(path, bad);
-        assert_eq!(findings.iter().filter(|f| f.rule == "R8").count(), 3, "{path}");
+        assert_eq!(
+            findings.iter().filter(|f| f.rule == "R8").count(),
+            3,
+            "{path}"
+        );
         assert!(findings
             .iter()
             .filter(|f| f.rule == "R8")

@@ -18,11 +18,14 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn live_workspace_has_no_new_findings() {
     let root = workspace_root();
-    assert!(root.join("Cargo.toml").exists(), "bad root: {}", root.display());
+    assert!(
+        root.join("Cargo.toml").exists(),
+        "bad root: {}",
+        root.display()
+    );
 
     let findings = lint_workspace(&root).expect("workspace scan");
-    let baseline_text =
-        std::fs::read_to_string(root.join("lint-baseline.txt")).unwrap_or_default();
+    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.txt")).unwrap_or_default();
     let (fresh, _suppressed, _stale) = baseline::apply(&findings, &baseline::parse(&baseline_text));
 
     assert!(

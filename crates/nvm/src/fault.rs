@@ -85,24 +85,40 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Never faults; just counts device-write ordinals.
     pub fn count_only() -> Self {
-        FaultPlan { crash_after: None, mode: CrashWriteMode::Clean, drop_wpq_tail: 0 }
+        FaultPlan {
+            crash_after: None,
+            mode: CrashWriteMode::Clean,
+            drop_wpq_tail: 0,
+        }
     }
 
     /// Power fails cleanly after `k` device writes (the `k+1`-th is lost).
     pub fn crash_after(k: u64) -> Self {
-        FaultPlan { crash_after: Some(k), mode: CrashWriteMode::Clean, drop_wpq_tail: 0 }
+        FaultPlan {
+            crash_after: Some(k),
+            mode: CrashWriteMode::Clean,
+            drop_wpq_tail: 0,
+        }
     }
 
     /// Power fails after `k` device writes, tearing the `k+1`-th so only
     /// `half` of each touched 64-byte line lands.
     pub fn torn_after(k: u64, half: TornHalf) -> Self {
-        FaultPlan { crash_after: Some(k), mode: CrashWriteMode::Torn(half), drop_wpq_tail: 0 }
+        FaultPlan {
+            crash_after: Some(k),
+            mode: CrashWriteMode::Torn(half),
+            drop_wpq_tail: 0,
+        }
     }
 
     /// Never cuts power mid-write, but drops the last `n` journaled writes
     /// when the crash comes (an ADR/flush failure).
     pub fn drop_tail(n: usize) -> Self {
-        FaultPlan { crash_after: None, mode: CrashWriteMode::Clean, drop_wpq_tail: n }
+        FaultPlan {
+            crash_after: None,
+            mode: CrashWriteMode::Clean,
+            drop_wpq_tail: n,
+        }
     }
 
     /// The fate of the write with ordinal `seq`.

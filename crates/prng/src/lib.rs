@@ -75,7 +75,9 @@ impl Rng {
         // An all-zero state is the one fixed point; SplitMix64 cannot
         // produce four zero outputs in a row, but be defensive anyway.
         if s == [0; 4] {
-            return Rng { s: [0x9E37_79B9_7F4A_7C15, 1, 2, 3] };
+            return Rng {
+                s: [0x9E37_79B9_7F4A_7C15, 1, 2, 3],
+            };
         }
         Rng { s }
     }
@@ -242,10 +244,19 @@ mod tests {
     #[test]
     fn streams_differ_across_helpers_but_replay_exactly() {
         let mut a = Rng::seed_from_u64(99);
-        let trace: (u64, f64, bool, u64) =
-            (a.next_u64(), a.gen_f64(), a.gen_bool(0.5), a.gen_range(0..1_000_000));
+        let trace: (u64, f64, bool, u64) = (
+            a.next_u64(),
+            a.gen_f64(),
+            a.gen_bool(0.5),
+            a.gen_range(0..1_000_000),
+        );
         let mut b = Rng::seed_from_u64(99);
-        let again = (b.next_u64(), b.gen_f64(), b.gen_bool(0.5), b.gen_range(0..1_000_000));
+        let again = (
+            b.next_u64(),
+            b.gen_f64(),
+            b.gen_bool(0.5),
+            b.gen_range(0..1_000_000),
+        );
         assert_eq!(trace, again);
     }
 }

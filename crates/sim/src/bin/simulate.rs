@@ -12,7 +12,7 @@
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, ProtocolKind};
 use amnt_sim::{with_amnt_plus, Machine, MachineConfig, SimReport};
 use amnt_workloads::{
-    parsec, spec2017, read_trace, write_trace, Event, EventStream, TraceGen, WorkloadModel,
+    parsec, read_trace, spec2017, write_trace, Event, EventStream, TraceGen, WorkloadModel,
 };
 use std::io::Write;
 use std::process::exit;
@@ -74,10 +74,12 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage()
-        });
+        let mut val = |name: &str| {
+            it.next().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                usage()
+            })
+        };
         match flag.as_str() {
             "--bench" => args.bench = val("--bench"),
             "--protocol" => args.protocol = val("--protocol"),
@@ -95,11 +97,21 @@ fn parse_args() -> Args {
             "--list" => {
                 println!("PARSEC 3.0:");
                 for m in parsec() {
-                    println!("  {:<16} {:>5} MiB footprint, {:>2}% writes", m.name, m.footprint >> 20, (m.write_fraction * 100.0) as u32);
+                    println!(
+                        "  {:<16} {:>5} MiB footprint, {:>2}% writes",
+                        m.name,
+                        m.footprint >> 20,
+                        (m.write_fraction * 100.0) as u32
+                    );
                 }
                 println!("SPEC CPU 2017:");
                 for m in spec2017() {
-                    println!("  {:<16} {:>5} MiB footprint, {:>2}% writes", m.name, m.footprint >> 20, (m.write_fraction * 100.0) as u32);
+                    println!(
+                        "  {:<16} {:>5} MiB footprint, {:>2}% writes",
+                        m.name,
+                        m.footprint >> 20,
+                        (m.write_fraction * 100.0) as u32
+                    );
                 }
                 exit(0)
             }
@@ -134,8 +146,14 @@ fn print_report(r: &SimReport) {
     println!("protocol          {}", r.protocol);
     println!("cycles            {}", r.cycles);
     println!("accesses          {}", r.accesses);
-    println!("cycles/access     {:.1}", r.cycles as f64 / r.accesses.max(1) as f64);
-    println!("LLC miss rate     {:.2}%", 100.0 * r.llc_misses as f64 / r.accesses.max(1) as f64);
+    println!(
+        "cycles/access     {:.1}",
+        r.cycles as f64 / r.accesses.max(1) as f64
+    );
+    println!(
+        "LLC miss rate     {:.2}%",
+        100.0 * r.llc_misses as f64 / r.accesses.max(1) as f64
+    );
     println!("metadata hit rate {:.3}", r.metadata_hit_rate);
     println!("persist writes    {}", r.snapshot.controller.persist_writes);
     println!("posted writes     {}", r.snapshot.controller.posted_writes);
@@ -220,7 +238,11 @@ fn main() {
         let workloads: Vec<(u32, TraceGen)> = (0..cores)
             .map(|i| {
                 let model = &models[i as usize % models.len()];
-                let pid = if args.machine == "spec" { 1 } else { i as u32 + 1 };
+                let pid = if args.machine == "spec" {
+                    1
+                } else {
+                    i as u32 + 1
+                };
                 (pid, TraceGen::new(model, args.seed + i * 101, total))
             })
             .collect();

@@ -32,6 +32,5 @@ pub use config::{AgingConfig, HierarchyTiming, MachineConfig};
 pub use machine::{amnt_plus_policy, Machine, SimError};
 pub use report::SimReport;
 pub use runner::{
-    profile_pair, profile_single, run_multithread, run_pair, run_single, with_amnt_plus,
-    RunLength,
+    profile_pair, profile_single, run_multithread, run_pair, run_single, with_amnt_plus, RunLength,
 };

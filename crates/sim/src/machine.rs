@@ -120,9 +120,7 @@ impl Machine {
         // lists since boot: start biased.
         mm.restructure_now();
         let l3 = match cfg.l3 {
-            Some(c) => {
-                Some(SetAssocCache::new(c).map_err(|e| SimError::BadConfig(e.to_string()))?)
-            }
+            Some(c) => Some(SetAssocCache::new(c).map_err(|e| SimError::BadConfig(e.to_string()))?),
             None => None,
         };
         let mut cores = Vec::with_capacity(cfg.cores);
@@ -227,7 +225,13 @@ impl Machine {
     }
 
     /// Fills `paddr` into core `c`'s L1, cascading dirty victims to L2.
-    fn fill_l1(&mut self, mut now: u64, c: usize, paddr: u64, dirty: bool) -> Result<u64, SimError> {
+    fn fill_l1(
+        &mut self,
+        mut now: u64,
+        c: usize,
+        paddr: u64,
+        dirty: bool,
+    ) -> Result<u64, SimError> {
         if let Some(ev) = self.cores[c].l1.fill(paddr, dirty) {
             if ev.dirty {
                 if self.cores[c].l2.contains(ev.addr) {

@@ -63,13 +63,33 @@ impl SimReport {
         let mut stat = |k: &str, v: String, c: &str| {
             let _ = writeln!(out, "{k:<58}{v:>20}  # {c}");
         };
-        stat("system.protocol", self.protocol.clone(), "persistence protocol");
-        stat("system.cycles", self.cycles.to_string(), "ROI cycles (slowest core)");
+        stat(
+            "system.protocol",
+            self.protocol.clone(),
+            "persistence protocol",
+        );
+        stat(
+            "system.cycles",
+            self.cycles.to_string(),
+            "ROI cycles (slowest core)",
+        );
         for (i, c) in self.per_core_cycles.iter().enumerate() {
-            stat(&format!("system.cpu{i}.cycles"), c.to_string(), "per-core ROI cycles");
+            stat(
+                &format!("system.cpu{i}.cycles"),
+                c.to_string(),
+                "per-core ROI cycles",
+            );
         }
-        stat("system.mem_accesses", self.accesses.to_string(), "measured accesses");
-        stat("system.llc_misses", self.llc_misses.to_string(), "whole-hierarchy misses");
+        stat(
+            "system.mem_accesses",
+            self.accesses.to_string(),
+            "measured accesses",
+        );
+        stat(
+            "system.llc_misses",
+            self.llc_misses.to_string(),
+            "whole-hierarchy misses",
+        );
         stat(
             "system.mee.metadata_hit_rate",
             format!("{:.6}", self.metadata_hit_rate),
@@ -86,22 +106,62 @@ impl SimReport {
             "AMNT subtree movements",
         );
         let c = &self.snapshot.controller;
-        stat("system.mee.persist_writes", c.persist_writes.to_string(), "crash-consistency writes");
-        stat("system.mee.posted_writes", c.posted_writes.to_string(), "lazy writebacks");
-        stat("system.mee.hashes", c.hashes.to_string(), "HMAC computations");
-        stat("system.mee.counter_overflows", c.counter_overflows.to_string(), "page re-encryptions");
-        stat("system.mee.shadow_writes", c.shadow_writes.to_string(), "Anubis shadow-table writes");
-        stat("system.mee.max_stale_lines", c.max_stale_lines.to_string(), "battery budget needed");
+        stat(
+            "system.mee.persist_writes",
+            c.persist_writes.to_string(),
+            "crash-consistency writes",
+        );
+        stat(
+            "system.mee.posted_writes",
+            c.posted_writes.to_string(),
+            "lazy writebacks",
+        );
+        stat(
+            "system.mee.hashes",
+            c.hashes.to_string(),
+            "HMAC computations",
+        );
+        stat(
+            "system.mee.counter_overflows",
+            c.counter_overflows.to_string(),
+            "page re-encryptions",
+        );
+        stat(
+            "system.mee.shadow_writes",
+            c.shadow_writes.to_string(),
+            "Anubis shadow-table writes",
+        );
+        stat(
+            "system.mee.max_stale_lines",
+            c.max_stale_lines.to_string(),
+            "battery budget needed",
+        );
         if let Some(l3) = &self.l3_stats {
             stat("system.l3.hits", l3.hits.to_string(), "shared-L3 hits");
-            stat("system.l3.misses", l3.misses.to_string(), "shared-L3 misses");
+            stat(
+                "system.l3.misses",
+                l3.misses.to_string(),
+                "shared-L3 misses",
+            );
         }
         let t = &self.snapshot.timeline;
         stat("system.pcm.reads", t.reads.to_string(), "media reads");
         stat("system.pcm.writes", t.writes.to_string(), "media writes");
-        stat("system.pcm.queue_stalls", t.queue_stall_cycles.to_string(), "persist queue stalls");
-        stat("system.os.instructions", self.os_instructions.to_string(), "modelled allocator work");
-        stat("system.app.instructions", self.app_instructions.to_string(), "modelled app work");
+        stat(
+            "system.pcm.queue_stalls",
+            t.queue_stall_cycles.to_string(),
+            "persist queue stalls",
+        );
+        stat(
+            "system.os.instructions",
+            self.os_instructions.to_string(),
+            "modelled allocator work",
+        );
+        stat(
+            "system.app.instructions",
+            self.app_instructions.to_string(),
+            "modelled app work",
+        );
         let _ = writeln!(out, "---------- End Simulation Statistics   ----------");
         out
     }

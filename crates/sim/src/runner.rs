@@ -19,14 +19,22 @@ pub struct RunLength {
 
 impl Default for RunLength {
     fn default() -> Self {
-        RunLength { accesses: 200_000, warmup: 20_000, seed: 1 }
+        RunLength {
+            accesses: 200_000,
+            warmup: 20_000,
+            seed: 1,
+        }
     }
 }
 
 impl RunLength {
     /// A short run for tests.
     pub fn quick() -> Self {
-        RunLength { accesses: 20_000, warmup: 2_000, seed: 1 }
+        RunLength {
+            accesses: 20_000,
+            warmup: 2_000,
+            seed: 1,
+        }
     }
 }
 

@@ -65,7 +65,12 @@ fn amnt_lands_between_leaf_and_strict_near_leaf() {
     // region-coverage ratio (the 8 GiB machine's level-3 regions are 128 MiB).
     let amnt = run(name, ProtocolKind::Amnt(AmntConfig::at_level(2)));
     let n = |r: &SimReport| r.normalized_to(&vol);
-    assert!(n(&amnt) < n(&strict), "amnt {} !< strict {}", n(&amnt), n(&strict));
+    assert!(
+        n(&amnt) < n(&strict),
+        "amnt {} !< strict {}",
+        n(&amnt),
+        n(&strict)
+    );
     // Near-leaf: within half of the leaf→strict gap of leaf.
     let gap = n(&strict) - n(&leaf);
     assert!(
@@ -75,7 +80,11 @@ fn amnt_lands_between_leaf_and_strict_near_leaf() {
         n(&leaf),
         n(&strict)
     );
-    assert!(amnt.subtree_hit_rate > 0.5, "hit rate {}", amnt.subtree_hit_rate);
+    assert!(
+        amnt.subtree_hit_rate > 0.5,
+        "hit rate {}",
+        amnt.subtree_hit_rate
+    );
 }
 
 #[test]
@@ -181,16 +190,29 @@ fn l3_stats_count_each_demand_access_once() {
     // accesses must equal the cores' L2 read misses, and every L3 read
     // miss is by definition a whole-hierarchy miss.
     let (a, b) = multiprogram_pairs()[0];
-    let r = run_pair(&model(a), &model(b), small_multi(), ProtocolKind::Leaf, RunLength::quick())
-        .expect("run");
+    let r = run_pair(
+        &model(a),
+        &model(b),
+        small_multi(),
+        ProtocolKind::Leaf,
+        RunLength::quick(),
+    )
+    .expect("run");
     let l3 = r.l3_stats.expect("parsec_multi has a shared L3");
-    let l2_read_misses: u64 = r.core_cache_stats.iter().map(|(_, l2)| l2.read_misses).sum();
+    let l2_read_misses: u64 = r
+        .core_cache_stats
+        .iter()
+        .map(|(_, l2)| l2.read_misses)
+        .sum();
     assert_eq!(
         l3.read_hits + l3.read_misses,
         l2_read_misses,
         "L3 read accesses must match L2 read misses (phantom L3 touches?)"
     );
-    assert_eq!(l3.read_misses, r.llc_misses, "each L3 read miss is one LLC miss");
+    assert_eq!(
+        l3.read_misses, r.llc_misses,
+        "each L3 read miss is one LLC miss"
+    );
     assert!(l3.hits + l3.misses > 0, "workload must exercise the L3");
 
     // The single-core machine has no L3; its report says so.
@@ -212,12 +234,18 @@ fn machine_crash_drill_recovers() {
     let m = model("bodytrack");
     let cfg = small_single();
     let gen = amnt_workloads::TraceGen::new(&m, 3, 5_000);
-    let mut machine =
-        amnt_sim::Machine::new(cfg, ProtocolKind::Amnt(AmntConfig::default()), vec![(1, gen)])
-            .unwrap();
+    let mut machine = amnt_sim::Machine::new(
+        cfg,
+        ProtocolKind::Amnt(AmntConfig::default()),
+        vec![(1, gen)],
+    )
+    .unwrap();
     machine.run(0).unwrap();
     machine.secure_mut().crash();
-    let report = machine.secure_mut().recover().expect("machine-level recovery");
+    let report = machine
+        .secure_mut()
+        .recover()
+        .expect("machine-level recovery");
     assert!(report.verified);
     assert!(machine.secure_mut().audit().unwrap());
 }
@@ -228,7 +256,10 @@ fn subtree_level_sweep_monotonicity() {
     // increase as the level moves toward the leaves (Fig. 7's trend).
     let mut rates = Vec::new();
     for level in [2u32, 4, 6] {
-        let r = run("fluidanimate", ProtocolKind::Amnt(AmntConfig::at_level(level)));
+        let r = run(
+            "fluidanimate",
+            ProtocolKind::Amnt(AmntConfig::at_level(level)),
+        );
         rates.push(r.subtree_hit_rate);
     }
     assert!(
@@ -244,10 +275,18 @@ fn machine_rejects_subtree_levels_the_tree_cannot_hold() {
     // The 256 MiB machine's tree has stored levels 2..=6.
     for level in [1u32, 7] {
         let kind = ProtocolKind::Amnt(AmntConfig::at_level(level));
-        let err = run_single(&model("fluidanimate"), small_single(), kind, RunLength::quick())
-            .expect_err("subtree level outside the tree");
+        let err = run_single(
+            &model("fluidanimate"),
+            small_single(),
+            kind,
+            RunLength::quick(),
+        )
+        .expect_err("subtree level outside the tree");
         let want = format!("subtree level {level} ");
-        assert!(matches!(&err, SimError::BadConfig(m) if m.contains(&want)), "{err}");
+        assert!(
+            matches!(&err, SimError::BadConfig(m) if m.contains(&want)),
+            "{err}"
+        );
     }
 }
 
@@ -265,9 +304,12 @@ fn recorded_traces_replay_identically() {
 
     let run = |source: amnt_workloads::EventStream| {
         let cfg = small_single();
-        let mut machine =
-            amnt_sim::Machine::new(cfg, ProtocolKind::Amnt(AmntConfig::default()), vec![(1, source)])
-                .unwrap();
+        let mut machine = amnt_sim::Machine::new(
+            cfg,
+            ProtocolKind::Amnt(AmntConfig::default()),
+            vec![(1, source)],
+        )
+        .unwrap();
         machine.run(1_000).unwrap()
     };
     let live = run(TraceGen::new(&m, 5, total).into());

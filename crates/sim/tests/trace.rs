@@ -15,7 +15,10 @@ fn model(name: &str) -> WorkloadModel {
 
 fn traced_config(epoch_cycles: u64) -> MachineConfig {
     let mut cfg = MachineConfig::parsec_single().scaled_down(256 * MIB);
-    cfg.trace = Some(amnt_trace::TraceConfig { epoch_cycles, ..Default::default() });
+    cfg.trace = Some(amnt_trace::TraceConfig {
+        epoch_cycles,
+        ..Default::default()
+    });
     cfg
 }
 
@@ -48,10 +51,16 @@ fn traced_run_matches_untraced_run_exactly() {
         let traced =
             run_single(&m, traced_config(50_000), protocol, RunLength::quick()).expect(name);
         assert!(untraced.trace.is_none());
-        assert!(traced.trace.is_some(), "{name}: traced run lost its harvest");
+        assert!(
+            traced.trace.is_some(),
+            "{name}: traced run lost its harvest"
+        );
         let mut stripped = traced.clone();
         stripped.trace = None;
-        assert_eq!(stripped, untraced, "{name}: tracing perturbed the simulation");
+        assert_eq!(
+            stripped, untraced,
+            "{name}: tracing perturbed the simulation"
+        );
     }
 }
 
@@ -89,9 +98,13 @@ fn epoch_deltas_sum_to_final_snapshot() {
     for (name, protocol) in all_protocols() {
         // A short epoch forces many boundary crossings; the default-length
         // run then also exercises the quiet-epoch skip.
-        let r: SimReport =
-            run_single(&model("canneal"), traced_config(10_000), protocol, RunLength::quick())
-                .expect(name);
+        let r: SimReport = run_single(
+            &model("canneal"),
+            traced_config(10_000),
+            protocol,
+            RunLength::quick(),
+        )
+        .expect(name);
         let trace = r.trace.as_ref().expect("traced run");
         assert!(!trace.epochs.is_empty(), "{name}: sampler emitted no rows");
         let c = &r.snapshot.controller;
@@ -127,6 +140,9 @@ fn epoch_deltas_sum_to_final_snapshot() {
         let mut sorted = epochs.clone();
         sorted.dedup();
         assert_eq!(epochs, sorted, "{name}: duplicate or unordered epoch rows");
-        assert!(epochs.windows(2).all(|w| w[0] < w[1]), "{name}: epochs not increasing");
+        assert!(
+            epochs.windows(2).all(|w| w[0] < w[1]),
+            "{name}: epochs not increasing"
+        );
     }
 }

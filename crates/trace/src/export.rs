@@ -150,7 +150,11 @@ pub fn metrics_document(id: &str, cells: &[(String, String, &TraceReport)]) -> S
             if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n        {{ \"name\": {}, \"value\": {v} }}", json_str(name));
+            let _ = write!(
+                out,
+                "\n        {{ \"name\": {}, \"value\": {v} }}",
+                json_str(name)
+            );
         }
         if !r.counters.is_empty() {
             out.push_str("\n      ");
@@ -237,8 +241,7 @@ mod tests {
     #[test]
     fn metrics_document_shape() {
         let r = sample_report();
-        let doc =
-            metrics_document("fig4", &[("canneal".to_string(), "amnt".to_string(), &r)]);
+        let doc = metrics_document("fig4", &[("canneal".to_string(), "amnt".to_string(), &r)]);
         assert!(doc.contains("\"id\": \"fig4\""));
         assert!(doc.contains("\"row\": \"canneal\""));
         assert!(doc.contains("\"frames_dropped\": 0,"));

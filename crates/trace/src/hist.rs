@@ -18,7 +18,12 @@ pub struct LogHistogram {
 
 impl Default for LogHistogram {
     fn default() -> Self {
-        LogHistogram { counts: [0; 65], count: 0, sum: 0, max: 0 }
+        LogHistogram {
+            counts: [0; 65],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
     }
 }
 

@@ -67,7 +67,10 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { epoch_cycles: 250_000, max_events: 65_536 }
+        TraceConfig {
+            epoch_cycles: 250_000,
+            max_events: 65_536,
+        }
     }
 }
 
@@ -147,8 +150,7 @@ pub struct StrikeRecord {
 impl StrikeRecord {
     /// Human names for [`StrikeRecord::kind`], indexed by the kind code:
     /// clean power-off, torn (first half), torn (last half), WPQ-tail drop.
-    pub const KIND_NAMES: [&'static str; 4] =
-        ["power_off", "torn_first", "torn_last", "wpq_drop"];
+    pub const KIND_NAMES: [&'static str; 4] = ["power_off", "torn_first", "torn_last", "wpq_drop"];
 
     /// The name of this strike's kind.
     pub fn kind_name(&self) -> &'static str {
@@ -220,7 +222,11 @@ impl CompTrace {
         if !self.enabled {
             return;
         }
-        self.strikes.push(StrikeRecord { ordinal, kind, addr });
+        self.strikes.push(StrikeRecord {
+            ordinal,
+            kind,
+            addr,
+        });
     }
 
     /// Fault strikes recorded so far, in strike order.
@@ -274,7 +280,11 @@ pub struct Tracer {
 impl Tracer {
     /// An enabled tracer with `cfg` knobs.
     pub fn new(cfg: TraceConfig) -> Self {
-        Tracer { enabled: true, cfg, ..Tracer::default() }
+        Tracer {
+            enabled: true,
+            cfg,
+            ..Tracer::default()
+        }
     }
 
     /// Whether recording is on. The disabled path is this one branch.
@@ -295,17 +305,38 @@ impl Tracer {
 
     /// Records a span of `dur` simulated cycles starting at `ts`. The span
     /// is parented under the innermost open [`Tracer::push_span`] frame.
-    pub fn span(&mut self, ts: u64, dur: u64, name: &'static str, cat: &'static str, args: &[(&'static str, u64)]) {
+    pub fn span(
+        &mut self,
+        ts: u64,
+        dur: u64,
+        name: &'static str,
+        cat: &'static str,
+        args: &[(&'static str, u64)],
+    ) {
         if !self.enabled {
             return;
         }
         let parent = self.current_parent();
         let id = self.alloc_id();
-        self.push_event(TraceEvent { ts, dur, name, cat, id, parent, args: pack_args(args) });
+        self.push_event(TraceEvent {
+            ts,
+            dur,
+            name,
+            cat,
+            id,
+            parent,
+            args: pack_args(args),
+        });
     }
 
     /// Records an instant event at `ts` (parented like [`Tracer::span`]).
-    pub fn instant(&mut self, ts: u64, name: &'static str, cat: &'static str, args: &[(&'static str, u64)]) {
+    pub fn instant(
+        &mut self,
+        ts: u64,
+        name: &'static str,
+        cat: &'static str,
+        args: &[(&'static str, u64)],
+    ) {
         self.span(ts, 0, name, cat, args);
     }
 
@@ -326,7 +357,13 @@ impl Tracer {
     /// or 0 when the tracer is disabled or the frame was dropped because
     /// the stack already holds [`MAX_SPAN_DEPTH`] frames (the drop is
     /// counted; the matching pop is still balanced).
-    pub fn push_span(&mut self, ts: u64, name: &'static str, cat: &'static str, args: &[(&'static str, u64)]) -> u64 {
+    pub fn push_span(
+        &mut self,
+        ts: u64,
+        name: &'static str,
+        cat: &'static str,
+        args: &[(&'static str, u64)],
+    ) -> u64 {
         if !self.enabled {
             return 0;
         }
@@ -336,7 +373,13 @@ impl Tracer {
             return 0;
         }
         let id = self.alloc_id();
-        self.stack.push(SpanFrame { ts, name, cat, args: pack_args(args), id });
+        self.stack.push(SpanFrame {
+            ts,
+            name,
+            cat,
+            args: pack_args(args),
+            id,
+        });
         id
     }
 
@@ -450,7 +493,11 @@ impl Tracer {
         if self.epoch_fields.is_empty() {
             self.epoch_fields = fields.iter().map(|(k, _)| *k).collect();
         } else if self.epoch_fields.len() != fields.len()
-            || self.epoch_fields.iter().zip(fields).any(|(a, (b, _))| a != b)
+            || self
+                .epoch_fields
+                .iter()
+                .zip(fields)
+                .any(|(a, (b, _))| a != b)
         {
             return;
         }
@@ -540,7 +587,10 @@ impl TraceReport {
     /// tooling can't mistake a missing instrumentation site for a measured
     /// zero.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
     }
 
     /// Merges a leaf component's [`CompTrace`] counters (prefixed with
@@ -597,7 +647,10 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events() {
-        let mut t = Tracer::new(TraceConfig { epoch_cycles: 1000, max_events: 3 });
+        let mut t = Tracer::new(TraceConfig {
+            epoch_cycles: 1000,
+            max_events: 3,
+        });
         for i in 0..5u64 {
             t.instant(i, "e", "op", &[("i", i)]);
         }
@@ -751,15 +804,25 @@ mod tests {
         let a = t.push_span(0, "a", "op", &[]);
         t.instant(1, "i", "op", &[]);
         t.pop_span(2);
-        let before: Vec<(u64, u64)> =
-            t.report().unwrap().events.iter().map(|e| (e.id, e.parent)).collect();
+        let before: Vec<(u64, u64)> = t
+            .report()
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| (e.id, e.parent))
+            .collect();
 
         t.reset();
         let a2 = t.push_span(0, "a", "op", &[]);
         t.instant(1, "i", "op", &[]);
         t.pop_span(2);
-        let after: Vec<(u64, u64)> =
-            t.report().unwrap().events.iter().map(|e| (e.id, e.parent)).collect();
+        let after: Vec<(u64, u64)> = t
+            .report()
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| (e.id, e.parent))
+            .collect();
 
         assert_eq!(a, a2, "id allocation restarts at reset");
         assert_eq!(before, after, "identical recording => identical id tree");

@@ -109,7 +109,11 @@ impl TraceGen {
         let is_write = self.rng.gen_bool(m.write_fraction);
         let jitter = self.rng.gen_range_u32(0..m.think_cycles + 1);
         let think_cycles = m.think_cycles / 2 + jitter / 2 + 1;
-        TraceOp { vaddr, is_write, think_cycles }
+        TraceOp {
+            vaddr,
+            is_write,
+            think_cycles,
+        }
     }
 
     fn drift(&mut self) {
@@ -193,12 +197,18 @@ mod tests {
         let hot_lo = m.footprint / 8;
         let hot_hi = hot_lo + m.hot_bytes;
         let ops = accesses(&evs);
-        let hot = ops.iter().filter(|o| o.vaddr >= hot_lo && o.vaddr < hot_hi).count() as f64;
+        let hot = ops
+            .iter()
+            .filter(|o| o.vaddr >= hot_lo && o.vaddr < hot_hi)
+            .count() as f64;
         let frac = hot / ops.len() as f64;
         // seq stream passes through too, so at least the direct hot share.
         let seq_cut = m.stack_prob + (1.0 - m.stack_prob) * m.seq_prob;
         let expect = (1.0 - seq_cut) * m.hot_access_prob;
-        assert!(frac > expect * 0.9, "hot fraction {frac}, expected ≥ {expect}");
+        assert!(
+            frac > expect * 0.9,
+            "hot fraction {frac}, expected ≥ {expect}"
+        );
         // And the hot bytes are a small part of the footprint, so uniform
         // traffic could never concentrate like this.
         assert!(frac > 5.0 * (m.hot_bytes as f64 / m.footprint as f64));
@@ -219,7 +229,10 @@ mod tests {
         let mut m = model("dedup");
         m.drift_pages_per_10k = 100;
         let evs: Vec<Event> = TraceGen::new(&m, 2, 10_000).collect();
-        let unmaps = evs.iter().filter(|e| matches!(e, Event::Unmap { .. })).count();
+        let unmaps = evs
+            .iter()
+            .filter(|e| matches!(e, Event::Unmap { .. }))
+            .count();
         assert!((90..=110).contains(&unmaps), "unmaps {unmaps}");
         // Unmapped pages are behind the drifted window.
         let last_base = evs

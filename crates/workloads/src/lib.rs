@@ -24,13 +24,13 @@
 #![warn(missing_docs)]
 
 mod gen;
+mod model;
 mod sparse;
 mod trace_file;
-mod model;
 mod zipf;
 
 pub use gen::{Event, EventStream, TraceGen, TraceOp, BLOCK, PAGE};
+pub use model::{multiprogram_pairs, parsec, spec2017, Suite, WorkloadModel};
 pub use sparse::SparseHotSet;
 pub use trace_file::{read_trace, write_trace, TraceFileError};
-pub use model::{multiprogram_pairs, parsec, spec2017, Suite, WorkloadModel};
 pub use zipf::{zipfian_mix, TenantOp, ZipfianMixConfig};

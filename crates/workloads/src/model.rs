@@ -67,32 +67,175 @@ pub fn parsec() -> Vec<WorkloadModel> {
     use Suite::Parsec;
     vec![
         // Compute-bound option pricing: tiny streaming working set.
-        WorkloadModel { name: "blackscholes", suite: Parsec, footprint: 8 * MIB, hot_access_prob: 0.55, hot_bytes: 256 * KIB, seq_prob: 0.70, stack_prob: 0.35, write_fraction: 0.28, think_cycles: 420, drift_pages_per_10k: 1 },
+        WorkloadModel {
+            name: "blackscholes",
+            suite: Parsec,
+            footprint: 8 * MIB,
+            hot_access_prob: 0.55,
+            hot_bytes: 256 * KIB,
+            seq_prob: 0.70,
+            stack_prob: 0.35,
+            write_fraction: 0.28,
+            think_cycles: 420,
+            drift_pages_per_10k: 1,
+        },
         // Body tracking: moderate footprint, decent locality, write-y phases.
-        WorkloadModel { name: "bodytrack", suite: Parsec, footprint: 32 * MIB, hot_access_prob: 0.72, hot_bytes: 512 * KIB, seq_prob: 0.45, stack_prob: 0.30, write_fraction: 0.33, think_cycles: 150, drift_pages_per_10k: 4 },
+        WorkloadModel {
+            name: "bodytrack",
+            suite: Parsec,
+            footprint: 32 * MIB,
+            hot_access_prob: 0.72,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.45,
+            stack_prob: 0.30,
+            write_fraction: 0.33,
+            think_cycles: 150,
+            drift_pages_per_10k: 4,
+        },
         // Simulated annealing over a huge netlist: pointer-chasing, very
         // poor spatial AND metadata-cache locality.
-        WorkloadModel { name: "canneal", suite: Parsec, footprint: 120 * MIB, hot_access_prob: 0.15, hot_bytes: 4 * MIB, seq_prob: 0.05, stack_prob: 0.10, write_fraction: 0.22, think_cycles: 55, drift_pages_per_10k: 2 },
+        WorkloadModel {
+            name: "canneal",
+            suite: Parsec,
+            footprint: 120 * MIB,
+            hot_access_prob: 0.15,
+            hot_bytes: 4 * MIB,
+            seq_prob: 0.05,
+            stack_prob: 0.10,
+            write_fraction: 0.22,
+            think_cycles: 55,
+            drift_pages_per_10k: 2,
+        },
         // Pipelined dedup: large streams with hash-table randomness.
-        WorkloadModel { name: "dedup", suite: Parsec, footprint: 128 * MIB, hot_access_prob: 0.40, hot_bytes: MIB, seq_prob: 0.55, stack_prob: 0.25, write_fraction: 0.30, think_cycles: 95, drift_pages_per_10k: 10 },
+        WorkloadModel {
+            name: "dedup",
+            suite: Parsec,
+            footprint: 128 * MIB,
+            hot_access_prob: 0.40,
+            hot_bytes: MIB,
+            seq_prob: 0.55,
+            stack_prob: 0.25,
+            write_fraction: 0.30,
+            think_cycles: 95,
+            drift_pages_per_10k: 10,
+        },
         // Physics simulation: stencil-like sweeps over particle grids.
-        WorkloadModel { name: "facesim", suite: Parsec, footprint: 96 * MIB, hot_access_prob: 0.50, hot_bytes: MIB, seq_prob: 0.60, stack_prob: 0.25, write_fraction: 0.35, think_cycles: 110, drift_pages_per_10k: 2 },
+        WorkloadModel {
+            name: "facesim",
+            suite: Parsec,
+            footprint: 96 * MIB,
+            hot_access_prob: 0.50,
+            hot_bytes: MIB,
+            seq_prob: 0.60,
+            stack_prob: 0.25,
+            write_fraction: 0.35,
+            think_cycles: 110,
+            drift_pages_per_10k: 2,
+        },
         // Content-based search: read-mostly index probing.
-        WorkloadModel { name: "ferret", suite: Parsec, footprint: 64 * MIB, hot_access_prob: 0.45, hot_bytes: 512 * KIB, seq_prob: 0.30, stack_prob: 0.25, write_fraction: 0.18, think_cycles: 130, drift_pages_per_10k: 3 },
+        WorkloadModel {
+            name: "ferret",
+            suite: Parsec,
+            footprint: 64 * MIB,
+            hot_access_prob: 0.45,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.30,
+            stack_prob: 0.25,
+            write_fraction: 0.18,
+            think_cycles: 130,
+            drift_pages_per_10k: 3,
+        },
         // Fluid dynamics: hot grid cells, write-intensive updates.
-        WorkloadModel { name: "fluidanimate", suite: Parsec, footprint: 48 * MIB, hot_access_prob: 0.78, hot_bytes: 512 * KIB, seq_prob: 0.50, stack_prob: 0.25, write_fraction: 0.42, think_cycles: 85, drift_pages_per_10k: 2 },
+        WorkloadModel {
+            name: "fluidanimate",
+            suite: Parsec,
+            footprint: 48 * MIB,
+            hot_access_prob: 0.78,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.50,
+            stack_prob: 0.25,
+            write_fraction: 0.42,
+            think_cycles: 85,
+            drift_pages_per_10k: 2,
+        },
         // Frequent itemset mining: read-heavy tree walks, compute-bound.
-        WorkloadModel { name: "freqmine", suite: Parsec, footprint: 32 * MIB, hot_access_prob: 0.60, hot_bytes: 512 * KIB, seq_prob: 0.35, stack_prob: 0.30, write_fraction: 0.15, think_cycles: 300, drift_pages_per_10k: 1 },
+        WorkloadModel {
+            name: "freqmine",
+            suite: Parsec,
+            footprint: 32 * MIB,
+            hot_access_prob: 0.60,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.35,
+            stack_prob: 0.30,
+            write_fraction: 0.15,
+            think_cycles: 300,
+            drift_pages_per_10k: 1,
+        },
         // Ray tracing: read-dominant BVH traversal.
-        WorkloadModel { name: "raytrace", suite: Parsec, footprint: 96 * MIB, hot_access_prob: 0.55, hot_bytes: MIB, seq_prob: 0.25, stack_prob: 0.30, write_fraction: 0.10, think_cycles: 160, drift_pages_per_10k: 1 },
+        WorkloadModel {
+            name: "raytrace",
+            suite: Parsec,
+            footprint: 96 * MIB,
+            hot_access_prob: 0.55,
+            hot_bytes: MIB,
+            seq_prob: 0.25,
+            stack_prob: 0.30,
+            write_fraction: 0.10,
+            think_cycles: 160,
+            drift_pages_per_10k: 1,
+        },
         // Online clustering: streaming reads over points, tiny write set.
-        WorkloadModel { name: "streamcluster", suite: Parsec, footprint: 16 * MIB, hot_access_prob: 0.65, hot_bytes: 256 * KIB, seq_prob: 0.80, stack_prob: 0.30, write_fraction: 0.08, think_cycles: 260, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "streamcluster",
+            suite: Parsec,
+            footprint: 16 * MIB,
+            hot_access_prob: 0.65,
+            hot_bytes: 256 * KIB,
+            seq_prob: 0.80,
+            stack_prob: 0.30,
+            write_fraction: 0.08,
+            think_cycles: 260,
+            drift_pages_per_10k: 0,
+        },
         // Monte-Carlo swaption pricing: compute-bound, tiny working set.
-        WorkloadModel { name: "swaptions", suite: Parsec, footprint: 2 * MIB, hot_access_prob: 0.85, hot_bytes: 128 * KIB, seq_prob: 0.40, stack_prob: 0.40, write_fraction: 0.25, think_cycles: 520, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "swaptions",
+            suite: Parsec,
+            footprint: 2 * MIB,
+            hot_access_prob: 0.85,
+            hot_bytes: 128 * KIB,
+            seq_prob: 0.40,
+            stack_prob: 0.40,
+            write_fraction: 0.25,
+            think_cycles: 520,
+            drift_pages_per_10k: 0,
+        },
         // Image pipeline: streaming with moderate writes.
-        WorkloadModel { name: "vips", suite: Parsec, footprint: 64 * MIB, hot_access_prob: 0.45, hot_bytes: 512 * KIB, seq_prob: 0.70, stack_prob: 0.25, write_fraction: 0.32, think_cycles: 140, drift_pages_per_10k: 6 },
+        WorkloadModel {
+            name: "vips",
+            suite: Parsec,
+            footprint: 64 * MIB,
+            hot_access_prob: 0.45,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.70,
+            stack_prob: 0.25,
+            write_fraction: 0.32,
+            think_cycles: 140,
+            drift_pages_per_10k: 6,
+        },
         // Video encoding: frame-window locality, moderate writes.
-        WorkloadModel { name: "x264", suite: Parsec, footprint: 32 * MIB, hot_access_prob: 0.70, hot_bytes: 512 * KIB, seq_prob: 0.60, stack_prob: 0.30, write_fraction: 0.27, think_cycles: 210, drift_pages_per_10k: 2 },
+        WorkloadModel {
+            name: "x264",
+            suite: Parsec,
+            footprint: 32 * MIB,
+            hot_access_prob: 0.70,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.60,
+            stack_prob: 0.30,
+            write_fraction: 0.27,
+            think_cycles: 210,
+            drift_pages_per_10k: 2,
+        },
     ]
 }
 
@@ -101,40 +244,216 @@ pub fn spec2017() -> Vec<WorkloadModel> {
     use Suite::Spec2017;
     vec![
         // Interpreter: pointer-heavy but cache-friendly hot loops.
-        WorkloadModel { name: "perlbench", suite: Spec2017, footprint: 64 * MIB, hot_access_prob: 0.70, hot_bytes: 512 * KIB, seq_prob: 0.35, stack_prob: 0.30, write_fraction: 0.30, think_cycles: 230, drift_pages_per_10k: 3 },
+        WorkloadModel {
+            name: "perlbench",
+            suite: Spec2017,
+            footprint: 64 * MIB,
+            hot_access_prob: 0.70,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.35,
+            stack_prob: 0.30,
+            write_fraction: 0.30,
+            think_cycles: 230,
+            drift_pages_per_10k: 3,
+        },
         // Compiler: irregular, moderate everything.
-        WorkloadModel { name: "gcc", suite: Spec2017, footprint: 96 * MIB, hot_access_prob: 0.55, hot_bytes: MIB, seq_prob: 0.30, stack_prob: 0.25, write_fraction: 0.28, think_cycles: 150, drift_pages_per_10k: 8 },
+        WorkloadModel {
+            name: "gcc",
+            suite: Spec2017,
+            footprint: 96 * MIB,
+            hot_access_prob: 0.55,
+            hot_bytes: MIB,
+            seq_prob: 0.30,
+            stack_prob: 0.25,
+            write_fraction: 0.28,
+            think_cycles: 150,
+            drift_pages_per_10k: 8,
+        },
         // Vehicle scheduling: the classic random-pointer-chasing,
         // read-intensive memory hog.
-        WorkloadModel { name: "mcf", suite: Spec2017, footprint: 192 * MIB, hot_access_prob: 0.25, hot_bytes: 8 * MIB, seq_prob: 0.08, stack_prob: 0.10, write_fraction: 0.12, think_cycles: 40, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "mcf",
+            suite: Spec2017,
+            footprint: 192 * MIB,
+            hot_access_prob: 0.25,
+            hot_bytes: 8 * MIB,
+            seq_prob: 0.08,
+            stack_prob: 0.10,
+            write_fraction: 0.12,
+            think_cycles: 40,
+            drift_pages_per_10k: 0,
+        },
         // Numerical relativity: big streaming stencils, read-heavy.
-        WorkloadModel { name: "cactuBSSN", suite: Spec2017, footprint: 160 * MIB, hot_access_prob: 0.30, hot_bytes: 512 * KIB, seq_prob: 0.85, stack_prob: 0.15, write_fraction: 0.14, think_cycles: 60, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "cactuBSSN",
+            suite: Spec2017,
+            footprint: 160 * MIB,
+            hot_access_prob: 0.30,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.85,
+            stack_prob: 0.15,
+            write_fraction: 0.14,
+            think_cycles: 60,
+            drift_pages_per_10k: 0,
+        },
         // Lattice Boltzmann: the write-intensive streaming kernel.
-        WorkloadModel { name: "lbm", suite: Spec2017, footprint: 160 * MIB, hot_access_prob: 0.35, hot_bytes: 512 * KIB, seq_prob: 0.80, stack_prob: 0.15, write_fraction: 0.47, think_cycles: 45, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "lbm",
+            suite: Spec2017,
+            footprint: 160 * MIB,
+            hot_access_prob: 0.35,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.80,
+            stack_prob: 0.15,
+            write_fraction: 0.47,
+            think_cycles: 45,
+            drift_pages_per_10k: 0,
+        },
         // Discrete-event simulation: scattered heap traffic.
-        WorkloadModel { name: "omnetpp", suite: Spec2017, footprint: 128 * MIB, hot_access_prob: 0.40, hot_bytes: 2 * MIB, seq_prob: 0.15, stack_prob: 0.15, write_fraction: 0.30, think_cycles: 90, drift_pages_per_10k: 5 },
+        WorkloadModel {
+            name: "omnetpp",
+            suite: Spec2017,
+            footprint: 128 * MIB,
+            hot_access_prob: 0.40,
+            hot_bytes: 2 * MIB,
+            seq_prob: 0.15,
+            stack_prob: 0.15,
+            write_fraction: 0.30,
+            think_cycles: 90,
+            drift_pages_per_10k: 5,
+        },
         // XML transformation: moderate locality, read-leaning.
-        WorkloadModel { name: "xalancbmk", suite: Spec2017, footprint: 64 * MIB, hot_access_prob: 0.60, hot_bytes: MIB, seq_prob: 0.40, stack_prob: 0.25, write_fraction: 0.22, think_cycles: 170, drift_pages_per_10k: 4 },
+        WorkloadModel {
+            name: "xalancbmk",
+            suite: Spec2017,
+            footprint: 64 * MIB,
+            hot_access_prob: 0.60,
+            hot_bytes: MIB,
+            seq_prob: 0.40,
+            stack_prob: 0.25,
+            write_fraction: 0.22,
+            think_cycles: 170,
+            drift_pages_per_10k: 4,
+        },
         // Video encoding (same kernel family as the PARSEC entry).
-        WorkloadModel { name: "x264", suite: Spec2017, footprint: 40 * MIB, hot_access_prob: 0.70, hot_bytes: 512 * KIB, seq_prob: 0.60, stack_prob: 0.30, write_fraction: 0.27, think_cycles: 210, drift_pages_per_10k: 2 },
+        WorkloadModel {
+            name: "x264",
+            suite: Spec2017,
+            footprint: 40 * MIB,
+            hot_access_prob: 0.70,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.60,
+            stack_prob: 0.30,
+            write_fraction: 0.27,
+            think_cycles: 210,
+            drift_pages_per_10k: 2,
+        },
         // Chess search: deep recursion with write-heavy transposition
         // tables.
-        WorkloadModel { name: "deepsjeng", suite: Spec2017, footprint: 96 * MIB, hot_access_prob: 0.45, hot_bytes: 4 * MIB, seq_prob: 0.10, stack_prob: 0.20, write_fraction: 0.40, think_cycles: 70, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "deepsjeng",
+            suite: Spec2017,
+            footprint: 96 * MIB,
+            hot_access_prob: 0.45,
+            hot_bytes: 4 * MIB,
+            seq_prob: 0.10,
+            stack_prob: 0.20,
+            write_fraction: 0.40,
+            think_cycles: 70,
+            drift_pages_per_10k: 0,
+        },
         // Go search: smaller tables, compute-leaning.
-        WorkloadModel { name: "leela", suite: Spec2017, footprint: 24 * MIB, hot_access_prob: 0.75, hot_bytes: 512 * KIB, seq_prob: 0.20, stack_prob: 0.30, write_fraction: 0.30, think_cycles: 280, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "leela",
+            suite: Spec2017,
+            footprint: 24 * MIB,
+            hot_access_prob: 0.75,
+            hot_bytes: 512 * KIB,
+            seq_prob: 0.20,
+            stack_prob: 0.30,
+            write_fraction: 0.30,
+            think_cycles: 280,
+            drift_pages_per_10k: 0,
+        },
         // Constraint solver: effectively cache-resident.
-        WorkloadModel { name: "exchange2", suite: Spec2017, footprint: MIB, hot_access_prob: 0.90, hot_bytes: 128 * KIB, seq_prob: 0.50, stack_prob: 0.45, write_fraction: 0.30, think_cycles: 650, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "exchange2",
+            suite: Spec2017,
+            footprint: MIB,
+            hot_access_prob: 0.90,
+            hot_bytes: 128 * KIB,
+            seq_prob: 0.50,
+            stack_prob: 0.45,
+            write_fraction: 0.30,
+            think_cycles: 650,
+            drift_pages_per_10k: 0,
+        },
         // Compression: the most write-memory-intensive benchmark (paper
         // §6.5) — large dictionaries, heavy store traffic.
-        WorkloadModel { name: "xz", suite: Spec2017, footprint: 160 * MIB, hot_access_prob: 0.40, hot_bytes: 2 * MIB, seq_prob: 0.35, stack_prob: 0.15, write_fraction: 0.52, think_cycles: 50, drift_pages_per_10k: 2 },
+        WorkloadModel {
+            name: "xz",
+            suite: Spec2017,
+            footprint: 160 * MIB,
+            hot_access_prob: 0.40,
+            hot_bytes: 2 * MIB,
+            seq_prob: 0.35,
+            stack_prob: 0.15,
+            write_fraction: 0.52,
+            think_cycles: 50,
+            drift_pages_per_10k: 2,
+        },
         // Explicit-method CFD: long unit-stride sweeps, read-dominant.
-        WorkloadModel { name: "bwaves", suite: Spec2017, footprint: 160 * MIB, hot_access_prob: 0.25, hot_bytes: MIB, seq_prob: 0.90, stack_prob: 0.10, write_fraction: 0.18, think_cycles: 55, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "bwaves",
+            suite: Spec2017,
+            footprint: 160 * MIB,
+            hot_access_prob: 0.25,
+            hot_bytes: MIB,
+            seq_prob: 0.90,
+            stack_prob: 0.10,
+            write_fraction: 0.18,
+            think_cycles: 55,
+            drift_pages_per_10k: 0,
+        },
         // FDTD electromagnetics: streaming stencil, moderate writes.
-        WorkloadModel { name: "fotonik3d", suite: Spec2017, footprint: 128 * MIB, hot_access_prob: 0.30, hot_bytes: MIB, seq_prob: 0.85, stack_prob: 0.12, write_fraction: 0.25, think_cycles: 60, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "fotonik3d",
+            suite: Spec2017,
+            footprint: 128 * MIB,
+            hot_access_prob: 0.30,
+            hot_bytes: MIB,
+            seq_prob: 0.85,
+            stack_prob: 0.12,
+            write_fraction: 0.25,
+            think_cycles: 60,
+            drift_pages_per_10k: 0,
+        },
         // Ocean modelling: wide arrays, streaming with write-back phases.
-        WorkloadModel { name: "roms", suite: Spec2017, footprint: 128 * MIB, hot_access_prob: 0.35, hot_bytes: 2 * MIB, seq_prob: 0.75, stack_prob: 0.15, write_fraction: 0.30, think_cycles: 70, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "roms",
+            suite: Spec2017,
+            footprint: 128 * MIB,
+            hot_access_prob: 0.35,
+            hot_bytes: 2 * MIB,
+            seq_prob: 0.75,
+            stack_prob: 0.15,
+            write_fraction: 0.30,
+            think_cycles: 70,
+            drift_pages_per_10k: 0,
+        },
         // Molecular dynamics: small hot neighbour lists, compute-leaning.
-        WorkloadModel { name: "nab", suite: Spec2017, footprint: 48 * MIB, hot_access_prob: 0.65, hot_bytes: MIB, seq_prob: 0.45, stack_prob: 0.25, write_fraction: 0.28, think_cycles: 240, drift_pages_per_10k: 0 },
+        WorkloadModel {
+            name: "nab",
+            suite: Spec2017,
+            footprint: 48 * MIB,
+            hot_access_prob: 0.65,
+            hot_bytes: MIB,
+            seq_prob: 0.45,
+            stack_prob: 0.25,
+            write_fraction: 0.28,
+            think_cycles: 240,
+            drift_pages_per_10k: 0,
+        },
     ]
 }
 
@@ -182,14 +501,22 @@ mod tests {
         let canneal = WorkloadModel::by_name("canneal").unwrap();
         // xz is the most write-intensive SPEC benchmark (paper §6.5).
         for m in spec2017() {
-            assert!(xz.write_fraction >= m.write_fraction, "{} out-writes xz", m.name);
+            assert!(
+                xz.write_fraction >= m.write_fraction,
+                "{} out-writes xz",
+                m.name
+            );
         }
         // mcf and cactuBSSN are read-intensive; lbm is write-intensive.
         assert!(mcf.write_fraction < 0.2);
         assert!(lbm.write_fraction > 0.4);
         // canneal has the worst locality of PARSEC.
         for m in parsec() {
-            assert!(canneal.seq_prob <= m.seq_prob, "{} is less sequential", m.name);
+            assert!(
+                canneal.seq_prob <= m.seq_prob,
+                "{} is less sequential",
+                m.name
+            );
         }
     }
 

@@ -6,8 +6,8 @@
 //! space — aligned to its own size, so it tiles whole BMT subtrees — and
 //! yields deterministic block-granular write addresses concentrated on it.
 
-use amnt_prng::Rng;
 use crate::gen::{BLOCK, PAGE};
+use amnt_prng::Rng;
 
 /// A seeded generator of block addresses over a huge sparse address space:
 /// a page-aligned hot span (most traffic) plus a thin uniform cold scatter.
@@ -78,8 +78,9 @@ impl SparseHotSet {
     /// (e.g. the simulated Table 4 recovery column, whose extrapolation
     /// assumes a contiguous touched counter range).
     pub fn hot_pages_shuffled(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> =
-            (0..self.hot_bytes / PAGE).map(|i| self.hot_base + i * PAGE).collect();
+        let mut pages: Vec<u64> = (0..self.hot_bytes / PAGE)
+            .map(|i| self.hot_base + i * PAGE)
+            .collect();
         // Fisher–Yates on a derived stream: independent of how much of the
         // iterator side has been consumed.
         let mut rng = Rng::seed_from_u64(self.seed ^ 0x0dd5_4aff_1e00_0001);

@@ -126,7 +126,9 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<Event>, TraceFileError> {
             TAG_UNMAP => {
                 let mut buf = [0u8; 8];
                 fill(&mut r, &mut buf, TraceFileError::Truncated)?;
-                events.push(Event::Unmap { vpn: u64::from_le_bytes(buf) });
+                events.push(Event::Unmap {
+                    vpn: u64::from_le_bytes(buf),
+                });
             }
             t => return Err(TraceFileError::BadTag(t)),
         }
@@ -163,16 +165,25 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(matches!(read_trace(&b"NOTATRACE"[..]), Err(TraceFileError::BadMagic)));
+        assert!(matches!(
+            read_trace(&b"NOTATRACE"[..]),
+            Err(TraceFileError::BadMagic)
+        ));
         let mut buf = Vec::new();
         write_trace(&mut buf, &[Event::Unmap { vpn: 3 }]).unwrap();
         buf.truncate(buf.len() - 2);
-        assert!(matches!(read_trace(buf.as_slice()), Err(TraceFileError::Truncated)));
+        assert!(matches!(
+            read_trace(buf.as_slice()),
+            Err(TraceFileError::Truncated)
+        ));
         // Corrupt the tag.
         let mut buf2 = Vec::new();
         write_trace(&mut buf2, &[Event::Unmap { vpn: 3 }]).unwrap();
         buf2[16] = 0x7F;
-        assert!(matches!(read_trace(buf2.as_slice()), Err(TraceFileError::BadTag(0x7F))));
+        assert!(matches!(
+            read_trace(buf2.as_slice()),
+            Err(TraceFileError::BadTag(0x7F))
+        ));
     }
 
     /// Serves its bytes, then fails every read with `ErrorKind::Other`.
@@ -194,7 +205,10 @@ mod tests {
             matches!(err, TraceFileError::Io(ref e) if e.kind() == io::ErrorKind::Other),
             "{err:?}"
         );
-        assert!(matches!(read_trace(FailsAfter(&[])), Err(TraceFileError::Io(_))));
+        assert!(matches!(
+            read_trace(FailsAfter(&[])),
+            Err(TraceFileError::Io(_))
+        ));
     }
 
     #[test]

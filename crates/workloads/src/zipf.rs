@@ -87,9 +87,8 @@ pub fn zipfian_mix(cfg: &ZipfianMixConfig) -> Vec<TenantOp> {
     let permutations: Vec<Vec<u64>> = (0..tenants)
         .map(|t| {
             let mut blocks_of: Vec<u64> = (0..blocks).collect();
-            let mut trng = Rng::seed_from_u64(
-                cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
+            let mut trng =
+                Rng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             trng.shuffle(&mut blocks_of);
             blocks_of
         })
@@ -130,7 +129,10 @@ mod tests {
     fn mix_is_seed_deterministic() {
         let cfg = ZipfianMixConfig::default();
         assert_eq!(zipfian_mix(&cfg), zipfian_mix(&cfg));
-        let other = zipfian_mix(&ZipfianMixConfig { seed: 1, ..cfg.clone() });
+        let other = zipfian_mix(&ZipfianMixConfig {
+            seed: 1,
+            ..cfg.clone()
+        });
         assert_ne!(zipfian_mix(&cfg), other);
     }
 
@@ -164,7 +166,10 @@ mod tests {
         let ops = zipfian_mix(&cfg);
         for t in 0..4 {
             let first = ops.iter().find(|o| o.tenant == t).expect("tenant issues");
-            assert!(first.is_write, "tenant {t} must open with a committed write");
+            assert!(
+                first.is_write,
+                "tenant {t} must open with a committed write"
+            );
         }
     }
 
@@ -186,8 +191,7 @@ mod tests {
                 *counts.entry(op.addr).or_insert(0u64) += 1;
             }
             let total: u64 = counts.values().sum();
-            let (&hot_addr, &hot_count) =
-                counts.iter().max_by_key(|&(_, c)| *c).expect("traffic");
+            let (&hot_addr, &hot_count) = counts.iter().max_by_key(|&(_, c)| *c).expect("traffic");
             assert!(
                 hot_count * 10 > total,
                 "Zipf 0.99 concentrates >10% of traffic on the hottest block"
@@ -213,6 +217,9 @@ mod tests {
             ..ZipfianMixConfig::default()
         };
         let distinct: BTreeSet<u64> = zipfian_mix(&cfg).iter().map(|o| o.addr).collect();
-        assert!(distinct.len() >= 60, "uniform draw touches nearly every block");
+        assert!(
+            distinct.len() >= 60,
+            "uniform draw touches nearly every block"
+        );
     }
 }

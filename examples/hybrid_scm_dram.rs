@@ -54,7 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (scratch, done) = mem.read_block(t, 0)?;
     assert_eq!(scratch, [0u8; 64], "DRAM is empty after power failure");
     let (entry, _) = mem.read_block(done, scm_base + 511 * 64)?;
-    assert_eq!(u64::from_le_bytes(entry[..8].try_into()?), 511, "SCM log intact");
+    assert_eq!(
+        u64::from_le_bytes(entry[..8].try_into()?),
+        511,
+        "SCM log intact"
+    );
     println!("DRAM scratch gone, SCM log intact — exactly the hybrid contract.");
     Ok(())
 }

@@ -16,19 +16,50 @@ use midsummer::workloads::WorkloadModel;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bodytrack = WorkloadModel::by_name("bodytrack").expect("catalogued");
     let fluidanimate = WorkloadModel::by_name("fluidanimate").expect("catalogued");
-    let len = RunLength { accesses: 60_000, warmup: 6_000, seed: 7 };
+    let len = RunLength {
+        accesses: 60_000,
+        warmup: 6_000,
+        seed: 7,
+    };
     let amnt = AmntConfig::default();
 
     println!("bodytrack + fluidanimate on the 2-core machine (aged allocator)\n");
 
     let cfg = MachineConfig::parsec_multi();
-    let baseline = run_pair(&bodytrack, &fluidanimate, cfg.clone(), ProtocolKind::Volatile, len)?;
-    let leaf = run_pair(&bodytrack, &fluidanimate, cfg.clone(), ProtocolKind::Leaf, len)?;
-    let plain = run_pair(&bodytrack, &fluidanimate, cfg.clone(), ProtocolKind::Amnt(amnt), len)?;
+    let baseline = run_pair(
+        &bodytrack,
+        &fluidanimate,
+        cfg.clone(),
+        ProtocolKind::Volatile,
+        len,
+    )?;
+    let leaf = run_pair(
+        &bodytrack,
+        &fluidanimate,
+        cfg.clone(),
+        ProtocolKind::Leaf,
+        len,
+    )?;
+    let plain = run_pair(
+        &bodytrack,
+        &fluidanimate,
+        cfg.clone(),
+        ProtocolKind::Amnt(amnt),
+        len,
+    )?;
     let plus_cfg = with_amnt_plus(cfg, amnt);
-    let plus = run_pair(&bodytrack, &fluidanimate, plus_cfg, ProtocolKind::Amnt(amnt), len)?;
+    let plus = run_pair(
+        &bodytrack,
+        &fluidanimate,
+        plus_cfg,
+        ProtocolKind::Amnt(amnt),
+        len,
+    )?;
 
-    println!("{:<22}{:>12}{:>14}{:>14}", "", "norm cycles", "subtree hit", "transitions");
+    println!(
+        "{:<22}{:>12}{:>14}{:>14}",
+        "", "norm cycles", "subtree hit", "transitions"
+    );
     for (name, r) in [("leaf", &leaf), ("amnt", &plain), ("amnt++", &plus)] {
         println!(
             "{:<22}{:>12.3}{:>13.1}%{:>14}",

@@ -4,9 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use midsummer::core::{
-    AmntConfig, IntegrityError, ProtocolKind, SecureMemory, SecureMemoryConfig,
-};
+use midsummer::core::{AmntConfig, IntegrityError, ProtocolKind, SecureMemory, SecureMemoryConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 16 MiB protected region under the AMNT protocol (Table 1 defaults).

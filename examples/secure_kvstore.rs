@@ -53,7 +53,10 @@ impl KvStore {
                 record[0] = 1;
                 record[1..1 + KEY_LEN].copy_from_slice(key);
                 record[1 + KEY_LEN..1 + KEY_LEN + VAL_LEN].copy_from_slice(value);
-                self.clock = self.memory.write_block(self.clock, slot * 64, &record).expect("put");
+                self.clock = self
+                    .memory
+                    .write_block(self.clock, slot * 64, &record)
+                    .expect("put");
                 return;
             }
         }
@@ -128,7 +131,11 @@ fn main() {
     for probe in 0..4 {
         let slot = KvStore::slot_of(&key(42), probe);
         // Verified read: drains the lazy MAC queue so the verdict is inline.
-        if store.memory.read_block_verified(store.clock, slot * 64).is_err() {
+        if store
+            .memory
+            .read_block_verified(store.clock, slot * 64)
+            .is_err()
+        {
             hit_error = true;
             break;
         }

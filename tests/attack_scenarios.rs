@@ -4,9 +4,7 @@
 //! Everything off-chip is attacker-controlled: these tests corrupt, splice
 //! and replay device contents and assert that verification catches it.
 
-use midsummer::core::{
-    AmntConfig, IntegrityError, ProtocolKind, SecureMemory, SecureMemoryConfig,
-};
+use midsummer::core::{AmntConfig, IntegrityError, ProtocolKind, SecureMemory, SecureMemoryConfig};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -35,7 +33,10 @@ fn splicing_blocks_across_addresses_detected() {
     // The data-MAC verdict may sit in the lazy verify queue; the verified
     // read flushes it inline.
     assert!(
-        matches!(m.read_block_verified(t, b), Err(IntegrityError::DataMac { .. })),
+        matches!(
+            m.read_block_verified(t, b),
+            Err(IntegrityError::DataMac { .. })
+        ),
         "spliced block must fail address-bound verification"
     );
     // The original location still verifies.
@@ -96,11 +97,18 @@ fn zeroing_an_initialised_record_detected() {
     m.recover().unwrap();
     // Zero everything at leaf level.
     m.nvm_mut().write_block(addr, &[0; 64]).unwrap();
-    m.nvm_mut().write_block(g.counter_addr(g.counter_index(addr)), &[0; 64]).unwrap();
-    m.nvm_mut().write_bytes(g.hmac_addr(addr), &[0u8; 8]).unwrap();
+    m.nvm_mut()
+        .write_block(g.counter_addr(g.counter_index(addr)), &[0; 64])
+        .unwrap();
+    m.nvm_mut()
+        .write_bytes(g.hmac_addr(addr), &[0u8; 8])
+        .unwrap();
     let err = m.read_block(t, addr).unwrap_err();
     assert!(
-        matches!(err, IntegrityError::CounterMac { .. } | IntegrityError::NodeMac { .. }),
+        matches!(
+            err,
+            IntegrityError::CounterMac { .. } | IntegrityError::NodeMac { .. }
+        ),
         "zeroed record must fail tree verification, got {err:?}"
     );
 }
@@ -119,8 +127,14 @@ fn tree_node_splicing_detected() {
     m.recover().unwrap();
 
     let bottom = g.bottom_level();
-    let n0 = g.node_addr(midsummer::bmt::NodeId { level: bottom, index: 0 });
-    let n3 = g.node_addr(midsummer::bmt::NodeId { level: bottom, index: 3 });
+    let n0 = g.node_addr(midsummer::bmt::NodeId {
+        level: bottom,
+        index: 0,
+    });
+    let n3 = g.node_addr(midsummer::bmt::NodeId {
+        level: bottom,
+        index: 3,
+    });
     let b0 = m.nvm_mut().read_block(n0).unwrap();
     let b3 = m.nvm_mut().read_block(n3).unwrap();
     m.nvm_mut().write_block(n0, &b3).unwrap();

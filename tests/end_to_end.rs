@@ -16,10 +16,9 @@ fn facade_reexports_are_wired() {
     // One call through every module proves the facade links.
     let digest = midsummer::crypto::sha256(b"midsummer");
     assert_eq!(digest.len(), 32);
-    let cache = midsummer::cache::SetAssocCache::new(midsummer::cache::CacheConfig::new(
-        1024, 2, 64,
-    ))
-    .unwrap();
+    let cache =
+        midsummer::cache::SetAssocCache::new(midsummer::cache::CacheConfig::new(1024, 2, 64))
+            .unwrap();
     assert!(cache.is_empty());
     let nvm = midsummer::nvm::Nvm::new(midsummer::nvm::NvmConfig::gib(1));
     assert_eq!(nvm.generation(), 0);
@@ -39,7 +38,13 @@ fn fig4_style_cell_smoke() {
     let len = RunLength::quick();
     let vol = run_single(&model, cfg.clone(), ProtocolKind::Volatile, len).unwrap();
     let strict = run_single(&model, cfg.clone(), ProtocolKind::Strict, len).unwrap();
-    let amnt = run_single(&model, cfg, ProtocolKind::Amnt(AmntConfig::at_level(2)), len).unwrap();
+    let amnt = run_single(
+        &model,
+        cfg,
+        ProtocolKind::Amnt(AmntConfig::at_level(2)),
+        len,
+    )
+    .unwrap();
     assert!(vol.cycles < strict.cycles);
     assert!(amnt.cycles < strict.cycles);
 }
@@ -60,22 +65,25 @@ fn fig5_style_pair_smoke_with_amnt_plus() {
 
 #[test]
 fn table3_and_table4_invariants() {
-    let amnt = hardware_overhead(
-        &ProtocolKind::Amnt(AmntConfig::default()),
-        64 * 1024,
-    );
+    let amnt = hardware_overhead(&ProtocolKind::Amnt(AmntConfig::default()), 64 * 1024);
     let bmf = hardware_overhead(
         &ProtocolKind::Bmf(midsummer::core::BmfConfig::default()),
         64 * 1024,
     );
-    assert!(amnt.nv_on_chip < bmf.nv_on_chip, "AMNT's NV footprint beats BMF's");
+    assert!(
+        amnt.nv_on_chip < bmf.nv_on_chip,
+        "AMNT's NV footprint beats BMF's"
+    );
     assert_eq!(amnt.volatile_on_chip, 96);
 
     let model = RecoveryModel::default();
     let tb = 2.0 * 1024.0f64.powi(4);
     let leaf = model.recovery_ms(ProtocolKind::Leaf, tb);
     let l3 = model.recovery_ms(ProtocolKind::Amnt(AmntConfig::at_level(3)), tb);
-    assert!((leaf / l3 - 64.0).abs() < 1e-6, "L3 recovers 64x faster than leaf");
+    assert!(
+        (leaf / l3 - 64.0).abs() < 1e-6,
+        "L3 recovers 64x faster than leaf"
+    );
 }
 
 #[test]
@@ -88,8 +96,7 @@ fn kv_records_survive_crashes_under_every_recoverable_protocol() {
         ProtocolKind::Bmf(midsummer::core::BmfConfig::default()),
         ProtocolKind::Amnt(AmntConfig::default()),
     ] {
-        let mut m =
-            SecureMemory::new(SecureMemoryConfig::with_capacity(8 * MIB), kind).unwrap();
+        let mut m = SecureMemory::new(SecureMemoryConfig::with_capacity(8 * MIB), kind).unwrap();
         // "Records": block i tagged with i.
         let mut t = 0;
         for i in 0..500u64 {
@@ -119,7 +126,11 @@ fn os_isolation_across_processes() {
     let mut mm = MemoryManager::new(4096, AllocPolicy::Standard);
     let pa1 = mm.translate(1, 0x7000).unwrap();
     let pa2 = mm.translate(2, 0x7000).unwrap();
-    assert_ne!(pa1 / 4096, pa2 / 4096, "same vaddr maps to distinct frames per process");
+    assert_ne!(
+        pa1 / 4096,
+        pa2 / 4096,
+        "same vaddr maps to distinct frames per process"
+    );
 }
 
 #[test]
@@ -149,13 +160,26 @@ fn recovery_traffic_scales_with_subtree_level() {
         .unwrap();
         let mut t = 0;
         for i in 0..5_000u64 {
-            let addr =
-                if i % 4 == 0 { ((i * 7919) % 8192) * 4096 } else { (i % 128) * 64 };
+            let addr = if i % 4 == 0 {
+                ((i * 7919) % 8192) * 4096
+            } else {
+                (i % 128) * 64
+            };
             t = m.write_block(t, addr, &[i as u8; 64]).unwrap();
         }
         m.crash();
         traffic.push(m.recover().unwrap().bytes_read);
     }
-    assert!(traffic[0] > 4 * traffic[1], "L2 {} vs L3 {}", traffic[0], traffic[1]);
-    assert!(traffic[1] > 4 * traffic[2], "L3 {} vs L4 {}", traffic[1], traffic[2]);
+    assert!(
+        traffic[0] > 4 * traffic[1],
+        "L2 {} vs L3 {}",
+        traffic[0],
+        traffic[1]
+    );
+    assert!(
+        traffic[1] > 4 * traffic[2],
+        "L3 {} vs L4 {}",
+        traffic[1],
+        traffic[2]
+    );
 }
