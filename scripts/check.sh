@@ -5,17 +5,17 @@
 #
 #   bash scripts/check.sh
 #
-# Formatting is advisory (rustfmt may be absent on minimal toolchains);
-# lint, build and test failures are fatal.
+# Formatting drift, lint, build and test failures are fatal; the format
+# check is skipped only where rustfmt is not installed (minimal toolchains).
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
 fail=0
 
-echo "== cargo fmt --check (advisory) =="
+echo "== cargo fmt --check =="
 if command -v rustfmt >/dev/null 2>&1; then
-    cargo fmt --all --check || echo "   (formatting drift — advisory only)"
+    cargo fmt --all --check || fail=1
 else
     echo "   rustfmt not installed; skipping"
 fi
