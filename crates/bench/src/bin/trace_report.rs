@@ -40,7 +40,7 @@ fn main() {
     for name in ["canneal", "streamcluster", "dedup"] {
         let model = WorkloadModel::by_name(name).expect("catalogued workload");
         for (proto_name, protocol) in &protocols {
-            let (cfg, protocol) = (cfg.clone(), protocol.clone());
+            let (cfg, protocol) = (cfg.clone(), *protocol);
             grid.add(name, *proto_name, move || {
                 run_single(&model, cfg, protocol, len).expect("trace_report cell")
             });

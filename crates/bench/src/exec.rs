@@ -2,13 +2,14 @@
 //! pool with **deterministic, index-ordered result collection**.
 //!
 //! Every experiment binary fans its independent simulation jobs through
-//! [`run_jobs`]. Workers pull jobs from a shared atomic cursor, so cores
-//! stay busy regardless of per-job runtime skew, and each result lands in
-//! the output slot of its submission index — the caller-visible order is a
-//! pure function of the submitted job list, never of scheduling. Since
-//! every job owns its seeds and machine state, `AMNT_JOBS=64` and
-//! `AMNT_JOBS=1` produce byte-identical artifacts (see the determinism
-//! test in `tests/determinism.rs`).
+//! [`run_jobs_with`], usually by way of a [`Grid`](crate::Grid) at
+//! [`worker_count`] workers. Workers pull jobs from a shared atomic
+//! cursor, so cores stay busy regardless of per-job runtime skew, and each
+//! result lands in the output slot of its submission index — the
+//! caller-visible order is a pure function of the submitted job list,
+//! never of scheduling. Since every job owns its seeds and machine state,
+//! `AMNT_JOBS=64` and `AMNT_JOBS=1` produce byte-identical artifacts (see
+//! the determinism test in `tests/determinism.rs`).
 //!
 //! This module is the workspace's **only** place where threads are
 //! spawned; amnt-lint rule R7 rejects `thread::spawn`/`thread::scope`
@@ -17,8 +18,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count for [`run_jobs`]: `AMNT_JOBS` if set and nonzero, else the
-/// host's available parallelism. `AMNT_JOBS` is read by
+/// Worker count for [`run_jobs_with`]: `AMNT_JOBS` if set and nonzero,
+/// else the host's available parallelism. `AMNT_JOBS` is read by
 /// [`count_knob`](crate::count_knob): a malformed value exits with status 2.
 pub fn worker_count() -> usize {
     match crate::count_knob("AMNT_JOBS", 0, 0) {
@@ -79,15 +80,6 @@ where
                 .expect("every job index was claimed and completed")
         })
         .collect()
-}
-
-/// [`run_jobs_with`] at the environment-selected worker count.
-pub fn run_jobs<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_jobs_with(worker_count(), jobs)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! Every bench binary used to hand-roll the same nested loops — workloads
 //! outer, protocols inner, one serial `run_single`/`run_pair` per cell.
 //! A [`Grid`] replaces those loops: cells are declared up front, executed
-//! by [`crate::exec::run_jobs`] across host cores, and collected in
+//! by [`crate::exec::run_jobs_with`] across host cores, and collected in
 //! declaration order, so tables, JSON artifacts, and progress output are
 //! identical at any `AMNT_JOBS` value. [`ProtocolFigure`] is the one grid
 //! Figures 4, 5 and 8 share: each of those bins supplies only its rows,

@@ -403,14 +403,14 @@ mod tests {
     fn count_knobs_default_when_unset_and_reject_malformed_values() {
         assert_eq!(parse_count("AMNT_FAULT_OPS", None, 100, 0), Ok(100));
         assert_eq!(parse_count("AMNT_FAULT_OPS", Some("24"), 100, 0), Ok(24));
-        assert_eq!(parse_count("AMNT_SHARD_OPS", Some("0"), 800, 0), Ok(0));
+        assert_eq!(parse_count("AMNT_ACCESSES", Some("0"), 800, 0), Ok(0));
         assert_eq!(
             parse_count("AMNT_FAULT_OPS", Some("1O0"), 100, 0),
             Err("AMNT_FAULT_OPS=\"1O0\" is not a non-negative integer".to_string())
         );
         for bad in ["abc", "", " 24", "-1", "2.5", "24 "] {
-            let err = parse_count("AMNT_SHARD_OPS", Some(bad), 800, 0).expect_err(bad);
-            assert!(err.starts_with("AMNT_SHARD_OPS="), "{err}");
+            let err = parse_count("AMNT_ACCESSES", Some(bad), 800, 0).expect_err(bad);
+            assert!(err.starts_with("AMNT_ACCESSES="), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
         // Run-length knobs are u64: the whole range parses, one past it

@@ -80,7 +80,6 @@ pub const REGISTRY: &[Entry] = &[
         "trace_report",
         &[("AMNT_ACCESSES", "30000"), ("AMNT_WARMUP", "2000")],
     ),
-    gate("shard_bench", &[]),
     Entry {
         check: Check::Run,
         host_clock: true,

@@ -4,15 +4,12 @@
 //! executor section): simulations are seeded and self-contained, workers
 //! only change scheduling, and results land by declaration index.
 
-use amnt_bench::{exec, ExperimentResult, Grid};
+use amnt_bench::{ExperimentResult, Grid};
 use amnt_core::fault::{run_sweep, run_sweep_traced, sweep_protocols};
-use amnt_core::{
-    AmntConfig, FaultSweepConfig, ProtocolKind, SecureMemoryConfig, ShardedMemory, SweepSummary,
-    BLOCK_SIZE,
-};
+use amnt_core::{AmntConfig, FaultSweepConfig, ProtocolKind, SweepSummary};
 use amnt_sim::{run_single, MachineConfig, RunLength, SimReport};
 use amnt_trace::{chrome_document, metrics_document, TraceConfig, TraceReport};
-use amnt_workloads::{zipfian_mix, WorkloadModel, ZipfianMixConfig};
+use amnt_workloads::WorkloadModel;
 
 const MIB: u64 = 1024 * 1024;
 
@@ -217,145 +214,6 @@ fn render_sweep_trace(workers: usize) -> String {
         .map(|c| (c.row.clone(), c.col.clone(), &c.value.1))
         .collect();
     metrics_document("fault_sweep", &cells)
-}
-
-/// Runs a fixed Zipfian multi-tenant mix at one shard count, shards
-/// detached and executed as independent jobs on `workers` executor
-/// threads, and renders (main artifact fragment, per-shard trace sidecar).
-/// The pair must be a pure function of the shard count alone.
-fn render_shard_run(shards: usize, workers: usize) -> (String, String) {
-    let capacity = 2 * MIB;
-    let cfg = SecureMemoryConfig::with_capacity(capacity).with_metadata_cache_bytes(2048);
-    let kind = ProtocolKind::Amnt(AmntConfig::at_level(2));
-    let mut mem = ShardedMemory::new(cfg, kind, shards).expect("sharded");
-    mem.enable_tracing(TraceConfig::default());
-    let span = mem.span();
-
-    let trace = zipfian_mix(&ZipfianMixConfig {
-        tenants: 4,
-        blocks_per_tenant: capacity / 4 / BLOCK_SIZE as u64,
-        ops: 400,
-        seed: 0xDE7E_2217,
-        ..ZipfianMixConfig::default()
-    });
-    let mut per_shard: Vec<Vec<(u64, bool, u8)>> = vec![Vec::new(); shards];
-    for (i, op) in trace.iter().enumerate() {
-        let shard = (op.addr / span) as usize;
-        per_shard[shard].push((op.addr - shard as u64 * span, op.is_write, i as u8));
-    }
-    let jobs: Vec<_> = mem
-        .detach_shards()
-        .into_iter()
-        .zip(per_shard)
-        .map(|(mut engine, ops)| {
-            move || {
-                let mut t = 0u64;
-                for (addr, is_write, tag) in ops {
-                    t = if is_write {
-                        engine.write_block(t, addr, &[tag; 64]).expect("write")
-                    } else {
-                        engine.read_block(t, addr).expect("read").1
-                    };
-                }
-                engine
-            }
-        })
-        .collect();
-    let engines = exec::run_jobs_with(workers, jobs);
-    mem.attach_shards(engines).expect("reattach");
-    let sealed = mem.epoch_merge().expect("merge");
-    assert!(mem.verify_merge(&sealed));
-
-    let mut result = ExperimentResult::new("shard_determinism", "per-shard counters");
-    let row = format!("n{shards}");
-    result.push(&row, "epoch", sealed.epoch as f64);
-    for (i, s) in mem.shard_snapshots().iter().enumerate() {
-        result.push(
-            &row,
-            &format!("shard{i}_reads"),
-            s.controller.data_reads as f64,
-        );
-        result.push(
-            &row,
-            &format!("shard{i}_writes"),
-            s.controller.data_writes as f64,
-        );
-        result.push(
-            &row,
-            &format!("shard{i}_wait"),
-            s.controller.wait_cycles as f64,
-        );
-    }
-    let reports: Vec<(String, String, TraceReport)> = mem
-        .shard_trace_reports()
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.map(|r| (row.clone(), format!("shard{i}"), r)))
-        .collect();
-    let cells: Vec<(String, String, &TraceReport)> = reports
-        .iter()
-        .map(|(r, c, t)| (r.clone(), c.clone(), t))
-        .collect();
-    (
-        result.to_json(),
-        metrics_document("shard_determinism", &cells),
-    )
-}
-
-#[test]
-fn shard_grid_artifacts_are_byte_identical_across_worker_counts() {
-    // The shard-count × worker-count grid: for every N, the main artifact
-    // fragment AND the per-shard span-tree sidecar must not vary by a byte
-    // when the executor runs the shards on 1, 2, or 5 threads. This is the
-    // contract that makes `AMNT_JOBS` a pure speed knob for `shard_bench`.
-    for shards in [1usize, 2, 4] {
-        let (reference, ref_sidecar) = render_shard_run(shards, 1);
-        assert!(reference.contains(&format!("\"n{shards}\"")));
-        assert!(
-            ref_sidecar.contains("shard0"),
-            "sidecar lost per-shard cells"
-        );
-        for workers in [2usize, 5] {
-            let (json, sidecar) = render_shard_run(shards, workers);
-            assert_eq!(
-                reference, json,
-                "N={shards}: artifact varied at workers={workers}"
-            );
-            assert_eq!(
-                ref_sidecar, sidecar,
-                "N={shards}: trace sidecar varied at workers={workers}"
-            );
-        }
-    }
-}
-
-#[test]
-fn total_shard_work_is_invariant_in_the_shard_count() {
-    // Routing may only split the tenant mix, never change it: summed data
-    // reads/writes per N must be equal for N ∈ {1, 2, 4}.
-    let totals: Vec<(u64, u64)> = [1usize, 2, 4]
-        .iter()
-        .map(|&shards| {
-            let (json, _) = render_shard_run(shards, 2);
-            let sum = |col: &str| -> u64 {
-                (0..shards)
-                    .map(|i| {
-                        let key = format!("\"col\": \"shard{i}_{col}\", \"value\": ");
-                        let at = json.find(&key).unwrap_or_else(|| panic!("missing {key}"));
-                        json[at + key.len()..]
-                            .split(|c: char| !c.is_ascii_digit())
-                            .next()
-                            .and_then(|v| v.parse::<u64>().ok())
-                            .expect("numeric cell")
-                    })
-                    .sum()
-            };
-            (sum("reads"), sum("writes"))
-        })
-        .collect();
-    assert_eq!(totals[0], totals[1], "N=2 changed total work");
-    assert_eq!(totals[0], totals[2], "N=4 changed total work");
-    assert!(totals[0].1 > 0, "mix issued no writes");
 }
 
 #[test]

@@ -10,8 +10,8 @@ use amnt_core::fault::{run_sweep, sweep_protocols};
 use amnt_core::{FaultSweepConfig, SweepOp};
 use amnt_workloads::{zipfian_mix, ZipfianMixConfig};
 
-/// The tenant mix as sweep ops over a flat physical space (the sweep
-/// machine is unsharded here; tenant regions are just distinct hot ranges).
+/// The tenant mix as sweep ops over a flat physical space (the sweep runs
+/// one machine; tenant regions are just distinct hot ranges).
 fn zipf_workload(ops: usize) -> Vec<SweepOp> {
     zipfian_mix(&ZipfianMixConfig {
         tenants: 2,

@@ -62,28 +62,6 @@ impl CacheConfig {
     pub fn sets(&self) -> usize {
         self.lines() / self.ways
     }
-
-    /// An even split of this capacity across `n` independent partitions
-    /// (one per shard domain): same ways, same line size, `1/n` of the
-    /// bytes, clamped so every partition keeps at least one full set.
-    /// `partitioned(1)` is the identity — a single shard sees exactly the
-    /// unpartitioned cache, which the N=1 bit-equivalence tests rely on. A
-    /// degenerate geometry (zero ways or zero-byte lines) is returned
-    /// unchanged for [`SetAssocCache::new`] to reject.
-    pub fn partitioned(&self, n: usize) -> CacheConfig {
-        let n = n.max(1);
-        let set_bytes = self.ways * self.line_size;
-        if set_bytes == 0 {
-            return *self;
-        }
-        let share = self.size_bytes / n;
-        // Round down to whole sets, but never below one set.
-        let size_bytes = (share / set_bytes).max(1) * set_bytes;
-        CacheConfig {
-            size_bytes,
-            ..*self
-        }
-    }
 }
 
 /// Error returned when a [`CacheConfig`] is internally inconsistent.
@@ -664,27 +642,5 @@ mod tests {
         assert_eq!(c.fill(0x500, false).map(|ev| ev.addr), Some(0x300));
         assert_eq!(c.fill(0x600, false).map(|ev| ev.addr), Some(0x000));
         assert!(c.contains(0x200));
-    }
-
-    #[test]
-    fn partitioned_splits_evenly_and_is_identity_at_one() {
-        let cfg = CacheConfig::new(64 * 1024, 8, 64);
-        assert_eq!(cfg.partitioned(1), cfg, "N=1 must be the identity");
-        let quarter = cfg.partitioned(4);
-        assert_eq!(quarter.size_bytes, 16 * 1024);
-        assert_eq!(quarter.ways, 8);
-        assert_eq!(quarter.line_size, 64);
-        assert!(SetAssocCache::new(quarter).is_ok());
-        // A tiny cache over many shards clamps to one full set rather than
-        // producing an invalid geometry.
-        let tiny = CacheConfig::new(1024, 8, 64).partitioned(16);
-        assert_eq!(tiny.size_bytes, 8 * 64);
-        assert!(SetAssocCache::new(tiny).is_ok());
-        // Zero ways or zero-byte lines pass through for `new` to reject.
-        for bad in [(0, 0, 64), (1024, 0, 64), (1024, 8, 0)] {
-            let cfg = CacheConfig::new(bad.0, bad.1, bad.2);
-            assert_eq!(cfg.partitioned(2), cfg);
-            assert!(SetAssocCache::new(cfg.partitioned(2)).is_err());
-        }
     }
 }

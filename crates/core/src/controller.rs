@@ -424,7 +424,7 @@ impl SecureMemory {
         self.protocol.subtree_register().map(|(id, _)| id)
     }
 
-    /// Read-only access to the device (traffic stats, WPQ lane, residency).
+    /// Read-only access to the device (traffic stats, residency).
     pub fn nvm(&self) -> &Nvm {
         &self.nvm
     }
@@ -433,13 +433,6 @@ impl SecureMemory {
     /// physical attacks (bit flips, replay).
     pub fn nvm_mut(&mut self) -> &mut Nvm {
         &mut self.nvm
-    }
-
-    /// The on-chip root register's current image. This is the engine's root
-    /// of trust; the sharded facade folds one of these per shard into the
-    /// global epoch root, and nothing else crosses the shard boundary.
-    pub(crate) fn root_image(&self) -> &NodeBytes {
-        &self.root_register
     }
 
     /// Number of dirty (stale-in-NVM) metadata lines right now.
@@ -1600,7 +1593,6 @@ impl SecureMemory {
             // index the run had reached — enough to replay the crash point.
             let ts = self.tracer.last_ts();
             let op_index = self.stats.data_reads + self.stats.data_writes;
-            let lane = self.nvm.lane() as u64;
             for s in self.nvm.take_trace_strikes() {
                 self.tracer.instant(
                     ts,
@@ -1610,7 +1602,6 @@ impl SecureMemory {
                         ("ordinal", s.ordinal),
                         ("kind", s.kind as u64),
                         ("op_index", op_index),
-                        ("lane", lane),
                     ],
                 );
             }

@@ -1,19 +1,15 @@
 //! Exhaustive crash-point exploration over the device's fault plans.
 //!
-//! [`run_sweep`] takes one protocol and a seeded workload, runs it on a
-//! [`ShardedMemory`] of [`FaultSweepConfig::shards`] domains, and lets each
-//! shard in turn be the *victim*: it crashes the victim at *every*
-//! device-write ordinal of its own WPQ lane — mid-operation,
-//! mid-metadata-update, mid-epoch-merge, everywhere — while the other shards
-//! (the *bystanders*) commit to completion, then recovers the victim and
-//! classifies the outcome. One shard is the unsharded machine: at N=1 the
-//! facade is bit-identical to a bare [`SecureMemory`].
+//! [`run_sweep`] takes one protocol and a seeded workload, runs it on a bare
+//! [`SecureMemory`], and crashes the machine at *every* device-write ordinal
+//! — mid-operation, mid-metadata-update, everywhere — then recovers it and
+//! classifies the outcome.
 //!
 //! Every scenario takes one path: replay the workload with a mutation-path
-//! fault plan armed on the victim's lane, crash the victim, arm the plan
-//! its class gives the recovery's power cycle, run what the class puts
-//! between the crash and the final recovery, recover, judge the read-back,
-//! and tally the outcome in its class's counters. Scenarios that share a
+//! fault plan armed on the device, crash the machine, arm the plan its
+//! class gives the recovery's power cycle, run what the class puts between
+//! the crash and the final recovery, recover, judge the read-back, and
+//! tally the outcome in its class's counters. Scenarios that share a
 //! crashed state share its replay: each runs on a clone of the crashed
 //! machine. Every sweep runs six classes of scenario, in this order:
 //!
@@ -70,19 +66,9 @@
 //! [`RecoveryModel`] stale fractions ([`SweepSummary::bounds_violations`]).
 //!
 //! Classification is differential, not merely self-consistent: after every
-//! recovery the sweep replays the victim's committed operation prefix into
-//! a lockstep [`UntimedMemory`] oracle and demands each address the victim
+//! recovery the sweep replays the committed operation prefix into a
+//! lockstep [`UntimedMemory`] oracle and demands each address the workload
 //! ever wrote read back *byte-for-byte equal* to that ground truth.
-//!
-//! Every scenario of every class also checks the bystanders, once after the
-//! victim's crash and once after its recovery: their data media must equal
-//! the fault-free run's and every address must read back exactly their own
-//! oracle ([`SweepSummary::cross_shard_disturbances`]); after a tamper they
-//! must also still pass their own audits
-//! ([`SweepSummary::cross_shard_heals`]). Epoch merges seal every
-//! [`FaultSweepConfig::merge_every`] ops until the victim goes down, after
-//! the fault-free run, and after every clean crash that recovered
-//! ([`SweepSummary::merge_failures`]).
 //!
 //! The sweep is a pure function of ([`ProtocolKind`], [`FaultSweepConfig`]):
 //! same inputs, byte-identical [`SweepSummary`], regardless of how many
@@ -93,7 +79,6 @@
 use crate::error::IntegrityError;
 use crate::protocol::ProtocolKind;
 use crate::recovery::RecoveryReport;
-use crate::shard::ShardedMemory;
 use crate::untimed::UntimedMemory;
 use crate::{
     AmntConfig, AnubisConfig, BmfConfig, OsirisConfig, SecureMemory, SecureMemoryConfig, BLOCK_SIZE,
@@ -108,9 +93,8 @@ pub use crate::error::RecoveryError;
 
 /// Sweep parameters: the workload, and the machine it runs on. Every sweep
 /// runs every fault class (see the [module docs](self)). The defaults give
-/// a debug-friendly sweep on one shard; the `fault_sweep` bench bin scales
-/// `ops` up to the acceptance workload, and `shard_bench` sweeps a
-/// [`tenant_mix`] at several shard counts.
+/// a debug-friendly sweep; the `fault_sweep` bench bin scales `ops` up to
+/// the acceptance workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSweepConfig {
     /// Workload seed (`amnt_prng`, bit-stable forever).
@@ -119,25 +103,17 @@ pub struct FaultSweepConfig {
     pub ops: usize,
     /// Protected data capacity in bytes.
     pub capacity: u64,
-    /// Shard domains the capacity is split into ([`ShardedMemory`]); each
-    /// one takes a turn as the victim. `1` is the unsharded machine.
-    pub shards: usize,
-    /// Seal an epoch ([`ShardedMemory::epoch_merge`]) every this many
-    /// workload ops until the victim goes down (`0` = no mid-run merges),
-    /// so crashes also land mid-epoch and inside a merge's queue flush.
-    pub merge_every: usize,
-    /// Metadata cache size for the swept machine, split evenly across its
-    /// shards. Deliberately small (16 lines) so dirty eviction writebacks —
-    /// their own crash-point class — occur even at smoke-test workload
-    /// sizes.
+    /// Metadata cache size for the swept machine. Deliberately small (16
+    /// lines) so dirty eviction writebacks — their own crash-point class —
+    /// occur even at smoke-test workload sizes.
     pub metadata_cache_bytes: usize,
     /// Externally supplied workload. When non-empty it replaces the
     /// built-in seeded generator (and `ops` is ignored): each [`SweepOp`]
     /// becomes one operation, write values assigned deterministically by op
-    /// index. This is how external generators (e.g. [`tenant_mix`], or the
-    /// Zipfian multi-tenant mix in `amnt-workloads`) inherit the full
-    /// crash-point coverage. Addresses are global: the sweep routes each to
-    /// its shard and block-aligns it; one past `capacity` is an error.
+    /// index. This is how external generators (e.g. the Zipfian
+    /// multi-tenant mix in `amnt-workloads`) inherit the full crash-point
+    /// coverage. The sweep block-aligns each address; one at or past
+    /// `capacity` is an error.
     pub workload: Vec<SweepOp>,
 }
 
@@ -158,17 +134,14 @@ impl Default for FaultSweepConfig {
             seed: 0xA3A7_F001,
             ops: 24,
             capacity: 1024 * 1024,
-            shards: 1,
-            merge_every: 0,
             metadata_cache_bytes: 1024,
             workload: Vec::new(),
         }
     }
 }
 
-/// Aggregate outcome of one protocol's sweep, summed over victims. All
-/// counters are exact and deterministic for a given ([`ProtocolKind`],
-/// [`FaultSweepConfig`]).
+/// Aggregate outcome of one protocol's sweep. All counters are exact and
+/// deterministic for a given ([`ProtocolKind`], [`FaultSweepConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepSummary {
     /// Device-write ordinals the workload produced (= clean crash points).
@@ -195,7 +168,7 @@ pub struct SweepSummary {
     pub boundary_deficit: u64,
     /// Recoveries whose [`RecoveryReport`] counters exceeded the analytical
     /// [`RecoveryModel`](crate::RecoveryModel)-derived bounds of the
-    /// victim's own shard — must stay zero.
+    /// recovered machine — must stay zero.
     pub bounds_violations: u64,
     /// Crash points that were metadata-cache eviction writebacks (a subset
     /// of `crash_points`, enumerated as their own class).
@@ -257,23 +230,11 @@ pub struct SweepSummary {
     /// Tamper scenarios that exposed wrong bytes with no error — subset of
     /// `silent`, must stay zero.
     pub tamper_silent: u64,
-    /// Bystander checks that found a non-victim shard's data media changed
-    /// from the fault-free run, or its read-back off its own oracle, after
-    /// the victim crashed or recovered — must stay zero (no state crosses
-    /// a shard boundary).
-    pub cross_shard_disturbances: u64,
-    /// Tamper scenarios after which a bystander's data media, read-back or
-    /// audit changed: damage inside the victim was observed by, or repaired
-    /// through, another shard. Must stay zero.
-    pub cross_shard_heals: u64,
-    /// Epoch merges that failed or did not verify, after the fault-free run
-    /// or after a clean crash that recovered — must stay zero.
-    pub merge_failures: u64,
 }
 
 impl SweepSummary {
     /// The counters the `fault_sweep` artifact reports, as (column name,
-    /// value) in column order: every field but the three cross-shard ones.
+    /// value) in field order.
     pub fn columns(&self) -> [(&'static str, u64); 28] {
         [
             ("crash_points", self.crash_points),
@@ -368,7 +329,7 @@ impl SweepSummary {
     }
 }
 
-/// One workload operation, in shard-local coordinates.
+/// One block-aligned workload operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// `write_block(addr, value)`.
@@ -377,23 +338,12 @@ enum Op {
     Read { addr: u64 },
 }
 
-/// One shard's slice of the workload plus the ground-truth write history
-/// it implies.
+/// The sweep's workload plus the ground-truth write history it implies.
 #[derive(Debug, Clone, Default)]
 struct Workload {
     ops: Vec<Op>,
-    /// Per-address write history as (shard-local op index, value), in op
-    /// order.
+    /// Per-address write history as (op index, value), in op order.
     history: BTreeMap<u64, Vec<(usize, [u8; BLOCK_SIZE])>>,
-}
-
-/// The sweep workload routed onto the machine's shards.
-#[derive(Debug, Clone)]
-struct Routed {
-    /// One workload per shard, in shard order.
-    shards: Vec<Workload>,
-    /// Issue order: `(shard, shard-local op index)` per workload op.
-    order: Vec<(usize, usize)>,
 }
 
 /// A unique, recognisable payload for op `i`.
@@ -437,74 +387,30 @@ fn generate(cfg: &FaultSweepConfig) -> Vec<SweepOp> {
         .collect()
 }
 
-/// A seeded multi-tenant mix of `cfg.ops` ops over `cfg.shards` tenants,
-/// one per shard span. The tenants open round-robin with two writes each
-/// (so every shard commits state before a crash can land in its lane);
-/// after that each op draws its tenant at random and hits the tenant's
-/// 16-block hot set (at a tenant-distinct offset) 75% of the time, and is
-/// a read 20% of the time. Feed it to [`run_sweep`] as
-/// [`FaultSweepConfig::workload`].
-pub fn tenant_mix(cfg: &FaultSweepConfig) -> Vec<SweepOp> {
-    let shards = cfg.shards.max(1);
-    let span = cfg.capacity / shards as u64;
-    let blocks = (span / BLOCK_SIZE as u64).max(1);
-    let hot = 16u64.min(blocks);
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    (0..cfg.ops)
-        .map(|i| {
-            let opening = i < shards * 2;
-            let shard = if opening {
-                (i % shards) as u64
-            } else {
-                rng.gen_range(0..shards as u64)
-            };
-            let hot_base = (shard * 7) % blocks;
-            let block = if rng.gen_bool(0.75) {
-                (hot_base + rng.gen_range(0..hot)) % blocks
-            } else {
-                rng.gen_range(0..blocks)
-            };
-            SweepOp {
-                addr: shard * span + block * BLOCK_SIZE as u64,
-                write: opening || !rng.gen_bool(0.2),
-            }
-        })
-        .collect()
-}
-
-impl Routed {
-    /// Routes `ops` onto `mem`'s shards by span. Write values are keyed by
-    /// the *global* op index — unique across shards, so identical bytes
-    /// never alias across a boundary — and histories by the shard-local
-    /// index.
+impl Workload {
+    /// Block-aligns `ops` and gives each write the value of its op index.
     ///
     /// # Errors
     ///
-    /// [`IntegrityError::OutOfRange`] for an address past the capacity.
-    fn new(ops: &[SweepOp], mem: &ShardedMemory) -> Result<Self, IntegrityError> {
-        let mut shards = vec![Workload::default(); mem.shards()];
-        let mut order = Vec::with_capacity(ops.len());
+    /// [`IntegrityError::OutOfRange`] for an address at or past `capacity`.
+    fn new(ops: &[SweepOp], capacity: u64) -> Result<Self, IntegrityError> {
+        let mut w = Workload::default();
         for (i, op) in ops.iter().enumerate() {
-            let (shard, local) = mem.shard_of(op.addr)?;
-            let addr = local / BLOCK_SIZE as u64 * BLOCK_SIZE as u64;
-            let w = shards
-                .get_mut(shard)
-                .ok_or(IntegrityError::OutOfRange { addr: op.addr })?;
-            let index = w.ops.len();
+            if op.addr >= capacity {
+                return Err(IntegrityError::OutOfRange { addr: op.addr });
+            }
+            let addr = op.addr / BLOCK_SIZE as u64 * BLOCK_SIZE as u64;
             if op.write {
                 let value = value_for(i);
-                w.history.entry(addr).or_default().push((index, value));
+                w.history.entry(addr).or_default().push((i, value));
                 w.ops.push(Op::Write { addr, value });
             } else {
                 w.ops.push(Op::Read { addr });
             }
-            order.push((shard, index));
         }
-        Ok(Routed { shards, order })
+        Ok(w)
     }
-}
 
-impl Workload {
     /// Expected contents of `addr` once the first `completed` ops ran
     /// (`None` = never written: factory zeros). Test-only cross-check of
     /// the oracle replay.
@@ -580,42 +486,15 @@ impl Workload {
     }
 }
 
-fn machine(kind: ProtocolKind, cfg: &FaultSweepConfig) -> Result<ShardedMemory, IntegrityError> {
+fn machine(kind: ProtocolKind, cfg: &FaultSweepConfig) -> Result<SecureMemory, IntegrityError> {
     let mem_cfg = SecureMemoryConfig::with_capacity(cfg.capacity)
         .with_metadata_cache_bytes(cfg.metadata_cache_bytes);
-    ShardedMemory::new(mem_cfg, kind, cfg.shards)
-}
-
-fn engine(mem: &mut ShardedMemory, idx: usize) -> Result<&mut SecureMemory, IntegrityError> {
-    mem.shard_mut(idx).ok_or(IntegrityError::Invariant {
-        what: "sweep addressed a missing shard",
-    })
+    SecureMemory::new(mem_cfg, kind)
 }
 
 /// A byte-exact device image: `(frame base address, frame bytes)` in
 /// address order, as [`amnt_nvm::Nvm::media_image`] returns it.
 type MediaImage = Vec<(u64, Vec<u8>)>;
-
-/// Shard `idx`'s data-region media. Metadata lines above the data span move
-/// with cache-eviction timing, which legitimately differs between a run
-/// whose merges deferred and the fault-free one, so bystanders are held
-/// byte-identical on the protected data itself.
-fn data_image(mem: &ShardedMemory, idx: usize) -> MediaImage {
-    let mut image = mem
-        .shard(idx)
-        .map(|e| e.nvm().media_image())
-        .unwrap_or_default();
-    image.retain(|&(addr, _)| addr < mem.span());
-    image
-}
-
-/// Seals an epoch over every shard; it must succeed and verify.
-fn merge(mem: &mut ShardedMemory, s: &mut SweepSummary) {
-    match mem.epoch_merge() {
-        Ok(r) if mem.verify_merge(&r) => {}
-        _ => s.merge_failures += 1,
-    }
-}
 
 fn apply(mem: &mut SecureMemory, t: u64, op: &Op) -> Result<u64, IntegrityError> {
     match op {
@@ -703,7 +582,7 @@ fn classify_readback(
 /// Strict rebuilds nothing, Leaf/Osiris rebuild at most the whole tree (the
 /// sparse walk rebuilds only the touched ancestor closure), Anubis is
 /// bounded by the metadata cache, BMF by its frontier capacity, AMNT by its
-/// subtree. `mem` is the recovered shard, so the bounds are per shard.
+/// subtree. `mem` is the recovered machine.
 fn report_in_bounds(kind: ProtocolKind, mem: &SecureMemory, report: &RecoveryReport) -> bool {
     let g = mem.geometry();
     let total = g.total_nodes();
@@ -737,13 +616,12 @@ fn report_in_bounds(kind: ProtocolKind, mem: &SecureMemory, report: &RecoveryRep
     }
 }
 
-/// Runs every fault class for one protocol, with every shard in turn as
-/// the victim.
+/// Runs every fault class for one protocol.
 ///
 /// # Errors
 ///
-/// [`IntegrityError`] for a config the machine rejects (capacity, shard
-/// count, metadata cache), a workload address past the capacity, or an
+/// [`IntegrityError`] for a config the machine rejects (capacity or
+/// metadata cache), a workload address past the capacity, or an
 /// integrity failure *before* any fault fired — never a fault-model
 /// outcome.
 pub fn run_sweep(
@@ -757,7 +635,7 @@ pub fn run_sweep(
 /// returns a [`amnt_trace::TraceReport`] aggregating, per scenario class,
 /// the strike-ordinal distributions, the baseline recovery's per-phase
 /// durations (harvested by enabling cycle-domain tracing on the crashed
-/// victim just before its recovery runs), and the touched-closure sizes the
+/// machine just before its recovery runs), and the touched-closure sizes the
 /// recovery scans reported. Tracing is purely observational: the summary is
 /// byte-identical to [`run_sweep`]'s, and the report is itself a pure
 /// function of (`kind`, `cfg`) — byte-stable across job counts.
@@ -771,7 +649,7 @@ pub fn run_sweep_traced(
     Ok((summary, report))
 }
 
-/// Folds one crashed controller's recovery trace into the sweep tracer:
+/// Folds one crashed machine's recovery trace into the sweep tracer:
 /// every closed `recovery.*` phase span becomes a duration sample, and the
 /// scan phases' touched-closure gauges become size samples.
 fn harvest_recovery_trace(tr: &mut amnt_trace::Tracer, mem: &SecureMemory) {
@@ -794,26 +672,21 @@ fn harvest_recovery_trace(tr: &mut amnt_trace::Tracer, mem: &SecureMemory) {
 fn run_sweep_impl(
     kind: ProtocolKind,
     cfg: &FaultSweepConfig,
-    mut tr: Option<&mut amnt_trace::Tracer>,
+    tr: Option<&mut amnt_trace::Tracer>,
 ) -> Result<SweepSummary, IntegrityError> {
     // The machine is built before the workload is generated, so a config
     // it rejects is a typed error rather than a generator panic.
-    let probe = machine(kind, cfg)?;
-    let w = Routed::new(&generate(cfg), &probe)?;
+    machine(kind, cfg)?;
+    let ops = Workload::new(&generate(cfg), cfg.capacity)?;
     let mut s = SweepSummary::default();
-    for (idx, ops) in w.shards.iter().enumerate() {
-        let mut victim = Victim {
-            kind,
-            cfg,
-            w: &w,
-            idx,
-            ops,
-            base: Vec::new(),
-            s: &mut s,
-            tr: tr.as_deref_mut(),
-        };
-        victim.sweep()?;
-    }
+    let mut victim = Victim {
+        kind,
+        cfg,
+        ops: &ops,
+        s: &mut s,
+        tr,
+    };
+    victim.sweep()?;
     Ok(s)
 }
 
@@ -890,7 +763,7 @@ impl Class<'_> {
     }
 }
 
-/// One fault scenario of one victim.
+/// One fault scenario.
 struct Scenario<'a> {
     class: Class<'a>,
     /// The class's strike value: the mutation-path ordinal `k` (clean,
@@ -910,7 +783,7 @@ impl<'a> Scenario<'a> {
         }
     }
 
-    /// The plan armed on the crashed victim for the power cycle its
+    /// The plan armed on the crashed machine for the power cycle its
     /// recovery runs in: a clean crash counts the recovery's device writes
     /// (the nested scenarios' crash points), a nested scenario cuts the
     /// recovery at its ordinal `r`, and a tamper scenario at its `cut`.
@@ -938,45 +811,34 @@ struct Baseline {
     media: Option<MediaImage>,
 }
 
-/// One replayed machine, stopped where the victim's fault fired or its op
-/// limit ran out. Scenarios that start from the same state each run on a
-/// clone of it.
+/// One replayed machine, stopped where its fault fired or its op limit ran
+/// out. Scenarios that start from the same state each run on a clone of it.
 #[derive(Clone)]
 struct Replay {
-    mem: ShardedMemory,
-    /// Victim ops that completed.
+    mem: SecureMemory,
+    /// Ops that completed.
     completed: usize,
-    /// Whether the victim's fault fired during the replay.
+    /// Whether the fault fired during the replay.
     faulted: bool,
 }
 
-/// Everything one victim's scenarios share.
+/// Everything the sweep's scenarios share: the machine under test's
+/// protocol and config, its workload, and the sweep's outputs.
 struct Victim<'a> {
     kind: ProtocolKind,
     cfg: &'a FaultSweepConfig,
-    w: &'a Routed,
-    /// The crashed shard.
-    idx: usize,
-    /// Its workload, in shard-local coordinates.
     ops: &'a Workload,
-    /// Every bystander's fault-free data image, in shard order (filled by
-    /// the sweep's first phase).
-    base: Vec<(usize, MediaImage)>,
-    /// The sweep's summary, summed over victims.
+    /// The sweep's summary.
     s: &'a mut SweepSummary,
     /// The sweep tracer, when the sweep is traced.
     tr: Option<&'a mut amnt_trace::Tracer>,
 }
 
 impl Victim<'_> {
-    /// Replays the workload on a fresh machine with `plan` armed on the
-    /// victim's lane. The victim runs its first `limit` ops, or stops when
-    /// its fault fires; every other shard commits to completion, and epoch
-    /// merges seal every [`FaultSweepConfig::merge_every`] ops until the
-    /// victim goes down. A merge flushes the victim's verify queue, so the
-    /// fault can fire inside it: a legitimate mid-epoch crash point.
-    /// `boundaries`, when given, receives the victim's cumulative
-    /// device-write ordinal count after each of its ops.
+    /// Replays the workload on a fresh machine with `plan` armed on its
+    /// device: the first `limit` ops run, or the ops up to the one the
+    /// fault fires in. `boundaries`, when given, receives the cumulative
+    /// device-write ordinal count after each op.
     fn replay(
         &self,
         plan: FaultPlan,
@@ -984,38 +846,21 @@ impl Victim<'_> {
         mut boundaries: Option<&mut Vec<u64>>,
     ) -> Result<Replay, IntegrityError> {
         let mut mem = machine(self.kind, self.cfg)?;
-        engine(&mut mem, self.idx)?.nvm_mut().arm_fault_hook(plan);
-        let mut clocks = vec![0u64; mem.shards()];
-        let (mut completed, mut faulted) = (0, false);
-        let every = self.cfg.merge_every;
-        for (i, &(shard, local)) in self.w.order.iter().enumerate() {
-            if every > 0 && i > 0 && i % every == 0 && !faulted {
-                match mem.epoch_merge() {
-                    Ok(_) => {}
-                    Err(ref e) if power_failed(e) => faulted = true,
-                    Err(e) => return Err(e),
-                }
-            }
-            let victim = shard == self.idx;
-            if victim && (faulted || completed >= limit) {
-                continue;
-            }
-            let op = self.w.shards.get(shard).and_then(|w| w.ops.get(local));
-            let (Some(op), Some(clock)) = (op, clocks.get_mut(shard)) else {
-                continue;
-            };
-            let engine = engine(&mut mem, shard)?;
-            match apply(engine, *clock, op) {
+        mem.nvm_mut().arm_fault_hook(plan);
+        let (mut clock, mut completed, mut faulted) = (0, 0, false);
+        for op in self.ops.ops.iter().take(limit) {
+            match apply(&mut mem, clock, op) {
                 Ok(done) => {
-                    *clock = done;
-                    if victim {
-                        completed += 1;
-                        if let Some(b) = boundaries.as_deref_mut() {
-                            b.push(engine.nvm().device_write_ordinals());
-                        }
+                    clock = done;
+                    completed += 1;
+                    if let Some(b) = boundaries.as_deref_mut() {
+                        b.push(mem.nvm().device_write_ordinals());
                     }
                 }
-                Err(ref e) if victim && power_failed(e) => faulted = true,
+                Err(ref e) if power_failed(e) => {
+                    faulted = true;
+                    break;
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -1026,47 +871,21 @@ impl Victim<'_> {
         })
     }
 
-    /// Replays every victim op with `plan` armed; `None` when its fault
-    /// never fired, so no scenario starts from it.
+    /// Replays every op with `plan` armed; `None` when its fault never
+    /// fired, so no scenario starts from it.
     fn crashed(&self, plan: FaultPlan) -> Result<Option<Replay>, IntegrityError> {
         let run = self.replay(plan, usize::MAX, None)?;
         Ok(run.faulted.then_some(run))
     }
 
-    /// Counts the bystanders that diverged from the fault-free run: data
-    /// media first (the read-backs after it may evict metadata and write
-    /// the device), then a verified read-back of every address against
-    /// each bystander's own oracle.
-    fn bystanders(&self, mem: &mut ShardedMemory) -> Result<u64, IntegrityError> {
-        let mut diverged = 0;
-        for (idx, base) in &self.base {
-            if data_image(mem, *idx) != *base {
-                diverged += 1;
-            }
-        }
-        for (idx, _) in &self.base {
-            let Some(w) = self.w.shards.get(*idx) else {
-                continue;
-            };
-            let outcome = classify_readback(engine(mem, *idx)?, w, w.ops.len(), true, false);
-            if outcome != (Outcome::Recovered { reads_detected: 0 }) {
-                diverged += 1;
-            }
-        }
-        Ok(diverged)
-    }
-
-    /// Runs every fault class with this shard as the victim.
+    /// Runs every fault class.
     fn sweep(&mut self) -> Result<(), IntegrityError> {
-        let victim = self.idx;
-
-        // Phase 1: one fault-free, count-only replay records the victim's
-        // op boundaries and eviction-writeback ordinals and the bystanders'
-        // data images; its final merge must seal.
+        // Phase 1: one fault-free, count-only replay records the op
+        // boundaries and eviction-writeback ordinals.
         let mut boundaries = Vec::with_capacity(self.ops.ops.len());
         let count_only = FaultPlan::count_only();
-        let mut run = self.replay(count_only, usize::MAX, Some(&mut boundaries))?;
-        let counted = engine(&mut run.mem, victim)?;
+        let run = self.replay(count_only, usize::MAX, Some(&mut boundaries))?;
+        let counted = &run.mem;
         let total = counted.nvm().device_write_ordinals();
         let evict_ordinals: BTreeSet<u64> = counted
             .nvm()
@@ -1075,11 +894,6 @@ impl Victim<'_> {
             .copied()
             .collect();
         let queue_cap = counted.config().verify_queue.max(1) as u64;
-        self.base = (0..run.mem.shards())
-            .filter(|&other| other != victim)
-            .map(|other| (other, data_image(&run.mem, other)))
-            .collect();
-        merge(&mut run.mem, self.s);
         self.s.crash_points += total;
         self.s.evict_points += evict_ordinals.len() as u64;
 
@@ -1159,18 +973,16 @@ impl Victim<'_> {
         Ok(())
     }
 
-    /// Runs one scenario on `run`, the replayed machine: crash the victim,
-    /// arm the class's [`Scenario::recovery_plan`], run what the class puts
-    /// before the final recovery, recover, judge the read-back against the
-    /// oracle, and tally the outcome; the bystanders are checked after the
-    /// crash and at the end. A clean scenario also harvests its recovery's
-    /// trace, repeats a completed recovery to check it is idempotent, seals
-    /// the deferred epoch once the victim recovered, and returns its
-    /// [`Baseline`].
+    /// Runs one scenario on `run`, the replayed machine: crash it, arm the
+    /// class's [`Scenario::recovery_plan`], run what the class puts before
+    /// the final recovery, recover, judge the read-back against the oracle,
+    /// and tally the outcome. A clean scenario also harvests its recovery's
+    /// trace, repeats a completed recovery to check it is idempotent, and
+    /// returns its [`Baseline`].
     fn run(&mut self, sc: Scenario<'_>, mut run: Replay) -> Result<Baseline, IntegrityError> {
         let mut base = Baseline::default();
         let clean = matches!(sc.class, Class::Clean { .. });
-        let victim = engine(&mut run.mem, self.idx)?;
+        let victim = &mut run.mem;
         if let Class::VerifyQueue { target } = sc.class {
             // Stack `strike` deferred checks on whatever the trailing
             // workload reads left queued.
@@ -1192,14 +1004,10 @@ impl Victim<'_> {
                 victim.enable_tracing(amnt_trace::TraceConfig::default());
             }
         }
-        run.mem.crash_shard(self.idx)?;
+        victim.crash();
         if let Some(plan) = sc.recovery_plan() {
-            let victim = engine(&mut run.mem, self.idx)?;
             victim.nvm_mut().arm_fault_hook(plan);
         }
-        self.s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
-
-        let victim = engine(&mut run.mem, self.idx)?;
         let recovers = match sc.class {
             // The nested fault cuts power mid-recovery. When the un-faulted
             // recovery prefix errors first instead (`r` lies at or past its
@@ -1276,14 +1084,7 @@ impl Victim<'_> {
         self.s.tally(sc.class, outcome, sc.evict);
 
         match sc.class {
-            Class::Clean { .. } => {
-                // Once the victim recovered every shard is healthy again:
-                // the deferred epoch must now seal and verify.
-                if outcome == (Outcome::Recovered { reads_detected: 0 }) {
-                    merge(&mut run.mem, self.s);
-                }
-                base.media = media;
-            }
+            Class::Clean { .. } => base.media = media,
             // A cleanly cut recovery (judged strictly), re-run, must land
             // where the uninterrupted one did: the same media, or a
             // detection where it detected.
@@ -1291,18 +1092,6 @@ impl Victim<'_> {
                 self.s.idempotence_violations += 1;
             }
             _ => {}
-        }
-        if let Class::Tamper { .. } = sc.class {
-            // Damage inside the victim must not be seen by, or repaired
-            // through, another shard.
-            self.s.cross_shard_heals += self.bystanders(&mut run.mem)?;
-            for (other, _) in &self.base {
-                if !matches!(run.mem.audit_shard(*other), Ok(true)) {
-                    self.s.cross_shard_heals += 1;
-                }
-            }
-        } else {
-            self.s.cross_shard_disturbances += self.bystanders(&mut run.mem)?;
         }
         Ok(base)
     }
@@ -1345,10 +1134,9 @@ pub fn sweep_protocols() -> Vec<(&'static str, ProtocolKind)> {
 mod tests {
     use super::*;
 
-    /// The default workload routed onto a one-shard leaf machine.
-    fn routed(cfg: &FaultSweepConfig) -> Routed {
-        let mem = machine(ProtocolKind::Leaf, cfg).expect("machine");
-        Routed::new(&generate(cfg), &mem).expect("routable workload")
+    /// The sweep workload `cfg` describes.
+    fn workload(cfg: &FaultSweepConfig) -> Workload {
+        Workload::new(&generate(cfg), cfg.capacity).expect("in-range workload")
     }
 
     #[test]
@@ -1364,8 +1152,7 @@ mod tests {
     #[test]
     fn history_tracks_last_write_wins() {
         let cfg = FaultSweepConfig::default();
-        let routed = routed(&cfg);
-        let w = &routed.shards[0];
+        let w = workload(&cfg);
         for (addr, hist) in &w.history {
             assert!(
                 hist.windows(2).all(|p| p[0].0 < p[1].0),
@@ -1423,14 +1210,11 @@ mod tests {
             ops: 8,
             ..FaultSweepConfig::default()
         };
-        let w = routed(&cfg);
+        let w = workload(&cfg);
         let victim = Victim {
             kind: ProtocolKind::Leaf,
             cfg: &cfg,
-            w: &w,
-            idx: 0,
-            ops: &w.shards[0],
-            base: Vec::new(),
+            ops: &w,
             s: &mut SweepSummary::default(),
             tr: None,
         };
@@ -1438,15 +1222,11 @@ mod tests {
         for _ in 0..2 {
             let mut boundaries = Vec::new();
             let plan = FaultPlan::count_only();
-            let mut run = victim
+            let run = victim
                 .replay(plan, usize::MAX, Some(&mut boundaries))
                 .expect("count-only replay");
             assert_eq!((run.completed, run.faulted), (cfg.ops, false));
-            let total = engine(&mut run.mem, 0)
-                .expect("victim")
-                .nvm()
-                .device_write_ordinals();
-            runs.push((boundaries, total));
+            runs.push((boundaries, run.mem.nvm().device_write_ordinals()));
         }
         assert_eq!(runs[0], runs[1]);
         let (boundaries, total) = &runs[0];
@@ -1481,8 +1261,8 @@ mod tests {
             ops: 9999, // ignored under an external workload
             ..FaultSweepConfig::default()
         };
-        let w = routed(&cfg);
-        let ops = &w.shards[0].ops;
+        let w = workload(&cfg);
+        let ops = &w.ops;
         assert_eq!(ops.len(), 4);
         assert_eq!(
             ops[0],
@@ -1499,53 +1279,9 @@ mod tests {
                 value: value_for(3)
             }
         );
-        assert_eq!(w.shards[0].history.get(&128).map(Vec::len), Some(2));
+        assert_eq!(w.history.get(&128).map(Vec::len), Some(2));
         // Deterministic: the override ignores the seed entirely.
-        let again = routed(&FaultSweepConfig { seed: 77, ..cfg });
-        assert_eq!(*ops, again.shards[0].ops);
-    }
-
-    #[test]
-    fn tenant_mix_routes_deterministically_and_covers_every_tenant() {
-        let cfg = FaultSweepConfig {
-            seed: 0x5AAD_F001,
-            ops: 32,
-            shards: 2,
-            ..FaultSweepConfig::default()
-        };
-        let mix = tenant_mix(&cfg);
-        assert_eq!(
-            mix,
-            tenant_mix(&cfg),
-            "mix not a pure function of the config"
-        );
-        assert_eq!(mix.len(), cfg.ops);
-        let w = routed(&FaultSweepConfig {
-            workload: mix,
-            ..cfg.clone()
-        });
-        assert_eq!(w.shards.len(), cfg.shards);
-        let span = cfg.capacity / cfg.shards as u64;
-        for (shard, tenant) in w.shards.iter().enumerate() {
-            let mut opening = tenant.ops.iter().take(2);
-            assert!(
-                opening.all(|op| matches!(op, Op::Write { .. })),
-                "tenant {shard} must open with committed writes"
-            );
-            for op in &tenant.ops {
-                let addr = match *op {
-                    Op::Write { addr, .. } | Op::Read { addr } => addr,
-                };
-                assert!(addr < span, "local coordinates only");
-                assert_eq!(addr % BLOCK_SIZE as u64, 0);
-            }
-        }
-        // The issue order references every routed op exactly once.
-        assert_eq!(w.order.len(), cfg.ops);
-        for &(shard, local) in &w.order {
-            assert!(w.shards[shard].ops.get(local).is_some());
-        }
-        let routed_ops: usize = w.shards.iter().map(|t| t.ops.len()).sum();
-        assert_eq!(routed_ops, cfg.ops);
+        let again = workload(&FaultSweepConfig { seed: 77, ..cfg });
+        assert_eq!(*ops, again.ops);
     }
 }

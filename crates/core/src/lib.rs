@@ -41,11 +41,9 @@ mod config;
 mod controller;
 mod error;
 pub mod fault;
-mod hybrid;
 mod overhead;
 mod protocol;
 mod recovery;
-mod shard;
 mod stats;
 mod timing;
 mod untimed;
@@ -54,13 +52,11 @@ pub use config::{MemTiming, SecureMemoryConfig, WriteQueueConfig};
 pub use controller::{SecureMemory, BLOCK_SIZE};
 pub use error::{IntegrityError, RecoveryError};
 pub use fault::{FaultSweepConfig, SweepOp, SweepSummary};
-pub use hybrid::{HybridConfig, HybridMemory, Partition};
 pub use overhead::{hardware_overhead, HardwareOverhead};
 pub use protocol::{
     AmntConfig, AnubisConfig, BmfConfig, HistoryBuffer, OsirisConfig, ProtocolKind,
 };
 pub use recovery::{RecoveryModel, RecoveryReport};
-pub use shard::{MergeReport, ShardedMemory};
 pub use stats::{ControllerStats, StatsSnapshot};
 pub use timing::{MemoryTimeline, TimelineStats, WearSummary};
-pub use untimed::{ShardedUntimed, UntimedMemory};
+pub use untimed::UntimedMemory;

@@ -177,7 +177,7 @@ impl SecureMemory {
             return Ok(());
         }
         let cap = self.geometry().data_capacity();
-        let touched = self.nvm.touched_frames_in(0, cap).into_iter().count() as u64;
+        let touched = self.nvm.touched_frames_in(0, cap).count() as u64;
         self.phase("recovery.scan", |_| Ok(((), 0)))?;
         self.trace_recovery_stat("recovery.touched_frames", touched);
         Ok(())

@@ -248,7 +248,7 @@ mod tests {
         let mut t = timeline(8, 32);
         let a = t.read(0, 0x0);
         // Same bank (same line address modulo banks*64).
-        let b = t.read(0, 0x0 + 8 * 64);
+        let b = t.read(0, 8 * 64);
         assert_eq!(b, a + 610);
         assert_eq!(t.stats().bank_wait_cycles, 610);
     }

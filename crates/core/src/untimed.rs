@@ -65,86 +65,6 @@ impl UntimedMemory {
     }
 }
 
-/// The multi-tenant extension of [`UntimedMemory`]: one independent oracle
-/// per tenant, addressed by *global* physical address and routed to the
-/// owning tenant by contiguous span — the same routing rule
-/// [`ShardedMemory`](crate::ShardedMemory) uses. Because each tenant's
-/// blocks live in their own map, the oracle models tenants independently:
-/// state in tenant A literally cannot influence what tenant B reads back,
-/// which is exactly the ground truth the cross-shard sweeps compare against.
-///
-/// # Examples
-///
-/// ```
-/// use amnt_core::{ShardedUntimed, BLOCK_SIZE};
-///
-/// let mut oracle = ShardedUntimed::new(2, 1024);
-/// oracle.write_block(0x40, &[1u8; BLOCK_SIZE]);         // tenant 0
-/// oracle.write_block(1024 + 0x40, &[2u8; BLOCK_SIZE]);  // tenant 1
-/// assert_eq!(oracle.read_block(0x40)[0], 1);
-/// let local = oracle.tenant(1).expect("in range");
-/// assert_eq!(local.read_block(0x40)[0], 2, "tenant-local view");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedUntimed {
-    span: u64,
-    tenants: Vec<UntimedMemory>,
-}
-
-impl ShardedUntimed {
-    /// `tenants` independent oracles, each owning `span` contiguous bytes
-    /// of the global address space (tenant `t` owns
-    /// `[t * span, (t + 1) * span)`).
-    pub fn new(tenants: usize, span: u64) -> Self {
-        ShardedUntimed {
-            span: span.max(1),
-            tenants: vec![UntimedMemory::new(); tenants.max(1)],
-        }
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Bytes of address space each tenant owns.
-    pub fn span(&self) -> u64 {
-        self.span
-    }
-
-    /// The tenant owning global address `addr`, and the tenant-local
-    /// offset. Addresses past the last tenant clamp to it (the oracle is
-    /// total; range policing belongs to the engine under test).
-    pub fn route(&self, addr: u64) -> (usize, u64) {
-        let idx = ((addr / self.span) as usize).min(self.tenants.len() - 1);
-        (idx, addr - idx as u64 * self.span)
-    }
-
-    /// Records a block write at a global address (last write wins, within
-    /// the owning tenant only).
-    pub fn write_block(&mut self, addr: u64, data: &[u8; BLOCK_SIZE]) {
-        let (idx, local) = self.route(addr);
-        if let Some(t) = self.tenants.get_mut(idx) {
-            t.write_block(local, data);
-        }
-    }
-
-    /// The current contents of a global address (zeros if never written).
-    pub fn read_block(&self, addr: u64) -> [u8; BLOCK_SIZE] {
-        let (idx, local) = self.route(addr);
-        self.tenants
-            .get(idx)
-            .map(|t| t.read_block(local))
-            .unwrap_or([0u8; BLOCK_SIZE])
-    }
-
-    /// Tenant `idx`'s independent oracle, in tenant-local addresses
-    /// (`None` out of range).
-    pub fn tenant(&self, idx: usize) -> Option<&UntimedMemory> {
-        self.tenants.get(idx)
-    }
-}
-
 pub(crate) trait NvmUntimed {
     fn read_block_untimed(&mut self, addr: u64) -> Result<NodeBytes, NvmError>;
     fn write_block_untimed(&mut self, addr: u64, data: &NodeBytes) -> Result<(), NvmError>;

@@ -217,8 +217,9 @@ fn strict_boundary_crashes_do_zero_recovery_work() {
 
 #[test]
 fn malformed_configs_are_typed_errors() {
-    // Each of these is rejected by the machine or the router before any
-    // op runs: a typed error, never a panic in the generator or the cache.
+    // Each of these is rejected by the machine or the workload check before
+    // any op runs: a typed error, never a panic in the generator or the
+    // cache.
     let base = FaultSweepConfig {
         ops: 4,
         ..FaultSweepConfig::default()
@@ -243,20 +244,6 @@ fn malformed_configs_are_typed_errors() {
             },
         ),
         (
-            "0 shards",
-            FaultSweepConfig {
-                shards: 0,
-                ..base.clone()
-            },
-        ),
-        (
-            "3 shards",
-            FaultSweepConfig {
-                shards: 3,
-                ..base.clone()
-            },
-        ),
-        (
             "address past capacity",
             FaultSweepConfig {
                 workload: past_capacity,
@@ -274,6 +261,13 @@ fn malformed_configs_are_typed_errors() {
             "32 B cache",
             FaultSweepConfig {
                 metadata_cache_bytes: 32,
+                ..base.clone()
+            },
+        ),
+        (
+            "1000 B cache, not a whole number of sets",
+            FaultSweepConfig {
+                metadata_cache_bytes: 1000,
                 ..base.clone()
             },
         ),

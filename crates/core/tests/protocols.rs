@@ -4,7 +4,7 @@
 
 use amnt_core::{
     hardware_overhead, AmntConfig, AnubisConfig, BmfConfig, IntegrityError, OsirisConfig,
-    ProtocolKind, RecoveryError, SecureMemory, SecureMemoryConfig, ShardedMemory,
+    ProtocolKind, RecoveryError, SecureMemory, SecureMemoryConfig,
 };
 
 const MIB: u64 = 1024 * 1024;
@@ -405,17 +405,18 @@ fn amnt_tracks_the_hot_region() {
 /// The subtree root must be a stored tree level: level 1 is the on-chip
 /// root, and levels past the bottom do not exist. The history buffer needs
 /// at least one entry to elect a subtree. Every such config is rejected at
-/// construction, by the plain and the sharded controller; both ends of the
-/// legal level range run a crash cycle.
+/// construction, against the tree of the device it is built for; both ends
+/// of the legal level range run a crash cycle.
 #[test]
 fn amnt_config_is_checked_at_construction() {
     let cfg = SecureMemoryConfig::with_capacity(16 * MIB);
+    let small = SecureMemoryConfig::with_capacity(2 * MIB);
     let bottom = mem(ProtocolKind::Strict, 16 * MIB)
         .geometry()
         .bottom_level();
-    // Eight shards of 2 MiB: each tree is one level shallower.
-    let shard_bottom = mem(ProtocolKind::Strict, 2 * MIB).geometry().bottom_level();
-    assert_eq!((bottom, shard_bottom), (4, 3));
+    // A 2 MiB device's tree is one level shallower.
+    let small_bottom = mem(ProtocolKind::Strict, 2 * MIB).geometry().bottom_level();
+    assert_eq!((bottom, small_bottom), (4, 3));
     for level in [0, 1, bottom + 1] {
         let kind = ProtocolKind::Amnt(AmntConfig::at_level(level));
         let want = IntegrityError::SubtreeLevel { level, bottom };
@@ -424,10 +425,10 @@ fn amnt_config_is_checked_at_construction() {
             Some(want.clone())
         );
         assert_eq!(
-            ShardedMemory::new(cfg.clone(), kind, 8).err(),
+            SecureMemory::new(small.clone(), kind).err(),
             Some(IntegrityError::SubtreeLevel {
                 level,
-                bottom: shard_bottom
+                bottom: small_bottom
             })
         );
         assert!(
@@ -441,7 +442,7 @@ fn amnt_config_is_checked_at_construction() {
     });
     for err in [
         SecureMemory::new(cfg.clone(), kind).err(),
-        ShardedMemory::new(cfg.clone(), kind, 8).err(),
+        SecureMemory::new(small.clone(), kind).err(),
     ] {
         assert_eq!(err, Some(IntegrityError::EmptyHistory));
     }
@@ -449,14 +450,14 @@ fn amnt_config_is_checked_at_construction() {
         .to_string()
         .contains("history_entries"));
     assert_eq!(hardware_overhead(&kind, 64 * 1024).volatile_on_chip, 0);
-    // The shards' bottom level is legal for the whole device but not for
-    // one shard's tree.
+    // The 16 MiB device's bottom level is legal there but not on the
+    // 2 MiB device's shallower tree.
     let kind = ProtocolKind::Amnt(AmntConfig::at_level(bottom));
     assert_eq!(
-        ShardedMemory::new(cfg.clone(), kind, 8).err(),
+        SecureMemory::new(small, kind).err(),
         Some(IntegrityError::SubtreeLevel {
             level: bottom,
-            bottom: shard_bottom
+            bottom: small_bottom
         })
     );
     for level in [2, bottom] {
@@ -477,6 +478,23 @@ fn amnt_config_is_checked_at_construction() {
             assert_eq!(data, block(i as u8), "level {level}");
             t = done;
         }
+    }
+}
+
+/// A metadata cache with zero ways or zero-byte lines is a typed error at
+/// construction, never a divide-by-zero panic.
+#[test]
+fn degenerate_metadata_caches_are_typed_errors() {
+    for (size, ways, line) in [(0, 0, 64), (1024, 0, 64), (1024, 8, 0)] {
+        let cfg = SecureMemoryConfig {
+            metadata_cache: amnt_cache::CacheConfig::new(size, ways, line),
+            ..SecureMemoryConfig::with_capacity(2 * MIB)
+        };
+        assert_eq!(
+            SecureMemory::new(cfg, ProtocolKind::Leaf).err(),
+            Some(IntegrityError::OutOfRange { addr: 0 }),
+            "cache ({size}, {ways}, {line})"
+        );
     }
 }
 

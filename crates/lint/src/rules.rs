@@ -90,14 +90,14 @@ pub const RULES: [RuleInfo; 9] = [
         severity: Severity::Error,
         summary: "no panics in, or reachable from, the crash/recovery path",
         explanation: "\
-The protocol engines, the recovery engine, the controller, and the hybrid
-mapper run on the crash/recovery path: a panic there is indistinguishable
-from the very data-loss event the system exists to survive, and it skips
+The protocol engines, the recovery engine and the controller run on the
+crash/recovery path: a panic there is indistinguishable from the very
+data-loss event the system exists to survive, and it skips
 the typed IntegrityError/RecoveryError reporting the callers rely on.
 Two layers:
   1. Per-file: unwrap/expect/panic!/unreachable! anywhere under
      crates/core/src/protocol/, crates/core/src/recovery.rs,
-     crates/core/src/controller.rs, crates/core/src/hybrid.rs.
+     crates/core/src/controller.rs.
   2. Reachability: any function transitively callable from a
      recover/crash/dirty_shutdown entry point in crates/core or
      crates/nvm — whatever file it lives in — must be free of the same
@@ -124,10 +124,10 @@ depend on hasher seeding.
 Scope: crates/core/src/, crates/sim/src/, crates/workloads/src/,
 crates/trace/src/ — non-test code only. The trace crate is in scope
 because its artifacts carry the same byte-identity guarantee as the
-simulation results they describe. The sharded controller
-(crates/core/src/shard.rs) is explicitly in scope: multi-shard runs
-promise byte-identical artifacts at any AMNT_JOBS, so a nondeterminism
-source in shard routing or epoch merging breaks every downstream
+simulation results they describe. The fault sweep
+(crates/core/src/fault.rs) is explicitly in scope: its artifact must be
+byte-identical at any AMNT_JOBS, so a nondeterminism source in its
+workload generator or scenario order breaks every downstream
 determinism gate at once.
 Remedy: use amnt_prng::Rng seeded from the run configuration; iterate
 BTreeMap (or sort keys first) wherever iteration order can reach a
@@ -207,7 +207,7 @@ elsewhere reintroduces scheduling-dependent ordering (and, in simulation
 crates, breaks the single-threaded determinism argument outright).
 Scope: all scanned non-test code except crates/bench/src/exec.rs.
 Remedy: express the work as jobs and run them with
-amnt_bench::exec::run_jobs or a bench Grid; if a new subsystem genuinely
+amnt_bench::exec::run_jobs_with or a bench Grid; if a new subsystem genuinely
 needs its own threading model, extend exec instead of bypassing it.",
     },
     RuleInfo {
@@ -262,19 +262,18 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 /// Crash-critical scope for R1's per-file layer (the reachability layer
 /// in [`crate::dataflow`] skips these files' panic patterns to avoid
 /// duplicate findings, but still applies the indexing check).
-pub(crate) const R1_SCOPE: [&str; 4] = [
+pub(crate) const R1_SCOPE: [&str; 3] = [
     "crates/core/src/protocol/",
     "crates/core/src/recovery.rs",
     "crates/core/src/controller.rs",
-    "crates/core/src/hybrid.rs",
 ];
 
 /// Determinism scope for R2. The trace crate is included: its sidecar
 /// artifacts carry the same byte-identity guarantee as the results. The
-/// `crates/core/src/` prefix deliberately covers the sharded controller
-/// (`shard.rs`) — multi-shard artifacts are byte-compared across worker
-/// counts, so shard routing and epoch merging must stay entropy-free
-/// (locked by `shard_module_is_in_r2_scope` below).
+/// `crates/core/src/` prefix deliberately covers the fault sweep
+/// (`fault.rs`) — its artifacts are byte-compared across worker counts, so
+/// its workload generator and scenario order must stay entropy-free
+/// (locked by `fault_module_is_in_r2_scope` below).
 const R2_SCOPE: [&str; 4] = [
     "crates/core/src/",
     "crates/sim/src/",
@@ -435,15 +434,15 @@ pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
         let patterns: [(&str, &str); 3] = [
             (
                 "thread::spawn",
-                "`thread::spawn` outside the executor — use amnt_bench::exec::run_jobs",
+                "`thread::spawn` outside the executor — use amnt_bench::exec::run_jobs_with",
             ),
             (
                 "thread::scope",
-                "`thread::scope` outside the executor — use amnt_bench::exec::run_jobs",
+                "`thread::scope` outside the executor — use amnt_bench::exec::run_jobs_with",
             ),
             (
                 "thread::Builder",
-                "`thread::Builder` outside the executor — use amnt_bench::exec::run_jobs",
+                "`thread::Builder` outside the executor — use amnt_bench::exec::run_jobs_with",
             ),
         ];
         for (pat, msg) in patterns {
@@ -859,20 +858,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_module_is_in_r2_scope() {
-        // The sharded controller promises byte-identical artifacts at any
-        // worker count; every R2 nondeterminism source must fire there.
+    fn fault_module_is_in_r2_scope() {
+        // The fault sweep promises byte-identical artifacts at any worker
+        // count; every R2 nondeterminism source must fire there.
         let src = "fn route() {\n\
                    let r = thread_rng();\n\
                    let t = std::time::Instant::now();\n\
                    let m: HashMap<u64, u8> = HashMap::new();\n\
                    for (k, v) in &m {}\n\
                    }\n";
-        let findings = per_file_findings("crates/core/src/shard.rs", src);
+        let findings = per_file_findings("crates/core/src/fault.rs", src);
         let r2: Vec<_> = findings.iter().filter(|f| f.rule == "R2").collect();
         assert_eq!(r2.len(), 3, "{findings:?}");
         // Same source outside the determinism scope stays silent on R2.
-        let outside = per_file_findings("crates/bench/src/bin/shard_bench.rs", src);
+        let outside = per_file_findings("crates/bench/src/bin/fault_sweep.rs", src);
         assert!(outside.iter().all(|f| f.rule != "R2"), "{outside:?}");
     }
 

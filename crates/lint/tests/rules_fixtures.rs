@@ -316,7 +316,7 @@ fn r7_exempts_the_executor_module_and_tests() {
 // Tricky: the pattern appears only in a doc comment or string.
 #[test]
 fn r7_ignores_mentions_in_comments_and_strings() {
-    let src = "/// Never call `thread::spawn` here; use exec::run_jobs.\n\
+    let src = "/// Never call `thread::spawn` here; use exec::run_jobs_with.\n\
                fn f() -> &'static str { \"thread::scope is banned\" }\n";
     assert!(rules_at("crates/bench/src/grid.rs", src).is_empty());
 }

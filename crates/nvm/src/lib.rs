@@ -234,11 +234,6 @@ pub struct Nvm {
     /// while a plan is armed so sweeps can enumerate them as their own
     /// crash-point class.
     evict_seqs: Vec<u64>,
-    /// WPQ lane this device's write-pending queue drains on. Every device
-    /// owns exactly one lane, so its write ordinals form a per-lane domain;
-    /// sharded controllers stamp one lane per shard so strikes, wear and
-    /// crash points are attributable to the shard that issued them.
-    lane: u32,
     /// Set once an armed plan cuts power: every access fails until
     /// [`Nvm::crash`] power-cycles the device.
     powered_off: bool,
@@ -279,7 +274,6 @@ impl Nvm {
             fault_seq: 0,
             write_class: WriteClass::Protocol,
             evict_seqs: Vec::new(),
-            lane: 0,
             powered_off: false,
             group_depth: 0,
             group_charged: false,
@@ -407,23 +401,9 @@ impl Nvm {
     /// group counts once). The crash-point coordinate system of
     /// [`FaultPlan`]. Restarts at zero on every [`Nvm::crash`], so a plan
     /// armed after a crash counts the *recovery-phase* domain. Ordinals are
-    /// scoped to this device's WPQ [`Nvm::lane`]: two devices on different
-    /// lanes consume ordinals independently.
+    /// scoped to this device: two devices consume ordinals independently.
     pub fn device_write_ordinals(&self) -> u64 {
         self.fault_seq
-    }
-
-    /// The WPQ lane this device drains on (default `0`). A sharded
-    /// controller assigns one lane per shard, making every write ordinal,
-    /// eviction ordinal and fault strike attributable to its shard.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Assigns this device's WPQ lane. Purely an attribution tag: it never
-    /// changes device behaviour, timing or fault decisions.
-    pub fn set_lane(&mut self, lane: u32) {
-        self.lane = lane;
     }
 
     /// Declares the class of the writes the controller is about to issue
@@ -831,14 +811,11 @@ mod tests {
     }
 
     #[test]
-    fn wpq_lanes_have_independent_ordinal_domains() {
-        // Two devices on different lanes: ordinals advance independently,
-        // and the lane tag survives a crash (it names the queue, not its
-        // contents).
+    fn devices_have_independent_ordinal_domains() {
+        // Two devices: ordinals advance independently, and a power cycle
+        // restarts one device's domain.
         let mut a = Nvm::new(NvmConfig::gib(1));
         let mut b = Nvm::new(NvmConfig::gib(1));
-        a.set_lane(0);
-        b.set_lane(1);
         a.arm_fault_hook(FaultPlan::count_only());
         b.arm_fault_hook(FaultPlan::count_only());
         for i in 0..5u64 {
@@ -846,11 +823,10 @@ mod tests {
         }
         b.write_block(0, &[2u8; 64]).unwrap();
         assert_eq!(a.device_write_ordinals(), 5);
-        assert_eq!(b.device_write_ordinals(), 1, "lane 1 counts alone");
-        assert_eq!((a.lane(), b.lane()), (0, 1));
+        assert_eq!(b.device_write_ordinals(), 1, "b counts alone");
         b.crash();
-        assert_eq!(b.lane(), 1, "lane tag survives a power cycle");
         assert_eq!(b.device_write_ordinals(), 0, "ordinal domain restarts");
+        assert_eq!(a.device_write_ordinals(), 5, "a is untouched");
     }
 
     #[test]
@@ -905,7 +881,7 @@ mod tests {
     fn tamper_flips_exactly_one_bit() {
         let mut nvm = Nvm::new(NvmConfig::gib(1));
         nvm.write_block(0, &[0u8; 64]).unwrap();
-        let before = nvm.stats().clone();
+        let before = *nvm.stats();
         nvm.tamper_flip_bit(3, 5);
         assert_eq!(*nvm.stats(), before, "attacks are not device traffic");
         let block = nvm.read_block(0).unwrap();

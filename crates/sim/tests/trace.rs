@@ -44,7 +44,7 @@ fn traced_run_matches_untraced_run_exactly() {
         let untraced = run_single(
             &m,
             MachineConfig::parsec_single().scaled_down(256 * MIB),
-            protocol.clone(),
+            protocol,
             RunLength::quick(),
         )
         .expect(name);

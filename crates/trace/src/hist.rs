@@ -62,11 +62,7 @@ impl LogHistogram {
 
     /// Integer mean (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The value at percentile `p` (0–100): the upper bound of the bucket

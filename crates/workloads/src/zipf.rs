@@ -1,7 +1,7 @@
 //! Seeded Zipfian multi-tenant mix generation.
 //!
-//! The sharded controller's differential and fault sweeps need workloads
-//! where several tenants hammer *distinct* subtree regions with realistic
+//! The fault sweep's multi-tenant tests need workloads where several
+//! tenants hammer *distinct* subtree regions with realistic
 //! skew: most traffic concentrated on a small per-tenant hot set, a long
 //! cold tail, and a deterministic interleave across tenants. [`zipfian_mix`]
 //! produces exactly that — tenant `t`'s addresses all fall inside its own
@@ -145,7 +145,7 @@ mod tests {
             ..ZipfianMixConfig::default()
         };
         let region = 64 * BLOCK;
-        let mut seen = vec![false; 3];
+        let mut seen = [false; 3];
         for op in zipfian_mix(&cfg) {
             let base = op.tenant as u64 * region;
             assert!(op.addr >= base && op.addr < base + region);

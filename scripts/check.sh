@@ -5,8 +5,9 @@
 #
 #   bash scripts/check.sh
 #
-# Formatting drift, lint, build and test failures are fatal; the format
-# check is skipped only where rustfmt is not installed (minimal toolchains).
+# Formatting drift, lint, clippy, build and test failures are fatal; the
+# format and clippy checks are skipped only where rustfmt or clippy is not
+# installed (minimal toolchains).
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,6 +42,13 @@ echo "== cargo build --release --workspace --all-targets =="
 # --all-targets also compiles the examples and every test target in
 # release mode, which the debug-mode test step below does not.
 cargo build --release --workspace --all-targets || fail=1
+
+echo "== cargo clippy --workspace --all-targets (warnings are errors) =="
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --workspace --all-targets -- -D warnings || fail=1
+else
+    echo "   clippy not installed; skipping"
+fi
 
 echo "== cargo doc --no-deps --workspace (warnings are errors) =="
 # A doc comment that links a deleted or private item, or a bracketed
@@ -79,8 +87,9 @@ echo "== registry artifacts (fresh for perfgate; AMNT_JOBS 1-vs-2 byte-compare) 
 # file the first run wrote, host-clock .host.json sidecars aside, must be
 # byte-identical to the second run's. The fault sweep is exhaustive in
 # crash points at any size, and perfgate pins its zero rows (silent,
-# boundary_deficit, evict_silent, idempotence_violations) and
-# shard_bench's; crypto_bench's rows are host-clock ratios.
+# boundary_deficit, bounds_violations, evict_silent,
+# idempotence_violations, work_regressions, verify_queue_silent,
+# tamper_silent); crypto_bench's rows are host-clock ratios.
 bin_dir="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
 run_entry() {
     # shellcheck disable=SC2086 # $knobs holds VAR=value words
