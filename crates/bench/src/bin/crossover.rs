@@ -113,7 +113,8 @@ fn main() {
             None
         };
         if plus {
-            cfg = amnt_sim::with_amnt_plus(cfg, AmntConfig::default());
+            cfg = amnt_sim::with_amnt_plus(cfg, AmntConfig::default())
+                .expect("the default AMNT level is a stored level");
         }
         for (name, protocol) in [
             ("volatile", ProtocolKind::Volatile),

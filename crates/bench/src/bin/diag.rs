@@ -25,7 +25,8 @@ fn main() {
     }
     // AMNT++ (modified OS).
     let amnt = amnt_core::AmntConfig::default();
-    let pp_cfg = amnt_sim::with_amnt_plus(cfg, amnt);
+    let pp_cfg =
+        amnt_sim::with_amnt_plus(cfg, amnt).expect("the default AMNT level is a stored level");
     grid.add("amnt++", "diag", move || {
         run_single(&model, pp_cfg, ProtocolKind::Amnt(amnt), len).expect("amnt++")
     });

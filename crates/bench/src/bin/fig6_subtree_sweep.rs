@@ -43,7 +43,7 @@ fn main() {
             for level in LEVELS {
                 let amnt = AmntConfig::at_level(level);
                 let cfg_run = if plus {
-                    with_amnt_plus(cfg.clone(), amnt)
+                    with_amnt_plus(cfg.clone(), amnt).expect("the swept levels are stored levels")
                 } else {
                     cfg.clone()
                 };

@@ -29,7 +29,7 @@ fn main() {
                 run_pair(&ma, &mb, cfg, ProtocolKind::Amnt(amnt), len).expect("unmodified")
             });
         }
-        let pp_cfg = with_amnt_plus(cfg, amnt);
+        let pp_cfg = with_amnt_plus(cfg, amnt).expect("the default AMNT level is a stored level");
         grid.add(label.clone(), "modified", move || {
             run_pair(&ma, &mb, pp_cfg, ProtocolKind::Amnt(amnt), len).expect("modified")
         });

@@ -232,7 +232,7 @@ impl ProtocolFigure {
             cells.push((
                 "amnt++",
                 ProtocolKind::Amnt(amnt),
-                with_amnt_plus(machine, amnt),
+                with_amnt_plus(machine, amnt).expect("the default AMNT level is a stored level"),
             ));
         }
         let mut grid: Grid<SimReport> = Grid::new();

@@ -103,6 +103,7 @@ impl CounterBlock {
             let bit_pos = slot * 7;
             let byte = bit_pos / 8;
             let shift = bit_pos % 8;
+            debug_assert!(byte < 56);
             let val = (minor as u16) << shift;
             out[byte] |= (val & 0xff) as u8;
             if shift > 1 {

@@ -216,7 +216,10 @@ fn raw_fn_spans(masked: &str) -> Vec<RawFnSpan> {
             let has_receiver = match params_start {
                 Some(p) => {
                     let close = matching_paren(bytes, p);
-                    j = close;
+                    // The return type starts past the `)`: scanning from
+                    // the `)` itself would close one bracket too many and
+                    // read `-> [u8; N]`'s `;` as a bodyless declaration.
+                    j = close + 1;
                     leading_self_receiver(&masked[p + 1..close.min(masked.len())])
                 }
                 None => false,
@@ -269,8 +272,8 @@ fn raw_fn_spans(masked: &str) -> Vec<RawFnSpan> {
     spans
 }
 
-/// Offset one past the `)` matching the `(` at `open` (or the end of
-/// input, for unbalanced text).
+/// Offset of the `)` matching the `(` at `open` (or the end of input, for
+/// unbalanced text).
 fn matching_paren(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0i64;
     let mut k = open;
@@ -747,6 +750,17 @@ mod tests {
         let items = parse_file("a.rs", src);
         assert!(!items.iter().find(|f| f.name == "live").unwrap().in_test);
         assert!(items.iter().find(|f| f.name == "helper").unwrap().in_test);
+    }
+
+    #[test]
+    fn fns_returning_arrays_keep_their_bodies() {
+        let src = "fn line(m: u8) -> [u8; 64] { expand(m) }\n\
+                   fn pair() -> ([u8; 8], usize) { split() }\n";
+        let items = parse_file("a.rs", src);
+        let names: Vec<&str> = items.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["line", "pair"]);
+        assert_eq!(items[0].calls[0].name, "expand");
+        assert_eq!(items[1].calls[0].name, "split");
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! An ordered sparse map over frame indices, stored in 64-slot groups.
 //!
-//! The device stores a touched frame's written lines, the controller's wear
-//! ledger counts writes per frame, and the OS model maps a process's
+//! The device stores a touched frame's non-zero lines, the controller's
+//! wear ledger counts writes per frame, and the OS model maps a process's
 //! virtual page numbers to physical frames and records each allocated
 //! chunk's order by its first frame. All are sparse over memory of up to
 //! terabytes, and all are enumerated in ascending order. A map with one
 //! B-tree entry per frame would pay a share of a node per frame; a
 //! [`FrameMap`] keeps one entry per 64 consecutive frames, a presence mask
-//! plus the present values in frame order, with no spare capacity. A
-//! frame's 64 lines have the same shape one level down, so [`Slots`] stores
-//! both.
+//! plus the present values in frame order ([`Slots`]), with no spare
+//! capacity.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -18,7 +17,7 @@ use std::ops::Range;
 const GROUP: u64 = u64::BITS as u64;
 
 /// Bit `index` of a `u64` mask (`index < 64`).
-fn bit(index: u32) -> u64 {
+pub(crate) fn bit(index: u32) -> u64 {
     1u64.wrapping_shl(index)
 }
 
@@ -26,7 +25,7 @@ fn bit(index: u32) -> u64 {
 /// of `present` is set once slot `i` holds a value, and `values` holds the
 /// present values in slot order, exactly one per set bit.
 #[derive(Debug, Clone)]
-pub(crate) struct Slots<T> {
+struct Slots<T> {
     present: u64,
     values: Box<[T]>,
 }
@@ -48,12 +47,12 @@ impl<T> Slots<T> {
     }
 
     /// Whether slot `index` holds a value.
-    pub(crate) fn contains(&self, index: u32) -> bool {
+    fn contains(&self, index: u32) -> bool {
         self.present & bit(index) != 0
     }
 
     /// The value in slot `index`, if present.
-    pub(crate) fn get(&self, index: u32) -> Option<&T> {
+    fn get(&self, index: u32) -> Option<&T> {
         if !self.contains(index) {
             return None;
         }
@@ -63,7 +62,7 @@ impl<T> Slots<T> {
     /// The value in slot `index`, filled with `fill()` first if the slot is
     /// empty. A fill grows the storage by exactly one value, moving at most
     /// the 63 others.
-    pub(crate) fn get_or_insert_with(&mut self, index: u32, fill: impl FnOnce() -> T) -> &mut T {
+    fn get_or_insert_with(&mut self, index: u32, fill: impl FnOnce() -> T) -> &mut T {
         let rank = self.rank(index);
         if !self.contains(index) {
             let mut values = std::mem::take(&mut self.values).into_vec();
@@ -79,7 +78,7 @@ impl<T> Slots<T> {
 
     /// Empties slot `index`, returning its value if it held one. The
     /// storage shrinks by exactly that value, moving at most the 63 others.
-    pub(crate) fn remove(&mut self, index: u32) -> Option<T> {
+    fn remove(&mut self, index: u32) -> Option<T> {
         if !self.contains(index) {
             return None;
         }
@@ -95,12 +94,12 @@ impl<T> Slots<T> {
 
     /// Whether `values` holds exactly one value per present slot.
     #[cfg(test)]
-    pub(crate) fn fits(&self) -> bool {
+    fn fits(&self) -> bool {
         self.values.len() == self.present.count_ones() as usize
     }
 
     /// Present `(slot index, value)` pairs in ascending slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         let mut rest = self.present;
         self.values.iter().map(move |value| {
             let index = rest.trailing_zeros();

@@ -11,13 +11,19 @@
 //!
 //! ## Storage
 //!
-//! A 4 KiB frame is touched on its first write and stores only the 64 B
-//! lines written to it, with no spare capacity. Touched frames live in a
-//! [`FrameMap`]: one B-tree entry per 64 consecutive frames, holding a
+//! A 4 KiB frame is touched on its first write and stores only its
+//! non-zero 64 B lines, with no spare capacity, in whichever of two layouts
+//! is smaller for its content. *Dense*, the layout of ciphertext, keeps 64 B
+//! per stored line. *Word-sparse*, the layout of counter and HMAC lines
+//! that a sparse page write leaves mostly zero, keeps one word-mask byte
+//! per stored line and only the non-zero 8 B words. Touched frames live in
+//! a [`FrameMap`]: one B-tree entry per 64 consecutive frames, holding a
 //! presence mask and the present frames in order. Host memory therefore
-//! follows the payload: 64 B per written line, 24 B per touched frame (its
+//! follows the content: the smaller of 64 B per non-zero line and 1 B per
+//! non-zero line plus 8 B per non-zero word, 24 B per touched frame (its
 //! line mask and line pointer), and a 32 B B-tree entry plus its share of
-//! the tree's nodes per group of 64 frames.
+//! the tree's nodes per group of 64 frames. Reads, images and the touched
+//! set do not depend on the layout.
 //!
 //! [`FrameMap`] is public because other sparse per-frame records share its
 //! shape: the controller's wear ledger in `amnt-core`, and `amnt-os`'s page
@@ -47,17 +53,19 @@ mod fault;
 mod frame_map;
 use fault::FaultAction;
 pub use fault::{CrashWriteMode, FaultPlan, TornHalf, WriteClass};
+use frame_map::bit;
 pub use frame_map::FrameMap;
-use frame_map::Slots;
+use std::ops::Range;
 
 /// Size of a memory block (cache line) in bytes.
 pub const BLOCK_SIZE: usize = 64;
 /// Size of a backing frame in bytes — the granule of *touch*. A frame is
 /// touched once any byte in it is written; sparse consumers (the
 /// O(touched) recovery paths) partition the address space at this granule
-/// via [`Nvm::touched_frames`]. Storage is finer: a frame holds only the
-/// [`BLOCK_SIZE`] lines written to it, and frames are grouped 64 to an entry
-/// of a [`FrameMap`] keyed by frame index (`addr / FRAME_SIZE`).
+/// via [`Nvm::touched_frames`]. Storage is finer: a frame holds only its
+/// non-zero [`BLOCK_SIZE`] lines, whole or as their non-zero 8 B words
+/// (see the crate docs), and frames are grouped 64 to an entry of a
+/// [`FrameMap`] keyed by frame index (`addr / FRAME_SIZE`).
 pub const FRAME_SIZE: usize = 4096;
 
 const _: () = assert!(
@@ -65,39 +73,338 @@ const _: () = assert!(
     "one mask bit per line"
 );
 
-/// One touched frame: its written lines at line indices `0..64`.
-type Frame = Slots<[u8; BLOCK_SIZE]>;
+/// Bytes per word: the granule the word-sparse layout stores or drops.
+const WORD: usize = 8;
+
+/// One touched frame: its non-zero lines in line order, in whichever of two
+/// layouts is smaller.
+///
+/// - *Dense*: each stored line's [`BLOCK_SIZE`] bytes.
+/// - *Word-sparse*: one word-mask byte per stored line (bit `j` set when
+///   the line's 8 B word `j` is non-zero), packed ahead of the stored
+///   lines' non-zero words.
+///
+/// A frame is word-sparse only when that is strictly smaller, so the
+/// stored length tells the layouts apart: `64 * lines` bytes is dense, and
+/// anything shorter is word-sparse. An all-zero line is not stored, so a
+/// frame written only with zeros stays touched and stores nothing.
+#[derive(Debug, Clone, Default)]
+struct Frame {
+    /// Bit `i` set when line `i` holds a non-zero byte.
+    lines: u64,
+    /// The stored lines in one of the two layouts, with no spare capacity.
+    bytes: Box<[u8]>,
+}
+
+/// Where a stored line sits in its frame's bytes.
+enum Stored {
+    /// The line's [`BLOCK_SIZE`] bytes.
+    Dense(Range<usize>),
+    /// The line's word mask, and its non-zero words in word order.
+    Sparse(u8, Range<usize>),
+}
 
 impl Frame {
-    /// Copies the frame's bytes from `offset` on into `out`; unwritten
-    /// lines read as zero.
+    /// Number of stored lines.
+    fn count(&self) -> usize {
+        self.lines.count_ones() as usize
+    }
+
+    /// Whether the frame holds the dense layout.
+    fn dense(&self) -> bool {
+        self.bytes.len() == self.count() * BLOCK_SIZE
+    }
+
+    /// Where line `line` is stored, or `None` if it reads as zero.
+    fn locate(&self, line: u32) -> Option<Stored> {
+        if self.lines & bit(line) == 0 {
+            return None;
+        }
+        let rank = (self.lines & bit(line).wrapping_sub(1)).count_ones() as usize;
+        if self.dense() {
+            let at = rank * BLOCK_SIZE;
+            return Some(Stored::Dense(at..at + BLOCK_SIZE));
+        }
+        let mask = *self.bytes.get(rank)?;
+        let at = self.count() + WORD * self.words_before(rank);
+        Some(Stored::Sparse(
+            mask,
+            at..at + WORD * mask.count_ones() as usize,
+        ))
+    }
+
+    /// The words a word-sparse frame keeps for its first `rank` lines: the
+    /// set bits of their word masks, read eight masks at a time. A stored
+    /// line keeps at least one word, so the eight bytes from the group of
+    /// masks that holds mask `rank` on are in range.
+    fn words_before(&self, rank: usize) -> usize {
+        let groups = self.bytes.as_chunks::<WORD>().0;
+        let (whole, part) = (rank / WORD, rank % WORD);
+        let low = groups.get(whole).map_or(0, |group| {
+            u64::from_le_bytes(*group) & bit(8 * part as u32).wrapping_sub(1)
+        });
+        let below = groups
+            .iter()
+            .take(whole)
+            .map(|group| u64::from_le_bytes(*group));
+        below
+            .chain([low])
+            .map(|masks| masks.count_ones() as usize)
+            .sum()
+    }
+
+    /// Copies the frame's bytes from `offset` on into `out`; lines not
+    /// stored read as zero.
     fn copy_out(&self, offset: usize, out: &mut [u8]) {
         let mut rest = out;
         for (line, within, take) in pieces(offset as u64, rest.len(), BLOCK_SIZE) {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-            match self
-                .get(line as u32)
-                .and_then(|l| l.get(within..within + take))
-            {
-                Some(bytes) => head.copy_from_slice(bytes),
+            match self.locate(line as u32) {
+                Some(Stored::Dense(at)) => {
+                    let piece = at.start + within..at.start + within + take;
+                    match self.bytes.get(piece) {
+                        Some(bytes) => head.copy_from_slice(bytes),
+                        None => head.fill(0),
+                    }
+                }
+                Some(Stored::Sparse(mask, at)) => {
+                    let mut words = self.bytes.get(at).unwrap_or_default();
+                    if take == BLOCK_SIZE {
+                        head.fill(0);
+                        unpack(mask, &mut words, head);
+                    } else {
+                        let mut line = [0u8; BLOCK_SIZE];
+                        unpack(mask, &mut words, &mut line);
+                        match line.get(within..within + take) {
+                            Some(bytes) => head.copy_from_slice(bytes),
+                            None => head.fill(0),
+                        }
+                    }
+                }
                 None => head.fill(0),
             }
             rest = tail;
         }
     }
 
-    /// Writes `data` into the frame from `offset` on, storing each line
-    /// it reaches; a line never written before is stored zero-filled first.
+    /// Writes `data` into the frame from `offset` on, one line at a time
+    /// (see [`Frame::store`]).
     fn copy_in(&mut self, offset: usize, data: &[u8]) {
         let mut rest = data;
         for (line, within, take) in pieces(offset as u64, rest.len(), BLOCK_SIZE) {
             let (head, tail) = rest.split_at(take);
-            let stored = self.get_or_insert_with(line as u32, || [0; BLOCK_SIZE]);
-            if let Some(bytes) = stored.get_mut(within..within + take) {
-                bytes.copy_from_slice(head);
-            }
+            let mut merged = [0u8; BLOCK_SIZE];
+            let new = match head.first_chunk::<BLOCK_SIZE>() {
+                Some(whole) => whole,
+                None => {
+                    self.copy_out(line as usize * BLOCK_SIZE, &mut merged);
+                    if let Some(bytes) = merged.get_mut(within..within + take) {
+                        bytes.copy_from_slice(head);
+                    }
+                    &merged
+                }
+            };
+            self.store(line as u32, new);
             rest = tail;
         }
+    }
+
+    /// Makes line `line` read `new`. A write that keeps the line's
+    /// zero-word pattern updates it in place and keeps the layout. So does
+    /// one that leaves a dense frame's line non-zero, except that the frame
+    /// is decided again if a word turned zero. Any other write splices the
+    /// line in, out or over (see [`Frame::splice`]).
+    fn store(&mut self, line: u32, new: &[u8; BLOCK_SIZE]) {
+        let mask = word_mask(new);
+        match self.locate(line) {
+            None if mask == 0 => {}
+            None => self.splice(line, new, mask, 0),
+            Some(Stored::Dense(at)) => {
+                let Some(stored) = self.bytes.get_mut(at) else {
+                    return;
+                };
+                let old = word_mask(stored);
+                if mask == 0 {
+                    self.splice(line, new, mask, old);
+                } else {
+                    stored.copy_from_slice(new);
+                    if mask & old != old {
+                        self.settle(false);
+                    }
+                }
+            }
+            Some(Stored::Sparse(old, at)) => {
+                if mask != old {
+                    self.splice(line, new, mask, old);
+                } else if let Some(stored) = self.bytes.get_mut(at) {
+                    let slots = stored.as_chunks_mut::<WORD>().0.iter_mut();
+                    let words = new.as_chunks::<WORD>().0.iter().filter(|w| nonzero(w));
+                    for (slot, word) in slots.zip(words) {
+                        *slot = *word;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replaces line `line`, stored with word mask `old` (0: not stored),
+    /// by `new` with word mask `mask`, resizing the frame's bytes to fit
+    /// exactly in the current layout; then switches the frame to the other
+    /// layout if that is now the smaller. A full line keeps a dense frame
+    /// dense.
+    fn splice(&mut self, line: u32, new: &[u8; BLOCK_SIZE], mask: u8, old: u8) {
+        let rank = (self.lines & bit(line).wrapping_sub(1)).count_ones() as usize;
+        let had = usize::from(old != 0);
+        let keeps = usize::from(mask != 0);
+        let sparse = !self.dense();
+        let at = if sparse {
+            self.count() + WORD * self.words_before(rank)
+        } else {
+            rank * BLOCK_SIZE
+        };
+        let mut bytes = std::mem::take(&mut self.bytes).into_vec();
+        if sparse {
+            let (packed, len) = pack(new);
+            bytes.reserve_exact(
+                (keeps + len).saturating_sub(had + WORD * old.count_ones() as usize),
+            );
+            // The words sit past the masks, so they go first.
+            replace(
+                &mut bytes,
+                at..at + WORD * old.count_ones() as usize,
+                &packed[..len],
+            );
+            replace(&mut bytes, rank..rank + had, &[mask][..keeps]);
+        } else {
+            bytes.reserve_exact((keeps * BLOCK_SIZE).saturating_sub(had * BLOCK_SIZE));
+            replace(
+                &mut bytes,
+                at..at + had * BLOCK_SIZE,
+                &new[..keeps * BLOCK_SIZE],
+            );
+        }
+        self.bytes = bytes.into_boxed_slice();
+        if mask == 0 {
+            self.lines &= !bit(line);
+        } else {
+            self.lines |= bit(line);
+        }
+        if sparse || mask != u8::MAX {
+            self.settle(sparse);
+        }
+    }
+
+    /// Switches a frame that holds the word-sparse layout if `sparse`, and
+    /// the dense one otherwise, to the other layout if that is the smaller.
+    fn settle(&mut self, sparse: bool) {
+        let n = self.count();
+        let words = if sparse {
+            self.bytes.len().saturating_sub(n) / WORD
+        } else {
+            self.bytes
+                .chunks_exact(BLOCK_SIZE)
+                .map(|line| word_mask(line).count_ones() as usize)
+                .sum()
+        };
+        if sparse_is_smaller(n, words) != sparse {
+            self.bytes = if sparse {
+                densify(&self.bytes, n)
+            } else {
+                sparsify(&self.bytes, words)
+            };
+        }
+    }
+}
+
+/// The dense layout of the word-sparse `bytes` of `lines` stored lines.
+fn densify(bytes: &[u8], lines: usize) -> Box<[u8]> {
+    let (masks, mut words) = bytes.split_at(lines.min(bytes.len()));
+    let mut dense = vec![0u8; lines * BLOCK_SIZE].into_boxed_slice();
+    for (&mask, line) in masks.iter().zip(dense.chunks_exact_mut(BLOCK_SIZE)) {
+        unpack(mask, &mut words, line);
+    }
+    dense
+}
+
+/// The word-sparse layout of the dense `bytes`, whose lines hold `words`
+/// non-zero words.
+fn sparsify(bytes: &[u8], words: usize) -> Box<[u8]> {
+    let lines = bytes.as_chunks::<BLOCK_SIZE>().0;
+    let mut packed = vec![0u8; lines.len() + WORD * words].into_boxed_slice();
+    let (masks, rest) = packed.split_at_mut(lines.len());
+    let mut slots = rest.as_chunks_mut::<WORD>().0.iter_mut();
+    for (mask, line) in masks.iter_mut().zip(lines) {
+        *mask = word_mask(line);
+        for word in line.as_chunks::<WORD>().0.iter().filter(|w| nonzero(w)) {
+            if let Some(slot) = slots.next() {
+                *slot = *word;
+            }
+        }
+    }
+    packed
+}
+
+/// Whether the word-sparse layout of `lines` stored lines holding `words`
+/// non-zero words is strictly smaller than the dense one.
+fn sparse_is_smaller(lines: usize, words: usize) -> bool {
+    lines + WORD * words < BLOCK_SIZE * lines
+}
+
+/// Whether an 8 B word is non-zero.
+fn nonzero(word: &[u8; WORD]) -> bool {
+    u64::from_ne_bytes(*word) != 0
+}
+
+/// A line's word mask: bit `j` set when its word `j` is non-zero.
+fn word_mask(line: &[u8]) -> u8 {
+    let words = line.as_chunks::<WORD>().0.iter();
+    (0..)
+        .zip(words)
+        .fold(0, |mask, (j, word)| mask | u8::from(nonzero(word)) << j)
+}
+
+/// `line`'s non-zero words packed to the front, and their length in bytes.
+fn pack(line: &[u8; BLOCK_SIZE]) -> ([u8; BLOCK_SIZE], usize) {
+    let mut packed = [0u8; BLOCK_SIZE];
+    let mut slots = packed.as_chunks_mut::<WORD>().0.iter_mut();
+    let mut len = 0;
+    for word in line.as_chunks::<WORD>().0.iter().filter(|w| nonzero(w)) {
+        if let Some(slot) = slots.next() {
+            *slot = *word;
+            len += WORD;
+        }
+    }
+    (packed, len)
+}
+
+/// Fills the words of the zeroed `line` that its word mask `mask` keeps
+/// from the front of `words`, and moves `words` past them.
+fn unpack(mask: u8, words: &mut &[u8], line: &mut [u8]) {
+    let slots = line.as_chunks_mut::<WORD>().0;
+    let mut rest = mask;
+    while rest != 0 {
+        let slot = slots.get_mut(rest.trailing_zeros() as usize);
+        rest &= rest - 1;
+        if let (Some(slot), Some((word, tail))) = (slot, words.split_first_chunk::<WORD>()) {
+            *slot = *word;
+            *words = tail;
+        }
+    }
+}
+
+/// Replaces `range` of `bytes` (clamped to its length) by `with`, moving
+/// the bytes after it once.
+fn replace(bytes: &mut Vec<u8>, range: Range<usize>, with: &[u8]) {
+    let len = bytes.len();
+    let (start, end) = (range.start.min(len), range.end.min(len));
+    let resized = len - (end - start) + with.len();
+    if resized > len {
+        bytes.resize(resized, 0);
+    }
+    bytes.copy_within(end..len, start + with.len());
+    bytes.truncate(resized);
+    if let Some(at) = bytes.get_mut(start..start + with.len()) {
+        at.copy_from_slice(with);
     }
 }
 
@@ -216,7 +523,7 @@ pub struct NvmStats {
 pub struct Nvm {
     config: NvmConfig,
     /// Touched frames keyed by frame index (`addr / FRAME_SIZE`), each
-    /// holding only its written lines. Ordered so touched-frame enumeration
+    /// holding only its non-zero lines. Ordered so touched-frame enumeration
     /// is deterministic regardless of touch order.
     frames: FrameMap<Frame>,
     stats: NvmStats,
@@ -425,10 +732,11 @@ impl Nvm {
     /// equal images serve identical bytes at every address. The idempotence
     /// sweeps compare post-recovery media states with this.
     pub fn media_image(&self) -> Vec<(u64, Vec<u8>)> {
-        // FrameMap iteration is already sorted by frame index.
+        // FrameMap iteration is already sorted by frame index, and a frame
+        // stores only its non-zero lines, so one storing none is all zero.
         self.frames
             .iter()
-            .filter(|(_, frame)| frame.iter().any(|(_, line)| line.iter().any(|&b| b != 0)))
+            .filter(|(_, frame)| frame.lines != 0)
             .map(|(index, frame)| {
                 let mut image = vec![0u8; FRAME_SIZE];
                 frame.copy_out(0, &mut image);
@@ -751,10 +1059,10 @@ impl Nvm {
     }
 
     /// Number of 4 KiB frames touched so far. Host memory follows the
-    /// lines written, not this count: a touched frame stores only its
-    /// written 64 B lines, plus 24 B of mask and pointer, and shares one
-    /// B-tree entry with the other touched frames of its group of 64 (see
-    /// the crate docs).
+    /// content, not this count: a touched frame stores only its non-zero
+    /// lines, whole or as their non-zero words, plus 24 B of mask and
+    /// pointer, and shares one B-tree entry with the other touched frames
+    /// of its group of 64 (see the crate docs).
     pub fn resident_frames(&self) -> usize {
         self.frames.len()
     }
@@ -1180,11 +1488,16 @@ mod tests {
         assert_eq!(bases, vec![0, 0x9000]);
     }
 
-    /// Flat reference for the line store: the bytes of a small window and
-    /// the distinct lines ever written in it.
+    /// Flat reference for the frame store: the bytes of a small window and
+    /// the frames ever written in it, plus each frame's layout at the last
+    /// check and how many checks found a frame switched, by operation kind.
+    #[derive(Default)]
     struct Model {
         bytes: Vec<u8>,
-        lines: std::collections::BTreeSet<u64>,
+        touched: std::collections::BTreeSet<u64>,
+        sparse: std::collections::BTreeMap<u64, bool>,
+        /// `[to word-sparse, to dense]` per operation kind.
+        switches: std::collections::BTreeMap<&'static str, [usize; 2]>,
     }
 
     impl Model {
@@ -1194,24 +1507,53 @@ mod tests {
 
         fn put(&mut self, addr: u64, data: &[u8]) {
             self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-            self.lines
-                .extend(addr / 64..(addr + data.len() as u64).div_ceil(64));
+            self.touched.extend(
+                addr / FRAME_SIZE as u64..(addr + data.len() as u64).div_ceil(FRAME_SIZE as u64),
+            );
         }
 
-        /// Checks every observable of `nvm` against the model.
-        fn check(&self, nvm: &mut Nvm, step: &str) {
-            let mut stored = std::collections::BTreeSet::new();
+        /// Checks every observable of `nvm` against the model, and each
+        /// frame's storage against the one layout its content allows: it
+        /// stores exactly its non-zero lines, in the smaller layout, with
+        /// every word it keeps non-zero and nothing spare. A frame whose
+        /// layout differs from the last check counts as switched by `kind`.
+        fn check(&mut self, nvm: &mut Nvm, kind: &'static str, step: &str) {
             for (index, frame) in nvm.frames.iter() {
-                assert!(frame.fits(), "{step}: frame {index} fit");
-                stored.extend(frame.iter().map(|(line, _)| index * 64 + u64::from(line)));
+                let masks: Vec<u8> = self
+                    .span(index * FRAME_SIZE as u64, FRAME_SIZE)
+                    .chunks_exact(BLOCK_SIZE)
+                    .map(word_mask)
+                    .collect();
+                let lines = (0..).zip(&masks).filter(|(_, &m)| m != 0);
+                let lines = lines.fold(0u64, |all, (line, _)| all | 1 << line);
+                assert_eq!(frame.lines, lines, "{step}: frame {index} lines");
+                let masks: Vec<u8> = masks.into_iter().filter(|&m| m != 0).collect();
+                let words = masks.iter().map(|m| m.count_ones() as usize).sum();
+                let sparse = sparse_is_smaller(masks.len(), words);
+                if sparse {
+                    let (stored, kept) = frame.bytes.split_at(masks.len());
+                    assert_eq!(stored, masks, "{step}: frame {index} word masks");
+                    assert_eq!(kept.len(), WORD * words, "{step}: frame {index} words");
+                    assert!(
+                        kept.as_chunks::<WORD>().0.iter().all(nonzero),
+                        "{step}: frame {index} keeps a zero word"
+                    );
+                } else {
+                    assert_eq!(
+                        frame.bytes.len(),
+                        BLOCK_SIZE * masks.len(),
+                        "{step}: frame {index} dense"
+                    );
+                }
+                if self
+                    .sparse
+                    .insert(index, sparse)
+                    .is_some_and(|was| was != sparse)
+                {
+                    self.switches.entry(kind).or_default()[usize::from(!sparse)] += 1;
+                }
             }
-            assert_eq!(stored, self.lines, "{step}: stored lines");
-            let mut frames: Vec<u64> = self
-                .lines
-                .iter()
-                .map(|l| l / 64 * FRAME_SIZE as u64)
-                .collect();
-            frames.dedup();
+            let frames: Vec<u64> = self.touched.iter().map(|f| f * FRAME_SIZE as u64).collect();
             assert_eq!(
                 nvm.touched_frames().collect::<Vec<_>>(),
                 frames,
@@ -1248,34 +1590,66 @@ mod tests {
         (addr, data)
     }
 
-    #[test]
-    fn line_store_matches_a_flat_reference_under_writes_rollbacks_tampers_and_crashes() {
+    /// Half the spans from [`draw_span`]; the other half placed the same
+    /// way, but with each 8 B device word they cover zero with probability
+    /// 3/4, or, one in four, all zero, clearing words and whole lines. So
+    /// frames cross the dense/word-sparse switch both ways.
+    fn draw_sparse_span(rng: &mut amnt_prng::Rng, window: u64) -> (u64, Vec<u8>) {
+        let (addr, mut data) = draw_span(rng, window);
+        if rng.gen_bool(0.5) {
+            return (addr, data);
+        }
+        let clear = rng.gen_bool(0.25);
+        let mut zero = clear;
+        for (at, byte) in (addr..).zip(&mut data) {
+            if !clear && (at == addr || at % WORD as u64 == 0) {
+                zero = rng.gen_bool(0.75);
+            }
+            if zero {
+                *byte = 0;
+            }
+        }
+        (addr, data)
+    }
+
+    /// Drives a device and a [`Model`] through 10 rounds of 300 random
+    /// operations with spans from `draw`, checking after each one, and
+    /// returns the layout switches seen.
+    fn run_against_reference(
+        seed: u64,
+        draw: fn(&mut amnt_prng::Rng, u64) -> (u64, Vec<u8>),
+    ) -> std::collections::BTreeMap<&'static str, [usize; 2]> {
         const WINDOW: u64 = 16 * FRAME_SIZE as u64;
-        let mut rng = amnt_prng::Rng::seed_from_u64(0x4E_0004);
+        let mut rng = amnt_prng::Rng::seed_from_u64(seed);
+        let mut switches = std::collections::BTreeMap::new();
         for round in 0..10 {
             let mut nvm = Nvm::new(NvmConfig::gib(1));
             let mut model = Model {
                 bytes: vec![0; WINDOW as usize],
-                lines: Default::default(),
+                switches,
+                ..Model::default()
             };
             for op in 0..300 {
                 let step = format!("round {round} op {op}");
-                match rng.gen_range(0..10) {
+                let kind = match rng.gen_range(0..10) {
                     0..=4 => {
-                        let (addr, data) = draw_span(&mut rng, WINDOW);
+                        let (addr, data) = draw(&mut rng, WINDOW);
                         nvm.write_bytes(addr, &data).unwrap();
                         model.put(addr, &data);
+                        "write"
                     }
                     5 | 6 => {
-                        let (addr, data) = draw_span(&mut rng, WINDOW);
+                        let (addr, data) = draw(&mut rng, WINDOW);
                         nvm.rollback_bytes(addr, &data);
                         model.put(addr, &data);
+                        "rollback"
                     }
                     7 => {
                         let addr = rng.gen_range(0..WINDOW);
                         let bit = rng.gen_range_u32(0..8) as u8;
                         nvm.tamper_flip_bit(addr, bit);
                         model.put(addr, &[model.span(addr, 1)[0] ^ 1 << bit]);
+                        "tamper"
                     }
                     _ => {
                         // An armed episode: some writes apply, the next may be
@@ -1296,14 +1670,14 @@ mod tests {
                         });
                         let mut journal = Vec::new();
                         for w in 0..applied {
-                            let (addr, data) = draw_span(&mut rng, WINDOW);
+                            let (addr, data) = draw(&mut rng, WINDOW);
                             journal.push((addr, model.span(addr, data.len())));
                             nvm.write_bytes(addr, &data).unwrap();
                             model.put(addr, &data);
-                            model.check(&mut nvm, &format!("{step} write {w}"));
+                            model.check(&mut nvm, "write", &format!("{step} write {w}"));
                         }
                         if let Some(mode) = cut {
-                            let (addr, data) = draw_span(&mut rng, WINDOW);
+                            let (addr, data) = draw(&mut rng, WINDOW);
                             let pre = model.span(addr, data.len());
                             assert!(nvm.write_bytes(addr, &data).is_err(), "{step}: cut");
                             if let CrashWriteMode::Torn(half) = mode {
@@ -1315,16 +1689,64 @@ mod tests {
                                 model.put(addr, &torn);
                                 journal.push((addr, pre));
                             }
-                            model.check(&mut nvm, &format!("{step} cut"));
+                            model.check(&mut nvm, "torn", &format!("{step} cut"));
                         }
                         nvm.crash();
                         for (addr, pre) in journal.iter().rev().take(drop) {
                             model.put(*addr, pre);
                         }
+                        "wpq undo"
                     }
-                }
-                model.check(&mut nvm, &step);
+                };
+                model.check(&mut nvm, kind, &step);
             }
+            switches = model.switches;
         }
+        switches
+    }
+
+    #[test]
+    fn line_store_matches_a_flat_reference_under_writes_rollbacks_tampers_and_crashes() {
+        run_against_reference(0x4E_0004, draw_span);
+    }
+
+    #[test]
+    fn frame_layouts_switch_both_ways_and_match_a_flat_reference_under_sparse_content() {
+        let switches = run_against_reference(0x4E_0005, draw_sparse_span);
+        eprintln!("layout switches [to word-sparse, to dense]: {switches:?}");
+        // A flip switches a frame only at the threshold; see
+        // `a_flipped_bit_switches_a_frame_at_the_threshold_both_ways`.
+        for kind in ["write", "rollback", "torn", "wpq undo"] {
+            let [to_sparse, to_dense] = switches.get(kind).copied().unwrap_or_default();
+            assert!(
+                to_sparse > 0 && to_dense > 0,
+                "{kind}: {to_sparse} switches to word-sparse, {to_dense} to dense"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_switches_a_frame_at_the_threshold_both_ways() {
+        let mut nvm = Nvm::new(NvmConfig::gib(1));
+        // One line with seven non-zero words: 1 + 56 bytes word-sparse,
+        // against 64 dense.
+        let mut line = [0x5Au8; BLOCK_SIZE];
+        line[24..32].fill(0);
+        nvm.write_block(0x40, &line).unwrap();
+        let stored = |nvm: &Nvm| nvm.frames.get(0).map(|frame| frame.bytes.len());
+        assert_eq!(stored(&nvm), Some(1 + 7 * WORD));
+        // Eight words: 65 bytes word-sparse, so dense.
+        nvm.tamper_flip_bit(0x40 + 27, 3);
+        assert_eq!(stored(&nvm), Some(BLOCK_SIZE));
+        line[27] = 1 << 3;
+        assert_eq!(nvm.read_block(0x40).unwrap(), line);
+        nvm.tamper_flip_bit(0x40 + 27, 3);
+        assert_eq!(stored(&nvm), Some(1 + 7 * WORD));
+        line[27] = 0;
+        assert_eq!(nvm.read_block(0x40).unwrap(), line);
+        // Clearing the line stores nothing, and the frame stays touched.
+        nvm.write_block(0x40, &[0; BLOCK_SIZE]).unwrap();
+        assert_eq!(stored(&nvm), Some(0));
+        assert_eq!(nvm.touched_frames().collect::<Vec<_>>(), [0]);
     }
 }

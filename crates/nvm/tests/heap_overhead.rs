@@ -1,10 +1,14 @@
 //! Host memory of the device's frame store follows its payload.
 //!
-//! A touched frame stores only its written 64 B lines, with no spare
-//! capacity, and touched frames sit 64 to a B-tree entry. These tests pin
-//! what the store may cost beyond its payload: a frame's line mask and line
-//! pointer, and a group's share of the B-tree. A line store that grows by
-//! doubling, or a map with one B-tree entry per frame, fails them.
+//! A touched frame stores only its non-zero lines, with no spare capacity,
+//! and touched frames sit 64 to a B-tree entry. A frame of full lines
+//! stores 64 B per line; a frame whose lines are mostly zero words stores
+//! one word-mask byte per line and 8 B per non-zero word instead. These
+//! tests pin what the store may cost beyond its payload: a frame's line
+//! mask and pointer, a word mask per line of a word-sparse frame, and a
+//! group's share of the B-tree. A store that grows by doubling, keeps a
+//! whole 64 B per line of a mostly-zero frame, or uses one B-tree entry per
+//! frame fails them.
 //!
 //! Live heap bytes are tracked per thread by the pass-through global
 //! allocator in `common/live_bytes.rs`.
@@ -30,10 +34,24 @@ const PER_FRAME: usize = size_of::<u64>() + size_of::<Box<[[u8; BLOCK_SIZE]]>>()
 const GROUP_ENTRY: usize = size_of::<u64>() + size_of::<u64>() + size_of::<Box<[()]>>();
 const PER_GROUP: usize = 3 * GROUP_ENTRY;
 
-/// Writes one line at each `(frame, line)` on a fresh device of
-/// `capacity_gib`, then checks the live bytes that added against the
-/// payload plus the per-frame and per-group allowances.
-fn check_store(shape: &str, capacity_gib: u64, writes: &[(u64, u64)]) {
+/// A word-sparse frame's word mask for one stored line.
+const PER_LINE: usize = size_of::<u8>();
+/// A non-zero word of a word-sparse frame.
+const WORD: usize = size_of::<u64>();
+
+/// Writes `block(frame, line)` at each `(frame, line)` of `writes` on a
+/// fresh device of `capacity_gib`, then checks the live bytes that added
+/// against the payload plus the per-line, per-frame and per-group
+/// allowances. `per_line` is what the layout charges a stored line besides
+/// its payload, and `payload` counts a distinct line's payload bytes.
+fn check(
+    shape: &str,
+    capacity_gib: u64,
+    writes: &[(u64, u64)],
+    block: impl Fn(u64, u64) -> [u8; BLOCK_SIZE],
+    per_line: usize,
+    payload: impl Fn(&[u8; BLOCK_SIZE]) -> usize,
+) {
     let lines: BTreeSet<(u64, u64)> = writes.iter().copied().collect();
     let frames: BTreeSet<u64> = lines.iter().map(|&(frame, _)| frame).collect();
     let groups: BTreeSet<u64> = frames.iter().map(|frame| frame / GROUP).collect();
@@ -41,12 +59,14 @@ fn check_store(shape: &str, capacity_gib: u64, writes: &[(u64, u64)]) {
     let before = live_bytes::live();
     for &(frame, line) in writes {
         let addr = frame * FRAME_SIZE as u64 + line * BLOCK_SIZE as u64;
-        nvm.write_block(addr, &[line as u8 | 1; BLOCK_SIZE])
-            .unwrap();
+        nvm.write_block(addr, &block(frame, line)).unwrap();
     }
     let live = (live_bytes::live() - before) as usize;
-    let payload = lines.len() * LINE;
-    let allowance = frames.len() * PER_FRAME + groups.len() * PER_GROUP;
+    let payload: usize = lines
+        .iter()
+        .map(|&(frame, line)| payload(&block(frame, line)))
+        .sum();
+    let allowance = lines.len() * per_line + frames.len() * PER_FRAME + groups.len() * PER_GROUP;
     eprintln!(
         "{shape}: {} lines, {} frames, {} groups: {live} live bytes, {payload} payload, \
          {} allowed",
@@ -64,6 +84,47 @@ fn check_store(shape: &str, capacity_gib: u64, writes: &[(u64, u64)]) {
         live <= payload + allowance,
         "{shape}: {live} live bytes exceed {payload} of lines + {allowance} allowed"
     );
+}
+
+/// [`check`] for full lines: 64 B of payload each, nothing more per line.
+fn check_store(shape: &str, capacity_gib: u64, writes: &[(u64, u64)]) {
+    let block = |_, line| [line as u8 | 1; BLOCK_SIZE];
+    check(shape, capacity_gib, writes, block, 0, |_| LINE);
+}
+
+/// [`check`] for lines of mostly zero words: 8 B of payload per non-zero
+/// word, and a word-mask byte per line.
+fn check_sparse_store(
+    shape: &str,
+    writes: &[(u64, u64)],
+    block: impl Fn(u64, u64) -> [u8; BLOCK_SIZE],
+) {
+    let words = |line: &[u8; BLOCK_SIZE]| {
+        let nonzero = line
+            .chunks(WORD)
+            .filter(|word| word.iter().any(|&b| b != 0));
+        nonzero.count() * WORD
+    };
+    check(shape, 1, writes, block, PER_LINE, words);
+}
+
+/// Line `line` of frame `frame` with its words `words` non-zero and its
+/// other words zero.
+fn words_at(frame: u64, line: u64, words: impl IntoIterator<Item = u64>) -> [u8; BLOCK_SIZE] {
+    let mut block = [0; BLOCK_SIZE];
+    for word in words {
+        let value = ((frame * 64 + line) * 8 + word).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let at = word as usize * WORD;
+        block[at..at + WORD].copy_from_slice(&value.to_le_bytes());
+    }
+    block
+}
+
+/// Every line of the first 1,024 frames: 16 full groups.
+fn every_line() -> Vec<(u64, u64)> {
+    (0..16 * GROUP)
+        .flat_map(|frame| (0..64).map(move |line| (frame, line)))
+        .collect()
 }
 
 #[test]
@@ -94,4 +155,39 @@ fn single_line_frames_scattered_over_two_tib() {
         .map(|_| (rng.gen_range(0..frames_2tib), rng.gen_range(0..64)))
         .collect();
     check_store("512 scattered 1-line frames", 2048, &writes);
+}
+
+#[test]
+fn hmac_frames_of_one_word_lines() {
+    // kv_read's HMAC shape: one key per page, so of a page's eight HMAC
+    // lines only the first holds a MAC, in its first word.
+    let writes: Vec<(u64, u64)> = (0..16 * GROUP)
+        .flat_map(|frame| (0..8).map(move |page| (frame, page * 8)))
+        .collect();
+    check_sparse_store("1024 HMAC frames", &writes, |frame, line| {
+        words_at(frame, line, [0])
+    });
+}
+
+#[test]
+fn counter_frames_of_one_word_lines() {
+    // kv_read's counter shape: each page's counter line holds one non-zero
+    // word.
+    check_sparse_store("1024 counter frames", &every_line(), |frame, line| {
+        words_at(frame, line, [1])
+    });
+}
+
+#[test]
+fn frames_mixing_full_and_one_word_lines() {
+    // Eight full lines beside 56 one-word lines: 120 words, stored
+    // word-sparse in 1,024 B where dense takes 4,096 B.
+    check_sparse_store(
+        "1024 mixed frames",
+        &every_line(),
+        |frame, line| match line {
+            0..8 => words_at(frame, line, 0..8),
+            _ => words_at(frame, line, [line % 8]),
+        },
+    );
 }

@@ -6,18 +6,38 @@ use amnt_nvm::{Nvm, NvmConfig};
 use amnt_prng::Rng;
 use std::collections::HashMap;
 
+/// A span of 1..200 random bytes in the first 64 KiB. If `sparse`, each
+/// 8 B device word it covers is zero with probability 3/4, or, in one span
+/// of four, every byte is zero, clearing words and whole lines.
+fn draw_span(rng: &mut Rng, sparse: bool) -> (u64, Vec<u8>) {
+    let addr = rng.gen_range(0..1 << 16);
+    let mut data = vec![0u8; rng.gen_range_usize(1..200)];
+    rng.fill_bytes(&mut data);
+    if sparse {
+        let clear = rng.gen_bool(0.25);
+        let mut zero = clear;
+        for (at, byte) in (addr..).zip(&mut data) {
+            if !clear && (at == addr || at % 8 == 0) {
+                zero = rng.gen_bool(0.75);
+            }
+            if zero {
+                *byte = 0;
+            }
+        }
+    }
+    (addr, data)
+}
+
 /// The device is a faithful byte store under arbitrary overlapping writes,
-/// modelled against a reference map.
+/// of random bytes and of mostly-zero words, modelled against a reference
+/// map.
 #[test]
 fn device_matches_reference_map() {
     let mut rng = Rng::seed_from_u64(0x4E_0001);
-    for _ in 0..48 {
+    for sparse in (0..96).map(|round| round >= 48) {
         let mut writes = Vec::new();
         for _ in 0..rng.gen_range(1..40) {
-            let addr = rng.gen_range(0..1 << 16);
-            let mut data = vec![0u8; rng.gen_range_usize(1..200)];
-            rng.fill_bytes(&mut data);
-            writes.push((addr, data));
+            writes.push(draw_span(&mut rng, sparse));
         }
         let mut nvm = Nvm::new(NvmConfig::gib(1));
         let mut reference: HashMap<u64, u8> = HashMap::new();

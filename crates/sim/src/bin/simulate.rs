@@ -181,7 +181,10 @@ fn main() {
         }
     };
     if args.amnt_plus {
-        cfg = with_amnt_plus(cfg, AmntConfig::at_level(args.amnt_level));
+        cfg = with_amnt_plus(cfg, AmntConfig::at_level(args.amnt_level)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2)
+        });
     }
 
     // Record mode: dump a trace and exit.

@@ -422,12 +422,23 @@ impl Machine {
 
 /// Derives the AMNT++ allocation policy for a machine: one subtree region
 /// is the coverage of a node at `subtree_level` over the machine's memory.
-pub fn amnt_plus_policy(cfg: &MachineConfig, subtree_level: u32) -> AllocPolicy {
+///
+/// # Errors
+///
+/// [`SimError::BadConfig`] if the machine's capacity has no tree geometry,
+/// or if `subtree_level` is not a stored level of its tree, `2..=bottom`
+/// (level 1 is the on-chip root).
+pub fn amnt_plus_policy(cfg: &MachineConfig, subtree_level: u32) -> Result<AllocPolicy, SimError> {
     let geometry = amnt_bmt::BmtGeometry::new(cfg.secure.data_capacity)
-        .expect("machine capacities are page-multiples");
-    let level = subtree_level.clamp(1, geometry.bottom_level());
-    AllocPolicy::AmntPlus {
-        pages_per_region: (geometry.coverage_bytes(level) / PAGE).max(1),
-        restructure_period: 64,
+        .map_err(|e| SimError::BadConfig(format!("AMNT++ regions: {e}")))?;
+    let bottom = geometry.bottom_level();
+    if !(2..=bottom).contains(&subtree_level) {
+        return Err(SimError::BadConfig(format!(
+            "AMNT++ subtree level {subtree_level} is outside this tree's stored levels 2..={bottom}"
+        )));
     }
+    Ok(AllocPolicy::AmntPlus {
+        pages_per_region: (geometry.coverage_bytes(subtree_level) / PAGE).max(1),
+        restructure_period: 64,
+    })
 }

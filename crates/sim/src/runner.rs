@@ -40,9 +40,13 @@ impl RunLength {
 
 /// Applies AMNT++: switches the machine's allocator policy to the biased
 /// one for the protocol's subtree level. (AMNT++ = AMNT + modified OS.)
-pub fn with_amnt_plus(mut cfg: MachineConfig, amnt: AmntConfig) -> MachineConfig {
-    cfg.alloc_policy = amnt_plus_policy(&cfg, amnt.subtree_level);
-    cfg
+///
+/// # Errors
+///
+/// [`SimError::BadConfig`] from [`amnt_plus_policy`].
+pub fn with_amnt_plus(mut cfg: MachineConfig, amnt: AmntConfig) -> Result<MachineConfig, SimError> {
+    cfg.alloc_policy = amnt_plus_policy(&cfg, amnt.subtree_level)?;
+    Ok(cfg)
 }
 
 /// Runs one single-program workload under `protocol`.

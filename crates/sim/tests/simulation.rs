@@ -2,9 +2,10 @@
 //! profiling, and crash drills through the full machine.
 
 use amnt_core::{AmntConfig, AnubisConfig, BmfConfig, ProtocolKind};
+use amnt_os::AllocPolicy;
 use amnt_sim::{
-    profile_pair, profile_single, run_multithread, run_pair, run_single, with_amnt_plus,
-    MachineConfig, RunLength, SimError, SimReport,
+    amnt_plus_policy, profile_pair, profile_single, run_multithread, run_pair, run_single,
+    with_amnt_plus, MachineConfig, RunLength, SimError, SimReport,
 };
 use amnt_workloads::{multiprogram_pairs, WorkloadModel};
 
@@ -132,7 +133,7 @@ fn multiprogram_pairs_run_and_amnt_plus_helps_subtree_hit_rate() {
     let cfg = small_multi();
     let amnt = ProtocolKind::Amnt(AmntConfig::default());
     let base = run_pair(&model(a), &model(b), cfg.clone(), amnt, RunLength::quick()).unwrap();
-    let plus_cfg = with_amnt_plus(cfg, AmntConfig::default());
+    let plus_cfg = with_amnt_plus(cfg, AmntConfig::default()).unwrap();
     let plus = run_pair(&model(a), &model(b), plus_cfg, amnt, RunLength::quick()).unwrap();
     assert!(plus.restructures > 0, "AMNT++ restructures must run");
     assert!(
@@ -141,6 +142,40 @@ fn multiprogram_pairs_run_and_amnt_plus_helps_subtree_hit_rate() {
         plus.subtree_hit_rate,
         base.subtree_hit_rate
     );
+}
+
+#[test]
+fn amnt_plus_refuses_levels_and_capacities_without_a_tree_node() {
+    for cfg in [small_multi(), MachineConfig::parsec_multi()] {
+        let geometry = amnt_bmt::BmtGeometry::new(cfg.secure.data_capacity).unwrap();
+        let bottom = geometry.bottom_level();
+        for level in [0, 1, bottom + 1] {
+            assert!(
+                matches!(amnt_plus_policy(&cfg, level), Err(SimError::BadConfig(_))),
+                "level {level} of {bottom}"
+            );
+            let amnt = AmntConfig::at_level(level);
+            assert!(with_amnt_plus(cfg.clone(), amnt).is_err(), "level {level}");
+        }
+        for level in 2..=bottom {
+            assert_eq!(
+                amnt_plus_policy(&cfg, level).unwrap(),
+                AllocPolicy::AmntPlus {
+                    pages_per_region: (geometry.coverage_bytes(level) / 4096).max(1),
+                    restructure_period: 64,
+                },
+                "level {level} of {bottom}"
+            );
+        }
+    }
+    let mut cfg = small_multi();
+    for capacity in [0, 4096 + 64] {
+        cfg.secure.data_capacity = capacity;
+        assert!(matches!(
+            amnt_plus_policy(&cfg, 2),
+            Err(SimError::BadConfig(_))
+        ));
+    }
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ProtocolKind::Amnt(amnt),
         len,
     )?;
-    let plus_cfg = with_amnt_plus(cfg, amnt);
+    let plus_cfg = with_amnt_plus(cfg, amnt)?;
     let plus = run_pair(
         &bodytrack,
         &fluidanimate,

@@ -58,15 +58,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace || fail=1
 echo "== cargo test --workspace =="
 cargo test -q --workspace || fail=1
 
-echo "== amnt-crypto at the x86-64 baseline (SSE2) =="
+echo "== amnt-crypto and amnt-nvm at the x86-64 baseline (SSE2) =="
 # .cargo/config.toml builds at x86-64-v3, where the 8-lane SHA-256 engine
-# uses AVX2. The crypto must be bit-identical at any target-cpu, so its
-# known answers and equivalence tests also run on the SSE2 lowering of the
-# same kernels, in a target directory of their own (RUSTFLAGS overrides
-# the config's flags and would otherwise rebuild the main one).
+# uses AVX2 and the device's frame store ranks lines and words with
+# POPCNT and BMI. The crypto must be bit-identical at any target-cpu, and
+# the frame store must hold and serve the same bytes, so their known
+# answers, reference models and heap bounds also run on the generic
+# lowering of the same code, in a target directory of their own
+# (RUSTFLAGS overrides the config's flags and would otherwise rebuild the
+# main one).
 if [ "$(uname -m)" = x86_64 ]; then
     RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64-baseline \
-        cargo test -q -p amnt-crypto || fail=1
+        cargo test -q -p amnt-crypto -p amnt-nvm || fail=1
 else
     echo "   not an x86-64 host; skipping"
 fi

@@ -58,7 +58,7 @@ fn fig5_style_pair_smoke_with_amnt_plus() {
     let len = RunLength::quick();
     let amnt = AmntConfig::at_level(2);
     let plain = run_pair(&ma, &mb, cfg.clone(), ProtocolKind::Amnt(amnt), len).unwrap();
-    let plus_cfg = with_amnt_plus(cfg, amnt);
+    let plus_cfg = with_amnt_plus(cfg, amnt).unwrap();
     let plus = run_pair(&ma, &mb, plus_cfg, ProtocolKind::Amnt(amnt), len).unwrap();
     assert!(plus.subtree_hit_rate >= plain.subtree_hit_rate - 0.05);
 }
