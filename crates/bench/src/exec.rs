@@ -12,8 +12,9 @@
 //! the determinism test in `tests/determinism.rs`).
 //!
 //! This module is the workspace's **only** place where threads are
-//! spawned; amnt-lint rule R7 rejects `thread::spawn`/`thread::scope`
-//! anywhere else, so all parallelism stays behind this API.
+//! spawned; `clippy.toml` disallows `thread::spawn`, `thread::scope` and
+//! `thread::Builder` everywhere else, so all parallelism stays behind this
+//! API.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -54,6 +55,8 @@ where
     let pending: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    // The one sanctioned thread pool: results land by submission index.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|scope| {
         for _ in 0..workers.min(n) {
             scope.spawn(|| loop {

@@ -17,10 +17,10 @@
 //! count; unset or `0`: available parallelism — see [`exec`]), each read by
 //! [`count_knob`], which stops the run on a malformed value, plus
 //! `AMNT_TRACE=1` to emit `*.trace.json` / `*.perfetto.json` sidecars
-//! (see [`trace_out`]).
+//! (see [`trace_out`]). An `AMNT_*` name that is no knob (a misspelling
+//! such as `AMNT_FAULT_OP`) stops the run too, naming the nearest knobs.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod diff;
 pub mod exec;
@@ -86,15 +86,79 @@ pub(crate) fn parse_switch(var: &str, value: Option<&str>, default: bool) -> Res
     }
 }
 
+/// Every `AMNT_*` environment variable the experiment binaries, and the
+/// scripts that run them, read. [`read_knob`] refuses every other
+/// `AMNT_*` name in the environment, so a misspelt knob stops the run
+/// instead of being ignored.
+pub(crate) const KNOBS: [&str; 9] = [
+    "AMNT_ACCESSES",
+    "AMNT_WARMUP",
+    "AMNT_SEED",
+    "AMNT_JOBS",
+    "AMNT_FAULT_OPS",
+    "AMNT_TRACE",
+    "AMNT_TRACE_EPOCH",
+    "AMNT_TRACE_EVENTS",
+    // scripts/check.sh's time budget for amnt-lint
+    "AMNT_LINT_BUDGET_S",
+];
+
+/// Refuses the first `AMNT_*` name in `names` (in sorted order) that
+/// [`KNOBS`] does not list.
+///
+/// # Errors
+///
+/// A message naming the unknown variable and up to three nearest known
+/// names.
+pub(crate) fn check_knob_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+    let mut unknown: Vec<&str> = names
+        .into_iter()
+        .filter(|n| n.starts_with("AMNT_") && !KNOBS.contains(n))
+        .collect();
+    unknown.sort_unstable();
+    let Some(name) = unknown.first() else {
+        return Ok(());
+    };
+    let mut known = KNOBS;
+    known.sort_by_key(|k| (edit_distance(name, k), *k));
+    Err(format!(
+        "{name} is not a knob; did you mean {}?",
+        known[..3].join(", ")
+    ))
+}
+
+/// Levenshtein distance between `a` and `b`, in chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let up = row[j + 1];
+            row[j + 1] = (up + 1).min(row[j] + 1).min(diag + usize::from(ca != cb));
+            diag = up;
+        }
+    }
+    row[b.len()]
+}
+
 /// Reads the knob `var` and parses it with `parse`. A value `parse`
-/// rejects ends the process with status 2 and the message, rather than
-/// silently running the default.
+/// rejects, or any `AMNT_*` variable in the environment that [`KNOBS`]
+/// does not list, ends the process with status 2 and the message, rather
+/// than silently running the default.
 pub(crate) fn read_knob<T>(var: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    debug_assert!(KNOBS.contains(&var), "{var} is missing from KNOBS");
+    let names: Vec<String> = std::env::vars_os()
+        .map(|(k, _)| k.to_string_lossy().into_owned())
+        .collect();
     let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    parse(value.as_deref()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    check_knob_names(names.iter().map(String::as_str))
+        .and_then(|()| parse(value.as_deref()))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
 }
 
 /// Reads the count knob `var` through [`parse_count`]; a set value that
@@ -294,13 +358,14 @@ impl ExperimentResult {
 /// Wall-clock timer for the `host_seconds` artifact field.
 ///
 /// Lives in the bench harness only — the simulator itself is wall-clock
-/// free by construction (amnt-lint R2 forbids `Instant` in core/sim/
-/// workloads), so host timing wraps *around* simulations, never inside.
+/// free by construction (`clippy.toml` disallows `Instant::now` in the
+/// workspace), so host timing wraps *around* simulations, never inside.
 #[derive(Debug)]
 pub struct HostTimer(Instant);
 
 impl HostTimer {
     /// Starts timing.
+    #[allow(clippy::disallowed_methods)] // host clock for `.host.json` only
     pub fn start() -> Self {
         HostTimer(Instant::now())
     }
@@ -381,6 +446,7 @@ pub fn time_bench<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) -> f64 {
     for _ in 0..(iters / 10).clamp(1, 1000) {
         std::hint::black_box(f());
     }
+    #[allow(clippy::disallowed_methods)] // a host-cost micro-benchmark
     let start = std::time::Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
@@ -433,6 +499,26 @@ mod tests {
             parse_count("AMNT_TRACE_EVENTS", Some("1"), 65_536usize, 1),
             Ok(1)
         );
+    }
+
+    #[test]
+    fn unknown_amnt_names_are_refused_with_the_nearest_knobs() {
+        assert_eq!(
+            check_knob_names(["HOME", "AMNT_JOBS", "AMNT_TRACE"]),
+            Ok(())
+        );
+        assert_eq!(check_knob_names(KNOBS), Ok(()));
+        assert_eq!(
+            check_knob_names(["AMNT_JOBS", "AMNT_FAULT_OP"]),
+            Err("AMNT_FAULT_OP is not a knob; did you mean AMNT_FAULT_OPS, \
+                 AMNT_WARMUP, AMNT_ACCESSES?"
+                .to_string())
+        );
+        // Several unknown names: the first in sorted order is reported.
+        let err = check_knob_names(["AMNT_WARMUPS", "AMNT_ACCESS"]).unwrap_err();
+        assert!(err.starts_with("AMNT_ACCESS is not a knob; did you mean AMNT_ACCESSES,"));
+        // Only the `AMNT_` prefix is policed.
+        assert_eq!(check_knob_names(["AMNTX", "XAMNT_JOBS"]), Ok(()));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! See [`Bmt`] for the node format and a usage example.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod counter;
 mod geometry;

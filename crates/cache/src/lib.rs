@@ -24,7 +24,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Engine code reports through amnt-trace, never stdout or stderr
+// (DESIGN.md §2b).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod stats;
 

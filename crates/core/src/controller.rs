@@ -20,6 +20,15 @@
 //!   an all-zero child verifies vacuously (secure boot initialises real
 //!   hardware; zeroing an initialised region still trips its ancestors).
 
+// Crash-path discipline (DESIGN.md §2b): no panics outside tests; return
+// a typed IntegrityError or RecoveryError instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::config::SecureMemoryConfig;
 use crate::error::{IntegrityError, RecoveryError};
 use crate::protocol::{PathPersist, ProtocolKind, ProtocolState, WritePlan};

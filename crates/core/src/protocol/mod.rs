@@ -40,6 +40,15 @@
 //! verify-queue crash-point class exercises a non-empty queue at every
 //! depth for every protocol and asserts zero silent outcomes.
 
+// Crash-path discipline (DESIGN.md §2b): no panics outside tests; return
+// a typed IntegrityError or RecoveryError instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod amnt;
 mod anubis;
 mod bmf;

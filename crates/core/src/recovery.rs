@@ -1,6 +1,15 @@
 //! Post-crash recovery: the functional per-protocol procedures and the
 //! analytical recovery-time model behind the paper's Table 4.
 
+// Crash-path discipline (DESIGN.md §2b): no panics outside tests; return
+// a typed IntegrityError or RecoveryError instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::controller::SecureMemory;
 use crate::error::RecoveryError;
 use crate::protocol::{AmntConfig, ProtocolKind, ProtocolState};

@@ -9,7 +9,7 @@ use amnt_core::{
     SecureMemoryConfig,
 };
 use amnt_prng::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const MIB: u64 = 1024 * 1024;
 const BLOCKS: u64 = 4096; // 256 KiB of distinct block addresses in play
@@ -48,7 +48,7 @@ fn protocols() -> Vec<ProtocolKind> {
 fn run_case(kind: ProtocolKind, ops: &[(u16, u8)], crash_at: usize) {
     let cfg = SecureMemoryConfig::with_capacity(16 * MIB);
     let mut m = SecureMemory::new(cfg, kind).expect("controller");
-    let mut expected: HashMap<u64, u8> = HashMap::new();
+    let mut expected: BTreeMap<u64, u8> = BTreeMap::new();
     let mut t = 0;
     for (i, &(block, byte)) in ops.iter().enumerate() {
         if i == crash_at {

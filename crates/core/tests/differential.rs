@@ -15,7 +15,7 @@ use amnt_core::{
     SecureMemoryConfig, UntimedMemory, BLOCK_SIZE,
 };
 use amnt_prng::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const MIB: u64 = 1024 * 1024;
 
@@ -154,7 +154,7 @@ fn exhaustive_crash_points_recover_consistently() {
         for crash_point in 0..=ops.len() {
             let cfg = SecureMemoryConfig::with_capacity(8 * MIB);
             let mut m = SecureMemory::new(cfg, kind).expect("controller");
-            let mut expected: HashMap<u64, u8> = HashMap::new();
+            let mut expected: BTreeMap<u64, u8> = BTreeMap::new();
             let mut t = 0;
             for &(addr, byte) in &ops[..crash_point] {
                 t = m.write_block(t, addr, &[byte; 64]).unwrap();

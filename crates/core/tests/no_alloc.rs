@@ -16,6 +16,10 @@
 //! `unsafe`. Allocations are counted per thread, so tests running on other
 //! threads never land in a measuring window.
 
+// The workspace lint table denies `unsafe_code`; `GlobalAlloc` is an
+// unsafe trait.
+#![allow(unsafe_code)]
+
 use amnt_core::{AmntConfig, ProtocolKind, SecureMemory, SecureMemoryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -15,6 +15,10 @@
 //! alongside allocate on their own threads, and must not land in another
 //! test's measuring window.
 
+// The workspace lint table denies `unsafe_code`; `GlobalAlloc` is an
+// unsafe trait.
+#![allow(unsafe_code)]
+
 use amnt_crypto::{mac64_batch, HmacSha256, DATA_MAC_MSG_LEN, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -12,7 +12,7 @@
 //!   every same-name candidate. A `self` call that matches *nothing* in the
 //!   corpus is recorded as an **unresolved self-call** — the conservative
 //!   fallback the rules document (R3 treats it as a possible fence, R9 as a
-//!   possible bracket close, R1v2 has nothing to scan).
+//!   possible bracket close, R1 has nothing to scan).
 //! * `local.f(..)` — when the caller's `let`-binding table
 //!   ([`FnItem::locals`]) pins the receiver's type (`let c = Controller::
 //!   new(..)` then `c.f(..)`), only candidates on exactly that type

@@ -5,11 +5,11 @@
 //! the call graph cannot remove (see the resolution policy in
 //! [`crate::callgraph`]):
 //!
-//! * **R1v2 (crash-path panic-freedom)** over-approximates: every
+//! * **R1 (crash-path panic-freedom)** over-approximates: every
 //!   candidate of an ambiguous call is treated as *reachable*, so a panic
 //!   is never missed because resolution was unsure. (Unresolved external
 //!   calls have no body to scan; they are listed by `--dump-callgraph`.)
-//! * **R3v2 (persist/fence pairing)** under-approximates: a mutation is
+//! * **R3 (persist/fence pairing)** under-approximates: a mutation is
 //!   flagged only when *no* fence can be proven on any path — an
 //!   unresolved `self.`-call is assumed to be a fence, so uncertainty
 //!   never produces a false alarm on the gate.
@@ -25,10 +25,10 @@
 use crate::callgraph::CallGraph;
 use crate::lexer::{is_ident_byte, line_of, line_starts, mask, token_offsets};
 use crate::parse::parse_masked;
-use crate::rules::{mk_finding, Finding, R1_SCOPE, R3_FENCES, R3_MUTATIONS, R3_SCOPE};
+use crate::rules::{mk_finding, Finding, R3_FENCES, R3_MUTATIONS, R3_SCOPE};
 use std::collections::BTreeMap;
 
-/// Entry-point names for R1v2 reachability.
+/// Entry-point names for R1 reachability.
 const R1_ENTRY_NAMES: [&str; 3] = ["recover", "crash", "dirty_shutdown"];
 /// Entry points must be defined under these path prefixes.
 const R1_ENTRY_PATHS: [&str; 2] = ["crates/core/src/", "crates/nvm/src/"];
@@ -337,7 +337,7 @@ fn accepted_up(graph: &CallGraph, ok: impl Fn(usize, usize) -> bool) -> Vec<bool
     }
 }
 
-// ------------------------------------------------------------ R1v2 ----
+// ------------------------------------------------------------ R1 ----
 
 fn r1_reachable_panic_freedom(
     graph: &CallGraph,
@@ -370,25 +370,18 @@ fn r1_reachable_panic_freedom(
         };
         let f = &graph.fns[i];
         let entry_name = &graph.fns[entry].name;
-        // The four panic patterns are already policed per-file inside
-        // R1's path scope; the reachability pass extends them to every
-        // file the crash path can actually touch.
-        if !R1_SCOPE.iter().any(|s| f.path.starts_with(s)) {
-            for &(at, pat) in &feats[i].panics {
-                findings.push(mk_finding(
-                    &f.path,
-                    line_at(&f.path, at),
-                    "R1",
-                    &format!(
-                        "`{pat}{}` in fn `{}` — reachable from crash-path entry `{entry_name}`; return a typed error",
-                        if pat.ends_with('(') { "...)" } else { "" },
-                        f.name,
-                    ),
-                ));
-            }
+        for &(at, pat) in &feats[i].panics {
+            findings.push(mk_finding(
+                &f.path,
+                line_at(&f.path, at),
+                "R1",
+                &format!(
+                    "`{pat}{}` in fn `{}` — reachable from crash-path entry `{entry_name}`; return a typed error",
+                    if pat.ends_with('(') { "...)" } else { "" },
+                    f.name,
+                ),
+            ));
         }
-        // Unguarded indexing is new with R1v2 and applies to the whole
-        // reachable set, crash-path files included.
         for (at, ident) in &feats[i].unguarded_idx {
             findings.push(mk_finding(
                 &f.path,
@@ -403,7 +396,7 @@ fn r1_reachable_panic_freedom(
     }
 }
 
-// ------------------------------------------------------------ R3v2 ----
+// ------------------------------------------------------------ R3 ----
 
 fn r3_persist_fence_pairing(
     graph: &CallGraph,

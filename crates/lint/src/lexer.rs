@@ -257,88 +257,6 @@ pub fn cfg_test_ranges(masked: &str) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// One function's extent in masked source.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnSpan {
-    /// Function name.
-    pub name: String,
-    /// Byte offset of the `fn` keyword.
-    pub start: usize,
-    /// Byte offset one past the body's closing brace.
-    pub end: usize,
-}
-
-/// Extracts every `fn` item's span (nested functions included, each as its
-/// own span) from masked source. Bodyless declarations (trait methods) are
-/// skipped.
-pub fn fn_spans(masked: &str) -> Vec<FnSpan> {
-    // Byte-indexed scan is fine: we only branch on ASCII bytes.
-    let bytes = masked.as_bytes();
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i + 2 <= bytes.len() {
-        if &bytes[i..i + 2] == b"fn"
-            && (i == 0 || !is_ident_byte(bytes[i - 1]))
-            && (i + 2 == bytes.len() || !is_ident_byte(bytes[i + 2]))
-        {
-            let mut j = i + 2;
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            let name_start = j;
-            while j < bytes.len() && is_ident_byte(bytes[j]) {
-                j += 1;
-            }
-            if j == name_start {
-                i += 2;
-                continue; // `fn` not followed by a name (e.g. `Fn()` trait sugar)
-            }
-            let name = masked[name_start..j].to_string();
-            // Find the body `{` outside any parens, or `;` for bodyless fns.
-            let mut paren = 0i64;
-            let mut body = None;
-            while j < bytes.len() {
-                match bytes[j] {
-                    b'(' | b'[' => paren += 1,
-                    b')' | b']' => paren -= 1,
-                    b'{' if paren == 0 => {
-                        body = Some(j);
-                        break;
-                    }
-                    b';' if paren == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if let Some(mut k) = body {
-                let mut depth = 0i64;
-                while k < bytes.len() {
-                    match bytes[k] {
-                        b'{' => depth += 1,
-                        b'}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                spans.push(FnSpan {
-                    name,
-                    start: i,
-                    end: (k + 1).min(bytes.len()),
-                });
-            }
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    spans
-}
-
 /// ASCII identifier-byte check (multi-byte UTF-8 bytes are all >= 0x80 and
 /// count as identifier-ish to stay conservative).
 pub fn is_ident_byte(b: u8) -> bool {
@@ -419,16 +337,6 @@ mod tests {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn tail() {}\n";
         let ranges = cfg_test_ranges(&mask(src));
         assert_eq!(ranges, vec![(2, 5)]);
-    }
-
-    #[test]
-    fn fn_spans_find_names_and_bodies() {
-        let src =
-            "fn alpha() { beta(); }\nstruct S;\nimpl S {\n    fn beta(&self) -> u8 { 7 }\n}\n";
-        let spans = fn_spans(&mask(src));
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["alpha", "beta"]);
-        assert!(mask(src)[spans[1].start..spans[1].end].contains('7'));
     }
 
     #[test]

@@ -59,12 +59,12 @@ fn run(args: Vec<String>) -> i32 {
                         );
                         0
                     }
-                    None => usage("--explain needs a rule id (R1..R9)"),
+                    None => usage("--explain needs a rule id (R1, R3, R5, R6 or R9)"),
                 };
             }
             "--help" | "-h" => {
                 println!(
-                    "amnt-lint: workspace crash-path and determinism gate\n\n\
+                    "amnt-lint: workspace crash-path gate\n\n\
                      usage: amnt-lint [--root DIR] [--baseline FILE] [--write-baseline]\n\
                      \x20                [--json FILE] [--dump-callgraph]\n\
                      \x20                [--explain RULE_ID] [--list-rules]"

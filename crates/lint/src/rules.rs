@@ -1,16 +1,23 @@
-//! The nine workspace rules (R1–R9) and the per-file rule driver.
+//! The five rules amnt-lint owns (R1, R3, R5, R6, R9) and the per-file
+//! rule driver.
 //!
-//! Every per-file rule works on the masked source from [`crate::lexer`]
-//! (comments and string literals blanked), except R6, which scans the
-//! complementary *comment* mask because to-do markers live in comments.
+//! rustc and clippy carry the checks that resolve types or need no call
+//! graph: the workspace lint table in `Cargo.toml`, `clippy.toml`, and the
+//! `#![deny(clippy::...)]` attributes on the crash-path files and engine
+//! crates (see DESIGN.md §2b). What stays here is what the toolchain cannot
+//! check.
+//!
+//! The per-file rules work on the masked source from [`crate::lexer`]
+//! (comments and string literals blanked): R5 on the code mask, R6 on the
+//! complementary *comment* mask, because to-do markers live in comments.
 //! Rule scoping is path-based, so tests can exercise rules by handing
 //! [`crate::lint_source`] a fabricated repo-relative path.
 //!
 //! Three rules are *interprocedural* and live in [`crate::dataflow`],
-//! which runs over the whole corpus at once: R1's reachability extension,
-//! R3 (persist/fence pairing across caller paths), and R9 (atomic-group
-//! bracketing). This module keeps their catalog entries and the shared
-//! scope/token constants.
+//! which runs over the whole corpus at once: R1 (panics reachable from the
+//! crash path), R3 (persist/fence pairing across caller paths), and R9
+//! (atomic-group bracketing). This module keeps their catalog entries and
+//! the shared scope/token constants.
 
 use crate::lexer::{
     cfg_test_ranges, comments, is_ident_byte, line_of, line_starts, mask, token_offsets,
@@ -84,54 +91,30 @@ pub struct RuleInfo {
 }
 
 /// All rules, in id order.
-pub const RULES: [RuleInfo; 9] = [
+pub const RULES: [RuleInfo; 5] = [
     RuleInfo {
         id: "R1",
         severity: Severity::Error,
-        summary: "no panics in, or reachable from, the crash/recovery path",
+        summary: "no panics reachable from the crash/recovery path",
         explanation: "\
 The protocol engines, the recovery engine and the controller run on the
 crash/recovery path: a panic there is indistinguishable from the very
 data-loss event the system exists to survive, and it skips
 the typed IntegrityError/RecoveryError reporting the callers rely on.
-Two layers:
-  1. Per-file: unwrap/expect/panic!/unreachable! anywhere under
-     crates/core/src/protocol/, crates/core/src/recovery.rs,
-     crates/core/src/controller.rs.
-  2. Reachability: any function transitively callable from a
-     recover/crash/dirty_shutdown entry point in crates/core or
-     crates/nvm — whatever file it lives in — must be free of the same
-     four patterns and of unguarded bare-identifier indexing (`buf[i]`
-     with no visible bound on `i`). Ambiguous calls count as reachable
-     (over-approximation), so uncertainty never hides a panic.
+Any function transitively callable from a recover/crash/dirty_shutdown
+entry point in crates/core or crates/nvm — whatever file it lives in —
+must be free of unwrap/expect/panic!/unreachable! and of unguarded
+bare-identifier indexing (`buf[i]` with no visible bound on `i`).
+Ambiguous calls count as reachable (over-approximation), so uncertainty
+never hides a panic.
 Non-test code only (#[cfg(test)] items are exempt).
+clippy also denies the four panic patterns in every function, reachable
+or not, of crates/core/src/protocol/, recovery.rs and controller.rs.
 Remedy: return IntegrityError / RecoveryError (add a variant if none
 fits); for infallible slice-to-array conversions prefer explicit
 fold/indexing helpers over .try_into().expect(...); bound-check
 subscripts (a debug_assert! of the bound also satisfies the guard
 heuristic, but prefer a real check on the crash path).",
-    },
-    RuleInfo {
-        id: "R2",
-        severity: Severity::Error,
-        summary: "no nondeterminism sources in simulation/model code",
-        explanation: "\
-The simulator's correctness argument is bit-identical replay: the same
-seed must produce the same trace, cycle counts, and recovery decisions on
-every run. thread_rng/SystemTime/Instant::now inject wall-clock or OS
-entropy, and iterating a std HashMap (RandomState) makes tie-breaks
-depend on hasher seeding.
-Scope: crates/core/src/, crates/sim/src/, crates/workloads/src/,
-crates/trace/src/ — non-test code only. The trace crate is in scope
-because its artifacts carry the same byte-identity guarantee as the
-simulation results they describe. The fault sweep
-(crates/core/src/fault.rs) is explicitly in scope: its artifact must be
-byte-identical at any AMNT_JOBS, so a nondeterminism source in its
-workload generator or scenario order breaks every downstream
-determinism gate at once.
-Remedy: use amnt_prng::Rng seeded from the run configuration; iterate
-BTreeMap (or sort keys first) wherever iteration order can reach a
-result, a statistic, or an eviction/prune decision.",
     },
     RuleInfo {
         id: "R3",
@@ -158,18 +141,6 @@ where possible; a genuinely cross-function pairing is now accepted as
 long as every caller path fences.",
     },
     RuleInfo {
-        id: "R4",
-        severity: Severity::Error,
-        summary: "every lib.rs must carry #![forbid(unsafe_code)] and #![warn(missing_docs)]",
-        explanation: "\
-The workspace's safety story is 'no unsafe anywhere, docs everywhere';
-both are crate-level attributes that silently stop applying when a new
-crate forgets them.
-Scope: every */src/lib.rs.
-Remedy: add #![forbid(unsafe_code)] and #![warn(missing_docs)] at the
-top of the crate root.",
-    },
-    RuleInfo {
         id: "R5",
         severity: Severity::Error,
         summary: "no truncating casts on cycle/timestamp variables",
@@ -193,41 +164,6 @@ and retired.
 Scope: all scanned files (comments included).
 Remedy: write `TODO(#123): ...` or `FIXME(AMNT-7): ...`, or file the
 issue and delete the comment.",
-    },
-    RuleInfo {
-        id: "R7",
-        severity: Severity::Error,
-        summary: "no raw thread spawning outside the experiment executor",
-        explanation: "\
-All host parallelism flows through amnt_bench::exec, whose job pool
-collects results in deterministic declaration order — that is what makes
-`AMNT_JOBS` a pure speed knob and keeps results/*.json byte-identical at
-any worker count. A stray thread::spawn / thread::scope / thread::Builder
-elsewhere reintroduces scheduling-dependent ordering (and, in simulation
-crates, breaks the single-threaded determinism argument outright).
-Scope: all scanned non-test code except crates/bench/src/exec.rs.
-Remedy: express the work as jobs and run them with
-amnt_bench::exec::run_jobs_with or a bench Grid; if a new subsystem genuinely
-needs its own threading model, extend exec instead of bypassing it.",
-    },
-    RuleInfo {
-        id: "R8",
-        severity: Severity::Error,
-        summary: "no println!/eprintln!/dbg! in engine crates — observe through the trace layer",
-        explanation: "\
-The engine crates are instrumented through amnt-trace: counters,
-histograms, spans, and epoch samples that serialise into deterministic
-sidecar artifacts. A stray println!/eprintln!/dbg! in engine code
-bypasses that layer — it interleaves nondeterministically under the
-parallel executor, pollutes the experiment binaries' stdout tables, and
-(for dbg!) ships debug scaffolding. Experiment/CLI binaries own their
-stdout and are exempt.
-Scope: crates/core/src/, crates/sim/src/, crates/cache/src/,
-crates/nvm/src/ — non-test code only; src/bin/ directories are exempt.
-Remedy: record the fact through the component's CompTrace / the
-controller's Tracer (a counter or instant event), or return it as data;
-if it is operator output, it belongs in a binary under src/bin/ or
-crates/bench.",
     },
     RuleInfo {
         id: "R9",
@@ -259,41 +195,10 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id.eq_ignore_ascii_case(id))
 }
 
-/// Crash-critical scope for R1's per-file layer (the reachability layer
-/// in [`crate::dataflow`] skips these files' panic patterns to avoid
-/// duplicate findings, but still applies the indexing check).
-pub(crate) const R1_SCOPE: [&str; 3] = [
-    "crates/core/src/protocol/",
-    "crates/core/src/recovery.rs",
-    "crates/core/src/controller.rs",
-];
-
-/// Determinism scope for R2. The trace crate is included: its sidecar
-/// artifacts carry the same byte-identity guarantee as the results. The
-/// `crates/core/src/` prefix deliberately covers the fault sweep
-/// (`fault.rs`) — its artifacts are byte-compared across worker counts, so
-/// its workload generator and scenario order must stay entropy-free
-/// (locked by `fault_module_is_in_r2_scope` below).
-const R2_SCOPE: [&str; 4] = [
-    "crates/core/src/",
-    "crates/sim/src/",
-    "crates/workloads/src/",
-    "crates/trace/src/",
-];
-
 /// Persist/fence-pairing scope for R3 (where *mutations* are policed;
 /// fences may be found on caller paths in any crate).
 pub(crate) const R3_SCOPE: [&str; 2] =
     ["crates/core/src/protocol/", "crates/core/src/controller.rs"];
-
-/// Engine-crate scope for R8 (print macros). `src/bin/` subtrees are
-/// exempt — binaries own their stdout.
-const R8_SCOPE: [&str; 4] = [
-    "crates/core/src/",
-    "crates/sim/src/",
-    "crates/cache/src/",
-    "crates/nvm/src/",
-];
 
 /// Raw-NVM mutation entry points (R3).
 pub(crate) const R3_MUTATIONS: [&str; 3] = [
@@ -310,178 +215,27 @@ pub(crate) const R3_FENCES: [&str; 4] = [
     "mark_persisted(",
 ];
 
-/// Runs the per-file rules on one file's content under its repo-relative
-/// `path` (forward slashes). The path drives rule scoping. The
-/// interprocedural rules (R1's reachability layer, R3, R9) are *not* run
-/// here — [`crate::lint_corpus`] layers them on top.
+/// Runs the per-file rules (R5, R6) on one file's content under its
+/// repo-relative `path` (forward slashes). The path drives rule scoping.
+/// The interprocedural rules (R1, R3, R9) are *not* run here —
+/// [`crate::lint_corpus`] layers them on top.
 pub(crate) fn per_file_findings(path: &str, content: &str) -> Vec<Finding> {
-    let masked = mask(content);
-    let starts = line_starts(&masked);
-    let test_ranges = cfg_test_ranges(&masked);
-    let in_test = |line: usize| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
     let mut findings = Vec::new();
-
-    // R1: crash-path panics.
-    if R1_SCOPE.iter().any(|s| path.starts_with(s)) {
-        let patterns: [(&str, &str); 4] = [
-            (
-                ".unwrap()",
-                "`.unwrap()` on the crash path — return a typed error",
-            ),
-            (
-                ".expect(",
-                "`.expect(...)` on the crash path — return a typed error",
-            ),
-            (
-                "panic!",
-                "`panic!` on the crash path — return a typed error",
-            ),
-            (
-                "unreachable!",
-                "`unreachable!` on the crash path — return a typed error",
-            ),
-        ];
-        for (pat, msg) in patterns {
-            for at in substr_offsets(&masked, pat) {
-                let line = line_of(&starts, at);
-                if !in_test(line) {
-                    findings.push(mk_finding(path, line, "R1", msg));
-                }
-            }
-        }
-    }
-
-    // R2: nondeterminism sources.
-    if R2_SCOPE.iter().any(|s| path.starts_with(s)) {
-        let tokens: [(&str, &str); 3] = [
-            (
-                "thread_rng",
-                "`thread_rng` — seed an amnt_prng::Rng from the run config instead",
-            ),
-            (
-                "SystemTime",
-                "`SystemTime` — wall-clock time breaks deterministic replay",
-            ),
-            (
-                "Instant",
-                "`Instant` — host timing breaks deterministic replay",
-            ),
-        ];
-        for (tok, msg) in tokens {
-            for at in token_offsets(&masked, tok) {
-                let line = line_of(&starts, at);
-                if !in_test(line) {
-                    findings.push(mk_finding(path, line, "R2", msg));
-                }
-            }
-        }
-        for (ident, at) in hashmap_iterations(&masked) {
-            let line = line_of(&starts, at);
-            if !in_test(line) {
-                findings.push(mk_finding(
-                    path,
-                    line,
-                    "R2",
-                    &format!(
-                        "iteration over std HashMap `{ident}` — order is hasher-seeded; use BTreeMap or sort"
-                    ),
-                ));
-            }
-        }
-    }
-
-    // R3 moved to crate::dataflow — fence pairing is judged over the call
-    // graph now, and a single-file corpus reproduces the old leaf-local
-    // behavior (no callers to rescue an unfenced mutation).
-
-    // R4: crate-root hygiene attributes.
-    if path.ends_with("src/lib.rs") {
-        for (attr, what) in [
-            (
-                "#![forbid(unsafe_code)]",
-                "missing `#![forbid(unsafe_code)]` at crate root",
-            ),
-            (
-                "#![warn(missing_docs)]",
-                "missing `#![warn(missing_docs)]` at crate root",
-            ),
-        ] {
-            if !masked.contains(attr) {
-                findings.push(mk_finding(path, 1, "R4", what));
-            }
-        }
-    }
 
     // R5: truncating casts on cycle/timestamp variables.
     if path == "crates/core/src/timing.rs" || path.starts_with("crates/sim/src/") {
+        let masked = mask(content);
+        let starts = line_starts(&masked);
+        let test_ranges = cfg_test_ranges(&masked);
         for (ident, at) in truncating_time_casts(&masked) {
             let line = line_of(&starts, at);
-            if !in_test(line) {
+            if !test_ranges.iter().any(|&(a, b)| line >= a && line <= b) {
                 findings.push(mk_finding(
                     path,
                     line,
                     "R5",
                     &format!("truncating cast on cycle/timestamp variable `{ident}` — keep it u64"),
                 ));
-            }
-        }
-    }
-
-    // R7: raw thread spawning outside the executor. Substring match: the
-    // patterns carry their own `::` path context, so they catch both
-    // `std::thread::spawn` and `thread::spawn` after a use-import.
-    if path != "crates/bench/src/exec.rs" {
-        let patterns: [(&str, &str); 3] = [
-            (
-                "thread::spawn",
-                "`thread::spawn` outside the executor — use amnt_bench::exec::run_jobs_with",
-            ),
-            (
-                "thread::scope",
-                "`thread::scope` outside the executor — use amnt_bench::exec::run_jobs_with",
-            ),
-            (
-                "thread::Builder",
-                "`thread::Builder` outside the executor — use amnt_bench::exec::run_jobs_with",
-            ),
-        ];
-        for (pat, msg) in patterns {
-            for at in substr_offsets(&masked, pat) {
-                let line = line_of(&starts, at);
-                if !in_test(line) {
-                    findings.push(mk_finding(path, line, "R7", msg));
-                }
-            }
-        }
-    }
-
-    // R8: print macros in engine code. Token-bounded so `println` never
-    // also matches inside `eprintln`; the `!` requirement keeps plain
-    // identifiers (a local named `dbg`) out.
-    if R8_SCOPE.iter().any(|s| path.starts_with(s)) && !path.contains("/bin/") {
-        let macros: [(&str, &str); 3] = [
-            (
-                "println",
-                "`println!` in engine code — record it through the trace layer",
-            ),
-            (
-                "eprintln",
-                "`eprintln!` in engine code — record it through the trace layer",
-            ),
-            (
-                "dbg",
-                "`dbg!` in engine code — record it through the trace layer",
-            ),
-        ];
-        for (name, msg) in macros {
-            for at in token_offsets(&masked, name) {
-                if !masked[at + name.len()..].starts_with('!') {
-                    continue;
-                }
-                let line = line_of(&starts, at);
-                if !in_test(line) {
-                    findings.push(mk_finding(path, line, "R8", msg));
-                }
             }
         }
     }
@@ -521,240 +275,6 @@ pub(crate) fn mk_finding(path: &str, line: usize, rule: &'static str, message: &
         rule,
         severity,
         message: message.to_string(),
-    }
-}
-
-/// Plain substring occurrences (R1's patterns carry their own `.`/`!`
-/// delimiters, so token boundaries are unnecessary).
-fn substr_offsets(hay: &str, needle: &str) -> Vec<usize> {
-    hay.match_indices(needle).map(|(at, _)| at).collect()
-}
-
-/// Method suffixes that iterate a map (R2).
-const ITER_SUFFIXES: [&str; 9] = [
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".drain(",
-    ".into_iter()",
-    ".into_keys()",
-    ".into_values()",
-];
-
-/// What a `let` binding does to its name's HashMap taint (R2).
-enum BindKind {
-    /// Bare rebind of another name (`let p = &mut self.map;`): the alias
-    /// inherits whatever the source name's taint is *at this point*.
-    Alias(String),
-    /// RHS mentions `HashMap` (constructor or ascription): tainted.
-    Tainted,
-    /// Anything else (`m.len()`, a comparison, a different type): the
-    /// binding shadows the name and kills any earlier taint.
-    Clean,
-}
-
-/// One `let` binding: where the bound name starts, and what it does.
-struct Bind {
-    offset: usize,
-    name: String,
-    kind: BindKind,
-}
-
-/// Identifiers whose value is a std HashMap *at the point of iteration*,
-/// paired with each offset where they are iterated.
-///
-/// Position-aware heuristic in three parts: names declared as `HashMap`
-/// anywhere (`x: HashMap<..>` ascriptions and struct fields) are tainted
-/// file-wide; `let` bindings are classified in textual order as bare
-/// aliases (`let p = &mut self.map;` — taint follows the source),
-/// tainting (`= HashMap::new()`), or clean (a shadowing rebind like
-/// `let m = m.len();` *kills* the taint from that point on); each
-/// iteration site (`x.iter()`, `for .. in &x`, ...) then resolves its
-/// ident through the nearest preceding binding chain.
-fn hashmap_iterations(masked: &str) -> Vec<(String, usize)> {
-    let declared = declared_hashmap_names(masked);
-    let binds = let_bindings(masked);
-    let mut hits: Vec<(String, usize)> = iteration_sites(masked)
-        .into_iter()
-        .filter(|(ident, at)| is_tainted(&declared, &binds, ident, *at))
-        .collect();
-    hits.sort_by_key(|(_, at)| *at);
-    hits.dedup();
-    hits
-}
-
-/// Names declared with a `HashMap` type: `x: HashMap<..>`,
-/// `x: Option<HashMap<..>>`, struct fields, fn params. These taint the
-/// name file-wide (fields have no binding position to track).
-fn declared_hashmap_names(masked: &str) -> Vec<String> {
-    let bytes = masked.as_bytes();
-    let mut idents: Vec<String> = Vec::new();
-    for (at, _) in masked.match_indices("HashMap") {
-        // Walk back over `Option<`-style wrappers to the `:` that binds
-        // this type to a name (`::` is path syntax, not a declaration —
-        // constructor RHSes are classified by `let_bindings` instead).
-        let mut i = at;
-        while i > 0 {
-            let b = bytes[i - 1];
-            if b == b':' {
-                if i >= 2 && bytes[i - 2] == b':' {
-                    break;
-                }
-                let mut j = i - 1;
-                while j > 0 && bytes[j - 1].is_ascii_whitespace() {
-                    j -= 1;
-                }
-                let end = j;
-                while j > 0 && is_ident_byte(bytes[j - 1]) {
-                    j -= 1;
-                }
-                if j < end {
-                    let name = masked[j..end].to_string();
-                    if name != "mut" && !idents.contains(&name) {
-                        idents.push(name);
-                    }
-                }
-                break;
-            }
-            if b == b'<' || b == b' ' || b == b'&' || is_ident_byte(b) {
-                i -= 1;
-                continue;
-            }
-            break;
-        }
-    }
-    idents
-}
-
-/// Every `let [mut] name [: Type] = rhs;` in the file, in textual order.
-fn let_bindings(masked: &str) -> Vec<Bind> {
-    let bytes = masked.as_bytes();
-    let mut out = Vec::new();
-    for at in token_offsets(masked, "let") {
-        let mut i = at + 3;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if masked[i..].starts_with("mut")
-            && bytes.get(i + 3).is_some_and(|b| b.is_ascii_whitespace())
-        {
-            i += 4;
-            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                i += 1;
-            }
-        }
-        let name_start = i;
-        while i < bytes.len() && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
-        if i == name_start {
-            continue; // destructuring pattern, not a plain name
-        }
-        let name = masked[name_start..i].to_string();
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if bytes.get(i) == Some(&b':') {
-            // Type ascription: skip to the `=` (types carry no `=`). A
-            // `(`-follower means this was `if let Some(x)`-style, which
-            // the name read above already rejected.
-            while i < bytes.len() && bytes[i] != b'=' && bytes[i] != b';' {
-                i += 1;
-            }
-        }
-        if bytes.get(i) != Some(&b'=') || bytes.get(i + 1) == Some(&b'=') {
-            continue;
-        }
-        let rhs_start = i + 1;
-        let rhs_end = masked[rhs_start..]
-            .find(';')
-            .map_or(masked.len(), |p| rhs_start + p);
-        out.push(Bind {
-            offset: name_start,
-            name,
-            kind: classify_rhs(masked[rhs_start..rhs_end].trim()),
-        });
-    }
-    out
-}
-
-/// Classifies a `let` RHS for taint purposes. A bare rebind strips an
-/// optional `&` / `&mut ` and `self.` owner; anything left that is a pure
-/// identifier aliases that name.
-fn classify_rhs(rhs: &str) -> BindKind {
-    let mut r = rhs.strip_prefix('&').unwrap_or(rhs).trim_start();
-    r = r.strip_prefix("mut ").unwrap_or(r).trim_start();
-    r = r.strip_prefix("self.").unwrap_or(r);
-    if !r.is_empty()
-        && r.bytes().all(is_ident_byte)
-        && !r.as_bytes()[0].is_ascii_digit()
-        && r != "mut"
-    {
-        return BindKind::Alias(r.to_string());
-    }
-    if rhs.contains("HashMap") {
-        return BindKind::Tainted;
-    }
-    BindKind::Clean
-}
-
-/// Offsets where some identifier is iterated: `x.iter()`-style method
-/// suffixes and `for .. in &x` loops. Returns `(ident, ident offset)`.
-fn iteration_sites(masked: &str) -> Vec<(String, usize)> {
-    let bytes = masked.as_bytes();
-    let mut sites = Vec::new();
-    for pat in ITER_SUFFIXES {
-        for (pos, _) in masked.match_indices(pat) {
-            let mut j = pos;
-            while j > 0 && is_ident_byte(bytes[j - 1]) {
-                j -= 1;
-            }
-            if j < pos && !bytes[j].is_ascii_digit() {
-                sites.push((masked[j..pos].to_string(), j));
-            }
-        }
-    }
-    for (pos, _) in masked.match_indices("in &") {
-        let mut j = pos + 4;
-        if masked[j..].starts_with("mut ") {
-            j += 4;
-        }
-        let start = j;
-        while j < bytes.len() && is_ident_byte(bytes[j]) {
-            j += 1;
-        }
-        if j > start && !bytes[start].is_ascii_digit() {
-            sites.push((masked[start..j].to_string(), start));
-        }
-    }
-    sites
-}
-
-/// Resolves `name`'s taint at offset `at` through the binding chain:
-/// nearest preceding binding wins; aliases recurse into their source at
-/// the alias's own position (offsets strictly decrease, so this
-/// terminates); no binding falls back to the file-wide declared set.
-fn is_tainted(declared: &[String], binds: &[Bind], name: &str, at: usize) -> bool {
-    let mut name = name.to_string();
-    let mut at = at;
-    loop {
-        let nearest = binds
-            .iter()
-            .filter(|b| b.name == name && b.offset < at)
-            .max_by_key(|b| b.offset);
-        match nearest {
-            None => return declared.contains(&name),
-            Some(b) => match &b.kind {
-                BindKind::Tainted => return true,
-                BindKind::Clean => return false,
-                BindKind::Alias(src) => {
-                    name = src.clone();
-                    at = b.offset;
-                }
-            },
-        }
     }
 }
 
@@ -824,13 +344,13 @@ mod tests {
     #[test]
     fn rule_table_is_consistent() {
         let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
-        assert_eq!(
-            ids,
-            vec!["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
-        );
+        assert_eq!(ids, vec!["R1", "R3", "R5", "R6", "R9"]);
         assert!(rule_info("r3").is_some());
         assert!(rule_info("r9").is_some());
-        assert!(rule_info("R10").is_none());
+        // Retired rules: rustc and clippy carry them now.
+        for gone in ["R2", "R4", "R7", "R8", "R10"] {
+            assert!(rule_info(gone).is_none(), "{gone}");
+        }
         // The cross-function R3 ROADMAP item is closed; no explanation may
         // still point at it as future work.
         for r in RULES {
@@ -855,88 +375,6 @@ mod tests {
         assert!(has_issue_tag("// FIXME AMNT-3 tighten"));
         assert!(!has_issue_tag("// TODO: someday"));
         assert!(!has_issue_tag("// TODO(AMNT-): someday"));
-    }
-
-    #[test]
-    fn fault_module_is_in_r2_scope() {
-        // The fault sweep promises byte-identical artifacts at any worker
-        // count; every R2 nondeterminism source must fire there.
-        let src = "fn route() {\n\
-                   let r = thread_rng();\n\
-                   let t = std::time::Instant::now();\n\
-                   let m: HashMap<u64, u8> = HashMap::new();\n\
-                   for (k, v) in &m {}\n\
-                   }\n";
-        let findings = per_file_findings("crates/core/src/fault.rs", src);
-        let r2: Vec<_> = findings.iter().filter(|f| f.rule == "R2").collect();
-        assert_eq!(r2.len(), 3, "{findings:?}");
-        // Same source outside the determinism scope stays silent on R2.
-        let outside = per_file_findings("crates/bench/src/bin/fault_sweep.rs", src);
-        assert!(outside.iter().all(|f| f.rule != "R2"), "{outside:?}");
-    }
-
-    #[test]
-    fn hashmap_iteration_heuristic() {
-        let src = "let mut m: HashMap<u64, u8> = HashMap::new();\nfor (k, v) in &m {}\nm.insert(1, 2);\nlet n: BTreeMap<u64, u8> = BTreeMap::new();\nn.iter();\n";
-        let hits = hashmap_iterations(&mask(src));
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, "m");
-    }
-
-    #[test]
-    fn hashmap_alias_rebinding_is_followed() {
-        // Direct alias, alias-of-alias, and a `self.`-owned field rebind
-        // all inherit the HashMap taint; iterating any of them fires.
-        // Hits come back in file order.
-        let src = "struct S { map: HashMap<u64, u8> }\n\
-                   let p = &self.map;\n\
-                   let q = p;\n\
-                   q.values();\n\
-                   p.iter();\n";
-        let hits = hashmap_iterations(&mask(src));
-        let names: Vec<&str> = hits.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["q", "p"], "{hits:?}");
-    }
-
-    #[test]
-    fn hashmap_mut_alias_is_followed() {
-        // `&mut self.map` is as much an alias as `&self.map`.
-        let src = "struct S { map: HashMap<u64, u8> }\n\
-                   let p = &mut self.map;\n\
-                   for k in p.keys() {}\n";
-        let hits = hashmap_iterations(&mask(src));
-        let names: Vec<&str> = hits.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["p"], "{hits:?}");
-    }
-
-    #[test]
-    fn hashmap_shadowing_rebind_kills_taint() {
-        // A shadowing `let` with a non-map RHS ends the taint: iterating
-        // the name *after* the rebind is clean, *before* it still fires.
-        let src = "let m: HashMap<u64, u8> = HashMap::new();\n\
-                   m.iter();\n\
-                   let m = sorted_keys();\n\
-                   m.iter();\n\
-                   let p = &m;\n\
-                   p.iter();\n";
-        let hits = hashmap_iterations(&mask(src));
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        // The surviving hit is the pre-shadow iteration on line 2.
-        let starts = crate::lexer::line_starts(src);
-        assert_eq!(crate::lexer::line_of(&starts, hits[0].1), 2);
-    }
-
-    #[test]
-    fn hashmap_alias_ignores_comparisons_and_calls() {
-        // `==` is a comparison, not a rebind; a method-call RHS produces a
-        // different value; neither may taint the LHS.
-        let src = "let m: HashMap<u64, u8> = HashMap::new();\n\
-                   let same = other == m;\n\
-                   let n = m.len();\n\
-                   same.iter();\n\
-                   n.iter();\n";
-        let hits = hashmap_iterations(&mask(src));
-        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

@@ -5,14 +5,13 @@
 
 use amnt_lint::{baseline, lint_corpus};
 
-/// Two `.unwrap()` in the same crash-path file: two findings, one key.
+/// Two `.unwrap()` in one crash-path function: two findings, one key.
 fn duplicate_findings() -> Vec<amnt_lint::Finding> {
-    let src = "fn a(x: Option<u8>) -> u8 { x.unwrap() }\n\
-               fn b(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let findings = lint_corpus(&[(
-        "crates/core/src/protocol/fake.rs".to_string(),
-        src.to_string(),
-    )]);
+    let src = "fn recover(x: Option<u8>, y: Option<u8>) -> u8 {\n\
+               \x20   x.unwrap()\n\
+               \x20       + y.unwrap()\n\
+               }\n";
+    let findings = lint_corpus(&[("crates/core/src/fake.rs".to_string(), src.to_string())]);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert_eq!(findings[0].key(), findings[1].key());
     findings

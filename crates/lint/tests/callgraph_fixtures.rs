@@ -1,6 +1,6 @@
 //! Call-graph fixtures: cross-module resolution, receiver ambiguity,
 //! recursion, and the documented conservative fallback for unresolved
-//! calls (a possible fence for R3, reachable candidates for R1v2).
+//! calls (a possible fence for R3, reachable candidates for R1).
 
 use amnt_lint::callgraph::{CallGraph, EdgeKind};
 use amnt_lint::parse::parse_file;

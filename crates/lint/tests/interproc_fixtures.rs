@@ -1,5 +1,5 @@
-//! Acceptance fixtures for the interprocedural rules: R3v2 (persist/fence
-//! pairing across caller paths), R1v2 (crash-path panic reachability), and
+//! Acceptance fixtures for the interprocedural rules: R3 (persist/fence
+//! pairing across caller paths), R1 (crash-path panic reachability), and
 //! R9 (atomic-group bracketing).
 //!
 //! Each test hands [`amnt_lint::lint_corpus`] a fabricated multi-file
@@ -96,7 +96,7 @@ fn r3_helper_with_no_callers_is_flagged_as_before() {
 #[test]
 fn r1_flags_unwrap_two_calls_deep_from_recover() {
     // recover -> repair -> finish; the unwrap lives two hops away, in a
-    // crate that R1's per-file scope never covered.
+    // crate outside crates/core and crates/nvm.
     let findings = corpus(&[
         (
             "crates/core/src/recov.rs",

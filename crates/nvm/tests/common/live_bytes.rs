@@ -6,6 +6,10 @@
 //! the libraries are `#![forbid(unsafe_code)]` and implementing
 //! `GlobalAlloc` requires `unsafe`.
 
+// The workspace lint table denies `unsafe_code`; `GlobalAlloc` is an
+// unsafe trait.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -10,7 +10,7 @@
 //! region without slowing the allocation fast path.
 
 use amnt_nvm::FrameMap;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 /// Maximum chunk order (Linux uses 11: 2^10 pages max with MAX_ORDER 11).
@@ -293,7 +293,7 @@ impl BuddyAllocator {
         self.restructures += 1;
         // First pass (paper §5): scan every list, counting free chunks per
         // subtree region, and pick the single most-populous region.
-        let mut counts: HashMap<u64, usize> = HashMap::new();
+        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         let mut total_chunks = 0u64;
         for list in &self.free_area {
             total_chunks += list.len() as u64;

@@ -23,7 +23,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod buddy;
 mod manager;

@@ -185,33 +185,41 @@ impl MemoryManager {
     /// reordering targets.
     pub fn age(&mut self, seed: u64, occupancy: f64, churn: f64) {
         const SHUFFLE_WINDOW: usize = 2048; // pages: 8 MiB
-        let total = self.buddy.total_pages();
-        let take = ((total as f64) * occupancy.clamp(0.0, 1.0)) as u64;
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut held = Vec::with_capacity(take as usize);
-        for _ in 0..take {
-            match self.buddy.alloc_pages(0) {
-                Ok(pfn) => held.push(pfn),
-                Err(_) => break,
-            }
-        }
+
         // Survivors (the "daemons") hold *clustered* runs of pages — long-
         // lived kernel and daemon memory is contiguous-ish — so the released
         // remainder coalesces into sizable chunks instead of isolated
         // singles (which would otherwise dominate the order-0 lists and
         // scatter every later allocation across the whole aged zone).
-        const SURVIVOR_RUN: usize = 16; // pages: 64 KiB clusters
+        const SURVIVOR_RUN: u64 = 16; // pages: 64 KiB clusters
+        let total = self.buddy.total_pages();
+        let mut left = ((total as f64) * occupancy.clamp(0.0, 1.0)) as u64;
         let churn = churn.clamp(0.0, 1.0);
-        let mut release = Vec::with_capacity(held.len());
+        let mut rng = Rng::seed_from_u64(seed);
+        // Each run's fate is drawn as soon as it is allocated, so survivors
+        // go straight to the background map and only released pages are
+        // kept. Nothing is freed until every page is allocated.
+        let mut release = Vec::new();
         let mut background = FrameMap::default();
-        for run in held.chunks(SURVIVOR_RUN) {
+        let mut run = Vec::with_capacity(SURVIVOR_RUN as usize);
+        while left > 0 {
+            let want = left.min(SURVIVOR_RUN);
+            run.clear();
+            run.extend((0..want).map_while(|_| self.buddy.alloc_pages(0).ok()));
+            if run.is_empty() {
+                break;
+            }
             if rng.gen_bool(churn) {
-                release.extend_from_slice(run);
+                release.extend_from_slice(&run);
             } else {
-                for &pfn in run {
+                for &pfn in &run {
                     *background.get_or_insert_default(background.len() as u64) = pfn;
                 }
             }
+            if (run.len() as u64) < want {
+                break; // memory ran out inside this run
+            }
+            left -= want;
         }
         for window in release.chunks_mut(SHUFFLE_WINDOW) {
             rng.shuffle(window);
@@ -390,5 +398,81 @@ mod tests {
         // (Table 2 reports ~1-2% of *application* instructions; here we
         // only check it is a modest multiple of the allocator baseline).
         assert!(pp.instructions() < std_mm.instructions() * 4);
+    }
+
+    /// Aging as first written: allocate every page, then draw each 16-page
+    /// run's fate over the whole list. [`MemoryManager::age`] streams the
+    /// same draws and must leave the same machine behind.
+    fn age_allocating_everything_first(
+        mm: &mut MemoryManager,
+        seed: u64,
+        occupancy: f64,
+        churn: f64,
+    ) {
+        let take = ((mm.buddy.total_pages() as f64) * occupancy) as u64;
+        let mut rng = Rng::seed_from_u64(seed);
+        let held: Vec<u64> = (0..take)
+            .map_while(|_| mm.buddy.alloc_pages(0).ok())
+            .collect();
+        let mut release = Vec::new();
+        let mut background = FrameMap::default();
+        for run in held.chunks(16) {
+            if rng.gen_bool(churn) {
+                release.extend_from_slice(run);
+            } else {
+                for &pfn in run {
+                    *background.get_or_insert_default(background.len() as u64) = pfn;
+                }
+            }
+        }
+        for window in release.chunks_mut(2048) {
+            rng.shuffle(window);
+        }
+        for pfn in release {
+            mm.buddy.free_pages(pfn);
+        }
+        mm.page_tables.insert(Pid::MAX, background);
+    }
+
+    #[test]
+    fn streaming_aging_matches_allocating_everything_first() {
+        // (pages, pages mapped before aging, occupancy, churn): partial
+        // last runs, memory running out inside a run, and both extremes of
+        // churn.
+        for (pages, premapped, occupancy, churn) in [
+            (4096, 0, 0.9, 0.5),
+            (4099, 0, 0.8, 0.6),
+            (5000, 7, 1.0, 0.3),
+            (8192, 0, 0.37, 1.0),
+            (512, 3, 0.5, 0.0),
+        ] {
+            let aged = |streaming: bool| {
+                let mut mm = MemoryManager::new(pages, AllocPolicy::Standard);
+                for page in 0..premapped {
+                    mm.translate(1, page * PAGE_SIZE).unwrap();
+                }
+                if streaming {
+                    mm.age(11, occupancy, churn);
+                } else {
+                    age_allocating_everything_first(&mut mm, 11, occupancy, churn);
+                }
+                let background: Vec<(u64, u64)> = mm.page_tables[&Pid::MAX]
+                    .iter()
+                    .map(|(vpn, &pfn)| (vpn, pfn))
+                    .collect();
+                // Every later allocation, until memory runs out.
+                let next: Vec<u64> = (0..)
+                    .map_while(|page| mm.translate(2, page * PAGE_SIZE).ok())
+                    .collect();
+                (background, next)
+            };
+            let (background, next) = aged(true);
+            assert!(!next.is_empty());
+            assert_eq!(
+                (background, next),
+                aged(false),
+                "{pages} pages, {premapped} premapped, occupancy {occupancy}, churn {churn}"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Every timestamp in this crate is a **simulated cycle** — the crate has no
 //! wall clock, no entropy source, and no I/O. That is the repo's determinism
-//! contract (amnt-lint R2): a traced run produces the same trace bytes on
+//! contract (enforced by `clippy.toml`): a traced run produces the same trace bytes on
 //! every host and at every `AMNT_JOBS` worker count, and enabling tracing
 //! never perturbs the simulation itself (instrumentation reads state, it
 //! never advances time).
@@ -37,7 +37,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod export;
 mod hist;

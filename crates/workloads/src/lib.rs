@@ -21,7 +21,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod gen;
 mod model;

@@ -44,10 +44,16 @@ echo "== cargo build --release --workspace --all-targets =="
 cargo build --release --workspace --all-targets || fail=1
 
 echo "== cargo clippy --workspace --all-targets (warnings are errors) =="
+# Besides clippy's defaults, this step carries the checks amnt-lint used to
+# match by text (DESIGN.md §2b): the crash-path files' per-file panic ban
+# (R1 per-file), the determinism bans on wall clocks and hash iteration
+# (R2), the thread ban outside the executor (R7) and the print ban in the
+# engine crates (R8). rustc's own build above already denies `unsafe` and
+# warns on missing docs for every target (R4).
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings || fail=1
 else
-    echo "   clippy not installed; skipping"
+    echo "   clippy not installed; skipping R1 per-file, R2, R7 and R8 (clippy.toml, #![deny(clippy::...)])"
 fi
 
 echo "== cargo doc --no-deps --workspace (warnings are errors) =="

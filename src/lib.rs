@@ -39,7 +39,6 @@
 //! binaries that regenerate every table and figure of the paper.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub use amnt_bmt as bmt;
 pub use amnt_cache as cache;
